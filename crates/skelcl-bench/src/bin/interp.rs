@@ -14,6 +14,14 @@
 //! pass and end-to-end. Instruction and dispatch counts there are
 //! deterministic and gated; walls stay under `host` keys.
 //!
+//! A third section measures host-thread scaling of *short* work-items on
+//! one device: a zip-multiply (a few dozen ops per item) and a 256-lane
+//! barrier tree reduce (nine lockstep rounds per item), each launched with
+//! `host_threads` 1 and with one thread per CPU. Iteration-heavy Mandelbrot
+//! amortises any per-item or per-round cost over ~1 300 ops and scales even
+//! when the engine has a thread-shared write on that path; these two do
+//! not, so they are where such a write shows.
+//!
 //! Host wall-clock here is *real* time on the build machine, not simulated
 //! nanoseconds, so the report nests all measured numbers under `host` keys
 //! (the bench gate checks their presence, never their values). The gated
@@ -408,6 +416,138 @@ fn strided_reduce() -> Shape {
     }
 }
 
+const TREE_SRC: &str = "__kernel void tree(__global const float* in, __global float* out, int n){
+     __local float lanes[256];
+     int lid = (int)get_local_id(0);
+     int gid = (int)get_global_id(0);
+     lanes[lid] = gid < n ? in[gid] : 0.0f;
+     barrier(CLK_LOCAL_MEM_FENCE);
+     for (int stride = 128; stride > 0; stride >>= 1) {
+         if (lid < stride) lanes[lid] = lanes[lid] + lanes[lid + stride];
+         barrier(CLK_LOCAL_MEM_FENCE);
+     }
+     if (lid == 0) out[get_group_id(0)] = lanes[0];
+ }";
+
+fn median_ms(mut walls: Vec<Duration>) -> f64 {
+    walls.sort();
+    walls[walls.len() / 2].as_secs_f64() * 1e3
+}
+
+/// Host-thread scaling of short work-items: both kernels on one device,
+/// 65 536 items in 256 groups, launched alternately with one host thread
+/// and with one per CPU (median of seven each). Everything it reports is
+/// host-measured or machine-dependent, so it all sits under `host` keys;
+/// the deterministic part — same buffers and counters at both thread
+/// counts — is asserted.
+fn host_thread_scaling() -> Json {
+    const ITEMS: usize = 1 << 16;
+    const REPS: usize = 7;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let platform = Platform::single(DeviceSpec::tesla_t10());
+    let queue = platform.queue(0);
+    let upload = |vals: Vec<u8>| {
+        let buf = queue.create_buffer(vals.len()).expect("input buffer");
+        queue.enqueue_write(&buf, 0, &vals).expect("upload");
+        KernelArg::Buffer(buf)
+    };
+    let a = upload(f32s((0..ITEMS).map(|i| (i % 1000) as f32 * 0.25)));
+    let b = upload(f32s((0..ITEMS).map(|i| (i % 773) as f32 * 0.5 - 100.0)));
+    let n = KernelArg::Scalar(Value::I32(ITEMS as i32));
+    let zip = skelcl_kernel::compile("dotmul.cl", DOTMUL_SRC).expect("compile dotmul");
+    let tree = skelcl_kernel::compile("tree.cl", TREE_SRC).expect("compile tree");
+
+    println!("\n== Host-thread scaling of short work-items: 1 device, {ITEMS} items ==\n");
+    println!(
+        "{:<12} {:>10} {:>14} {:>14} {:>14} {:>9}",
+        "kernel", "ops/item", "barriers/item", "1 thread (ms)", "all (ms)", "speedup"
+    );
+    let off = KernelArg::Scalar(Value::I32(0));
+    let mut rows = Vec::new();
+    for (name, program, kernel, inputs, scalars, out_len) in [
+        (
+            "zip_mult",
+            &zip,
+            "dotmul",
+            vec![&a, &b],
+            vec![&off, &n],
+            ITEMS * 4,
+        ),
+        (
+            "tree_reduce",
+            &tree,
+            "tree",
+            vec![&a],
+            vec![&n],
+            ITEMS / 256 * 4,
+        ),
+    ] {
+        let out = queue.create_buffer(out_len).expect("output buffer");
+        let out_arg = KernelArg::Buffer(out.clone());
+        let args: Vec<KernelArg> = inputs
+            .into_iter()
+            .chain([&out_arg])
+            .chain(scalars)
+            .cloned()
+            .collect();
+        let launch = |host_threads: usize| {
+            let config = LaunchConfig {
+                host_threads: Some(host_threads),
+                strategy: ExecStrategy::Fast,
+                ..LaunchConfig::default()
+            };
+            let t = Instant::now();
+            let event = queue
+                .launch_kernel(
+                    program,
+                    kernel,
+                    &args,
+                    NdRange::linear_default(ITEMS),
+                    &config,
+                )
+                .expect("launch");
+            let wall = t.elapsed();
+            let mut bytes = vec![0u8; out_len];
+            queue.enqueue_read(&out, 0, &mut bytes).expect("read back");
+            (wall, event.counters().expect("counters"), bytes)
+        };
+        let reference = launch(1); // also starts the pool
+        let (mut one, mut all) = (Vec::new(), Vec::new());
+        for _ in 0..REPS {
+            for (host_threads, walls) in [(1, &mut one), (threads, &mut all)] {
+                let (wall, counters, bytes) = launch(host_threads);
+                assert!(
+                    counters == reference.1 && bytes == reference.2,
+                    "{name}: result depends on host_threads"
+                );
+                walls.push(wall);
+            }
+        }
+        let (one_ms, all_ms) = (median_ms(one), median_ms(all));
+        let ops_per_item = reference.1.ops as f64 / ITEMS as f64;
+        let barriers_per_item = reference.1.barriers as f64 / ITEMS as f64;
+        println!(
+            "{name:<12} {ops_per_item:>10.1} {barriers_per_item:>14.1} {one_ms:>14.2} {all_ms:>14.2} {:>8.2}x",
+            one_ms / all_ms
+        );
+        rows.push((
+            name,
+            Json::obj([(
+                "host",
+                Json::obj([
+                    ("threads", (threads as u64).into()),
+                    ("ops_per_item", Json::Num(ops_per_item)),
+                    ("barriers_per_item", Json::Num(barriers_per_item)),
+                    ("one_thread_ms", Json::Num(one_ms)),
+                    ("all_threads_ms", Json::Num(all_ms)),
+                    ("speedup", Json::Num(one_ms / all_ms)),
+                ]),
+            )]),
+        ));
+    }
+    Json::obj(rows)
+}
+
 fn main() {
     println!(
         "== Interpreter A/B: pooled fast engine vs legacy lockstep engine, {DEVICES} virtual GPUs ==\n"
@@ -726,6 +866,8 @@ fn main() {
     }
     println!("ir pipeline check: optimized compile strictly cheaper and bit-identical: {ir_ok}");
 
+    let host_threads = host_thread_scaling();
+
     let ok = dot_2x
         && mandel_2x
         && zero_spawns
@@ -754,6 +896,7 @@ fn main() {
                 .into_iter()
                 .chain([
                     ("ir", Json::obj(ir_objs)),
+                    ("host_threads", host_threads),
                     (
                         "flight_overhead",
                         Json::obj([

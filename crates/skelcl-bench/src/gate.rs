@@ -11,8 +11,9 @@
 //! * **strings** must match exactly (schema, params, names);
 //! * **numbers** (kernel milliseconds, speedups, imbalance ratios,
 //!   histogram stats) must stay within a relative tolerance;
-//! * **host-measured numbers** (any path containing `.host.`) are checked
-//!   for presence and type only — real wall-clock depends on the machine
+//! * **host-measured numbers** (any path containing `.host.`, and the
+//!   gauges `pool.threads` and `pool.steal_balance`) are checked for
+//!   presence and type only — real wall-clock depends on the machine
 //!   and its load, so comparing values across machines would make the gate
 //!   flake; the shape *conclusions* drawn from them (e.g.
 //!   `fast_at_least_2x`) live outside `.host.` as gated booleans;
@@ -119,9 +120,14 @@ fn exact_path(path: &str) -> bool {
 /// Machine-dependent fields: real host wall-clock (as opposed to the
 /// simulator's deterministic nanoseconds) varies with the machine and its
 /// load. Reports nest such numbers under a `host` object; the gate checks
-/// they are still emitted but never compares their values.
+/// they are still emitted but never compares their values. Two profiler
+/// gauges are the same kind of number under a fixed name: a device's pool
+/// has one thread per CPU of the machine (`pool.threads`), and with more
+/// than one, `pool.steal_balance` is a matter of which worker woke first.
 fn loose_path(path: &str) -> bool {
     path.contains(".host.")
+        || path.contains(".metrics.gauges.pool.threads.")
+        || path.contains(".metrics.gauges.pool.steal_balance.")
 }
 
 fn type_name(v: &Json) -> &'static str {
@@ -256,6 +262,36 @@ mod tests {
         )
         .unwrap();
         assert!(diff_reports("interp", &base, &fresh, &GateConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn pool_gauges_follow_the_machine_not_the_baseline() {
+        let report = |threads: f64, balance: f64, groups: f64| {
+            Json::obj([(
+                "metrics",
+                Json::obj([(
+                    "gauges",
+                    Json::obj([
+                        ("pool.threads", Json::obj([("gpu0", Json::Num(threads))])),
+                        (
+                            "pool.steal_balance",
+                            Json::obj([("gpu0", Json::Num(balance))]),
+                        ),
+                        (
+                            "pool.groups_executed",
+                            Json::obj([("gpu0", Json::Num(groups))]),
+                        ),
+                    ]),
+                )]),
+            )])
+        };
+        let base = report(1.0, 1.0, 64.0);
+        // Two CPUs instead of one, and an uneven steal: not a regression.
+        assert!(diff_reports("r", &base, &report(2.0, 0.23, 64.0), &Default::default()).is_empty());
+        // How many groups the pool ran is the launch's shape: still gated.
+        let v = diff_reports("r", &base, &report(1.0, 1.0, 32.0), &Default::default());
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("pool.groups_executed"));
     }
 
     #[test]

@@ -141,11 +141,21 @@ impl Program {
     }
 
     /// Whether two handles refer to the same compiled program (pointer
-    /// identity, not structural equality). Lets executors recycle
-    /// [`crate::vm::WorkItem`]s across work-items of one launch without
-    /// re-cloning the program `Arc` per item.
+    /// identity, not structural equality). A recycled
+    /// [`crate::vm::WorkItem`] uses it to keep the handle it already owns:
+    /// rearming an item within one program reads two pointers and writes
+    /// nothing shared.
     pub fn ptr_eq(a: &Program, b: &Program) -> bool {
         Arc::ptr_eq(&a.inner, &b.inner)
+    }
+
+    /// How many handles to this compiled program are alive (the `Arc`
+    /// strong count). Cloning or dropping a handle is an atomic write to a
+    /// count all host threads executing the program share, so the VM must
+    /// not do either per work-item; tests read this mid-kernel to hold it
+    /// to that.
+    pub fn handle_count(&self) -> usize {
+        Arc::strong_count(&self.inner)
     }
 
     /// All kernels in the program.

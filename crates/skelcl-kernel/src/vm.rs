@@ -16,7 +16,7 @@ use crate::codegen::UNINIT_BUFFER;
 use crate::decode::{ChainTail, CmpUse, Decoded, Dst, Operand};
 use crate::hir::{BinOp, CmpOp};
 use crate::ir::Op;
-use crate::program::Program;
+use crate::program::{KernelInfo, Program};
 use crate::types::{AddressSpace, ScalarType};
 use crate::value::{self, Ptr, Value};
 
@@ -339,13 +339,70 @@ impl Frame {
     }
 }
 
+/// A kernel's entry frame, prepared **once per launch**: the entry
+/// function's initial locals with the launch arguments copied over the
+/// parameter slots and every static `__local` array slot bound to its
+/// pointer into the work-group arena. [`WorkItem::arm`] starts an item from
+/// it with one slice copy, so nothing about the arguments is re-derived per
+/// work-item.
+#[derive(Debug, Clone)]
+pub struct EntryFrame {
+    program: Program,
+    func: u16,
+    locals: Vec<Value>,
+}
+
+impl EntryFrame {
+    /// Prepares `kernel`'s entry frame for `args` (buffers as
+    /// [`Value::Ptr`], scalars as plain values, in parameter order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kernel` is not a kernel of `program` or `args` doesn't
+    /// match its parameter count.
+    pub fn new(program: &Program, kernel: &KernelInfo, args: &[Value]) -> Self {
+        let code = &program.functions()[kernel.func as usize];
+        assert_eq!(
+            args.len(),
+            code.param_count as usize,
+            "kernel `{}` argument count mismatch",
+            code.name
+        );
+        let mut locals = code.local_init.clone();
+        locals[..args.len()].copy_from_slice(args);
+        for b in &kernel.local_arrays {
+            locals[b.slot as usize] = Value::Ptr(Ptr {
+                space: AddressSpace::Local,
+                buffer: 0,
+                byte_offset: b.byte_offset as i64,
+            });
+        }
+        EntryFrame {
+            program: program.clone(),
+            func: kernel.func,
+            locals,
+        }
+    }
+
+    /// The program the frame belongs to.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+}
+
 /// A single work-item's suspended or running execution state.
 ///
-/// A `WorkItem` is reusable: [`WorkItem::reset`] rearms a finished (or
-/// faulted) item for a new launch geometry while recycling its frame,
-/// locals and operand-stack allocations — the executor's barrier-free fast
-/// path keeps one item per host thread and resets it per work-item instead
-/// of constructing fresh ones.
+/// A `WorkItem` is reusable: [`WorkItem::arm`] (or [`WorkItem::reset`])
+/// rearms a finished (or faulted) item for a new launch geometry while
+/// recycling its frame, locals and operand-stack allocations — the executor
+/// keeps its items per host thread and rearms them per work-item instead of
+/// constructing fresh ones.
+///
+/// An item owns exactly one [`Program`] handle for as long as it stays on
+/// the same program. Neither rearming nor running touches the handle's
+/// shared reference count: that count sits on a cache line every host
+/// thread executing the program reads, so a per-item write to it would
+/// serialise the threads.
 #[derive(Debug)]
 pub struct WorkItem {
     program: Program,
@@ -380,59 +437,89 @@ impl WorkItem {
     /// Panics if `func` is out of range or `args` doesn't match the
     /// function's parameter count.
     pub fn new(program: &Program, func: u16, args: &[Value], geometry: ItemGeometry) -> Self {
-        let mut item = WorkItem {
+        let mut item = WorkItem::idle(program);
+        item.reset(program, func, args, geometry);
+        item
+    }
+
+    /// An item with no work: it reports [`WorkItem::is_finished`] until
+    /// [`WorkItem::arm`] or [`WorkItem::reset`] gives it some. Lets an
+    /// executor grow its item pool without a second arming path.
+    pub fn idle(program: &Program) -> Self {
+        WorkItem {
             program: program.clone(),
-            geometry,
+            geometry: ItemGeometry::single(),
             frames: Vec::with_capacity(4),
             free_frames: Vec::new(),
             counters: CostCounters::default(),
             dispatches: 0,
             ops_budget: u64::MAX,
-            finished: false,
-        };
-        item.push_entry_frame(func, args);
-        item
+            finished: true,
+        }
     }
 
-    /// Rearms this item for another work-item of a launch: same `program`
-    /// (the `Arc` is only re-cloned when it actually changed), new entry
-    /// function, arguments and geometry; counters and budget reset. All
-    /// frame/locals/stack allocations are recycled, so a reset item executes
-    /// without any steady-state heap allocation.
+    /// Rearms this item for another work-item of a launch: new entry
+    /// function, arguments and geometry; counters and budget reset. The
+    /// program handle is compared by pointer and only replaced when the
+    /// item moves to a different program, and all frame/locals/stack
+    /// allocations are recycled, so a reset item executes without any
+    /// steady-state heap allocation or shared write.
     ///
     /// # Panics
     ///
     /// As for [`WorkItem::new`].
     pub fn reset(&mut self, program: &Program, func: u16, args: &[Value], geometry: ItemGeometry) {
-        if !Program::ptr_eq(&self.program, program) {
-            self.program = program.clone();
-        }
-        self.geometry = geometry;
-        self.counters = CostCounters::default();
-        self.dispatches = 0;
-        self.ops_budget = u64::MAX;
-        self.finished = false;
-        // A finished item has popped every frame; a faulted or suspended one
-        // may still hold some — recycle them all.
-        self.free_frames.append(&mut self.frames);
-        self.push_entry_frame(func, args);
-    }
-
-    fn push_entry_frame(&mut self, func: u16, args: &[Value]) {
-        let code = &self.program.functions()[func as usize];
+        let code = &program.functions()[func as usize];
         assert_eq!(
             args.len(),
             code.param_count as usize,
             "kernel `{}` argument count mismatch",
             code.name
         );
+        self.rearm(program, func, &code.local_init, geometry, u64::MAX);
+        let frame = self.frames.last_mut().expect("entry frame exists");
+        frame.locals[..args.len()].copy_from_slice(args);
+    }
+
+    /// Rearms this item from a launch's prepared [`EntryFrame`] — what
+    /// [`WorkItem::reset`], [`WorkItem::set_ops_budget`] and one
+    /// [`WorkItem::bind_entry_slot`] per `__local` array do, as a single
+    /// copy of the frame's locals.
+    pub fn arm(&mut self, entry: &EntryFrame, geometry: ItemGeometry, ops_budget: u64) {
+        self.rearm(
+            &entry.program,
+            entry.func,
+            &entry.locals,
+            geometry,
+            ops_budget,
+        );
+    }
+
+    fn rearm(
+        &mut self,
+        program: &Program,
+        func: u16,
+        locals: &[Value],
+        geometry: ItemGeometry,
+        ops_budget: u64,
+    ) {
+        if !Program::ptr_eq(&self.program, program) {
+            self.program = program.clone();
+        }
+        self.geometry = geometry;
+        self.counters = CostCounters::default();
+        self.dispatches = 0;
+        self.ops_budget = ops_budget;
+        self.finished = false;
+        // A finished item has popped every frame; a faulted or suspended one
+        // may still hold some — recycle them all.
+        self.free_frames.append(&mut self.frames);
         let mut frame = self.free_frames.pop().unwrap_or_else(Frame::blank);
         frame.func = func;
         frame.pc = 0;
         frame.stack.clear();
         frame.locals.clear();
-        frame.locals.extend_from_slice(&code.local_init);
-        frame.locals[..args.len()].copy_from_slice(args);
+        frame.locals.extend_from_slice(locals);
         self.frames.push(frame);
     }
 
@@ -493,9 +580,10 @@ impl WorkItem {
         local_mem: &mut [u8],
     ) -> Result<Exit, RuntimeError> {
         assert!(!self.finished, "work-item already finished");
-        // A local handle keeps the `functions` borrow independent of
-        // `self`, so the frame stack stays mutable for call/return.
-        let program = self.program.clone();
+        // Borrowing the `program` field leaves `frames`, `free_frames` and
+        // `counters` free for call/return, and — unlike cloning the handle —
+        // writes nothing the other host threads running this program read.
+        let program = &self.program;
         let functions = program.functions();
         'frame: loop {
             // Call depth is constant between frame transitions, so the
@@ -1754,6 +1842,193 @@ mod tests {
         );
         // Counters reflect only the latest run after a reset.
         assert!(item.counters.ops > 0 && item.counters.ops < 10);
+    }
+
+    /// A [`GlobalMemory`] whose `load` records the program's handle count,
+    /// i.e. samples it while a kernel is mid-execution.
+    struct HandleProbe<'a> {
+        mem: HostMemory,
+        program: &'a Program,
+        seen: std::cell::RefCell<Vec<usize>>,
+    }
+
+    impl GlobalMemory for HandleProbe<'_> {
+        fn load(&self, buffer: u32, off: i64, ty: ScalarType) -> Result<Value, MemAccessError> {
+            self.seen.borrow_mut().push(self.program.handle_count());
+            self.mem.load(buffer, off, ty)
+        }
+
+        fn store(
+            &self,
+            buffer: u32,
+            off: i64,
+            ty: ScalarType,
+            v: Value,
+        ) -> Result<(), MemAccessError> {
+            self.mem.store(buffer, off, ty, v)
+        }
+    }
+
+    #[test]
+    fn running_an_item_holds_no_extra_program_handle() {
+        // The handle count is shared by every host thread executing the
+        // program: a clone per `run` entry serialises them. One group of 8
+        // items, rearmed from one prepared frame and run to completion in
+        // lockstep rounds, must never show more handles than were alive
+        // before the first round — on either interpreter, with and without
+        // a barrier (which re-enters `run` once per round).
+        let p = program(
+            "__kernel void copy(__global const int* in, __global int* out){
+                 int i = (int)get_global_id(0);
+                 out[i] = in[i] + in[7 - i];
+             }
+             __kernel void swap(__global const int* in, __global int* out){
+                 __local int tile[8];
+                 int lid = (int)get_local_id(0);
+                 tile[lid] = in[lid];
+                 barrier(CLK_LOCAL_MEM_FENCE);
+                 out[lid] = tile[7 - lid] + in[lid];
+             }",
+        );
+        for (kernel, rounds) in [("copy", 1), ("swap", 2)] {
+            for reference in [false, true] {
+                let k = p.kernel(kernel).unwrap();
+                let mut mem = HostMemory::new();
+                let input = mem.add_buffer((0..8i32).flat_map(|v| v.to_le_bytes()).collect());
+                let out = mem.add_buffer(vec![0u8; 32]);
+                let probe = HandleProbe {
+                    mem,
+                    program: &p,
+                    seen: Default::default(),
+                };
+                let entry = EntryFrame::new(&p, k, &[gptr(input), gptr(out)]);
+                let mut items: Vec<WorkItem> = (0..8).map(|_| WorkItem::idle(&p)).collect();
+                let before = p.handle_count(); // `p`, the frame, 8 items
+                assert_eq!(before, 10);
+
+                let mut local = vec![0u8; k.static_local_bytes as usize];
+                for (i, it) in items.iter_mut().enumerate() {
+                    let i = i as u64;
+                    let geom = ItemGeometry {
+                        global_id: [i, 0, 0],
+                        local_id: [i, 0, 0],
+                        global_size: [8, 1, 1],
+                        local_size: [8, 1, 1],
+                        ..ItemGeometry::single()
+                    };
+                    it.arm(&entry, geom, u64::MAX);
+                }
+                for round in 1..=rounds {
+                    for it in &mut items {
+                        let exit = if reference {
+                            it.run_reference(&probe, &mut local)
+                        } else {
+                            it.run(&probe, &mut local)
+                        };
+                        let expect = if round == rounds {
+                            Exit::Done
+                        } else {
+                            Exit::Barrier(0)
+                        };
+                        assert_eq!(exit.unwrap(), expect);
+                    }
+                }
+
+                let seen = probe.seen.into_inner();
+                assert_eq!(seen.len(), 16, "two global loads per item");
+                assert!(
+                    seen.iter().all(|&n| n == before),
+                    "{kernel} (reference: {reference}): {before} handles before the \
+                     run, {seen:?} during it"
+                );
+                assert_eq!(p.handle_count(), before, "arming rebinds no handle");
+            }
+        }
+    }
+
+    #[test]
+    fn arm_equals_reset_plus_budget_plus_local_bindings() {
+        let p = program(
+            "__kernel void reverse(__global const int* in, __global int* out, int bias){
+                 __local int tile[8];
+                 int lid = (int)get_local_id(0);
+                 tile[lid] = in[lid] + bias;
+                 barrier(CLK_LOCAL_MEM_FENCE);
+                 out[lid] = tile[7 - lid];
+             }",
+        );
+        let k = p.kernel("reverse").unwrap();
+        let run_group = |use_arm: bool| -> (Vec<u8>, CostCounters) {
+            let mut mem = HostMemory::new();
+            let input = mem.add_buffer((0..8i32).flat_map(|v| v.to_le_bytes()).collect());
+            let out = mem.add_buffer(vec![0u8; 32]);
+            let args = [gptr(input), gptr(out), Value::I32(5)];
+            let entry = EntryFrame::new(&p, k, &args);
+            let mut local = vec![0u8; k.static_local_bytes as usize];
+            let mut items: Vec<WorkItem> = (0..8u64)
+                .map(|i| {
+                    let geom = ItemGeometry {
+                        global_id: [i, 0, 0],
+                        local_id: [i, 0, 0],
+                        global_size: [8, 1, 1],
+                        local_size: [8, 1, 1],
+                        ..ItemGeometry::single()
+                    };
+                    let mut it = WorkItem::idle(&p);
+                    if use_arm {
+                        it.arm(&entry, geom, 1_000);
+                    } else {
+                        it.reset(&p, k.func, &args, geom);
+                        it.set_ops_budget(1_000);
+                        for b in &k.local_arrays {
+                            it.bind_entry_slot(
+                                b.slot,
+                                Value::Ptr(Ptr {
+                                    space: AddressSpace::Local,
+                                    buffer: 0,
+                                    byte_offset: b.byte_offset as i64,
+                                }),
+                            );
+                        }
+                    }
+                    it
+                })
+                .collect();
+            for expect in [Exit::Barrier(0), Exit::Done] {
+                for it in &mut items {
+                    assert_eq!(it.run(&mem, &mut local).unwrap(), expect);
+                }
+            }
+            let mut total = CostCounters::default();
+            items.iter().for_each(|it| total.merge(&it.counters));
+            (mem.bytes(out), total)
+        };
+        let (armed, armed_counters) = run_group(true);
+        assert_eq!((armed.clone(), armed_counters), run_group(false));
+        let vals: Vec<i32> = armed
+            .chunks_exact(4)
+            .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(vals, vec![12, 11, 10, 9, 8, 7, 6, 5]);
+    }
+
+    #[test]
+    fn idle_item_is_finished_until_armed() {
+        let p = program("__kernel void one(__global int* out){ out[0] = 1; }");
+        let mut mem = HostMemory::new();
+        let out = mem.add_buffer(vec![0u8; 4]);
+        let mut item = WorkItem::idle(&p);
+        assert!(item.is_finished());
+        let entry = EntryFrame::new(&p, p.kernel("one").unwrap(), &[gptr(out)]);
+        item.arm(&entry, ItemGeometry::single(), 1_000);
+        assert!(!item.is_finished());
+        assert_eq!(item.run(&mem, &mut []).unwrap(), Exit::Done);
+        // The armed budget is live: one op cannot store and return.
+        item.arm(&entry, ItemGeometry::single(), 1);
+        assert_eq!(
+            item.run(&mem, &mut []).unwrap_err(),
+            RuntimeError::OpLimitExceeded
+        );
     }
 
     #[test]

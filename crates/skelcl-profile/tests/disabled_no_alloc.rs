@@ -3,25 +3,38 @@
 //! surface.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use skelcl_profile::{metrics, FlightKind, FlightRecorder, Profiler, SpanKind};
 use vgpu::{CommandKind, DeviceId, Event};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: the tests of this file run on
+    /// parallel threads, and each must count only its own.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,7 +57,7 @@ fn disabled_profiler_never_allocates() {
         None,
     );
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for _ in 0..100 {
         let guard = profiler.host_span(SpanKind::Skeleton, "Map.call");
         profiler.record_event(&event);
@@ -59,7 +72,7 @@ fn disabled_profiler_never_allocates() {
     assert!(profiler.spans().is_empty());
     assert!(profiler.flows().is_empty());
     assert!(profiler.counter_samples().is_empty());
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -72,14 +85,14 @@ fn disabled_flight_recorder_never_allocates() {
     let flight = FlightRecorder::disabled();
     assert!(!flight.is_enabled());
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..100u64 {
         flight.record(FlightKind::LaunchBegin, 0, "kernel", i, 256, 0);
         flight.record(FlightKind::Transfer, 1, "write", i, 4096, 0);
         assert!(!flight.dump_once("should not dump"));
     }
     assert_eq!(flight.recorded(), 0);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -4,6 +4,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use crate::exec::default_host_threads;
 use crate::pool::WorkerPool;
 
 /// Identifies a device within a [`crate::Platform`].
@@ -155,6 +156,9 @@ pub struct ExecStats {
     /// Total work-groups executed by the persistent pool (all pooled
     /// launches).
     pub pool_groups_executed: u64,
+    /// Pool workers the last pooled launch woke:
+    /// `min(host_threads, pool threads, work-groups)`.
+    pub last_launch_workers: u64,
     /// Most work-groups any one pool worker executed in the last pooled
     /// launch (steal-cursor telemetry).
     pub last_steal_max_groups: u64,
@@ -185,6 +189,7 @@ impl ExecStats {
         self.per_launch_thread_spawns += other.per_launch_thread_spawns;
         self.pool_threads += other.pool_threads;
         self.pool_groups_executed += other.pool_groups_executed;
+        self.last_launch_workers += other.last_launch_workers;
     }
 
     /// Steal balance of the last pooled launch: `min/max` groups per
@@ -221,6 +226,7 @@ pub struct Device {
     legacy_launches: AtomicU64,
     legacy_thread_spawns: AtomicU64,
     pool_groups: AtomicU64,
+    last_workers: AtomicU64,
     steal_max: AtomicU64,
     steal_min: AtomicU64,
 }
@@ -240,6 +246,7 @@ impl Device {
             legacy_launches: AtomicU64::new(0),
             legacy_thread_spawns: AtomicU64::new(0),
             pool_groups: AtomicU64::new(0),
+            last_workers: AtomicU64::new(0),
             steal_max: AtomicU64::new(0),
             steal_min: AtomicU64::new(0),
         }
@@ -329,12 +336,12 @@ impl Device {
         );
     }
 
-    /// The persistent execution worker pool, created with `threads` workers
-    /// on first use (later calls reuse the existing pool regardless of
-    /// `threads`).
-    pub(crate) fn worker_pool(&self, threads: usize) -> &WorkerPool {
+    /// The persistent execution worker pool, created on first use with one
+    /// worker per available CPU. How many of them a launch wakes is the
+    /// launch's business ([`crate::LaunchConfig::host_threads`]).
+    pub(crate) fn worker_pool(&self) -> &WorkerPool {
         self.pool
-            .get_or_init(|| WorkerPool::new(self.id.0, threads))
+            .get_or_init(|| WorkerPool::new(self.id.0, default_host_threads()))
     }
 
     /// Records one launch dispatch for [`Device::exec_stats`].
@@ -355,6 +362,8 @@ impl Device {
         if per_worker.is_empty() {
             return;
         }
+        self.last_workers
+            .store(per_worker.len() as u64, Ordering::Relaxed);
         let total: u64 = per_worker.iter().sum();
         let max = per_worker.iter().copied().max().unwrap_or(0);
         let min = per_worker.iter().copied().min().unwrap_or(0);
@@ -372,6 +381,7 @@ impl Device {
             per_launch_thread_spawns: self.legacy_thread_spawns.load(Ordering::Relaxed),
             pool_threads: self.pool.get().map_or(0, |p| p.threads() as u64),
             pool_groups_executed: self.pool_groups.load(Ordering::Relaxed),
+            last_launch_workers: self.last_workers.load(Ordering::Relaxed),
             last_steal_max_groups: self.steal_max.load(Ordering::Relaxed),
             last_steal_min_groups: self.steal_min.load(Ordering::Relaxed),
         }

@@ -28,14 +28,21 @@
 //! local-id) order, so even racy barrier-free kernels produce bit-identical
 //! buffers within a group, and [`CostCounters`] are identical by
 //! construction — simulated-time results cannot drift with the strategy.
+//!
+//! **Hot-path rule.** Nothing a pool thread executes per work-item or per
+//! barrier round writes memory another pool thread touches. Everything a
+//! launch shares is prepared once in [`LaunchState::new`] and only read
+//! afterwards; the one shared write on the way, the group cursor, happens
+//! once per work-*group* on a cache line of its own; counters, failures and
+//! steal telemetry are merged once per worker per launch. DESIGN.md §5g
+//! tabulates every piece of shared state against this rule.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use skelcl_kernel::program::{KernelInfo, Program};
-use skelcl_kernel::types::AddressSpace;
-use skelcl_kernel::value::{Ptr, Value};
-use skelcl_kernel::vm::{CostCounters, Exit, ItemGeometry, RuntimeError, WorkItem};
+use skelcl_kernel::value::Value;
+use skelcl_kernel::vm::{CostCounters, EntryFrame, Exit, ItemGeometry, RuntimeError, WorkItem};
 
 use crate::cost::Toolchain;
 use crate::device::Device;
@@ -92,8 +99,11 @@ pub struct LaunchConfig {
     /// Instruction budget per work-item, guarding against kernels that do
     /// not terminate.
     pub ops_budget_per_item: u64,
-    /// Number of host threads executing work-groups (`None`: one per
-    /// available CPU).
+    /// Most host threads that may execute this launch's work-groups
+    /// (`None`: one per available CPU). Honoured per launch: a pooled launch
+    /// wakes `min(host_threads, pool threads, work-groups)` workers of the
+    /// device's persistent pool, which itself has one thread per available
+    /// CPU — a larger value cannot grow it.
     pub host_threads: Option<usize>,
     /// Which execution engine to use (default: `SKELCL_VGPU_EXEC`, falling
     /// back to [`ExecStrategy::Fast`]).
@@ -125,35 +135,60 @@ impl LaunchConfig {
     }
 }
 
-/// Everything the pool workers need to execute one launch. Shared as an
-/// `Arc` with every participating worker; owns clones of the program and
-/// argument values so it is `'static` (pool threads outlive the launch
-/// call frame, unlike the legacy scoped threads).
+/// One worker per available CPU, resolved once per process:
+/// `available_parallelism` re-reads the cgroup files on every call (16 µs
+/// here, a sixth of an empty launch), and a device's pool is sized once
+/// anyway.
+pub(crate) fn default_host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// The group cursor: the one word of a launch that every worker writes on
+/// the execution path (once per work-group). Aligned to two cache lines so
+/// that neither the write nor the adjacent-line prefetcher invalidates the
+/// read-mostly launch parameters the workers read per work-item.
+#[repr(align(128))]
+#[derive(Default)]
+struct GroupCursor(AtomicUsize);
+
+/// Everything the workers need to execute one launch, prepared once. Shared
+/// as an `Arc` with every participating pool worker, so it owns its
+/// program, argument and buffer handles (pool threads outlive the launch
+/// call frame); the legacy engine's scoped threads borrow it.
 pub(crate) struct LaunchState {
-    program: Program,
-    kernel: KernelInfo,
-    args: Vec<Value>,
+    /// Program handle, arguments and `__local` bindings, ready to copy
+    /// into an item.
+    entry: EntryFrame,
+    kernel_name: String,
     buffers: BufferTable,
-    range: NdRange,
+    /// The launch-wide half of every item's geometry (the ids are zero).
+    geometry: ItemGeometry,
+    items_per_group: usize,
     local_bytes: usize,
     ops_budget: u64,
     /// Whether groups take the barrier-free fast path.
     fast: bool,
-    group_counts: [usize; 3],
+    /// Legacy engine: fresh items per group, reference interpreter.
+    reference: bool,
     total_groups: usize,
-    next_group: AtomicUsize,
     abort: AtomicBool,
-    failure: Mutex<Option<Error>>,
-    totals: Mutex<CostCounters>,
     /// Deliberate fault to inject (tests only).
     fault: Option<FaultInjection>,
+    /// Completion latch, shared separately from the payload so a worker
+    /// can release its payload reference *before* arriving.
+    latch: Arc<Latch>,
+    failure: Mutex<Option<Error>>,
+    totals: Mutex<CostCounters>,
     /// Work-groups each participating worker executed (one entry per
     /// worker that finished its share) — the steal-cursor telemetry the
     /// device aggregates after the launch.
     worker_groups: Mutex<Vec<u64>>,
-    /// Completion latch, shared separately from the payload so a worker
-    /// can release its payload reference *before* arriving.
-    latch: Arc<Latch>,
+    next_group: GroupCursor,
 }
 
 /// Completion latch for one launch. Lives in its own `Arc`, apart from the
@@ -213,24 +248,33 @@ impl LaunchState {
         local_bytes: usize,
         config: &LaunchConfig,
     ) -> Self {
+        let reference = config.strategy == ExecStrategy::Lockstep;
         LaunchState {
-            program: program.clone(),
-            kernel: kernel.clone(),
-            args: args.to_vec(),
+            entry: EntryFrame::new(program, kernel, args),
+            kernel_name: kernel.name.clone(),
             buffers: buffers.clone(),
-            range: *range,
+            geometry: ItemGeometry {
+                work_dim: range.dims,
+                global_id: [0; 3],
+                local_id: [0; 3],
+                group_id: [0; 3],
+                global_size: range.global.map(|n| n as u64),
+                local_size: range.local.map(|n| n as u64),
+                num_groups: range.group_counts().map(|n| n as u64),
+            },
+            items_per_group: range.items_per_group(),
             local_bytes,
             ops_budget: config.ops_budget_per_item,
-            fast: kernel.barrier_count == 0,
-            group_counts: range.group_counts(),
+            fast: kernel.barrier_count == 0 && !reference,
+            reference,
             total_groups: range.total_groups(),
-            next_group: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
+            fault: config.fault_injection,
+            latch: Arc::new(Latch::default()),
             failure: Mutex::new(None),
             totals: Mutex::new(CostCounters::default()),
-            fault: config.fault_injection,
             worker_groups: Mutex::new(Vec::new()),
-            latch: Arc::new(Latch::default()),
+            next_group: GroupCursor::default(),
         }
     }
 
@@ -289,10 +333,49 @@ impl LaunchState {
     }
 
     fn group_id(&self, g: usize) -> [u64; 3] {
-        let gx = g % self.group_counts[0];
-        let gy = (g / self.group_counts[0]) % self.group_counts[1];
-        let gz = g / (self.group_counts[0] * self.group_counts[1]);
-        [gx as u64, gy as u64, gz as u64]
+        let [nx, ny, _] = self.geometry.num_groups;
+        let g = g as u64;
+        [g % nx, (g / nx) % ny, g / (nx * ny)]
+    }
+
+    /// The local ids of one work-group in execution (row-major) order.
+    fn local_ids(&self) -> impl Iterator<Item = [u64; 3]> {
+        let [lx, ly, lz] = self.geometry.local_size;
+        (0..lz).flat_map(move |z| (0..ly).flat_map(move |y| (0..lx).map(move |x| [x, y, z])))
+    }
+
+    /// Arms `items[idx]` (growing the pool by one idle item on first use)
+    /// for the work-item at `local_id` of group `group_id`: one copy of the
+    /// prepared entry frame plus the item's three ids. The only place items
+    /// are armed, for both paths of both engines.
+    fn arm_item<'a>(
+        &self,
+        items: &'a mut Vec<WorkItem>,
+        idx: usize,
+        group_id: [u64; 3],
+        local_id: [u64; 3],
+    ) -> &'a mut WorkItem {
+        if idx == items.len() {
+            items.push(WorkItem::idle(self.entry.program()));
+        }
+        let local_size = self.geometry.local_size;
+        let geometry = ItemGeometry {
+            global_id: [0, 1, 2].map(|d| group_id[d] * local_size[d] + local_id[d]),
+            local_id,
+            group_id,
+            ..self.geometry
+        };
+        let item = &mut items[idx];
+        item.arm(&self.entry, geometry, self.ops_budget);
+        item
+    }
+
+    fn launch_error(&self, item: &WorkItem, error: RuntimeError) -> Error {
+        Error::Launch {
+            kernel: self.kernel_name.clone(),
+            global_id: item.geometry().global_id,
+            error,
+        }
     }
 }
 
@@ -301,19 +384,17 @@ impl LaunchState {
 /// local-memory allocation at all.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
-    /// The single reusable item of the barrier-free fast path.
-    item: Option<WorkItem>,
-    /// Reusable items of the pooled lockstep path (one per work-item of the
-    /// largest group seen so far).
+    /// Reusable items: one per work-item of the largest group seen so far
+    /// (the barrier-free fast path only ever uses the first).
     items: Vec<WorkItem>,
     /// The work-group's local-memory arena.
     local_mem: Vec<u8>,
 }
 
 /// One worker's share of a launch: pulls group indices off the shared
-/// counter until the launch is drained or aborted. Called by pool threads;
-/// the pool wraps it in `catch_unwind` and always calls
-/// [`LaunchState::finish_participant`] afterwards.
+/// cursor until the launch is drained or aborted. Called by pool threads
+/// (the pool wraps it in `catch_unwind` and always arrives on the latch
+/// afterwards) and by the legacy engine's scoped threads.
 pub(crate) fn run_worker(state: &LaunchState, scratch: &mut WorkerScratch) {
     if state.fault == Some(FaultInjection::PanicInKernel) {
         panic!("vgpu: injected fault (FaultInjection::PanicInKernel)");
@@ -324,11 +405,13 @@ pub(crate) fn run_worker(state: &LaunchState, scratch: &mut WorkerScratch) {
         if state.abort.load(Ordering::Relaxed) {
             break;
         }
-        let g = state.next_group.fetch_add(1, Ordering::Relaxed);
+        let g = state.next_group.0.fetch_add(1, Ordering::Relaxed);
         if g >= state.total_groups {
             break;
         }
         let group_id = state.group_id(g);
+        scratch.local_mem.clear();
+        scratch.local_mem.resize(state.local_bytes, 0);
         let result = if state.fast {
             run_group_fast(state, scratch, group_id)
         } else {
@@ -357,73 +440,6 @@ pub(crate) fn run_worker(state: &LaunchState, scratch: &mut WorkerScratch) {
         .merge(&local_counters);
 }
 
-/// The geometry of the work-item at `local_id` within group `group_id`.
-fn item_geometry(
-    range: &NdRange,
-    group_counts: [usize; 3],
-    group_id: [u64; 3],
-    local_id: [u64; 3],
-) -> ItemGeometry {
-    ItemGeometry {
-        work_dim: range.dims,
-        global_id: [
-            group_id[0] * range.local[0] as u64 + local_id[0],
-            group_id[1] * range.local[1] as u64 + local_id[1],
-            group_id[2] * range.local[2] as u64 + local_id[2],
-        ],
-        local_id,
-        group_id,
-        global_size: [
-            range.global[0] as u64,
-            range.global[1] as u64,
-            range.global[2] as u64,
-        ],
-        local_size: [
-            range.local[0] as u64,
-            range.local[1] as u64,
-            range.local[2] as u64,
-        ],
-        num_groups: [
-            group_counts[0] as u64,
-            group_counts[1] as u64,
-            group_counts[2] as u64,
-        ],
-    }
-}
-
-/// Rearms `item` (or creates it on first use) for the work-item at
-/// `local_id` and binds static `__local` arrays.
-fn arm_item<'a>(
-    slot: &'a mut Option<WorkItem>,
-    state: &LaunchState,
-    geometry: ItemGeometry,
-) -> &'a mut WorkItem {
-    let item = match slot {
-        Some(item) => {
-            item.reset(&state.program, state.kernel.func, &state.args, geometry);
-            item
-        }
-        None => slot.insert(WorkItem::new(
-            &state.program,
-            state.kernel.func,
-            &state.args,
-            geometry,
-        )),
-    };
-    item.set_ops_budget(state.ops_budget);
-    for b in &state.kernel.local_arrays {
-        item.bind_entry_slot(
-            b.slot,
-            Value::Ptr(Ptr {
-                space: AddressSpace::Local,
-                buffer: 0,
-                byte_offset: b.byte_offset as i64,
-            }),
-        );
-    }
-    item
-}
-
 /// Barrier-free fast path: each item runs start-to-finish on one reusable
 /// `WorkItem`, in the same row-major order the lockstep path would use.
 fn run_group_fast(
@@ -431,95 +447,45 @@ fn run_group_fast(
     scratch: &mut WorkerScratch,
     group_id: [u64; 3],
 ) -> Result<CostCounters> {
-    let range = &state.range;
-    scratch.local_mem.clear();
-    scratch.local_mem.resize(state.local_bytes, 0);
     let mut counters = CostCounters::default();
-    for lz in 0..range.local[2] {
-        for ly in 0..range.local[1] {
-            for lx in 0..range.local[0] {
-                let local_id = [lx as u64, ly as u64, lz as u64];
-                let geometry = item_geometry(range, state.group_counts, group_id, local_id);
-                let global_id = geometry.global_id;
-                let item = arm_item(&mut scratch.item, state, geometry);
-                match item.run(&state.buffers, &mut scratch.local_mem) {
-                    Ok(Exit::Done) => counters.merge(&item.counters),
-                    Ok(Exit::Barrier(_)) => {
-                        // barrier_count == 0 guaranteed no barrier sites.
-                        return Err(Error::Launch {
-                            kernel: state.kernel.name.clone(),
-                            global_id,
-                            error: RuntimeError::Internal(
-                                "barrier reached on the barrier-free fast path".into(),
-                            ),
-                        });
-                    }
-                    Err(error) => {
-                        return Err(Error::Launch {
-                            kernel: state.kernel.name.clone(),
-                            global_id,
-                            error,
-                        })
-                    }
-                }
+    for local_id in state.local_ids() {
+        let item = state.arm_item(&mut scratch.items, 0, group_id, local_id);
+        match item.run(&state.buffers, &mut scratch.local_mem) {
+            Ok(Exit::Done) => counters.merge(&item.counters),
+            // barrier_count == 0 guaranteed no barrier sites.
+            Ok(Exit::Barrier(_)) => {
+                let error =
+                    RuntimeError::Internal("barrier reached on the barrier-free fast path".into());
+                return Err(state.launch_error(item, error));
             }
+            Err(error) => return Err(state.launch_error(item, error)),
         }
     }
     Ok(counters)
 }
 
-/// Pooled lockstep path for kernels with barriers: the classic round
-/// machinery, but on reusable `WorkItem`s and the optimised interpreter.
+/// Lockstep rounds for one work-group: every item runs to its next barrier
+/// (or its end), and the group proceeds only when all arrived at the same
+/// one. The pooled engine runs kernels with barriers through it on reusable
+/// `WorkItem`s and the optimised interpreter; the legacy engine runs every
+/// kernel through it on fresh items and the reference interpreter.
 fn run_group_lockstep(
     state: &LaunchState,
     scratch: &mut WorkerScratch,
     group_id: [u64; 3],
 ) -> Result<CostCounters> {
-    let range = &state.range;
-    let items_per_group = range.items_per_group();
-    scratch.local_mem.clear();
-    scratch.local_mem.resize(state.local_bytes, 0);
-
-    let mut idx = 0;
-    for lz in 0..range.local[2] {
-        for ly in 0..range.local[1] {
-            for lx in 0..range.local[0] {
-                let local_id = [lx as u64, ly as u64, lz as u64];
-                let geometry = item_geometry(range, state.group_counts, group_id, local_id);
-                if idx == scratch.items.len() {
-                    scratch.items.push(WorkItem::new(
-                        &state.program,
-                        state.kernel.func,
-                        &state.args,
-                        geometry,
-                    ));
-                } else {
-                    scratch.items[idx].reset(
-                        &state.program,
-                        state.kernel.func,
-                        &state.args,
-                        geometry,
-                    );
-                }
-                let item = &mut scratch.items[idx];
-                item.set_ops_budget(state.ops_budget);
-                for b in &state.kernel.local_arrays {
-                    item.bind_entry_slot(
-                        b.slot,
-                        Value::Ptr(Ptr {
-                            space: AddressSpace::Local,
-                            buffer: 0,
-                            byte_offset: b.byte_offset as i64,
-                        }),
-                    );
-                }
-                idx += 1;
-            }
-        }
+    if state.reference {
+        scratch.items.clear();
     }
-    let items = &mut scratch.items[..items_per_group];
+    for (idx, local_id) in state.local_ids().enumerate() {
+        state.arm_item(&mut scratch.items, idx, group_id, local_id);
+    }
+    let items = &mut scratch.items[..state.items_per_group];
+    let divergence = || Error::BarrierDivergence {
+        kernel: state.kernel_name.clone(),
+        group_id,
+    };
 
-    // Lockstep rounds across barriers.
     loop {
         let mut barrier: Option<u32> = None;
         let mut any_done = false;
@@ -528,38 +494,25 @@ fn run_group_lockstep(
                 any_done = true;
                 continue;
             }
-            let global_id = item.geometry().global_id;
-            let exit = item
-                .run(&state.buffers, &mut scratch.local_mem)
-                .map_err(|error| Error::Launch {
-                    kernel: state.kernel.name.clone(),
-                    global_id,
-                    error,
-                })?;
-            match exit {
+            let exit = if state.reference {
+                item.run_reference(&state.buffers, &mut scratch.local_mem)
+            } else {
+                item.run(&state.buffers, &mut scratch.local_mem)
+            };
+            match exit.map_err(|error| state.launch_error(item, error))? {
                 Exit::Done => any_done = true,
                 Exit::Barrier(id) => match barrier {
                     None => barrier = Some(id),
                     Some(prev) if prev == id => {}
-                    Some(_) => {
-                        return Err(Error::BarrierDivergence {
-                            kernel: state.kernel.name.clone(),
-                            group_id,
-                        })
-                    }
+                    Some(_) => return Err(divergence()),
                 },
             }
         }
         match barrier {
             None => break, // every item finished
-            Some(_) if any_done => {
-                // Some items finished while others wait at a barrier: the
-                // barrier can never be satisfied.
-                return Err(Error::BarrierDivergence {
-                    kernel: state.kernel.name.clone(),
-                    group_id,
-                });
-            }
+            // Some items finished while others wait at a barrier: the
+            // barrier can never be satisfied.
+            Some(_) if any_done => return Err(divergence()),
             Some(_) => {} // all at the same barrier: next round resumes them
         }
     }
@@ -587,202 +540,40 @@ pub(crate) fn execute_launch(
     if total_groups == 0 {
         return Ok(CostCounters::default());
     }
-
-    let threads = config
-        .host_threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .max(1);
+    let state = LaunchState::new(program, kernel, args, buffers, range, local_bytes, config);
+    // More threads than groups would only wake up to find the cursor spent.
+    let threads = |available: usize| {
+        config
+            .host_threads
+            .unwrap_or(available)
+            .clamp(1, total_groups)
+    };
 
     match config.strategy {
         ExecStrategy::Fast => {
-            let state = Arc::new(LaunchState::new(
-                program,
-                kernel,
-                args,
-                buffers,
-                range,
-                local_bytes,
-                config,
-            ));
-            let pool = device.worker_pool(threads);
+            let state = Arc::new(state);
+            let pool = device.worker_pool();
             device.note_launch(true, 0);
-            pool.run(&state);
+            pool.run(&state, threads(pool.threads()));
             device.note_pool_groups(&state.worker_group_counts());
             state.outcome()
         }
+        // The legacy engine: scoped threads spawned per launch, each with a
+        // scratch of its own. The `interp` benchmark's baseline.
         ExecStrategy::Lockstep => {
-            let threads = threads.min(total_groups);
+            let threads = threads(default_host_threads());
             device.note_launch(false, threads);
-            execute_launch_legacy(
-                program,
-                kernel,
-                args,
-                buffers,
-                range,
-                local_bytes,
-                config,
-                threads,
-            )
-        }
-    }
-}
-
-/// The legacy engine: scoped threads spawned per launch, fresh `WorkItem`s
-/// per item, reference interpreter. The `interp` benchmark's baseline.
-#[allow(clippy::too_many_arguments)]
-fn execute_launch_legacy(
-    program: &Program,
-    kernel: &KernelInfo,
-    args: &[Value],
-    buffers: &BufferTable,
-    range: &NdRange,
-    local_bytes: usize,
-    config: &LaunchConfig,
-    threads: usize,
-) -> Result<CostCounters> {
-    let group_counts = range.group_counts();
-    let total_groups = range.total_groups();
-
-    let next_group = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let failure: Mutex<Option<Error>> = Mutex::new(None);
-    let totals: Mutex<CostCounters> = Mutex::new(CostCounters::default());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut local_counters = CostCounters::default();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let g = next_group.fetch_add(1, Ordering::Relaxed);
-                    if g >= total_groups {
-                        break;
-                    }
-                    let gx = g % group_counts[0];
-                    let gy = (g / group_counts[0]) % group_counts[1];
-                    let gz = g / (group_counts[0] * group_counts[1]);
-                    match run_group_reference(
-                        program,
-                        kernel,
-                        args,
-                        buffers,
-                        range,
-                        [gx as u64, gy as u64, gz as u64],
-                        local_bytes,
-                        config,
-                    ) {
-                        Ok(c) => local_counters.merge(&c),
-                        Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
-                            let mut slot = failure.lock().expect("failure mutex");
-                            slot.get_or_insert(e);
-                            break;
-                        }
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..threads)
+                    .map(|_| scope.spawn(|| run_worker(&state, &mut WorkerScratch::default())))
+                    .collect();
+                for worker in workers {
+                    if worker.join().is_err() {
+                        state.fail(Error::DeviceLost);
                     }
                 }
-                totals.lock().expect("totals mutex").merge(&local_counters);
             });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().expect("failure mutex") {
-        return Err(e);
-    }
-    Ok(totals.into_inner().expect("totals mutex"))
-}
-
-/// Runs one work-group's items in lockstep rounds with fresh `WorkItem`s on
-/// the reference interpreter (legacy engine).
-#[allow(clippy::too_many_arguments)]
-fn run_group_reference(
-    program: &Program,
-    kernel: &KernelInfo,
-    args: &[Value],
-    buffers: &BufferTable,
-    range: &NdRange,
-    group_id: [u64; 3],
-    local_bytes: usize,
-    config: &LaunchConfig,
-) -> Result<CostCounters> {
-    let group_counts = range.group_counts();
-    let items_per_group = range.items_per_group();
-    let mut local_mem = vec![0u8; local_bytes];
-
-    let mut items: Vec<WorkItem> = Vec::with_capacity(items_per_group);
-    for lz in 0..range.local[2] {
-        for ly in 0..range.local[1] {
-            for lx in 0..range.local[0] {
-                let local_id = [lx as u64, ly as u64, lz as u64];
-                let geometry = item_geometry(range, group_counts, group_id, local_id);
-                let mut item = WorkItem::new(program, kernel.func, args, geometry);
-                item.set_ops_budget(config.ops_budget_per_item);
-                for b in &kernel.local_arrays {
-                    item.bind_entry_slot(
-                        b.slot,
-                        Value::Ptr(Ptr {
-                            space: AddressSpace::Local,
-                            buffer: 0,
-                            byte_offset: b.byte_offset as i64,
-                        }),
-                    );
-                }
-                items.push(item);
-            }
+            state.outcome()
         }
     }
-
-    // Lockstep rounds across barriers.
-    loop {
-        let mut barrier: Option<u32> = None;
-        let mut any_done = false;
-        for item in items.iter_mut() {
-            if item.is_finished() {
-                any_done = true;
-                continue;
-            }
-            let global_id = item.geometry().global_id;
-            let exit = item
-                .run_reference(buffers, &mut local_mem)
-                .map_err(|error| Error::Launch {
-                    kernel: kernel.name.clone(),
-                    global_id,
-                    error,
-                })?;
-            match exit {
-                Exit::Done => any_done = true,
-                Exit::Barrier(id) => match barrier {
-                    None => barrier = Some(id),
-                    Some(prev) if prev == id => {}
-                    Some(_) => {
-                        return Err(Error::BarrierDivergence {
-                            kernel: kernel.name.clone(),
-                            group_id,
-                        })
-                    }
-                },
-            }
-        }
-        match barrier {
-            None => break, // every item finished
-            Some(_) if any_done => {
-                return Err(Error::BarrierDivergence {
-                    kernel: kernel.name.clone(),
-                    group_id,
-                });
-            }
-            Some(_) => {} // all at the same barrier: next round resumes them
-        }
-    }
-
-    let mut counters = CostCounters::default();
-    for item in &items {
-        counters.merge(&item.counters);
-    }
-    Ok(counters)
 }

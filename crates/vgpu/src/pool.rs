@@ -1,8 +1,9 @@
 //! Persistent per-device worker pools.
 //!
 //! A [`WorkerPool`] is created lazily on a device's first
-//! [`ExecStrategy::Fast`](crate::ExecStrategy::Fast) launch and lives until
-//! the device drops. Each worker owns a
+//! [`ExecStrategy::Fast`](crate::ExecStrategy::Fast) launch, with one
+//! thread per available CPU, and lives until the device drops; a launch
+//! wakes as many of its workers as it can use. Each worker owns a
 //! [`WorkerScratch`](crate::exec::WorkerScratch) for the thread's lifetime,
 //! so `WorkItem` and local-memory allocations are recycled **across**
 //! launches, not just within one — a kernel launch costs a channel send per
@@ -66,11 +67,14 @@ impl WorkerPool {
         self.senders.len()
     }
 
-    /// Runs one launch to completion on every worker (blocking). Failures
-    /// are recorded in `state`; the caller reads them afterwards.
-    pub(crate) fn run(&self, state: &Arc<LaunchState>) {
-        state.begin(self.senders.len());
-        for sender in &self.senders {
+    /// Runs one launch to completion on the first `workers` threads of the
+    /// pool — all of them if it asks for more — and blocks until they are
+    /// done; the rest are not woken. Failures are recorded in
+    /// `state`; the caller reads them afterwards.
+    pub(crate) fn run(&self, state: &Arc<LaunchState>, workers: usize) {
+        let senders = &self.senders[..workers.clamp(1, self.senders.len())];
+        state.begin(senders.len());
+        for sender in senders {
             if sender.send(state.clone()).is_err() {
                 // Worker gone (cannot normally happen: panics are caught).
                 state.fail(Error::DeviceLost);

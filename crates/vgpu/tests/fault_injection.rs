@@ -165,3 +165,40 @@ fn queue_observer_reports_device_lost() {
         ]
     );
 }
+
+#[test]
+fn injected_panic_on_the_legacy_engine_is_device_lost_too() {
+    // The legacy engine's per-launch scoped threads run the same worker
+    // loop as the pool; a panic on one is joined and reported, not
+    // propagated into the queue thread.
+    let program = ok_program();
+    let platform = Platform::single(DeviceSpec::tesla_t10());
+    let queue = platform.queue(0);
+    let out = queue.create_buffer(64 * 4).unwrap();
+    let args = [KernelArg::Buffer(out.clone())];
+    let range = NdRange::linear(64, 32);
+    let legacy = |fault| LaunchConfig {
+        strategy: ExecStrategy::Lockstep,
+        ..config(fault)
+    };
+
+    let err = queue
+        .launch_kernel(
+            &program,
+            "fill",
+            &args,
+            range,
+            &legacy(Some(FaultInjection::PanicInKernel)),
+        )
+        .unwrap_err();
+    assert!(matches!(err, Error::DeviceLost), "got: {err}");
+
+    queue
+        .launch_kernel(&program, "fill", &args, range, &legacy(None))
+        .unwrap();
+    let mut bytes = vec![0u8; 64 * 4];
+    queue.enqueue_read(&out, 0, &mut bytes).unwrap();
+    for (i, c) in bytes.chunks_exact(4).enumerate() {
+        assert_eq!(i32::from_le_bytes(c.try_into().unwrap()), i as i32 * 3);
+    }
+}

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use skelcl_kernel::compile;
 use skelcl_kernel::value::Value;
-use vgpu::{DeviceSpec, EventStatus, KernelArg, LaunchConfig, NdRange, Platform};
+use vgpu::{DeviceSpec, EventStatus, ExecStrategy, KernelArg, LaunchConfig, NdRange, Platform};
 
 #[test]
 fn thousands_of_groups_write_disjoint_cells_deterministically() {
@@ -62,12 +62,15 @@ fn repeated_launches_give_identical_counters() {
          }",
     )
     .unwrap();
+    // Both launches go to the *same* device: `host_threads` is honoured per
+    // launch, not just by whichever launch happened to create the pool.
+    let platform = Platform::single(DeviceSpec::tesla_t10());
+    let queue = platform.queue(0);
     let run = |threads: usize| {
-        let platform = Platform::single(DeviceSpec::tesla_t10());
-        let queue = platform.queue(0);
         let buf = queue.create_buffer(10_000 * 4).unwrap();
         let config = LaunchConfig {
             host_threads: Some(threads),
+            strategy: ExecStrategy::Fast,
             ..Default::default()
         };
         let ev = queue
@@ -75,19 +78,32 @@ fn repeated_launches_give_identical_counters() {
                 &program,
                 "work",
                 &[
-                    KernelArg::Buffer(buf),
+                    KernelArg::Buffer(buf.clone()),
                     KernelArg::Scalar(Value::I32(10_000)),
                 ],
                 NdRange::linear_default(10_000),
                 &config,
             )
             .unwrap();
-        ev.counters().unwrap()
+        let mut bytes = vec![0u8; 10_000 * 4];
+        queue.enqueue_read(&buf, 0, &mut bytes).unwrap();
+        let stats = platform.device(0).exec_stats();
+        (ev.counters().unwrap(), bytes, stats)
     };
-    let single = run(1);
-    let parallel = run(8);
+    let (single, single_bytes, single_stats) = run(1);
+    let (parallel, parallel_bytes, parallel_stats) = run(8);
     assert_eq!(single, parallel, "counters independent of host parallelism");
+    assert_eq!(single_bytes, parallel_bytes, "and so are the buffers");
     assert!(single.ops > 10_000 * 50);
+
+    // 40 work-groups: the first launch woke one worker, the second as many
+    // as the pool (one thread per CPU) has, up to the 8 it asked for.
+    let pool_threads = parallel_stats.pool_threads;
+    assert_eq!(single_stats.pool_threads, pool_threads);
+    assert_eq!(single_stats.last_launch_workers, 1);
+    assert_eq!(single_stats.last_steal_min_groups, 40);
+    assert_eq!(parallel_stats.last_launch_workers, pool_threads.min(8));
+    assert_eq!(parallel_stats.pool_groups_executed, 80);
 }
 
 #[test]

@@ -82,6 +82,15 @@ bench-baseline:
     SKELCL_BENCH_DIR=bench/baselines cargo run --release -p skelcl-bench --bin scaling
     SKELCL_BENCH_DIR=bench/baselines cargo run --release -p skelcl-bench --bin interp
 
+# The standalone end-to-end benchmark crate (bench/e2e, what BENCHMARK.json
+# runs) is outside the workspace, so `just test` never compiles it: build
+# it against the current `skelcl-kernel`/`vgpu`/`skelcl` public signatures,
+# run its unit tests, then its smoke test (all six workloads, untraced and
+# traced, every result checked; ~15 s).
+bench-e2e-quick:
+    cargo test --release --offline --manifest-path bench/e2e/Cargo.toml
+    cargo run --release --offline --manifest-path bench/e2e/Cargo.toml -- quick
+
 # Quickstart with profiling: prints the metrics summary and writes
 # trace.json for chrome://tracing.
 trace:
