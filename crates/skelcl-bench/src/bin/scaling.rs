@@ -6,7 +6,8 @@
 //! Usage: `cargo run --release -p skelcl-bench --bin scaling`
 
 use skelcl::{
-    BoundaryHandling, Context, Map, MapOverlapVec, Reduce, SchedulePolicy, Value, Vector, Zip,
+    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlapVec, PlanConfig, Reduce,
+    SchedulePolicy, StreamConfig, Value, Vector, Zip,
 };
 use skelcl_bench::baselines::{dot_skelcl, mandelbrot_skelcl, sobel_skelcl};
 use skelcl_bench::overlap::overlap_stats;
@@ -14,11 +15,25 @@ use skelcl_bench::report::{profiled_ctx, write_report};
 use skelcl_bench::workloads::{random_f32_vector, synthetic_image};
 use skelcl_profile::json::Json;
 use skelcl_profile::report::bench_report;
+use vgpu::{DeviceSpec, Platform};
 
 fn ctx(devices: usize) -> Context {
     // Profiling is host-side only: simulated device timelines (the numbers
     // below) are unaffected, and the 4-GPU metrics feed the JSON report.
     profiled_ctx(devices)
+}
+
+/// A profiled 4-GPU context under `config` rather than the environment,
+/// for the sections that compare two settings of one layer.
+fn ctx_with(config: Config) -> Context {
+    Context::init_with_config(
+        Platform::new(4, DeviceSpec::tesla_t10()),
+        DeviceSelection::All,
+        Config {
+            profile: true,
+            ..config
+        },
+    )
 }
 
 fn main() {
@@ -243,16 +258,18 @@ fn main() {
 
     // Plan rewrite rules: the same welding generalised to whole pipelines.
     // The same 1M-element vector through map → stencil(d=1) → reduce on 4
-    // GPUs, lowered fully staged (SKELCL_PLAN=0: one kernel and one
-    // intermediate buffer per stage) and rewritten (SKELCL_PLAN=1: the map
+    // GPUs, lowered fully staged (the plan oracle: one kernel and one
+    // intermediate buffer per stage) and rewritten (all rules: the map
     // is recomputed inside the stencil's halo loads and the stencil output
     // is welded into the reduction's first pass). Launches and intermediate
     // bytes come from the profiler's kernel histogram and the
     // `plan.intermediate_bytes` counter on a fresh context per run.
     println!("\n== Plan rewrite rules (map \u{2218} stencil \u{2218} reduce), 4 GPUs ==\n");
-    let plan_run = |spec: &str| {
-        std::env::set_var("SKELCL_PLAN", spec);
-        let c = ctx(4);
+    let plan_run = |plan: PlanConfig| {
+        let c = ctx_with(Config {
+            plan,
+            ..Config::default()
+        });
         let scale: Map<f32, f32> =
             Map::new(&c, "float scale(float x){ return x * 0.5f; }").expect("compile scale");
         let blur: MapOverlapVec<f32, f32> = MapOverlapVec::new(
@@ -274,7 +291,6 @@ fn main() {
             .expect("plan pipeline")
             .value();
         let m = c.profiler().metrics_snapshot().expect("profiled context");
-        std::env::remove_var("SKELCL_PLAN");
         (
             m.histograms[skelcl_profile::metrics::HIST_KERNEL_NS].count,
             m.counters
@@ -292,8 +308,9 @@ fn main() {
             total.to_bits(),
         )
     };
-    let (staged_launches, staged_bytes, _, _, staged_bits) = plan_run("0");
-    let (plan_launches, plan_bytes, plan_rules, plan_nodes, plan_bits) = plan_run("1");
+    let (staged_launches, staged_bytes, _, _, staged_bits) = plan_run(PlanConfig::oracle());
+    let (plan_launches, plan_bytes, plan_rules, plan_nodes, plan_bits) =
+        plan_run(PlanConfig::all());
     let plan_identical = plan_bits == staged_bits;
     println!(
         "{:<10} {:>16} {:>22} {:>16}",
@@ -322,7 +339,7 @@ fn main() {
     );
 
     // Out-of-core streaming: a 1M-element map → stencil → reduce pipeline
-    // with SKELCL_DEVICE_BUDGET capping per-device residency far below
+    // with a device budget capping per-device residency far below
     // each device's ~1 MiB share. The streaming executor splits every
     // lowered region into halo-aware chunks driven through a depth-2 ring
     // of staging buffers; peak residency stays under the budget while
@@ -330,17 +347,19 @@ fn main() {
     // hiding is cross-device — the map's value-dependent trip count over a
     // ramped input makes the upper devices' chunk kernels long enough to
     // cover the lower devices' chunk stagings (the same imbalance
-    // mechanism as the mandelbrot overlap section). SKELCL_STREAM=0
+    // mechanism as the mandelbrot overlap section). Streaming off
     // re-runs the identical pipeline as the non-streamed oracle (whose
     // peak residency shows the budget is really exceeded without
     // chunking).
     println!("\n== Out-of-core streaming (SKELCL_STREAM), 4 GPUs ==\n");
     const STREAM_BUDGET: usize = 256 * 1024;
     const STREAM_N: usize = 1 << 20;
-    let stream_run = |stream: &str| {
-        std::env::set_var("SKELCL_DEVICE_BUDGET", STREAM_BUDGET.to_string());
-        std::env::set_var("SKELCL_STREAM", stream);
-        let c = ctx(4);
+    let stream_run = |stream: StreamConfig| {
+        let c = ctx_with(Config {
+            stream,
+            device_budget: Some(STREAM_BUDGET),
+            ..Config::default()
+        });
         let heat: Map<f32, f32> = Map::new(
             &c,
             "float heat(float x){\n\
@@ -376,8 +395,6 @@ fn main() {
         c.finish().expect("drain queues");
         let ov = overlap_stats(&c.profiler().spans());
         let m = c.profiler().metrics_snapshot().expect("profiled context");
-        std::env::remove_var("SKELCL_STREAM");
-        std::env::remove_var("SKELCL_DEVICE_BUDGET");
         let counter = |key| m.counters.get(key).copied().unwrap_or(0);
         let peak = (0..4)
             .map(|d| c.platform().device(d).peak_allocated_bytes())
@@ -392,9 +409,9 @@ fn main() {
             ov,
         )
     };
-    let (stream_oracle_bits, stream_oracle_peak, _, _, _, _) = stream_run("0");
+    let (stream_oracle_bits, stream_oracle_peak, _, _, _, _) = stream_run(StreamConfig::off());
     let (stream_bits, stream_peak, stream_regions, stream_chunks, stream_staged, stream_ov) =
-        stream_run("2");
+        stream_run(StreamConfig::on());
     let stream_identical = stream_bits == stream_oracle_bits;
     let stream_under_budget = stream_peak <= STREAM_BUDGET;
     let stream_hidden_fraction = if stream_ov.total_transfer_ns() == 0 {
@@ -432,35 +449,6 @@ fn main() {
         } else {
             "RESULTS DIVERGE"
         }
-    );
-
-    // Host wall-clock delta between the two vgpu execution engines on the
-    // same 4-GPU mandelbrot frames — the skeleton-level companion to the
-    // EXT-INTERP A/B (`interp` binary). Real build-machine time, not
-    // simulated nanoseconds, so all three numbers live under a `host` key:
-    // the bench gate checks they stay present but never compares values
-    // (the >= 2x conclusion is gated in BENCH_interp.json, on controlled
-    // per-engine platforms).
-    println!("\n== Execution engines, host wall-clock (4-GPU mandelbrot) ==\n");
-    let engine_wall_ms = |engine: &str| {
-        std::env::set_var("SKELCL_VGPU_EXEC", engine);
-        let c = ctx(4);
-        mandelbrot_skelcl::run_on(&c, mw, mh, it).expect("engine warm-up");
-        let t = std::time::Instant::now();
-        for _ in 0..2 {
-            mandelbrot_skelcl::run_on(&c, mw, mh, it).expect("engine run");
-        }
-        t.elapsed().as_secs_f64() * 1e3 / 2.0
-    };
-    let lockstep_wall_ms = engine_wall_ms("lockstep");
-    let fast_wall_ms = engine_wall_ms("fast");
-    std::env::remove_var("SKELCL_VGPU_EXEC");
-    println!("{:<10} {:>18}", "engine", "wall-clock (ms)");
-    println!("{:<10} {lockstep_wall_ms:>18.1}", "lockstep");
-    println!("{:<10} {fast_wall_ms:>18.1}", "fast");
-    println!(
-        "\nengines: fast completes the frame in {:.2}x less wall-clock than lockstep",
-        lockstep_wall_ms / fast_wall_ms
     );
 
     let ok = shape_ok && adaptive_ok && overlapped && fusion_ok && plan_ok && stream_ok;
@@ -567,17 +555,6 @@ fn main() {
                     ("transfer_hidden", Json::Bool(stream_hidden_fraction > 0.0)),
                     ("bit_identical", Json::Bool(stream_identical)),
                 ]),
-            ),
-            (
-                "engine",
-                Json::obj([(
-                    "host",
-                    Json::obj([
-                        ("lockstep_wall_ms", Json::Num(lockstep_wall_ms)),
-                        ("fast_wall_ms", Json::Num(fast_wall_ms)),
-                        ("fast_speedup", Json::Num(lockstep_wall_ms / fast_wall_ms)),
-                    ]),
-                )]),
             ),
             (
                 "overlap",

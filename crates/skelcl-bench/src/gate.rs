@@ -11,12 +11,10 @@
 //! * **strings** must match exactly (schema, params, names);
 //! * **numbers** (kernel milliseconds, speedups, imbalance ratios,
 //!   histogram stats) must stay within a relative tolerance;
-//! * **host-measured numbers** (any path containing `.host.`, and the
-//!   gauges `pool.threads` and `pool.steal_balance`) are checked for
-//!   presence and type only — real wall-clock depends on the machine
-//!   and its load, so comparing values across machines would make the gate
-//!   flake; the shape *conclusions* drawn from them (e.g.
-//!   `fast_at_least_2x`) live outside `.host.` as gated booleans;
+//! * **machine-dependent gauges** (`pool.threads` and
+//!   `pool.steal_balance`) are checked for presence and type only — a pool
+//!   has one thread per CPU of the machine that ran the report. Reports
+//!   carry no host wall-clock at all: `bench/e2e` measures that;
 //! * a key present in the baseline but **missing** from the fresh report
 //!   is a regression; extra keys in the fresh report are fine (schema
 //!   growth is not a regression).
@@ -117,16 +115,12 @@ fn exact_path(path: &str) -> bool {
     path.contains(".metrics.counters.")
 }
 
-/// Machine-dependent fields: real host wall-clock (as opposed to the
-/// simulator's deterministic nanoseconds) varies with the machine and its
-/// load. Reports nest such numbers under a `host` object; the gate checks
-/// they are still emitted but never compares their values. Two profiler
-/// gauges are the same kind of number under a fixed name: a device's pool
-/// has one thread per CPU of the machine (`pool.threads`), and with more
-/// than one, `pool.steal_balance` is a matter of which worker woke first.
+/// Machine-dependent fields, checked for presence and type only: a
+/// device's pool has one thread per CPU of the machine (`pool.threads`),
+/// and with more than one, `pool.steal_balance` is a matter of which worker
+/// woke first.
 fn loose_path(path: &str) -> bool {
-    path.contains(".host.")
-        || path.contains(".metrics.gauges.pool.threads.")
+    path.contains(".metrics.gauges.pool.threads.")
         || path.contains(".metrics.gauges.pool.steal_balance.")
 }
 
@@ -232,38 +226,6 @@ mod tests {
         assert!(violations.iter().any(|v| v.contains("array length")));
     }
 
-    fn host_report() -> Json {
-        Json::parse(
-            r#"{
-                "schema": "skelcl-bench-report/1",
-                "name": "interp",
-                "results": {
-                    "fast_at_least_2x": true,
-                    "host": {"fast_wall_ms": 120.0, "lockstep_wall_ms": 310.0}
-                }
-            }"#,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn host_wall_clock_values_are_not_compared() {
-        let base = host_report();
-        // 10x slower wall-clock: a loaded CI machine, not a regression.
-        let fresh = Json::parse(
-            r#"{
-                "schema": "skelcl-bench-report/1",
-                "name": "interp",
-                "results": {
-                    "fast_at_least_2x": true,
-                    "host": {"fast_wall_ms": 1200.0, "lockstep_wall_ms": 310.0}
-                }
-            }"#,
-        )
-        .unwrap();
-        assert!(diff_reports("interp", &base, &fresh, &GateConfig::default()).is_empty());
-    }
-
     #[test]
     fn pool_gauges_follow_the_machine_not_the_baseline() {
         let report = |threads: f64, balance: f64, groups: f64| {
@@ -292,35 +254,6 @@ mod tests {
         let v = diff_reports("r", &base, &report(1.0, 1.0, 32.0), &Default::default());
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("pool.groups_executed"));
-    }
-
-    #[test]
-    fn host_wall_clock_keys_must_stay_present() {
-        let base = host_report();
-        let fresh = Json::parse(
-            r#"{
-                "schema": "skelcl-bench-report/1",
-                "name": "interp",
-                "results": {
-                    "fast_at_least_2x": true,
-                    "host": {"lockstep_wall_ms": 310.0}
-                }
-            }"#,
-        )
-        .unwrap();
-        let violations = diff_reports("interp", &base, &fresh, &GateConfig::default());
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("fast_wall_ms"));
-        assert!(violations[0].contains("missing"));
-    }
-
-    #[test]
-    fn conclusions_outside_host_still_gate() {
-        let base = host_report();
-        let fresh = Json::parse(&base.to_json().replace("true", "false")).unwrap();
-        let violations = diff_reports("interp", &base, &fresh, &GateConfig::default());
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(violations[0].contains("fast_at_least_2x"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **`CostCounters` parity** — a fused instruction covering `k` source
 //!   ops charges exactly `k` to `ops` (and errors on the instruction
 //!   budget iff the reference would have run out somewhere inside the
-//!   block), so both engines report identical counters on success;
+//!   block), so both interpreters report identical counters on success;
 //! * **`pc` identity** — the decoded stream has one slot per source op
 //!   and every fused instruction lives at its first op's index, advancing
 //!   `pc` by `k`. Jump targets therefore need no remapping, and a
@@ -174,9 +174,9 @@ pub(crate) enum Decoded {
     MovC(Value, u16),
     /// `LoadLocal ptr; LoadLocal idx; [Convert long;] PtrOffset size` — the
     /// array-indexing idiom: push (or store) `locals[ptr] + idx*size`. The
-    /// legacy codegen widens the index inline (`conv` true); the
-    /// register-allocating lowering usually hoists the widening into the
-    /// index slot, leaving a bare `PtrOffset` (`conv` false).
+    /// index is widened inline (`conv` true) unless the lowering hoisted
+    /// the widening into the index slot, leaving a bare `PtrOffset`
+    /// (`conv` false).
     PtrIdx {
         /// Local slot holding the base pointer.
         ptr: u16,
@@ -500,8 +500,8 @@ fn decode_at(code: &[Op], i: usize, is_target: &[bool]) -> Decoded {
     }
 
     // The array-indexing idiom, with an optional fused load. The index
-    // widening is either inline (legacy codegen) or already hoisted into
-    // the slot (register lowering) — both forms fuse.
+    // widening is either inline or already hoisted into the slot — both
+    // forms fuse.
     if free(i + 1) {
         if let (Op::LoadLocal(p), Op::LoadLocal(idx)) = (&code[i], &code[i + 1]) {
             let parsed = match (&code[i + 1..], free(i + 2), free(i + 3)) {
@@ -835,7 +835,7 @@ mod tests {
 
     #[test]
     fn unfusable_ops_stay_plain() {
-        let code = [Op::Dup, Op::Pop, Op::ReturnVoid];
+        let code = [Op::Pop, Op::Trap, Op::ReturnVoid];
         let dec = decode(&code);
         assert!(dec.iter().all(|d| matches!(d, Decoded::Plain(_))));
     }

@@ -618,13 +618,14 @@ mod tests {
     #[test]
     fn inlined_programs_compute_identically() {
         // Differential check through the VM with inlining on (the default
-        // compile pipeline) vs a manually constructed no-inline unit.
+        // compile pipeline) vs the oracle: the same unit never inlined,
+        // lowered without passes, on the reference interpreter.
         use crate::value::{Ptr, Value};
         use crate::vm::{HostMemory, ItemGeometry, WorkItem};
         let src = "float helper(float x, float y){ return x * y + 1.0f; }
              float outer(float x){ return helper(x, 2.0f) + helper(3.0f, 4.0f); }
              __kernel void k(__global float* o, float v){ o[0] = outer(v); }";
-        let run = |program: &crate::program::Program| {
+        let run = |program: &crate::program::Program, reference: bool| {
             let mut mem = HostMemory::new();
             let out = mem.add_buffer(vec![0u8; 4]);
             let kernel = program.kernel("k").unwrap();
@@ -637,19 +638,23 @@ mod tests {
                 Value::F32(5.0),
             ];
             let mut item = WorkItem::new(program, kernel.func, &args, ItemGeometry::single());
-            item.run(&mem, &mut []).unwrap();
+            if reference {
+                item.run_reference(&mem, &mut []).unwrap();
+            } else {
+                item.run(&mem, &mut []).unwrap();
+            }
             f32::from_le_bytes(mem.bytes(out)[..4].try_into().unwrap())
         };
-        // Inlining pipeline (crate::compile).
         let with_inline = crate::compile("a.cl", src).unwrap();
-        // No-inline pipeline.
-        let mut unit = lower(src);
-        for f in &mut unit.functions {
-            crate::fold::fold_stmts(&mut f.body);
-        }
-        let without = crate::codegen::generate(&unit, "b.cl");
-        assert_eq!(run(&with_inline), run(&without));
-        assert_eq!(run(&with_inline), 5.0 * 2.0 + 1.0 + (3.0 * 4.0 + 1.0));
+        let unit = lower(src);
+        let mut mir = crate::mir::lower_unit(&unit);
+        crate::passes::run(&mut mir, &crate::OptConfig::none());
+        let without = crate::lower::emit_unit(&mir, &unit, "b.cl");
+        assert_eq!(run(&with_inline, false), run(&without, true));
+        assert_eq!(
+            run(&with_inline, false),
+            5.0 * 2.0 + 1.0 + (3.0 * 4.0 + 1.0)
+        );
     }
 
     #[test]

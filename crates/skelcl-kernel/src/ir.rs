@@ -27,8 +27,6 @@ pub enum Op {
     LoadLocal(u16),
     /// Pop into a local slot.
     StoreLocal(u16),
-    /// Duplicate the top of stack.
-    Dup,
     /// Discard the top of stack.
     Pop,
     /// Apply a unary value operation to the top of stack.
@@ -91,7 +89,6 @@ impl fmt::Display for Op {
             Op::Const(v) => write!(f, "const {v}"),
             Op::LoadLocal(s) => write!(f, "load_local {s}"),
             Op::StoreLocal(s) => write!(f, "store_local {s}"),
-            Op::Dup => f.write_str("dup"),
             Op::Pop => f.write_str("pop"),
             Op::Un(op) => write!(f, "un {op:?}"),
             Op::Bin(op) => write!(f, "bin {op:?}"),

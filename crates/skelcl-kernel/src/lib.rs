@@ -3,8 +3,8 @@
 //! SkelCL customizes its algorithmic skeletons with user functions written
 //! as plain OpenCL-C source strings, welded into complete kernels at runtime
 //! and compiled by the OpenCL driver. This crate is that driver's compiler
-//! for the reproduction: a lexer, parser, type checker, constant folder,
-//! bytecode generator and work-item virtual machine for **SkelCL C**, a
+//! for the reproduction: a lexer, parser, type checker, optimizing
+//! mid-level IR, bytecode generator and work-item virtual machine for **SkelCL C**, a
 //! subset of OpenCL C.
 //!
 //! ## Language subset
@@ -62,10 +62,8 @@
 pub mod ast;
 pub mod builtins;
 pub mod cfg;
-pub mod codegen;
 mod decode;
 pub mod diag;
-pub mod fold;
 pub mod hir;
 pub mod inline;
 pub mod ir;
@@ -85,7 +83,7 @@ pub mod vm;
 
 use std::fmt;
 
-pub use passes::OptConfig;
+pub use passes::{MirDump, OptConfig};
 pub use program::Program;
 pub use source::SourceFile;
 
@@ -111,10 +109,11 @@ impl std::error::Error for CompileError {}
 /// `name` is the file name used in diagnostics (kernels are generated
 /// in-memory, so this is typically a synthetic name like `"map.cl"`).
 ///
-/// The optimization pipeline is selected by the `SKELCL_KERNEL_OPT`
-/// environment variable (see [`OptConfig`]); use [`compile_with_config`]
-/// to pick it programmatically. `SKELCL_KERNEL_DUMP=mir|mir-opt` prints
-/// the mid-level IR before/after optimization to stderr.
+/// The optimization passes are selected by the `SKELCL_KERNEL_OPT`
+/// environment variable and `SKELCL_KERNEL_DUMP=mir|mir-opt` prints the
+/// mid-level IR before/after optimization to stderr (see
+/// [`OptConfig::from_env`]); use [`compile_with_config`] to pick both
+/// programmatically.
 ///
 /// # Errors
 ///
@@ -124,14 +123,13 @@ pub fn compile(name: &str, source: &str) -> Result<Program, CompileError> {
     compile_with_config(name, source, &OptConfig::from_env())
 }
 
-/// Compiles with an explicit pipeline configuration instead of reading
-/// `SKELCL_KERNEL_OPT`.
+/// Compiles with an explicit configuration; reads no environment.
 ///
-/// [`OptConfig::legacy`] reproduces the pre-MIR pipeline exactly (HIR
-/// constant folding plus the stack code generator); every other
-/// configuration lowers through the MIR, runs the enabled passes, and
-/// emits bytecode through the register-allocating scheduler in
-/// [`lower`]. All configurations produce bit-identical buffer results.
+/// The source is lowered through the MIR, the enabled passes run, and
+/// bytecode is emitted through the register-allocating scheduler in
+/// [`lower`]. All configurations produce bit-identical buffer results;
+/// [`OptConfig::none`] is the oracle the differential tests compare the
+/// others against.
 ///
 /// # Errors
 ///
@@ -142,42 +140,17 @@ pub fn compile_with_config(
     source: &str,
     cfg: &OptConfig,
 ) -> Result<Program, CompileError> {
-    let file = SourceFile::new(name, source);
-    let mut diags = diag::Diagnostics::new();
-    let tu = parser::parse(&file, &mut diags);
-    let unit = if diags.has_errors() {
-        None
-    } else {
-        sema::analyze(&tu, &mut diags)
-    };
-    match unit {
-        Some(mut unit) => {
-            inline::inline_unit(&mut unit);
-            if !cfg.enabled {
-                for f in &mut unit.functions {
-                    fold::fold_stmts(&mut f.body);
-                }
-                return Ok(codegen::generate(&unit, name));
-            }
-            let dump = std::env::var("SKELCL_KERNEL_DUMP").unwrap_or_default();
-            let mut mir = mir::lower_unit(&unit);
-            if dump == "mir" {
-                eprintln!("{}", pretty::mir_unit_to_string(&mir));
-            }
-            passes::run(&mut mir, cfg);
-            if dump == "mir-opt" {
-                eprintln!("{}", pretty::mir_unit_to_string(&mir));
-            }
-            Ok(lower::emit_unit(&mir, &unit, name))
-        }
-        None => {
-            let log = diags.render(&file);
-            Err(CompileError {
-                diagnostics: diags.into_vec(),
-                log,
-            })
-        }
+    let mut unit = check(name, source)?;
+    inline::inline_unit(&mut unit);
+    let mut mir = mir::lower_unit(&unit);
+    if cfg.dump == Some(MirDump::Lowered) {
+        eprintln!("{}", pretty::mir_unit_to_string(&mir));
     }
+    passes::run(&mut mir, cfg);
+    if cfg.dump == Some(MirDump::Optimized) {
+        eprintln!("{}", pretty::mir_unit_to_string(&mir));
+    }
+    Ok(lower::emit_unit(&mir, &unit, name))
 }
 
 /// Parses and type-checks `source` without generating code — used by SkelCL

@@ -1,9 +1,8 @@
 //! MIR → stack-bytecode lowering with greedy register allocation.
 //!
-//! The legacy code generator ([`crate::codegen`]) walks the HIR and spills
-//! every intermediate value through `LoadLocal`/`StoreLocal` pairs. This
-//! lowering instead schedules each basic block against a model of the VM's
-//! operand stack:
+//! A naive lowering would spill every intermediate value through
+//! `LoadLocal`/`StoreLocal` pairs. This one schedules each basic block
+//! against a model of the VM's operand stack:
 //!
 //! * **rematerialized** values — constants, reads of slots that are never
 //!   written (parameters, `__local` arrays), and reads of written slots
@@ -24,9 +23,9 @@
 //! the right order, residents are flushed to spill slots and the operands
 //! reloaded — a correctness fallback that keeps the scheduler greedy and
 //! linear. Blocks are laid out in reverse post-order with fall-through
-//! jump elision; the resulting bytecode typically retires well over half
-//! of the legacy `LoadLocal`/`StoreLocal` traffic, which also exposes
-//! longer fusable chains to the superinstruction decoder.
+//! jump elision; the resulting bytecode retires most `LoadLocal`/`StoreLocal`
+//! traffic, which also exposes longer fusable chains to the
+//! superinstruction decoder.
 
 use std::collections::HashMap;
 
@@ -34,26 +33,81 @@ use crate::cfg;
 use crate::hir;
 use crate::ir::{FuncCode, Op};
 use crate::mir::{BlockId, Inst, MirFunction, MirUnit, Terminator, VReg};
-use crate::program::Program;
+use crate::program::{KernelInfo, KernelParam, KernelParamKind, LocalArrayBinding, Program};
+use crate::types::{AddressSpace, Type};
 use crate::value::Value;
 
 /// Assembles an executable [`Program`] from an optimized MIR unit.
 ///
 /// `hir_unit` supplies the kernel launch metadata (parameter kinds,
-/// `__local` array layout) via the same [`crate::codegen::kernel_info`]
-/// the legacy pipeline uses, so binding behaviour is identical.
+/// `__local` array layout).
 pub fn emit_unit(mir: &MirUnit, hir_unit: &hir::Unit, source_name: &str) -> Program {
     let mut functions = Vec::with_capacity(mir.functions.len());
     let mut kernels = Vec::new();
     for (idx, (mf, hf)) in mir.functions.iter().zip(&hir_unit.functions).enumerate() {
         functions.push(emit_function(mf));
         if hf.is_kernel {
-            let mut info = crate::codegen::kernel_info(hf, idx as u16);
-            info.barrier_count = mir.barrier_count;
-            kernels.push(info);
+            // Conservative: any barrier site in the program may be reached
+            // from any kernel (helpers are shared), so every kernel reports
+            // the program-wide total. The executor only uses it as a "needs
+            // lockstep rounds" hint.
+            kernels.push(kernel_info(hf, idx as u16, mir.barrier_count));
         }
     }
     Program::from_parts(functions, kernels, source_name)
+}
+
+/// Builds the launch metadata of one `__kernel` function (parameter
+/// binding kinds, `__local` array layout).
+fn kernel_info(f: &hir::Function, func: u16, barrier_count: u32) -> KernelInfo {
+    let params = f
+        .params()
+        .iter()
+        .map(|p| KernelParam {
+            name: p.name.clone(),
+            kind: match p.ty {
+                Type::Scalar(s) => KernelParamKind::Scalar(s),
+                Type::Pointer {
+                    pointee,
+                    space: AddressSpace::Global,
+                    is_const,
+                } => KernelParamKind::GlobalBuffer {
+                    elem: pointee,
+                    is_const,
+                },
+                Type::Pointer {
+                    pointee,
+                    space: AddressSpace::Local,
+                    ..
+                } => KernelParamKind::LocalBuffer { elem: pointee },
+                other => unreachable!("sema rejects kernel parameter type {other}"),
+            },
+        })
+        .collect();
+
+    let mut offset = 0u32;
+    let mut local_arrays = Vec::new();
+    for (id, decl) in f.local_arrays() {
+        let hir::LocalArray { elem, len } = decl.local_array.expect("filtered");
+        let align = elem.size_bytes() as u32;
+        offset = offset.div_ceil(align) * align;
+        let byte_len = (len as u32) * align;
+        local_arrays.push(LocalArrayBinding {
+            slot: id.0 as u16,
+            byte_offset: offset,
+            byte_len,
+        });
+        offset += byte_len;
+    }
+
+    KernelInfo {
+        name: f.name.clone(),
+        func,
+        params,
+        local_arrays,
+        static_local_bytes: offset,
+        barrier_count,
+    }
 }
 
 /// How a register's value is obtained at a use site.
@@ -763,17 +817,11 @@ impl<'a> FnEmit<'a> {
 mod tests {
     use super::*;
     use crate::passes::OptConfig;
+    use crate::types::ScalarType;
+    use crate::value::{Ptr, UNINIT_BUFFER};
 
-    fn compile_mir(src: &str, cfg_: &OptConfig) -> Program {
-        let file = crate::SourceFile::new("t.cl", src);
-        let mut d = crate::diag::Diagnostics::new();
-        let tu = crate::parser::parse(&file, &mut d);
-        let mut unit =
-            crate::sema::analyze(&tu, &mut d).unwrap_or_else(|| panic!("{}", d.render(&file)));
-        crate::inline::inline_unit(&mut unit);
-        let mut mir = crate::mir::lower_unit(&unit);
-        crate::passes::run(&mut mir, cfg_);
-        emit_unit(&mir, &unit, "t.cl")
+    fn compile_mir(src: &str, cfg: &OptConfig) -> Program {
+        crate::compile_with_config("t.cl", src, cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]
@@ -782,8 +830,8 @@ mod tests {
             "int f(int a, int b){ return (a + b) * (a - b); }",
             &OptConfig::all(),
         );
-        // Legacy codegen: ~4 loads. Register form: two loads of `a`/`b`
-        // per operand (params are remat) and zero stores.
+        // Register form: two loads of `a`/`b` per operand (params are
+        // remat) and zero stores.
         let stores = p.functions()[0]
             .code
             .iter()
@@ -805,7 +853,7 @@ mod tests {
             }
             out[gid] = acc / 3.0f;
         }";
-        let legacy = crate::compile_with_config("t.cl", src, &OptConfig::legacy()).unwrap();
+        let none = compile_mir(src, &OptConfig::none());
         let opt = compile_mir(src, &OptConfig::all());
         // Static instruction counts are not comparable (unrolling trades
         // code size for executed ops), so run one work-item and compare
@@ -813,7 +861,7 @@ mod tests {
         use crate::types::AddressSpace;
         use crate::value::Ptr;
         use crate::vm::{CostCounters, HostMemory, ItemGeometry, WorkItem};
-        let run = |p: &Program| -> CostCounters {
+        let run = |p: &Program, reference: bool| -> CostCounters {
             let mut mem = HostMemory::new();
             let input = mem.add_buffer(vec![0x3fu8; 16]);
             let output = mem.add_buffer(vec![0u8; 16]);
@@ -832,15 +880,19 @@ mod tests {
             ];
             let k = p.kernel("blurish").unwrap();
             let mut item = WorkItem::new(p, k.func, &args, ItemGeometry::single());
-            item.run(&mem, &mut []).unwrap();
+            if reference {
+                item.run_reference(&mem, &mut []).unwrap();
+            } else {
+                item.run(&mem, &mut []).unwrap();
+            }
             item.counters
         };
-        let (l, o) = (run(&legacy), run(&opt));
+        let (n, o) = (run(&none, true), run(&opt, false));
         assert!(
-            o.ops < l.ops,
-            "opt {} !< legacy {} executed ops",
+            o.ops < n.ops,
+            "opt {} !< none {} executed ops",
             o.ops,
-            l.ops
+            n.ops
         );
     }
 
@@ -867,5 +919,86 @@ mod tests {
             &OptConfig::none(),
         );
         assert!(!p.functions()[0].code.is_empty());
+    }
+
+    #[test]
+    fn kernel_param_kinds() {
+        let p = compile_mir(
+            "__kernel void k(__global float* in, __global char* out, __local int* scratch, float s, int n){ }",
+            &OptConfig::none(),
+        );
+        let k = p.kernel("k").unwrap();
+        assert_eq!(k.params.len(), 5);
+        assert_eq!(
+            k.params[0].kind,
+            KernelParamKind::GlobalBuffer {
+                elem: ScalarType::Float,
+                is_const: false
+            }
+        );
+        assert_eq!(
+            k.params[2].kind,
+            KernelParamKind::LocalBuffer {
+                elem: ScalarType::Int
+            }
+        );
+        assert_eq!(k.params[3].kind, KernelParamKind::Scalar(ScalarType::Float));
+    }
+
+    #[test]
+    fn local_arrays_are_laid_out_aligned() {
+        let p = compile_mir(
+            "__kernel void k(){
+                __local char small[3];
+                __local float tile[8];
+                __local char tail[1];
+            }",
+            &OptConfig::none(),
+        );
+        let k = p.kernel("k").unwrap();
+        assert_eq!(k.local_arrays.len(), 3);
+        assert_eq!(k.local_arrays[0].byte_offset, 0);
+        assert_eq!(k.local_arrays[0].byte_len, 3);
+        // float array aligned to 4.
+        assert_eq!(k.local_arrays[1].byte_offset, 4);
+        assert_eq!(k.local_arrays[1].byte_len, 32);
+        assert_eq!(k.local_arrays[2].byte_offset, 36);
+        assert_eq!(k.static_local_bytes, 37);
+    }
+
+    #[test]
+    fn barrier_sites_get_unique_ids() {
+        let p = compile_mir(
+            "__kernel void k(){
+                barrier(CLK_LOCAL_MEM_FENCE);
+                barrier(CLK_LOCAL_MEM_FENCE);
+            }",
+            &OptConfig::none(),
+        );
+        let ids: Vec<u32> = p.functions()[0]
+            .code
+            .iter()
+            .filter_map(|op| match op {
+                Op::Barrier { id } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1]);
+        assert_eq!(p.kernel("k").unwrap().barrier_count, 2);
+    }
+
+    #[test]
+    fn uninitialized_pointer_sentinel() {
+        let p = compile_mir("void f(){ float* p; }", &OptConfig::none());
+        let f = &p.functions()[0];
+        assert_eq!(
+            f.local_init[0],
+            Value::Ptr(Ptr {
+                space: AddressSpace::Private,
+                buffer: UNINIT_BUFFER,
+                byte_offset: 0
+            })
+        );
     }
 }

@@ -17,15 +17,13 @@
 //!   [`BlockId(0)`](BlockId) is the entry block.
 //! * Local slot numbering matches the HIR (parameters first), so kernel
 //!   argument binding and `__local`-array binding work unchanged.
-//! * Barrier sites get program-unique ids at lowering time, in the same
-//!   function/source order the legacy code generator uses.
+//! * Barrier sites get program-unique ids at lowering time, in
+//!   function/source order.
 
 use crate::builtins::{Builtin, BuiltinKind};
-use crate::codegen::UNINIT_BUFFER;
-use crate::fold::const_to_value;
-use crate::hir::{self, BinOp, CmpOp, Expr, Place, Stmt, UnOp};
+use crate::hir::{self, const_to_value, BinOp, CmpOp, Expr, Place, Stmt, UnOp};
 use crate::types::{AddressSpace, ScalarType, Type};
-use crate::value::{Ptr, Value};
+use crate::value::{Ptr, Value, UNINIT_BUFFER};
 
 /// A virtual register: holds one scalar or pointer value, defined exactly
 /// once.
@@ -995,8 +993,7 @@ impl<'a> FnLower<'a> {
     }
 
     /// Lowers an assignment, returning the register holding the stored
-    /// value. Pointer operands are evaluated before the value (matching the
-    /// legacy code generator's effect order).
+    /// value. Pointer operands are evaluated before the value.
     fn lower_assign(&mut self, place: &Place, value: &Expr) -> VReg {
         match place {
             Place::Local(id) => {
@@ -1056,7 +1053,7 @@ impl<'a> FnLower<'a> {
 
         let new = match ty {
             Type::Scalar(s) => {
-                let one = crate::codegen::one_of(s);
+                let one = one_of(s);
                 let one_v = self.def(|dst| Inst::Const { dst, value: one });
                 let op = if is_inc { BinOp::Add } else { BinOp::Sub };
                 self.def(|dst| Inst::Bin {
@@ -1092,6 +1089,24 @@ fn pointee_of(ty: Type) -> ScalarType {
     match ty {
         Type::Pointer { pointee, .. } => pointee,
         other => unreachable!("expected pointer type, got {other}"),
+    }
+}
+
+/// The constant `1` of a scalar type (for inc/dec).
+fn one_of(s: ScalarType) -> Value {
+    use ScalarType::*;
+    match s {
+        Bool => Value::Bool(true),
+        Char => Value::I8(1),
+        UChar => Value::U8(1),
+        Short => Value::I16(1),
+        UShort => Value::U16(1),
+        Int => Value::I32(1),
+        UInt => Value::U32(1),
+        Long => Value::I64(1),
+        ULong => Value::U64(1),
+        Float => Value::F32(1.0),
+        Double => Value::F64(1.0),
     }
 }
 

@@ -1,7 +1,6 @@
 //! Constant propagation and folding over the MIR.
 //!
-//! Subsumes the legacy HIR-level folder (`crate::fold`) on the optimized
-//! pipeline: register results are folded flow-insensitively (registers are
+//! Register results are folded flow-insensitively (registers are
 //! single-def), local slots are tracked with a forward dataflow over the
 //! CFG (meet = same-constant intersection), and branches on constant
 //! conditions are rewritten to jumps. All evaluation goes through

@@ -25,19 +25,19 @@ use crate::cfg;
 use crate::mir::{BlockId, Inst, MirFunction, MirUnit, Terminator, VReg};
 use crate::value::Value;
 
-/// Which compile pipeline and optimization passes to run.
+/// Which optimization passes to run, and whether to print the MIR.
 ///
-/// Parsed from `SKELCL_KERNEL_OPT`:
+/// Parsed from `SKELCL_KERNEL_OPT` ([`OptConfig::parse`]):
 ///
-/// * `0` — legacy pipeline (HIR folding + stack codegen), no MIR;
-/// * `1`, unset or empty — MIR pipeline with every pass (the default);
+/// * `1`, unset or empty — every pass (the default);
+/// * `0` or `none` — no passes: MIR lowering, CFG clean-up and register
+///   allocation only. This is the compile oracle the differential tests
+///   run on the reference interpreter;
 /// * a comma list of pass names (`const-prop`, `cse`, `dce`, `licm`,
-///   `unroll`) — MIR pipeline with just those passes.
+///   `unroll`) — just those passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptConfig {
-    /// `false` selects the legacy HIR → stack-codegen pipeline.
-    pub enabled: bool,
-    /// Constant propagation and folding (subsumes the legacy HIR folder).
+    /// Constant propagation and folding.
     pub const_prop: bool,
     /// Common-subexpression elimination + local copy propagation.
     pub cse: bool,
@@ -47,6 +47,29 @@ pub struct OptConfig {
     pub licm: bool,
     /// Unrolling of small constant-trip loops.
     pub unroll: bool,
+    /// Print the MIR of every compiled unit to stderr
+    /// (`SKELCL_KERNEL_DUMP=mir|mir-opt`).
+    pub dump: Option<MirDump>,
+}
+
+/// Which MIR [`OptConfig::dump`] prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MirDump {
+    /// As lowered from the HIR, before any pass (`mir`).
+    Lowered,
+    /// After the enabled passes (`mir-opt`).
+    Optimized,
+}
+
+impl MirDump {
+    /// Parses a `SKELCL_KERNEL_DUMP` value (`mir` or `mir-opt`).
+    fn parse(spec: &str) -> Option<Self> {
+        match spec {
+            "mir" => Some(MirDump::Lowered),
+            "mir-opt" => Some(MirDump::Optimized),
+            _ => None,
+        }
+    }
 }
 
 impl Default for OptConfig {
@@ -59,71 +82,69 @@ impl OptConfig {
     /// The full pipeline: every pass enabled.
     pub fn all() -> Self {
         OptConfig {
-            enabled: true,
             const_prop: true,
             cse: true,
             dce: true,
             licm: true,
             unroll: true,
+            dump: None,
         }
     }
 
-    /// The legacy pipeline (`SKELCL_KERNEL_OPT=0`): HIR constant folding
-    /// plus the stack code generator, exactly as before the MIR existed.
-    pub fn legacy() -> Self {
-        OptConfig {
-            enabled: false,
-            const_prop: false,
-            cse: false,
-            dce: false,
-            licm: false,
-            unroll: false,
-        }
-    }
-
-    /// The MIR pipeline with no passes (lowering + register allocation
-    /// only).
+    /// No passes (lowering + register allocation only): the compile
+    /// oracle.
     pub fn none() -> Self {
         OptConfig {
-            enabled: true,
             const_prop: false,
             cse: false,
             dce: false,
             licm: false,
             unroll: false,
+            dump: None,
         }
     }
 
-    /// Parses a `SKELCL_KERNEL_OPT` value. Unrecognised pass names are
-    /// ignored (so typos degrade to fewer passes, never to a crash).
-    pub fn from_str_spec(spec: &str) -> Self {
-        let spec = spec.trim();
-        match spec {
+    /// Parses a `SKELCL_KERNEL_OPT` value. Also returns the tokens it did
+    /// not recognise, which select nothing (so a typo degrades to fewer
+    /// passes, never to a crash).
+    pub fn parse(spec: &str) -> (Self, Vec<&str>) {
+        let mut rejected = Vec::new();
+        let cfg = match spec.trim() {
             "" | "1" => OptConfig::all(),
-            "0" => OptConfig::legacy(),
+            "0" | "none" => OptConfig::none(),
             list => {
                 let mut cfg = OptConfig::none();
-                for name in list.split(',') {
-                    match name.trim() {
+                for name in list.split(',').map(str::trim) {
+                    match name {
                         "const-prop" | "constprop" | "const_prop" => cfg.const_prop = true,
                         "cse" => cfg.cse = true,
                         "dce" => cfg.dce = true,
                         "licm" => cfg.licm = true,
                         "unroll" => cfg.unroll = true,
-                        _ => {}
+                        unknown => rejected.push(unknown),
                     }
                 }
                 cfg
             }
-        }
+        };
+        (cfg, rejected)
     }
 
-    /// Reads the configuration from `SKELCL_KERNEL_OPT`.
+    /// Combines the values of `SKELCL_KERNEL_OPT` and `SKELCL_KERNEL_DUMP`
+    /// (`None`: unset). Also returns the pass names [`OptConfig::parse`]
+    /// rejected.
+    pub fn from_vars<'a>(opt: Option<&'a str>, dump: Option<&str>) -> (Self, Vec<&'a str>) {
+        let (cfg, rejected) = OptConfig::parse(opt.unwrap_or(""));
+        let dump = dump.and_then(MirDump::parse);
+        (OptConfig { dump, ..cfg }, rejected)
+    }
+
+    /// Reads the configuration from `SKELCL_KERNEL_OPT` and
+    /// `SKELCL_KERNEL_DUMP`.
     pub fn from_env() -> Self {
-        match std::env::var("SKELCL_KERNEL_OPT") {
-            Ok(v) => OptConfig::from_str_spec(&v),
-            Err(_) => OptConfig::all(),
-        }
+        let var = |name| std::env::var(name).ok();
+        let (opt, dump) = (var("SKELCL_KERNEL_OPT"), var("SKELCL_KERNEL_DUMP"));
+        OptConfig::from_vars(opt.as_deref(), dump.as_deref()).0
     }
 
     /// The list of enabled pass names, in run order.
@@ -150,9 +171,6 @@ impl OptConfig {
 
 /// Runs the configured passes over every function of `unit`.
 pub fn run(unit: &mut MirUnit, cfg: &OptConfig) {
-    if !cfg.enabled {
-        return;
-    }
     let info = UnitInfo::analyze(unit);
     for f in &mut unit.functions {
         run_function(f, cfg, &info);
@@ -339,15 +357,19 @@ mod tests {
 
     #[test]
     fn config_spec_parsing() {
-        assert_eq!(OptConfig::from_str_spec("1"), OptConfig::all());
-        assert_eq!(OptConfig::from_str_spec(""), OptConfig::all());
-        assert_eq!(OptConfig::from_str_spec("0"), OptConfig::legacy());
-        let c = OptConfig::from_str_spec("const-prop,dce");
-        assert!(c.enabled && c.const_prop && c.dce);
+        let clean = |cfg| (cfg, Vec::<&str>::new());
+        assert_eq!(OptConfig::parse("1"), clean(OptConfig::all()));
+        assert_eq!(OptConfig::parse(""), clean(OptConfig::all()));
+        assert_eq!(OptConfig::parse("0"), clean(OptConfig::none()));
+        assert_eq!(OptConfig::parse("none"), clean(OptConfig::none()));
+        let (c, rejected) = OptConfig::parse("const-prop, dce");
+        assert!(c.const_prop && c.dce);
         assert!(!c.cse && !c.licm && !c.unroll);
-        // Unknown names are ignored.
-        let c = OptConfig::from_str_spec("licm,bogus");
+        assert!(rejected.is_empty());
+        // Unknown names select nothing and are handed back.
+        let (c, rejected) = OptConfig::parse("licm,bogus,lcim");
         assert!(c.licm && !c.cse);
+        assert_eq!(rejected, ["bogus", "lcim"]);
     }
 
     #[test]

@@ -19,10 +19,9 @@ use std::collections::HashMap;
 use crate::ast;
 use crate::builtins::{predefined_constant, Builtin, BuiltinKind, WORK_ITEM_QUERY_RESULT};
 use crate::diag::Diagnostics;
-use crate::fold;
 use crate::hir::{
-    BinOp, CmpOp, ConstValue, Expr, FuncId, Function, LocalArray, LocalDecl, LocalId, Place, Stmt,
-    UnOp, Unit,
+    self, BinOp, CmpOp, ConstValue, Expr, FuncId, Function, LocalArray, LocalDecl, LocalId, Place,
+    Stmt, UnOp, Unit,
 };
 use crate::source::Span;
 use crate::types::{integer_promote, usual_arithmetic_conversion, AddressSpace, ScalarType, Type};
@@ -508,7 +507,7 @@ impl<'a> FnChecker<'a> {
         let Ok(size_expr) = self.check_expr(size) else {
             return;
         };
-        let Some(value) = fold::try_eval(&size_expr) else {
+        let Some(value) = hir::try_eval(&size_expr) else {
             self.diags.error(
                 size.span(),
                 "`__local` array size must be a compile-time constant",

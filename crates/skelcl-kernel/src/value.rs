@@ -32,6 +32,10 @@ pub struct Ptr {
     pub byte_offset: i64,
 }
 
+/// [`Ptr::buffer`] of an uninitialised pointer local (address space
+/// `Private`); dereferencing one traps in the VM.
+pub const UNINIT_BUFFER: u32 = u32::MAX;
+
 /// A runtime value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {

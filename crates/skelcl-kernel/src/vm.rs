@@ -12,13 +12,12 @@
 use std::fmt;
 
 use crate::builtins::{self, Builtin};
-use crate::codegen::UNINIT_BUFFER;
 use crate::decode::{ChainTail, CmpUse, Decoded, Dst, Operand};
 use crate::hir::{BinOp, CmpOp};
 use crate::ir::Op;
 use crate::program::{KernelInfo, Program};
 use crate::types::{AddressSpace, ScalarType};
-use crate::value::{self, Ptr, Value};
+use crate::value::{self, Ptr, Value, UNINIT_BUFFER};
 
 /// Maximum call depth (OpenCL forbids recursion, so real chains are short).
 pub const MAX_CALL_DEPTH: usize = 256;
@@ -415,7 +414,7 @@ pub struct WorkItem {
     pub counters: CostCounters,
     /// Dispatch-loop iterations so far. Unlike [`CostCounters::ops`] (which
     /// counts *source* ops — a fused superinstruction covering `k` ops
-    /// charges `k`, so both engines agree), this counts one per decoded
+    /// charges `k`, so both interpreters agree), this counts one per decoded
     /// head in [`WorkItem::run`] and one per op in
     /// [`WorkItem::run_reference`]: it measures interpreter-loop overhead,
     /// the quantity fusion and register lowering exist to shrink. It is
@@ -563,8 +562,8 @@ impl WorkItem {
     /// pre-decoded superinstructions ([`crate::decode`]) that charge
     /// identical [`CostCounters`]. It is observationally identical to
     /// [`WorkItem::run_reference`]
-    /// — same results, same [`CostCounters`] — which the executor's legacy
-    /// path and the differential tests use as the semantic baseline.
+    /// — same results, same [`CostCounters`] — which the differential tests
+    /// use as the semantic baseline.
     ///
     /// # Errors
     ///
@@ -783,10 +782,6 @@ impl WorkItem {
                         let v = pop(frame)?;
                         frame.locals[*s as usize] = v;
                     }
-                    Op::Dup => {
-                        let v = *frame.stack.last().ok_or_else(stack_underflow)?;
-                        frame.stack.push(v);
-                    }
                     Op::Pop => {
                         pop(frame)?;
                     }
@@ -930,10 +925,9 @@ impl WorkItem {
 
     /// The reference interpreter: the original straight-line dispatch loop,
     /// kept byte-for-byte in behaviour (per-op clone, per-call `local_init`
-    /// clone, no frame pooling). The executor's legacy lockstep path runs on
-    /// it, which makes the `lockstep`-vs-`fast` benchmark an honest A/B of
-    /// the whole optimisation stack and gives the equivalence tests a
-    /// semantic baseline that shares no dispatch code with [`WorkItem::run`].
+    /// clone, no frame pooling). No production path runs on it: it is the
+    /// oracle of the equivalence tests, a semantic baseline that shares no
+    /// dispatch code with [`WorkItem::run`].
     ///
     /// # Errors
     ///
@@ -973,10 +967,6 @@ impl WorkItem {
                 Op::StoreLocal(s) => {
                     let v = pop(frame)?;
                     frame.locals[s as usize] = v;
-                }
-                Op::Dup => {
-                    let v = *frame.stack.last().ok_or_else(stack_underflow)?;
-                    frame.stack.push(v);
                 }
                 Op::Pop => {
                     pop(frame)?;

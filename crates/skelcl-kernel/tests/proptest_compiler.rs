@@ -159,7 +159,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 
 /// Compiles and runs `expr` as a kernel, returning the VM's result.
 fn run_compiled(expr: &Expr, vars: [i64; 3]) -> i64 {
-    run_with(expr, vars, &skelcl_kernel::OptConfig::from_env(), false)
+    run_with(expr, vars, &skelcl_kernel::OptConfig::all(), false)
 }
 
 /// Compiles `expr` under `cfg` and runs it — through the reference
@@ -211,11 +211,11 @@ proptest! {
         prop_assert_eq!(actual, expected, "expr: {}", expr.render());
     }
 
-    /// The full MIR pipeline and the legacy pipeline agree bit-for-bit:
-    /// the optimized program (fast interpreter) must compute exactly what
-    /// the legacy program computes on the reference interpreter.
+    /// The passes preserve results bit-for-bit: the optimized program
+    /// (fast interpreter) must compute exactly what the pass-free program
+    /// computes on the reference interpreter.
     #[test]
-    fn optimized_pipeline_matches_legacy_reference(
+    fn optimized_pipeline_matches_unoptimized_reference(
         expr in arb_expr(),
         x in any::<i64>(),
         y in -1000i64..1000,
@@ -223,7 +223,7 @@ proptest! {
     ) {
         use skelcl_kernel::OptConfig;
         let vars = [x, y, z];
-        let oracle = run_with(&expr, vars, &OptConfig::legacy(), true);
+        let oracle = run_with(&expr, vars, &OptConfig::none(), true);
         let optimized = run_with(&expr, vars, &OptConfig::all(), false);
         prop_assert_eq!(optimized, oracle, "expr: {}", expr.render());
     }

@@ -17,7 +17,8 @@
 //! usually disabled in production runs. `Context::dump_flight()` produces
 //! the same dump on demand.
 //!
-//! Enable with `SKELCL_FLIGHT=<capacity>` (e.g. `SKELCL_FLIGHT=256`).
+//! A `skelcl` context creates one from `SKELCL_FLIGHT=<capacity>` (e.g.
+//! `SKELCL_FLIGHT=256`); this crate reads no environment.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -161,15 +162,6 @@ impl FlightRecorder {
                 }),
                 dumped: AtomicBool::new(false),
             })),
-        }
-    }
-
-    /// Reads `SKELCL_FLIGHT=<capacity>`; unset, empty, `0` or unparsable
-    /// values mean disabled.
-    pub fn from_env() -> Self {
-        match std::env::var("SKELCL_FLIGHT") {
-            Ok(v) => FlightRecorder::with_capacity(v.trim().parse().unwrap_or(0)),
-            Err(_) => FlightRecorder::disabled(),
         }
     }
 

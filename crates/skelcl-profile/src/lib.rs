@@ -99,16 +99,6 @@ impl Profiler {
         }
     }
 
-    /// Enabled iff the environment variable `SKELCL_PROFILE` is set to
-    /// anything but `0`/empty (so any example can be profiled without code
-    /// changes).
-    pub fn from_env() -> Self {
-        match std::env::var("SKELCL_PROFILE") {
-            Ok(v) if !v.is_empty() && v != "0" => Profiler::enabled(),
-            _ => Profiler::disabled(),
-        }
-    }
-
     /// Whether this handle records anything.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()

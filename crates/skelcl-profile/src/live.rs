@@ -5,9 +5,9 @@
 //! [`StatsReporter`] makes them observable *while running* by writing one
 //! self-contained JSON object per interval — the same shape as
 //! [`crate::report::metrics_json`], wrapped with a sequence number — to a
-//! file (`SKELCL_STATS_FILE`) or stderr. Enable with
-//! `SKELCL_STATS_INTERVAL_MS=<ms>` or programmatically via
-//! [`StatsReporter::spawn`]. The reporter is inert (spawns nothing) when
+//! file or stderr. [`StatsReporter::spawn`] starts one; a `skelcl` context
+//! does so when `SKELCL_STATS_INTERVAL_MS=<ms>` (and optionally
+//! `SKELCL_STATS_FILE`) is set. The reporter is inert (spawns nothing) when
 //! the profiler is disabled or the interval is zero.
 
 use std::io::Write as _;
@@ -43,8 +43,8 @@ impl std::fmt::Debug for StatsReporter {
 }
 
 impl StatsReporter {
-    /// A reporter that never spawned a thread (profiler disabled, interval
-    /// zero, or the env var is unset).
+    /// A reporter that never spawned a thread (profiler disabled or
+    /// interval zero).
     pub fn inert() -> Self {
         StatsReporter { state: None }
     }
@@ -74,21 +74,6 @@ impl StatsReporter {
         StatsReporter {
             state: Some((signal, handle)),
         }
-    }
-
-    /// Reads `SKELCL_STATS_INTERVAL_MS` (milliseconds; unset, empty, `0`
-    /// or unparsable → inert) and `SKELCL_STATS_FILE` (output path;
-    /// unset → stderr).
-    pub fn from_env(profiler: &Profiler) -> Self {
-        let interval_ms = std::env::var("SKELCL_STATS_INTERVAL_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        if interval_ms == 0 {
-            return StatsReporter::inert();
-        }
-        let path = std::env::var("SKELCL_STATS_FILE").ok().map(PathBuf::from);
-        StatsReporter::spawn(profiler, Duration::from_millis(interval_ms), path)
     }
 
     /// Stops the reporter thread (emitting one final snapshot line) and

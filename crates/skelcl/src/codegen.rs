@@ -529,8 +529,12 @@ pub(crate) fn weld_elementwise(
 /// Compiles generated kernel source, classifying failures as SkelCL bugs
 /// (the user function already parsed; a failure here means the weld is
 /// wrong).
-pub(crate) fn compile_generated(name: &str, source: &str) -> Result<skelcl_kernel::Program> {
-    skelcl_kernel::compile(name, source).map_err(|e| Error::KernelCompilation {
+pub(crate) fn compile_generated(
+    name: &str,
+    source: &str,
+    cfg: &skelcl_kernel::OptConfig,
+) -> Result<skelcl_kernel::Program> {
+    skelcl_kernel::compile_with_config(name, source, cfg).map_err(|e| Error::KernelCompilation {
         source: source.to_string(),
         log: e.log,
     })
@@ -568,7 +572,7 @@ pub(crate) fn compile_cached(
     }
     profiler.add(skelcl_profile::metrics::COMPILE_CACHE_MISS, 1);
     let _span = profiler.host_span(skelcl_profile::SpanKind::Compile, name);
-    let program = compile_generated(name, source)?;
+    let program = compile_generated(name, source, &ctx.config().kernel)?;
     ctx.store_program(hash, program.clone());
     Ok(program)
 }
@@ -734,7 +738,7 @@ mod tests {
             "{}\n{}\n__kernel void probe(__global float* o){{ o[0] = {}({}(1.0f)); }}",
             sf.source, sh.source, sf.name, sh.name
         );
-        compile_generated("stage_probe.cl", &probe).unwrap();
+        compile_generated("stage_probe.cl", &probe, &Default::default()).unwrap();
     }
 
     #[test]
@@ -781,7 +785,7 @@ mod tests {
             src.contains("madd(skelcl_in0[skelcl_i], skelcl_in1[skelcl_i], skelcl_x0)"),
             "{src}"
         );
-        compile_generated("weld_probe.cl", &src).unwrap();
+        compile_generated("weld_probe.cl", &src, &Default::default()).unwrap();
     }
 
     #[test]
@@ -833,6 +837,6 @@ mod tests {
              }}",
             f.source()
         );
-        compile_generated("sobel_probe.cl", &source).unwrap();
+        compile_generated("sobel_probe.cl", &source, &Default::default()).unwrap();
     }
 }

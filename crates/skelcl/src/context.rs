@@ -4,12 +4,11 @@
 //! count) and one command queue per device. Containers and skeletons hold a
 //! clone of the context, which is cheap (`Arc` internally).
 //!
-//! The context also carries the session's observability handles — the
-//! [`Profiler`] (enabled via `SKELCL_PROFILE=1` or
-//! [`Context::init_with_profiler`]), the [`FlightRecorder`]
-//! (`SKELCL_FLIGHT=<capacity>`), and the live [`StatsReporter`]
-//! (`SKELCL_STATS_INTERVAL_MS`) — plus a cache of compiled skeleton
-//! programs keyed by source hash.
+//! The context also carries the session's [`Config`] — every `SKELCL_*`
+//! setting, resolved once at init — the observability handles built from
+//! it (the [`Profiler`], the [`FlightRecorder`] and the live
+//! [`StatsReporter`]), and a cache of compiled skeleton programs keyed by
+//! source hash.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,8 +17,9 @@ use parking_lot::Mutex;
 use skelcl_profile::{FlightRecorder, Profiler, StatsReporter};
 use vgpu::{CommandQueue, DeviceSpec, LaunchConfig, Platform};
 
+use crate::config::Config;
 use crate::distribution::{ChunkPlan, Distribution};
-use crate::schedule::Scheduler;
+use crate::schedule::{Scheduler, DEFAULT_EWMA_ALPHA};
 
 /// Which devices of the platform SkelCL should use (the paper's
 /// `SkelCL::init()` device-selection knob).
@@ -34,6 +34,7 @@ pub enum DeviceSelection {
 #[derive(Debug)]
 struct ContextInner {
     platform: Platform,
+    config: Config,
     queues: Vec<CommandQueue>,
     launch_config: LaunchConfig,
     profiler: Profiler,
@@ -56,15 +57,12 @@ impl Drop for ContextInner {
         // Stop the live reporter before exporting: its final snapshot line
         // then covers the fully drained session.
         self.stats.lock().stop();
-        // `SKELCL_TRACE=<path>` dumps the Chrome trace of a profiled
-        // session when it ends, so any example can produce a trace with no
-        // code changes.
-        if let Some(trace) = self.profiler.chrome_trace_json() {
-            if let Ok(path) = std::env::var("SKELCL_TRACE") {
-                if !path.is_empty() {
-                    if let Err(e) = std::fs::write(&path, trace) {
-                        eprintln!("skelcl: failed to write trace to {path}: {e}");
-                    }
+        // `SKELCL_TRACE=<path>` dumps the Chrome trace of the session when
+        // it ends, so any example can produce a trace with no code changes.
+        if let Some(path) = &self.config.trace {
+            if let Some(trace) = self.profiler.chrome_trace_json() {
+                if let Err(e) = std::fs::write(path, trace) {
+                    eprintln!("skelcl: failed to write trace to {}: {e}", path.display());
                 }
             }
         }
@@ -79,18 +77,38 @@ pub struct Context {
 
 impl Context {
     /// Initialises SkelCL on `platform` with the given device selection —
-    /// the analogue of `SkelCL::init()`.
+    /// the analogue of `SkelCL::init()` — configured from the environment
+    /// ([`Config::from_env`]).
     ///
     /// # Panics
     ///
     /// Panics if the selection is `Count(0)` or exceeds the platform.
     pub fn init(platform: Platform, selection: DeviceSelection) -> Self {
-        Context::init_with_profiler(platform, selection, Profiler::from_env())
+        Context::init_with_config(platform, selection, Config::from_env())
     }
 
-    /// [`Context::init`] with an explicit profiler (instead of the
-    /// `SKELCL_PROFILE` environment default). The flight recorder still
-    /// comes from `SKELCL_FLIGHT`.
+    /// [`Context::init`] with an explicit configuration; reads no
+    /// environment. The profiler and flight recorder are built from it.
+    ///
+    /// # Panics
+    ///
+    /// As for [`Context::init`].
+    pub fn init_with_config(
+        platform: Platform,
+        selection: DeviceSelection,
+        config: Config,
+    ) -> Self {
+        let profiler = if config.profiling() {
+            Profiler::enabled()
+        } else {
+            Profiler::disabled()
+        };
+        let flight = FlightRecorder::with_capacity(config.flight_capacity);
+        Context::build(platform, selection, config, profiler, flight)
+    }
+
+    /// [`Context::init`] with an explicit profiler handle in place of the
+    /// one `SKELCL_PROFILE` / `SKELCL_TRACE` would select.
     ///
     /// # Panics
     ///
@@ -100,15 +118,14 @@ impl Context {
         selection: DeviceSelection,
         profiler: Profiler,
     ) -> Self {
-        Context::init_with_observability(platform, selection, profiler, FlightRecorder::from_env())
+        let config = Config::from_env();
+        let flight = FlightRecorder::with_capacity(config.flight_capacity);
+        Context::build(platform, selection, config, profiler, flight)
     }
 
     /// [`Context::init`] with explicit observability handles — profiler
-    /// *and* flight recorder — bypassing the `SKELCL_PROFILE` /
-    /// `SKELCL_FLIGHT` environment defaults (tests inject handles here
-    /// without touching process-global state). Queue telemetry observers
-    /// are installed on every selected device queue, and the live stats
-    /// reporter starts if `SKELCL_STATS_INTERVAL_MS` asks for one.
+    /// *and* flight recorder — in place of the ones the environment would
+    /// select (tests inject handles here to inspect them afterwards).
     ///
     /// # Panics
     ///
@@ -116,6 +133,20 @@ impl Context {
     pub fn init_with_observability(
         platform: Platform,
         selection: DeviceSelection,
+        profiler: Profiler,
+        flight: FlightRecorder,
+    ) -> Self {
+        Context::build(platform, selection, Config::from_env(), profiler, flight)
+    }
+
+    /// Assembles the session: installs the queue telemetry observers on
+    /// every selected device queue and starts the live stats reporter if
+    /// the configuration asks for one. The stored configuration describes
+    /// the handles actually in use.
+    fn build(
+        platform: Platform,
+        selection: DeviceSelection,
+        mut config: Config,
         profiler: Profiler,
         flight: FlightRecorder,
     ) -> Self {
@@ -134,7 +165,10 @@ impl Context {
         for queue in &queues {
             flight.attach_queue(&profiler, queue);
         }
-        let stats = StatsReporter::from_env(&profiler);
+        config.profile = profiler.is_enabled();
+        config.flight_capacity = flight.capacity();
+        let stats =
+            StatsReporter::spawn(&profiler, config.stats_interval, config.stats_file.clone());
         Context {
             inner: Arc::new(ContextInner {
                 platform,
@@ -143,7 +177,8 @@ impl Context {
                 profiler,
                 flight,
                 stats: Mutex::new(stats),
-                scheduler: Scheduler::from_env(),
+                scheduler: Scheduler::new(config.schedule, DEFAULT_EWMA_ALPHA),
+                config,
                 program_cache: Mutex::new(HashMap::new()),
             }),
         }
@@ -187,6 +222,11 @@ impl Context {
         &self.inner.platform
     }
 
+    /// The session's configuration, as resolved when it was initialised.
+    pub fn config(&self) -> &Config {
+        &self.inner.config
+    }
+
     /// The launch configuration used by skeleton executions.
     pub fn launch_config(&self) -> &LaunchConfig {
         &self.inner.launch_config
@@ -209,13 +249,13 @@ impl Context {
     }
 
     /// The session's profiler (disabled unless requested — see
-    /// [`Context::init_with_profiler`] and `SKELCL_PROFILE`).
+    /// [`Config::profiling`] and [`Context::init_with_profiler`]).
     pub fn profiler(&self) -> &Profiler {
         &self.inner.profiler
     }
 
     /// The session's flight recorder (disabled unless requested — see
-    /// [`Context::init_with_observability`] and `SKELCL_FLIGHT`).
+    /// [`Config::flight_capacity`] and [`Context::init_with_observability`]).
     pub fn flight(&self) -> &FlightRecorder {
         &self.inner.flight
     }
@@ -227,7 +267,7 @@ impl Context {
         self.inner.flight.dump()
     }
 
-    /// The session's chunk scheduler (policy from `SKELCL_SCHEDULE`, even
+    /// The session's chunk scheduler (policy from [`Config::schedule`], even
     /// by default; switchable at runtime via
     /// [`crate::schedule::Scheduler::set_policy`]).
     pub fn scheduler(&self) -> &Scheduler {

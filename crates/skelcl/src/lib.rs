@@ -42,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod codegen;
+pub mod config;
 pub mod container;
 pub mod context;
 pub mod distribution;
@@ -55,6 +56,7 @@ pub mod skeleton;
 pub mod stream;
 pub mod types;
 
+pub use config::Config;
 pub use container::{InteropChunk, Matrix, Scalar, Vector};
 pub use context::{Context, DeviceSelection};
 pub use distribution::Distribution;
@@ -80,7 +82,7 @@ pub use skelcl_kernel::value::Value;
 /// the counters, and `profile::report` builds summaries and JSON reports.
 pub use skelcl_profile as profile;
 /// Re-export of the flight-recorder handle carried by [`Context`] (see
-/// [`Context::flight`] and `SKELCL_FLIGHT`).
+/// [`Context::flight`]).
 pub use skelcl_profile::FlightRecorder;
 /// Re-export of the profiler handle carried by [`Context`].
 pub use skelcl_profile::Profiler;

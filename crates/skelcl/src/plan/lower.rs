@@ -1002,9 +1002,9 @@ pub(crate) fn eval_vector<O: KernelScalar>(
     node: &Arc<PlanNode>,
     log: Option<&EventLog>,
 ) -> Result<Vector<O>> {
-    let cfg = PlanConfig::from_env();
-    let mut lo = Lowering::new(cfg);
     let ctx = node.ctx().clone();
+    let cfg = ctx.config().plan;
+    let mut lo = Lowering::new(cfg);
     let mut span = ctx
         .profiler()
         .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");
@@ -1052,9 +1052,9 @@ pub(crate) enum ReduceInput {
 /// final weld, which the caller performs. Returns the lowering's events
 /// for the caller to merge into its event log.
 pub(crate) fn prepare_reduce(node: &Arc<PlanNode>) -> Result<(ReduceInput, Vec<Event>)> {
-    let cfg = PlanConfig::from_env();
-    let mut lo = Lowering::new(cfg);
     let ctx = node.ctx().clone();
+    let cfg = ctx.config().plan;
+    let mut lo = Lowering::new(cfg);
     let mut span = ctx
         .profiler()
         .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");

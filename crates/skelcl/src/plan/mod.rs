@@ -27,7 +27,10 @@
 //! * `0` / `off` — fully staged oracle: one kernel per stage, standalone
 //!   stencil and scan-offset passes, plain (unwelded) reductions;
 //! * a comma list of rule names (e.g. `chain,reduce-weld`) — exactly those
-//!   rules, cost model off (unknown names are ignored).
+//!   rules, cost model off (unknown names select nothing and are reported).
+//!
+//! The variable is read once per session, into
+//! [`Config::plan`](crate::Config::plan).
 
 pub(crate) mod cost;
 pub(crate) mod ir;
@@ -51,6 +54,12 @@ pub struct PlanConfig {
     pub scan_offset: bool,
     /// Arbitrate stencil fusion with the scheduler-fed cost model.
     pub cost_model: bool,
+}
+
+impl Default for PlanConfig {
+    fn default() -> Self {
+        PlanConfig::all()
+    }
 }
 
 impl PlanConfig {
@@ -78,12 +87,11 @@ impl PlanConfig {
         }
     }
 
-    /// Parses a `SKELCL_PLAN` value (`None` means unset → all rules).
-    pub fn parse(spec: Option<&str>) -> Self {
-        let Some(spec) = spec else {
-            return Self::all();
-        };
-        match spec.trim() {
+    /// Parses a `SKELCL_PLAN` value (`None` means unset → all rules). Also
+    /// returns the rule names it did not recognise, which select nothing.
+    pub fn parse(spec: Option<&str>) -> (Self, Vec<&str>) {
+        let mut rejected = Vec::new();
+        let cfg = match spec.map_or("", str::trim) {
             "" | "1" | "on" => Self::all(),
             "0" | "off" => Self::oracle(),
             list => {
@@ -95,23 +103,19 @@ impl PlanConfig {
                     scan_offset: false,
                     cost_model: false,
                 };
-                for rule in list.split(',') {
-                    match rule.trim() {
+                for rule in list.split(',').map(str::trim) {
+                    match rule {
                         "chain" => cfg.chain = true,
                         "reduce-weld" => cfg.weld = true,
                         "stencil" => cfg.stencil = true,
                         "scan-offset" => cfg.scan_offset = true,
-                        _ => {}
+                        unknown => rejected.push(unknown),
                     }
                 }
                 cfg
             }
-        }
-    }
-
-    /// Reads `SKELCL_PLAN` from the environment.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("SKELCL_PLAN").ok().as_deref())
+        };
+        (cfg, rejected)
     }
 }
 
@@ -121,19 +125,23 @@ mod tests {
 
     #[test]
     fn parse_gate_values() {
-        assert_eq!(PlanConfig::parse(None), PlanConfig::all());
-        assert_eq!(PlanConfig::parse(Some("")), PlanConfig::all());
-        assert_eq!(PlanConfig::parse(Some("1")), PlanConfig::all());
-        assert_eq!(PlanConfig::parse(Some("on")), PlanConfig::all());
-        assert_eq!(PlanConfig::parse(Some("0")), PlanConfig::oracle());
-        assert_eq!(PlanConfig::parse(Some("off")), PlanConfig::oracle());
+        let clean = |cfg| (cfg, Vec::<&str>::new());
+        assert_eq!(PlanConfig::parse(None), clean(PlanConfig::all()));
+        assert_eq!(PlanConfig::parse(Some("")), clean(PlanConfig::all()));
+        assert_eq!(PlanConfig::parse(Some("1")), clean(PlanConfig::all()));
+        assert_eq!(PlanConfig::parse(Some("on")), clean(PlanConfig::all()));
+        assert_eq!(PlanConfig::parse(Some("0")), clean(PlanConfig::oracle()));
+        assert_eq!(PlanConfig::parse(Some("off")), clean(PlanConfig::oracle()));
 
-        let c = PlanConfig::parse(Some("chain,scan-offset"));
+        let (c, rejected) = PlanConfig::parse(Some("chain, scan-offset"));
         assert!(c.chain && c.scan_offset);
         assert!(!c.weld && !c.stencil && !c.staged && !c.cost_model);
+        assert!(rejected.is_empty());
 
-        // Unknown names are ignored, known ones still apply.
-        let c = PlanConfig::parse(Some("bogus,reduce-weld"));
+        // Unknown names select nothing and are handed back; known ones
+        // still apply.
+        let (c, rejected) = PlanConfig::parse(Some("chian,reduce-weld"));
         assert!(c.weld && !c.chain);
+        assert_eq!(rejected, ["chian"]);
     }
 }

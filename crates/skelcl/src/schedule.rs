@@ -9,9 +9,9 @@
 //! events — and turns it into per-device weights for
 //! [`crate::distribution::plan_chunks_weighted`].
 //!
-//! The policy is chosen per context: `SKELCL_SCHEDULE=even` (default)
-//! keeps the paper's even split, `SKELCL_SCHEDULE=adaptive` enables the
-//! feedback loop. An adaptive scheduler with a cold model plans exactly
+//! The policy is chosen per context ([`Config::schedule`](crate::Config),
+//! from `SKELCL_SCHEDULE`): `even` (default) keeps the paper's even split,
+//! `adaptive` enables the feedback loop. An adaptive scheduler with a cold model plans exactly
 //! like the even one, so the first call on fresh data *is* the calibration
 //! pass; [`Scheduler::calibrate`] makes that explicit when a workload wants
 //! to measure under a known-even split before going adaptive.
@@ -24,12 +24,26 @@ use parking_lot::Mutex;
 use crate::distribution::{plan_chunks, plan_chunks_weighted, ChunkPlan, Distribution};
 
 /// How chunk boundaries are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
     /// The paper's even block split (the default).
+    #[default]
     Even,
     /// Weighted split proportional to each device's measured throughput.
     Adaptive,
+}
+
+impl SchedulePolicy {
+    /// Parses a `SKELCL_SCHEDULE` value: `adaptive` (or `1`), or `even`
+    /// (or `0`, empty, unset). Anything else falls back to `even` and is
+    /// returned as rejected.
+    pub fn parse(spec: Option<&str>) -> (Self, Vec<&str>) {
+        match spec.map_or("", str::trim) {
+            "adaptive" | "1" => (SchedulePolicy::Adaptive, Vec::new()),
+            "" | "even" | "0" => (SchedulePolicy::Even, Vec::new()),
+            other => (SchedulePolicy::Even, vec![other]),
+        }
+    }
 }
 
 impl std::fmt::Display for SchedulePolicy {
@@ -91,20 +105,6 @@ impl Scheduler {
                 models: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// Reads `SKELCL_SCHEDULE` (`even` — the default — or `adaptive`) and
-    /// `SKELCL_SCHEDULE_ALPHA` (EWMA factor, default 0.5).
-    pub fn from_env() -> Self {
-        let policy = match std::env::var("SKELCL_SCHEDULE").as_deref() {
-            Ok("adaptive") | Ok("1") => SchedulePolicy::Adaptive,
-            _ => SchedulePolicy::Even,
-        };
-        let alpha = std::env::var("SKELCL_SCHEDULE_ALPHA")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(DEFAULT_EWMA_ALPHA);
-        Scheduler::new(policy, alpha)
     }
 
     /// The current policy.
@@ -236,6 +236,24 @@ impl Default for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_policy_values() {
+        let clean = |policy| (policy, Vec::<&str>::new());
+        for spec in [None, Some(""), Some("even"), Some("0")] {
+            assert_eq!(SchedulePolicy::parse(spec), clean(SchedulePolicy::Even));
+        }
+        for spec in ["adaptive", "1", " adaptive "] {
+            assert_eq!(
+                SchedulePolicy::parse(Some(spec)),
+                clean(SchedulePolicy::Adaptive)
+            );
+        }
+        assert_eq!(
+            SchedulePolicy::parse(Some("adaptve")),
+            (SchedulePolicy::Even, vec!["adaptve"])
+        );
+    }
 
     #[test]
     fn even_policy_never_weights() {

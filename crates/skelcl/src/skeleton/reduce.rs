@@ -697,9 +697,10 @@ mod tests {
     use vgpu::{CommandKind, DeviceSpec, Platform};
 
     fn ctx(n: usize) -> Context {
-        Context::init(
+        Context::init_with_config(
             Platform::new(n, DeviceSpec::tesla_t10()),
             DeviceSelection::All,
+            crate::Config::default(),
         )
     }
 
@@ -808,19 +809,15 @@ mod tests {
             .value();
         assert_eq!(fused.to_bits(), unfused.to_bits());
 
-        // Launch-shape assertions only hold when the weld rule is on
-        // (`SKELCL_PLAN=0` runs this test in staged mode).
-        if crate::plan::PlanConfig::from_env().weld {
-            // 1000 elements over 2 devices → 500 per chunk → 2 groups →
-            // one fused pass + one partial pass per device.
-            let launches = sum.events().kernel_launches_by_device();
-            assert_eq!(launches.len(), 2);
-            // The fused pass must actually be the fused kernel.
-            assert!(sum.events().last_events().iter().any(|e| matches!(
-                e.kind(),
-                CommandKind::Kernel { name } if name == "skelcl_reduce_fused"
-            )));
-        }
+        // 1000 elements over 2 devices → 500 per chunk → 2 groups →
+        // one fused pass + one partial pass per device.
+        let launches = sum.events().kernel_launches_by_device();
+        assert_eq!(launches.len(), 2);
+        // The fused pass must actually be the fused kernel.
+        assert!(sum.events().last_events().iter().any(|e| matches!(
+            e.kind(),
+            CommandKind::Kernel { name } if name == "skelcl_reduce_fused"
+        )));
     }
 
     #[test]

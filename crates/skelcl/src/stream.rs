@@ -1,8 +1,9 @@
 //! The out-of-core streaming executor (`SKELCL_STREAM`).
 //!
 //! When a lowered plan region's per-device working set exceeds a memory
-//! budget (`SKELCL_DEVICE_BUDGET` in bytes, defaulting to each device's
-//! real [`vgpu::Device::available_bytes`]), the plan layer does not
+//! budget ([`Config::device_budget`](crate::Config::device_budget), from
+//! `SKELCL_DEVICE_BUDGET` in bytes, defaulting to each device's real
+//! [`vgpu::Device::available_bytes`]), the plan layer does not
 //! materialise whole containers on the devices. Instead it splits every
 //! device's share of the distribution axis into chunks and drives them
 //! through one [`LaunchPlan`] as a software pipeline:
@@ -55,6 +56,12 @@ pub struct StreamConfig {
     pub depth: usize,
 }
 
+impl Default for StreamConfig {
+    fn default() -> Self {
+        StreamConfig::on()
+    }
+}
+
 impl StreamConfig {
     /// The default: enabled, double-buffered.
     pub fn on() -> Self {
@@ -74,13 +81,10 @@ impl StreamConfig {
 
     /// Parses a `SKELCL_STREAM` value (`None` means unset → default on):
     /// `0`/`off` disable, `1`/`on`/empty give the default depth 2, any
-    /// larger integer sets the ring depth. Unparsable values fall back to
-    /// the default.
-    pub fn parse(spec: Option<&str>) -> Self {
-        let Some(spec) = spec else {
-            return Self::on();
-        };
-        match spec.trim() {
+    /// larger integer sets the ring depth. Anything else falls back to the
+    /// default and is returned as rejected.
+    pub fn parse(spec: Option<&str>) -> (Self, Vec<&str>) {
+        let cfg = match spec.map_or("", str::trim) {
             "" | "1" | "on" => Self::on(),
             "0" | "off" => Self::off(),
             other => match other.parse::<usize>() {
@@ -88,24 +92,18 @@ impl StreamConfig {
                     enabled: true,
                     depth,
                 },
-                _ => Self::on(),
+                _ => return (Self::on(), vec![other]),
             },
-        }
-    }
-
-    /// Reads `SKELCL_STREAM` from the environment.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("SKELCL_STREAM").ok().as_deref())
+        };
+        (cfg, Vec::new())
     }
 }
 
-/// The per-device memory budget in bytes: `SKELCL_DEVICE_BUDGET` if set
-/// to a positive integer, else the device's real available memory.
+/// The per-device memory budget in bytes: the session's configured budget,
+/// else the device's real available memory.
 pub(crate) fn device_budget(ctx: &Context, device: usize) -> usize {
-    std::env::var("SKELCL_DEVICE_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&b| b > 0)
+    ctx.config()
+        .device_budget
         .unwrap_or_else(|| ctx.platform().device(device).available_bytes())
 }
 
@@ -150,7 +148,7 @@ pub(crate) fn plan_stream(
     fixed_bytes: &dyn Fn(usize) -> usize,
     halo: usize,
 ) -> Option<StreamSchedule> {
-    let cfg = StreamConfig::from_env();
+    let cfg = ctx.config().stream;
     if !cfg.enabled || units == 0 {
         return None;
     }
@@ -465,15 +463,25 @@ mod tests {
 
     #[test]
     fn parse_gate_values() {
-        assert_eq!(StreamConfig::parse(None), StreamConfig::on());
-        assert_eq!(StreamConfig::parse(Some("")), StreamConfig::on());
-        assert_eq!(StreamConfig::parse(Some("1")), StreamConfig::on());
-        assert_eq!(StreamConfig::parse(Some("on")), StreamConfig::on());
-        assert_eq!(StreamConfig::parse(Some("0")), StreamConfig::off());
-        assert_eq!(StreamConfig::parse(Some("off")), StreamConfig::off());
-        let c = StreamConfig::parse(Some("4"));
-        assert!(c.enabled);
-        assert_eq!(c.depth, 4);
-        assert_eq!(StreamConfig::parse(Some("bogus")), StreamConfig::on());
+        let clean = |cfg| (cfg, Vec::<&str>::new());
+        assert_eq!(StreamConfig::parse(None), clean(StreamConfig::on()));
+        assert_eq!(StreamConfig::parse(Some("")), clean(StreamConfig::on()));
+        assert_eq!(StreamConfig::parse(Some("1")), clean(StreamConfig::on()));
+        assert_eq!(StreamConfig::parse(Some("on")), clean(StreamConfig::on()));
+        assert_eq!(StreamConfig::parse(Some("0")), clean(StreamConfig::off()));
+        assert_eq!(StreamConfig::parse(Some("off")), clean(StreamConfig::off()));
+        let depth_4 = StreamConfig {
+            enabled: true,
+            depth: 4,
+        };
+        assert_eq!(StreamConfig::parse(Some(" 4 ")), clean(depth_4));
+        // What is not a gate word or a depth falls back to the default and
+        // is handed back.
+        for bad in ["bogus", "-1", "2.5"] {
+            assert_eq!(
+                StreamConfig::parse(Some(bad)),
+                (StreamConfig::on(), vec![bad])
+            );
+        }
     }
 }

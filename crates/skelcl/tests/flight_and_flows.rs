@@ -10,8 +10,7 @@ use skelcl::{
     Context, DeviceSelection, Distribution, FlightRecorder, Profiler, Reduce, Vector, Zip,
 };
 use vgpu::{
-    DeviceSpec, Error as VgpuError, ExecStrategy, FaultInjection, KernelArg, LaunchConfig, NdRange,
-    Platform,
+    DeviceSpec, Error as VgpuError, FaultInjection, KernelArg, LaunchConfig, NdRange, Platform,
 };
 
 fn observed_ctx(devices: usize, profiler: Profiler, capacity: usize) -> Context {
@@ -53,7 +52,6 @@ fn device_lost_dumps_flight_recorder_and_session_survives() {
     .unwrap();
     let buf = ctx.queue(0).create_buffer(64 * 4).unwrap();
     let config = LaunchConfig {
-        strategy: ExecStrategy::Fast,
         fault_injection: Some(FaultInjection::PanicInKernel),
         ..LaunchConfig::default()
     };

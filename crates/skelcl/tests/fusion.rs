@@ -5,13 +5,14 @@
 
 use proptest::prelude::*;
 
-use skelcl::{Context, DeviceSelection, EventLog, Map, Reduce, Value, Vector, Zip};
+use skelcl::{Config, Context, DeviceSelection, EventLog, Map, Reduce, Value, Vector, Zip};
 use vgpu::{CommandKind, DeviceSpec, Platform};
 
 fn ctx(devices: usize) -> Context {
-    Context::init(
+    Context::init_with_config(
         Platform::new(devices, DeviceSpec::tesla_t10()),
         DeviceSelection::All,
+        Config::default(),
     )
 }
 
@@ -105,14 +106,10 @@ fn multi_stage_expr_runs_one_kernel_per_device() {
         let out = e.eval_logged(&log).unwrap();
         let launches = log.kernel_launches_by_device();
         assert_eq!(launches.len(), devices, "one chunk per device");
-        // Launch counts depend on the chain rule (`SKELCL_PLAN=0` runs
-        // this staged: one kernel per stage instead of one in total).
-        if skelcl::PlanConfig::from_env().chain {
-            assert!(
-                launches.values().all(|&n| n == 1),
-                "fusion must launch exactly one kernel per device, got {launches:?}"
-            );
-        }
+        assert!(
+            launches.values().all(|&n| n == 1),
+            "fusion must launch exactly one kernel per device, got {launches:?}"
+        );
         assert!(log.last_events().iter().any(|e| matches!(
             e.kind(),
             CommandKind::Kernel { name } if name == "skelcl_fused"

@@ -1,26 +1,26 @@
 //! End-to-end differential test of the `SKELCL_KERNEL_OPT` matrix across
-//! 1–4 devices: the same skeletons run under the legacy pipeline, the
-//! bare MIR pipeline, each optimization pass alone and the full pipeline,
-//! and every configuration must produce bit-identical results.
-//!
-//! The environment variable is process-global, so all configurations are
-//! exercised from a single `#[test]` in a dedicated binary — nothing else
-//! compiles kernels concurrently with the variable set.
+//! 1–4 devices: the same skeletons run with no compiler pass (the
+//! oracle), each optimization pass alone and the full pipeline, and every
+//! configuration must produce bit-identical results.
 
-use skelcl::{BoundaryHandling, Context, DeviceSelection, Map, MapOverlap, Matrix, Reduce, Vector};
+use skelcl::{
+    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlap, Matrix, Reduce, Vector,
+};
+use skelcl_kernel::OptConfig;
 use vgpu::{DeviceSpec, Platform};
 
-fn ctx(devices: usize) -> Context {
-    Context::init(
+/// One full run of map + reduce + map-overlap on `devices` devices with
+/// kernels compiled under `kernel`, returning the raw results for
+/// comparison across configurations.
+fn run_all(devices: usize, kernel: OptConfig) -> (Vec<f32>, f32, Vec<f32>) {
+    let ctx = Context::init_with_config(
         Platform::new(devices, DeviceSpec::tesla_t10()),
         DeviceSelection::All,
-    )
-}
-
-/// One full run of map + reduce + map-overlap on `devices` devices,
-/// returning the raw results for comparison across configurations.
-fn run_all(devices: usize) -> (Vec<f32>, f32, Vec<f32>) {
-    let ctx = ctx(devices);
+        Config {
+            kernel,
+            ..Config::default()
+        },
+    );
     let n = 1000;
     let data: Vec<f32> = (0..n).map(|i| (i as f32) * 0.125 - 40.0).collect();
 
@@ -65,23 +65,13 @@ fn run_all(devices: usize) -> (Vec<f32>, f32, Vec<f32>) {
 
 #[test]
 fn opt_matrix_is_bit_identical_across_devices() {
-    let matrix = [
-        "0",
-        "none",
-        "const-prop",
-        "cse",
-        "dce",
-        "licm",
-        "unroll",
-        "1",
-    ];
+    let matrix = ["const-prop", "cse", "dce", "licm", "unroll", "1"];
     for devices in 1..=4 {
-        // Legacy pipeline is the oracle.
-        std::env::set_var("SKELCL_KERNEL_OPT", "0");
-        let oracle = run_all(devices);
+        let oracle = run_all(devices, OptConfig::none());
         for spec in matrix {
-            std::env::set_var("SKELCL_KERNEL_OPT", spec);
-            let got = run_all(devices);
+            let (kernel, rejected) = OptConfig::parse(spec);
+            assert!(rejected.is_empty(), "{spec}: {rejected:?}");
+            let got = run_all(devices, kernel);
             assert!(
                 got.0
                     .iter()
@@ -93,9 +83,8 @@ fn opt_matrix_is_bit_identical_across_devices() {
                         .iter()
                         .zip(&oracle.2)
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "SKELCL_KERNEL_OPT={spec} on {devices} device(s) diverged from legacy"
+                "SKELCL_KERNEL_OPT={spec} on {devices} device(s) diverged from the pass-free oracle"
             );
         }
     }
-    std::env::remove_var("SKELCL_KERNEL_OPT");
 }

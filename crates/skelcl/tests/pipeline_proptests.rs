@@ -1,26 +1,29 @@
-//! Property tests for the streaming executor: streamed execution
-//! (`SKELCL_STREAM=<depth>` under a tiny `SKELCL_DEVICE_BUDGET`) must be
-//! bit-identical to the non-streamed oracle (`SKELCL_STREAM=0`) across
-//! random data, ring depths, 1–4 devices and every rewrite rule
-//! (chain, reduce-weld, stencil, scan-offset) — the default `SKELCL_PLAN`
-//! enables them all, so each shape exercises its rule's streamed lowering.
+//! Property tests for the plan layer and the streaming executor: six
+//! pipeline shapes — one per rewrite rule (chain, reduce-weld, stencil,
+//! scan-offset), all rules at once, and scan into a welded reduce — over
+//! random data and 1–4 devices must produce bit-identical results
 //!
-//! The env gates are process-global, so this binary holds exactly one
-//! test; the proptest runner executes cases sequentially within it.
+//! * with the rewrite rules enabled ([`PlanConfig::all`]) and fully staged
+//!   ([`PlanConfig::oracle`]);
+//! * streamed (a ring of `depth` slots under a tiny device budget, so each
+//!   shape exercises its rule's streamed lowering) and with streaming off
+//!   ([`StreamConfig::off`]).
 
 use proptest::prelude::*;
 
 use skelcl::{
-    BoundaryHandling, Context, DeviceSelection, Map, MapOverlapVec, Reduce, Scan, Vector,
+    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlapVec, PlanConfig, Reduce,
+    Scan, StreamConfig, Vector,
 };
 use vgpu::{DeviceSpec, Platform};
 
-/// Runs pipeline `shape` over `data` on `devices` devices under the
-/// current `SKELCL_STREAM`, returning the result's bit patterns.
-fn run(shape: u8, data: &[f32], devices: usize) -> Vec<u32> {
-    let ctx = Context::init(
+/// Runs pipeline `shape` over `data` on `devices` devices under `config`,
+/// returning the result's bit patterns.
+fn run(shape: u8, data: &[f32], devices: usize, config: Config) -> Vec<u32> {
+    let ctx = Context::init_with_config(
         Platform::new(devices, DeviceSpec::tesla_t10()),
         DeviceSelection::All,
+        config,
     );
     let v = Vector::from_vec(&ctx, data.to_vec());
     let sq: Map<f32, f32> = Map::new(&ctx, "float sq(float x){ return x * x; }").unwrap();
@@ -82,6 +85,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
+    fn plan_fused_is_bit_identical_to_staged(
+        data in proptest::collection::vec(any::<f32>(), 1..2500),
+        devices in 1usize..=4,
+        shape in 0u8..6,
+    ) {
+        let under = |plan| run(shape, &data, devices, Config { plan, ..Config::default() });
+        let staged = under(PlanConfig::oracle());
+        let fused = under(PlanConfig::all());
+        prop_assert_eq!(fused, staged, "shape {} on {} device(s)", shape, devices);
+    }
+
+    #[test]
     fn streamed_is_bit_identical_to_oracle(
         data in proptest::collection::vec(any::<f32>(), 1..2500),
         devices in 1usize..=4,
@@ -90,13 +105,12 @@ proptest! {
     ) {
         // A budget far below the shares' working sets, so every region
         // large enough to chunk (≥ the 256-unit floor) streams.
-        std::env::set_var("SKELCL_DEVICE_BUDGET", "8192");
-        std::env::set_var("SKELCL_STREAM", "0");
-        let oracle = run(shape, &data, devices);
-        std::env::set_var("SKELCL_STREAM", depth.to_string());
-        let streamed = run(shape, &data, devices);
-        std::env::remove_var("SKELCL_STREAM");
-        std::env::remove_var("SKELCL_DEVICE_BUDGET");
+        let under = |stream| {
+            let config = Config { stream, device_budget: Some(8192), ..Config::default() };
+            run(shape, &data, devices, config)
+        };
+        let oracle = under(StreamConfig::off());
+        let streamed = under(StreamConfig { enabled: true, depth });
         prop_assert_eq!(
             streamed,
             oracle,

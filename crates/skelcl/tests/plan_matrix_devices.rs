@@ -2,20 +2,24 @@
 //! devices: eight lazy pipelines — exercising each rewrite rule singly
 //! and all together — must be bit-identical to the fully staged oracle
 //! (`SKELCL_PLAN=0`), which in turn must match the eager skeletons.
-//!
-//! The environment variable is process-global, so all configurations are
-//! exercised from a single `#[test]` in a dedicated binary — nothing else
-//! lowers plans concurrently with the variable set.
 
 use skelcl::{
-    BoundaryHandling, Context, DeviceSelection, Map, MapOverlapVec, Reduce, Scan, Vector,
+    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlapVec, PlanConfig, Reduce,
+    Scan, Vector,
 };
 use vgpu::{DeviceSpec, Platform};
 
-fn ctx(devices: usize) -> Context {
-    Context::init(
+/// A context whose plan rules are what `SKELCL_PLAN=<spec>` selects.
+fn ctx(devices: usize, spec: &str) -> Context {
+    let (plan, rejected) = PlanConfig::parse(Some(spec));
+    assert!(rejected.is_empty(), "{spec}: {rejected:?}");
+    Context::init_with_config(
         Platform::new(devices, DeviceSpec::tesla_t10()),
         DeviceSelection::All,
+        Config {
+            plan,
+            ..Config::default()
+        },
     )
 }
 
@@ -29,8 +33,8 @@ struct Kit {
     scan: Scan<f32>,
 }
 
-fn kit(devices: usize) -> Kit {
-    let ctx = ctx(devices);
+fn kit(devices: usize, spec: &str) -> Kit {
+    let ctx = ctx(devices, spec);
     let data: Vec<f32> = (0..1537)
         .map(|i| ((i * 37) % 101) as f32 * 0.25 - 12.0)
         .collect();
@@ -69,10 +73,10 @@ fn bits(v: Vector<f32>) -> Vec<u32> {
     v.to_vec().unwrap().iter().map(|x| x.to_bits()).collect()
 }
 
-/// Runs the nine pipelines under the current `SKELCL_PLAN`, returning bit
+/// Runs the nine pipelines under `SKELCL_PLAN=<spec>`, returning bit
 /// patterns for comparison.
-fn run_all(devices: usize) -> Vec<Vec<u32>> {
-    let k = kit(devices);
+fn run_all(devices: usize, spec: &str) -> Vec<Vec<u32>> {
+    let k = kit(devices, spec);
     vec![
         // 1: elementwise chain (the `chain` rule).
         bits(
@@ -136,7 +140,7 @@ fn run_all(devices: usize) -> Vec<Vec<u32>> {
 /// Eager (plan-free) references for the pipelines that have a direct
 /// eager equivalent, anchoring the staged oracle itself.
 fn eager_anchors(devices: usize) -> Vec<Vec<u32>> {
-    let k = kit(devices);
+    let k = kit(devices, "1");
     vec![
         // chain
         bits(k.neg.call(&k.sq.call(&k.v).unwrap()).unwrap()),
@@ -165,8 +169,7 @@ fn plan_matrix_is_bit_identical_across_devices() {
         "chain,reduce-weld,stencil,scan-offset",
     ];
     for devices in 1..=4 {
-        std::env::set_var("SKELCL_PLAN", "0");
-        let oracle = run_all(devices);
+        let oracle = run_all(devices, "0");
 
         // The staged oracle must match the eager skeletons where an eager
         // equivalent exists (pipelines 1, 2, 6, 9).
@@ -189,8 +192,7 @@ fn plan_matrix_is_bit_identical_across_devices() {
         );
 
         for spec in matrix {
-            std::env::set_var("SKELCL_PLAN", spec);
-            let got = run_all(devices);
+            let got = run_all(devices, spec);
             for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
                 assert_eq!(
                     g,
@@ -201,5 +203,4 @@ fn plan_matrix_is_bit_identical_across_devices() {
             }
         }
     }
-    std::env::remove_var("SKELCL_PLAN");
 }

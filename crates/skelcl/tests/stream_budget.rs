@@ -2,14 +2,12 @@
 //! map → stencil → reduce whose working set exceeds the per-device budget
 //! must actually engage streaming (chunked regions, staged bytes), stay
 //! within the budget for peak resident device bytes, and produce a result
-//! bit-identical to the `SKELCL_STREAM=0` oracle.
-//!
-//! The env gates are process-global, so this binary holds exactly one
-//! test.
+//! bit-identical to the non-streamed oracle.
 
 use skelcl::profile::metrics;
 use skelcl::{
-    BoundaryHandling, Context, DeviceSelection, Map, MapOverlapVec, Profiler, Reduce, Vector,
+    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlapVec, Reduce, StreamConfig,
+    Vector,
 };
 use vgpu::{DeviceSpec, Platform};
 
@@ -17,14 +15,19 @@ const DEVICES: usize = 4;
 const N: usize = 1 << 18;
 const BUDGET: usize = 256 * 1024;
 
-/// Runs the fused map → stencil → reduce pipeline under the current env
-/// gates, returning the scalar result's bits and the context for
-/// inspection.
-fn run() -> (u32, Context) {
-    let ctx = Context::init_with_profiler(
+/// Runs the fused map → stencil → reduce pipeline under `stream` and the
+/// budget, returning the scalar result's bits and the (profiled) context
+/// for inspection.
+fn run(stream: StreamConfig) -> (u32, Context) {
+    let ctx = Context::init_with_config(
         Platform::new(DEVICES, DeviceSpec::tesla_t10()),
         DeviceSelection::All,
-        Profiler::enabled(),
+        Config {
+            stream,
+            device_budget: Some(BUDGET),
+            profile: true,
+            ..Config::default()
+        },
     );
     let v = Vector::from_fn(&ctx, N, |i| ((i * 37) % 1999) as f32 * 0.5);
     let sq: Map<f32, f32> = Map::new(&ctx, "float sq(float x){ return x * x; }").unwrap();
@@ -49,15 +52,12 @@ fn run() -> (u32, Context) {
 
 #[test]
 fn streams_within_budget_and_matches_oracle() {
-    std::env::set_var("SKELCL_DEVICE_BUDGET", BUDGET.to_string());
-
-    std::env::set_var("SKELCL_STREAM", "0");
-    let (oracle, oracle_ctx) = run();
+    let (oracle, oracle_ctx) = run(StreamConfig::off());
     let p = oracle_ctx.profiler();
     assert_eq!(
         p.counter(metrics::STREAM_REGIONS),
         0,
-        "SKELCL_STREAM=0 must keep the oracle path"
+        "streaming off must keep the oracle path"
     );
     let oracle_peak: usize = (0..DEVICES)
         .map(|d| oracle_ctx.platform().device(d).peak_allocated_bytes())
@@ -68,10 +68,7 @@ fn streams_within_budget_and_matches_oracle() {
         "the workload must exceed the budget non-streamed (peak {oracle_peak})"
     );
 
-    std::env::set_var("SKELCL_STREAM", "2");
-    let (streamed, ctx) = run();
-    std::env::remove_var("SKELCL_STREAM");
-    std::env::remove_var("SKELCL_DEVICE_BUDGET");
+    let (streamed, ctx) = run(StreamConfig::on());
 
     assert_eq!(streamed, oracle, "streamed result must be bit-identical");
     let p = ctx.profiler();

@@ -135,35 +135,23 @@ impl Default for DeviceSpec {
 }
 
 /// Host-side execution statistics of one device (or a whole platform when
-/// aggregated): how launches were dispatched and what they cost in OS
-/// threads. The `interp` benchmark reads these to prove the pooled engine
-/// spawns zero threads per launch.
+/// aggregated): how many launches ran on the persistent worker pool and how
+/// its steal cursor dealt their work-groups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total kernel launches executed.
     pub launches: u64,
-    /// Launches dispatched to the persistent worker pool
-    /// ([`crate::ExecStrategy::Fast`]).
-    pub pooled_launches: u64,
-    /// Launches run by the legacy per-launch-spawn engine
-    /// ([`crate::ExecStrategy::Lockstep`]).
-    pub legacy_launches: u64,
-    /// OS threads spawned *per launch* (legacy engine only; the pooled
-    /// engine reports 0 here by construction).
-    pub per_launch_thread_spawns: u64,
     /// Persistent pool threads currently alive.
     pub pool_threads: u64,
-    /// Total work-groups executed by the persistent pool (all pooled
-    /// launches).
+    /// Total work-groups executed by the persistent pool.
     pub pool_groups_executed: u64,
-    /// Pool workers the last pooled launch woke:
+    /// Pool workers the last launch woke:
     /// `min(host_threads, pool threads, work-groups)`.
     pub last_launch_workers: u64,
-    /// Most work-groups any one pool worker executed in the last pooled
-    /// launch (steal-cursor telemetry).
+    /// Most work-groups any one pool worker executed in the last launch
+    /// (steal-cursor telemetry).
     pub last_steal_max_groups: u64,
-    /// Fewest work-groups any one pool worker executed in the last pooled
-    /// launch. `max == min` means the atomic steal cursor dealt groups
+    /// Fewest work-groups any one pool worker executed in the last launch. `max == min` means the atomic steal cursor dealt groups
     /// perfectly evenly; a zero `min` with a nonzero `max` means a worker
     /// starved.
     pub last_steal_min_groups: u64,
@@ -173,7 +161,7 @@ impl ExecStats {
     /// Adds another device's stats into this one (platform aggregation).
     /// Counters sum; the last-launch steal extrema combine as the widest
     /// observed spread (max of maxes, min of mins over devices that ran
-    /// pooled work).
+    /// work).
     pub fn merge(&mut self, other: &ExecStats) {
         self.last_steal_min_groups = if self.pool_groups_executed == 0 {
             other.last_steal_min_groups
@@ -184,17 +172,13 @@ impl ExecStats {
         };
         self.last_steal_max_groups = self.last_steal_max_groups.max(other.last_steal_max_groups);
         self.launches += other.launches;
-        self.pooled_launches += other.pooled_launches;
-        self.legacy_launches += other.legacy_launches;
-        self.per_launch_thread_spawns += other.per_launch_thread_spawns;
         self.pool_threads += other.pool_threads;
         self.pool_groups_executed += other.pool_groups_executed;
         self.last_launch_workers += other.last_launch_workers;
     }
 
-    /// Steal balance of the last pooled launch: `min/max` groups per
-    /// worker (1.0 = perfectly even; 0.0 = a worker starved; 0.0 also when
-    /// no pooled launch ran).
+    /// Steal balance of the last launch: `min/max` groups per worker (1.0 =
+    /// perfectly even; 0.0 = a worker starved; 0.0 also when no launch ran).
     pub fn steal_balance(&self) -> f64 {
         if self.last_steal_max_groups == 0 {
             0.0
@@ -218,13 +202,9 @@ pub struct Device {
     /// The device timeline in simulated nanoseconds. Commands enqueued to
     /// this device execute in order at this clock.
     clock_ns: AtomicU64,
-    /// Persistent worker pool; created on the first pooled launch, joined
-    /// on drop.
+    /// Persistent worker pool; created on the first launch, joined on drop.
     pool: OnceLock<WorkerPool>,
     launches: AtomicU64,
-    pooled_launches: AtomicU64,
-    legacy_launches: AtomicU64,
-    legacy_thread_spawns: AtomicU64,
     pool_groups: AtomicU64,
     last_workers: AtomicU64,
     steal_max: AtomicU64,
@@ -242,9 +222,6 @@ impl Device {
             clock_ns: AtomicU64::new(0),
             pool: OnceLock::new(),
             launches: AtomicU64::new(0),
-            pooled_launches: AtomicU64::new(0),
-            legacy_launches: AtomicU64::new(0),
-            legacy_thread_spawns: AtomicU64::new(0),
             pool_groups: AtomicU64::new(0),
             last_workers: AtomicU64::new(0),
             steal_max: AtomicU64::new(0),
@@ -345,18 +322,11 @@ impl Device {
     }
 
     /// Records one launch dispatch for [`Device::exec_stats`].
-    pub(crate) fn note_launch(&self, pooled: bool, spawned_threads: usize) {
+    pub(crate) fn note_launch(&self) {
         self.launches.fetch_add(1, Ordering::Relaxed);
-        if pooled {
-            self.pooled_launches.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.legacy_launches.fetch_add(1, Ordering::Relaxed);
-            self.legacy_thread_spawns
-                .fetch_add(spawned_threads as u64, Ordering::Relaxed);
-        }
     }
 
-    /// Records the per-worker group counts of a finished pooled launch
+    /// Records the per-worker group counts of a finished launch
     /// (steal-cursor telemetry for [`Device::exec_stats`]).
     pub(crate) fn note_pool_groups(&self, per_worker: &[u64]) {
         if per_worker.is_empty() {
@@ -376,9 +346,6 @@ impl Device {
     pub fn exec_stats(&self) -> ExecStats {
         ExecStats {
             launches: self.launches.load(Ordering::Relaxed),
-            pooled_launches: self.pooled_launches.load(Ordering::Relaxed),
-            legacy_launches: self.legacy_launches.load(Ordering::Relaxed),
-            per_launch_thread_spawns: self.legacy_thread_spawns.load(Ordering::Relaxed),
             pool_threads: self.pool.get().map_or(0, |p| p.threads() as u64),
             pool_groups_executed: self.pool_groups.load(Ordering::Relaxed),
             last_launch_workers: self.last_workers.load(Ordering::Relaxed),
@@ -461,13 +428,10 @@ mod tests {
     fn exec_stats_start_empty() {
         let d = Device::new(DeviceId(0), DeviceSpec::test_tiny());
         assert_eq!(d.exec_stats(), ExecStats::default());
-        d.note_launch(true, 0);
-        d.note_launch(false, 4);
+        d.note_launch();
+        d.note_launch();
         let s = d.exec_stats();
         assert_eq!(s.launches, 2);
-        assert_eq!(s.pooled_launches, 1);
-        assert_eq!(s.legacy_launches, 1);
-        assert_eq!(s.per_launch_thread_spawns, 4);
         assert_eq!(s.pool_threads, 0); // no pool created yet
     }
 

@@ -7,27 +7,20 @@
 //! barrier site, which is checked and reported as
 //! [`Error::BarrierDivergence`] instead of OpenCL's undefined behaviour.
 //!
-//! Two execution strategies exist, selectable per launch via
-//! [`LaunchConfig::strategy`] (default from `SKELCL_VGPU_EXEC`):
+//! Launches run on the device's persistent [worker pool](crate::pool): a
+//! launch costs a queue push and starts no thread. Kernels whose
+//! [`KernelInfo::barrier_count`] is zero take the **barrier-free fast
+//! path**: one reusable [`WorkItem`] per pool thread is
+//! [armed](WorkItem::arm) per item and run to completion in a tight loop,
+//! skipping the lockstep-round machinery and all per-item allocation.
+//! Kernels *with* barriers run lockstep rounds on pooled, reusable items.
 //!
-//! * [`ExecStrategy::Fast`] — launches run on the device's persistent
-//!   [worker pool](crate::pool): a launch costs a queue push instead of N
-//!   thread spawns. Kernels whose [`KernelInfo::barrier_count`] is zero
-//!   additionally take the **barrier-free fast path**: one reusable
-//!   [`WorkItem`] per pool thread is [`reset`](WorkItem::reset) per item and
-//!   run to completion in a tight loop, skipping the lockstep-round
-//!   machinery and all per-item allocation. Kernels *with* barriers keep
-//!   lockstep rounds (on pooled, reusable items).
-//! * [`ExecStrategy::Lockstep`] — the legacy engine: scoped threads spawned
-//!   per launch, a fresh `WorkItem` per work-item, and the reference
-//!   interpreter ([`WorkItem::run_reference`]). Kept precisely so the
-//!   `interp` benchmark can A/B the whole optimisation stack and the
-//!   equivalence tests have a semantic baseline.
-//!
-//! Both strategies iterate the items of a group in the same (row-major
-//! local-id) order, so even racy barrier-free kernels produce bit-identical
-//! buffers within a group, and [`CostCounters`] are identical by
-//! construction — simulated-time results cannot drift with the strategy.
+//! Both paths iterate the items of a group in the same (row-major local-id)
+//! order as the tests' single-threaded reference launcher
+//! (`tests/support`, built on [`WorkItem::run_reference`]), so even racy
+//! barrier-free kernels produce bit-identical buffers within a group and
+//! identical [`CostCounters`] — simulated-time results cannot drift with
+//! the engine.
 //!
 //! **Hot-path rule.** Nothing a pool thread executes per work-item or per
 //! barrier round writes memory another pool thread touches. Everything a
@@ -49,34 +42,6 @@ use crate::device::Device;
 use crate::error::{Error, Result};
 use crate::memory::BufferTable;
 use crate::ndrange::NdRange;
-
-/// Which execution engine runs a launch (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecStrategy {
-    /// Legacy engine: per-launch scoped threads, per-item `WorkItem`
-    /// construction, reference interpreter.
-    Lockstep,
-    /// Pooled engine with the barrier-free fast path and the optimised
-    /// interpreter.
-    Fast,
-}
-
-impl ExecStrategy {
-    /// Reads the strategy from `SKELCL_VGPU_EXEC` (`lockstep` or `fast`);
-    /// unset or unrecognised values mean [`ExecStrategy::Fast`].
-    pub fn from_env() -> Self {
-        match std::env::var("SKELCL_VGPU_EXEC").as_deref() {
-            Ok("lockstep") => ExecStrategy::Lockstep,
-            _ => ExecStrategy::Fast,
-        }
-    }
-}
-
-impl Default for ExecStrategy {
-    fn default() -> Self {
-        ExecStrategy::from_env()
-    }
-}
 
 /// Deliberate faults injected into the execution engine, for tests that
 /// exercise crash-recovery paths (panics on pool workers, `DeviceLost`
@@ -100,14 +65,11 @@ pub struct LaunchConfig {
     /// not terminate.
     pub ops_budget_per_item: u64,
     /// Most host threads that may execute this launch's work-groups
-    /// (`None`: one per available CPU). Honoured per launch: a pooled launch
+    /// (`None`: one per available CPU). Honoured per launch: a launch
     /// wakes `min(host_threads, pool threads, work-groups)` workers of the
     /// device's persistent pool, which itself has one thread per available
     /// CPU — a larger value cannot grow it.
     pub host_threads: Option<usize>,
-    /// Which execution engine to use (default: `SKELCL_VGPU_EXEC`, falling
-    /// back to [`ExecStrategy::Fast`]).
-    pub strategy: ExecStrategy,
     /// Deliberate fault to inject (tests only; `None` in normal operation).
     pub fault_injection: Option<FaultInjection>,
 }
@@ -118,7 +80,6 @@ impl Default for LaunchConfig {
             toolchain: Toolchain::OpenCl,
             ops_budget_per_item: 1 << 34,
             host_threads: None,
-            strategy: ExecStrategy::default(),
             fault_injection: None,
         }
     }
@@ -159,7 +120,7 @@ struct GroupCursor(AtomicUsize);
 /// Everything the workers need to execute one launch, prepared once. Shared
 /// as an `Arc` with every participating pool worker, so it owns its
 /// program, argument and buffer handles (pool threads outlive the launch
-/// call frame); the legacy engine's scoped threads borrow it.
+/// call frame).
 pub(crate) struct LaunchState {
     /// Program handle, arguments and `__local` bindings, ready to copy
     /// into an item.
@@ -173,8 +134,6 @@ pub(crate) struct LaunchState {
     ops_budget: u64,
     /// Whether groups take the barrier-free fast path.
     fast: bool,
-    /// Legacy engine: fresh items per group, reference interpreter.
-    reference: bool,
     total_groups: usize,
     abort: AtomicBool,
     /// Deliberate fault to inject (tests only).
@@ -248,7 +207,6 @@ impl LaunchState {
         local_bytes: usize,
         config: &LaunchConfig,
     ) -> Self {
-        let reference = config.strategy == ExecStrategy::Lockstep;
         LaunchState {
             entry: EntryFrame::new(program, kernel, args),
             kernel_name: kernel.name.clone(),
@@ -265,8 +223,7 @@ impl LaunchState {
             items_per_group: range.items_per_group(),
             local_bytes,
             ops_budget: config.ops_budget_per_item,
-            fast: kernel.barrier_count == 0 && !reference,
-            reference,
+            fast: kernel.barrier_count == 0,
             total_groups: range.total_groups(),
             abort: AtomicBool::new(false),
             fault: config.fault_injection,
@@ -347,7 +304,7 @@ impl LaunchState {
     /// Arms `items[idx]` (growing the pool by one idle item on first use)
     /// for the work-item at `local_id` of group `group_id`: one copy of the
     /// prepared entry frame plus the item's three ids. The only place items
-    /// are armed, for both paths of both engines.
+    /// are armed, for both paths.
     fn arm_item<'a>(
         &self,
         items: &'a mut Vec<WorkItem>,
@@ -394,7 +351,7 @@ pub(crate) struct WorkerScratch {
 /// One worker's share of a launch: pulls group indices off the shared
 /// cursor until the launch is drained or aborted. Called by pool threads
 /// (the pool wraps it in `catch_unwind` and always arrives on the latch
-/// afterwards) and by the legacy engine's scoped threads.
+/// afterwards).
 pub(crate) fn run_worker(state: &LaunchState, scratch: &mut WorkerScratch) {
     if state.fault == Some(FaultInjection::PanicInKernel) {
         panic!("vgpu: injected fault (FaultInjection::PanicInKernel)");
@@ -464,19 +421,14 @@ fn run_group_fast(
     Ok(counters)
 }
 
-/// Lockstep rounds for one work-group: every item runs to its next barrier
+/// Rounds in lockstep for one work-group: every item runs to its next barrier
 /// (or its end), and the group proceeds only when all arrived at the same
-/// one. The pooled engine runs kernels with barriers through it on reusable
-/// `WorkItem`s and the optimised interpreter; the legacy engine runs every
-/// kernel through it on fresh items and the reference interpreter.
+/// one, on reusable `WorkItem`s.
 fn run_group_lockstep(
     state: &LaunchState,
     scratch: &mut WorkerScratch,
     group_id: [u64; 3],
 ) -> Result<CostCounters> {
-    if state.reference {
-        scratch.items.clear();
-    }
     for (idx, local_id) in state.local_ids().enumerate() {
         state.arm_item(&mut scratch.items, idx, group_id, local_id);
     }
@@ -494,11 +446,7 @@ fn run_group_lockstep(
                 any_done = true;
                 continue;
             }
-            let exit = if state.reference {
-                item.run_reference(&state.buffers, &mut scratch.local_mem)
-            } else {
-                item.run(&state.buffers, &mut scratch.local_mem)
-            };
+            let exit = item.run(&state.buffers, &mut scratch.local_mem);
             match exit.map_err(|error| state.launch_error(item, error))? {
                 Exit::Done => any_done = true,
                 Exit::Barrier(id) => match barrier {
@@ -540,40 +488,23 @@ pub(crate) fn execute_launch(
     if total_groups == 0 {
         return Ok(CostCounters::default());
     }
-    let state = LaunchState::new(program, kernel, args, buffers, range, local_bytes, config);
+    let state = Arc::new(LaunchState::new(
+        program,
+        kernel,
+        args,
+        buffers,
+        range,
+        local_bytes,
+        config,
+    ));
+    let pool = device.worker_pool();
     // More threads than groups would only wake up to find the cursor spent.
-    let threads = |available: usize| {
-        config
-            .host_threads
-            .unwrap_or(available)
-            .clamp(1, total_groups)
-    };
-
-    match config.strategy {
-        ExecStrategy::Fast => {
-            let state = Arc::new(state);
-            let pool = device.worker_pool();
-            device.note_launch(true, 0);
-            pool.run(&state, threads(pool.threads()));
-            device.note_pool_groups(&state.worker_group_counts());
-            state.outcome()
-        }
-        // The legacy engine: scoped threads spawned per launch, each with a
-        // scratch of its own. The `interp` benchmark's baseline.
-        ExecStrategy::Lockstep => {
-            let threads = threads(default_host_threads());
-            device.note_launch(false, threads);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| scope.spawn(|| run_worker(&state, &mut WorkerScratch::default())))
-                    .collect();
-                for worker in workers {
-                    if worker.join().is_err() {
-                        state.fail(Error::DeviceLost);
-                    }
-                }
-            });
-            state.outcome()
-        }
-    }
+    let threads = config
+        .host_threads
+        .unwrap_or(pool.threads())
+        .clamp(1, total_groups);
+    device.note_launch();
+    pool.run(&state, threads);
+    device.note_pool_groups(&state.worker_group_counts());
+    state.outcome()
 }

@@ -74,7 +74,7 @@ pub use cost::Toolchain;
 pub use device::{Device, DeviceId, DeviceSpec, ExecStats};
 pub use error::{Error, Result};
 pub use event::{CommandClass, CommandKind, Event, EventStatus};
-pub use exec::{ExecStrategy, FaultInjection, LaunchConfig};
+pub use exec::{FaultInjection, LaunchConfig};
 pub use memory::DeviceBuffer;
 pub use ndrange::NdRange;
 pub use platform::Platform;

@@ -1,7 +1,6 @@
 //! Persistent per-device worker pools.
 //!
-//! A [`WorkerPool`] is created lazily on a device's first
-//! [`ExecStrategy::Fast`](crate::ExecStrategy::Fast) launch, with one
+//! A [`WorkerPool`] is created lazily on a device's first launch, with one
 //! thread per available CPU, and lives until the device drops; a launch
 //! wakes as many of its workers as it can use. Each worker owns a
 //! [`WorkerScratch`](crate::exec::WorkerScratch) for the thread's lifetime,

@@ -9,8 +9,8 @@ use std::sync::{Arc, Mutex};
 use skelcl_kernel::compile;
 use skelcl_kernel::program::Program;
 use vgpu::{
-    CommandClass, DeviceSpec, Error, ExecStrategy, FaultInjection, KernelArg, LaunchConfig,
-    NdRange, Platform, QueueNotice, QueuePhase,
+    CommandClass, DeviceSpec, Error, FaultInjection, KernelArg, LaunchConfig, NdRange, Platform,
+    QueueNotice, QueuePhase,
 };
 
 fn ok_program() -> Program {
@@ -23,7 +23,6 @@ fn ok_program() -> Program {
 
 fn config(fault: Option<FaultInjection>) -> LaunchConfig {
     LaunchConfig {
-        strategy: ExecStrategy::Fast,
         fault_injection: fault,
         ..LaunchConfig::default()
     }
@@ -79,10 +78,9 @@ fn injected_panic_surfaces_as_device_lost_and_pool_survives() {
         assert_eq!(v, i as i32 * 3);
     }
 
-    // The pool never restarted: still pooled launches, no per-launch spawns.
+    // The pool never restarted.
     let stats = platform.exec_stats();
     assert_eq!(stats.launches, 5);
-    assert_eq!(stats.per_launch_thread_spawns, 0);
     assert!(stats.pool_threads >= 1);
     assert!(
         stats.pool_groups_executed >= 3,
@@ -164,41 +162,4 @@ fn queue_observer_reports_device_lost() {
             QueuePhase::Finished,
         ]
     );
-}
-
-#[test]
-fn injected_panic_on_the_legacy_engine_is_device_lost_too() {
-    // The legacy engine's per-launch scoped threads run the same worker
-    // loop as the pool; a panic on one is joined and reported, not
-    // propagated into the queue thread.
-    let program = ok_program();
-    let platform = Platform::single(DeviceSpec::tesla_t10());
-    let queue = platform.queue(0);
-    let out = queue.create_buffer(64 * 4).unwrap();
-    let args = [KernelArg::Buffer(out.clone())];
-    let range = NdRange::linear(64, 32);
-    let legacy = |fault| LaunchConfig {
-        strategy: ExecStrategy::Lockstep,
-        ..config(fault)
-    };
-
-    let err = queue
-        .launch_kernel(
-            &program,
-            "fill",
-            &args,
-            range,
-            &legacy(Some(FaultInjection::PanicInKernel)),
-        )
-        .unwrap_err();
-    assert!(matches!(err, Error::DeviceLost), "got: {err}");
-
-    queue
-        .launch_kernel(&program, "fill", &args, range, &legacy(None))
-        .unwrap();
-    let mut bytes = vec![0u8; 64 * 4];
-    queue.enqueue_read(&out, 0, &mut bytes).unwrap();
-    for (i, c) in bytes.chunks_exact(4).enumerate() {
-        assert_eq!(i32::from_le_bytes(c.try_into().unwrap()), i as i32 * 3);
-    }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use skelcl_kernel::compile;
 use skelcl_kernel::value::Value;
-use vgpu::{DeviceSpec, EventStatus, ExecStrategy, KernelArg, LaunchConfig, NdRange, Platform};
+use vgpu::{DeviceSpec, EventStatus, KernelArg, LaunchConfig, NdRange, Platform};
 
 #[test]
 fn thousands_of_groups_write_disjoint_cells_deterministically() {
@@ -70,7 +70,6 @@ fn repeated_launches_give_identical_counters() {
         let buf = queue.create_buffer(10_000 * 4).unwrap();
         let config = LaunchConfig {
             host_threads: Some(threads),
-            strategy: ExecStrategy::Fast,
             ..Default::default()
         };
         let ev = queue

@@ -3,9 +3,10 @@
 //! Run with: `just trace-demo` (or
 //! `cargo run --release --example trace_demo`).
 //!
-//! The demo defaults `SKELCL_PROFILE=1`, `SKELCL_TRACE=trace_demo.json`
-//! and `SKELCL_FLIGHT=1024` when the caller has not set them, so a bare
-//! run produces:
+//! The demo defaults `SKELCL_TRACE=trace_demo.json` (which turns the
+//! profiler on) and `SKELCL_FLIGHT=1024` when the caller has not set them,
+//! prints the configuration the session resolved from the environment, and
+//! so a bare run produces:
 //!
 //! * a Chrome trace (`chrome://tracing` / Perfetto) with per-device
 //!   timelines, flow arrows for the `LaunchPlan` wait-list dependencies,
@@ -27,13 +28,13 @@ fn default_env(key: &str, value: &str) {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    default_env("SKELCL_PROFILE", "1");
     default_env("SKELCL_TRACE", "trace_demo.json");
     default_env("SKELCL_FLIGHT", "1024");
 
-    // Context::init reads the SKELCL_* observability variables: the
-    // profiler, the flight recorder and (if SKELCL_STATS_INTERVAL_MS is
-    // set) the live stats reporter all attach here.
+    // Context::init resolves every SKELCL_* variable, once, into the
+    // session's Config: the profiler, the flight recorder and (if
+    // SKELCL_STATS_INTERVAL_MS is set) the live stats reporter all attach
+    // here.
     let ctx = Context::init(
         Platform::new(2, DeviceSpec::tesla_t10()),
         DeviceSelection::All,
@@ -42,6 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "trace-demo: dot product on {} virtual GPUs",
         ctx.device_count()
     );
+    println!("config        = {:#?}", ctx.config());
 
     let sum: Reduce<f32> = Reduce::new(&ctx, "float sum(float x, float y){ return x + y; }")?;
     let mult: Zip<f32, f32, f32> = Zip::new(&ctx, "float mult(float x, float y){ return x * y; }")?;
@@ -76,10 +78,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {line}");
         }
     }
-    println!(
-        "\ntrace file    = {} (open in chrome://tracing or Perfetto)",
-        env::var("SKELCL_TRACE").unwrap_or_default()
-    );
+    if let Some(path) = &ctx.config().trace {
+        println!(
+            "\ntrace file    = {} (open in chrome://tracing or Perfetto)",
+            path.display()
+        );
+    }
     // The trace itself is written when the context drops.
     Ok(())
 }

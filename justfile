@@ -37,31 +37,18 @@ figures:
     cargo run --release -p skelcl-bench --bin interp
     cargo run --release -p skelcl-bench --bin loc_table
 
-# A/B the two vgpu execution engines (EXT-INTERP): pooled fast engine vs
-# legacy lockstep, with bit-identical-output checks and spawn accounting.
+# EXT-INTERP / EXT-IR: executed ops and dispatches per compiler pass
+# (base: no passes) and the production run's counters and histograms, all
+# deterministic. Writes BENCH_interp.json.
 bench-interp:
     cargo run --release -p skelcl-bench --bin interp
 
-# A/B the two compile pipelines (EXT-IR): legacy stack codegen vs the MIR
-# optimization passes, per pass and end-to-end. Same binary as
-# bench-interp — the EXT-IR section is the second half of its report.
-bench-ir:
-    cargo run --release -p skelcl-bench --bin interp
-
-# A/B the plan rewrite rules (EXT-PLAN): map → stencil → reduce lowered
-# staged (SKELCL_PLAN=0) vs rewritten (SKELCL_PLAN=1), with launch and
-# intermediate-byte accounting. The EXT-PLAN section is part of the
-# scaling binary's report (`results.plan` in BENCH_scaling.json).
-bench-plan:
-    cargo run --release -p skelcl-bench --bin scaling
-
-# A/B the out-of-core streaming executor (EXT-STREAM): map → stencil →
-# reduce under a 256 KiB per-device budget, streamed (SKELCL_STREAM=2)
-# vs the non-streamed oracle (SKELCL_STREAM=0), with peak-residency,
-# hidden-transfer and bit-identity accounting. The EXT-STREAM section is
-# part of the scaling binary's report (`results.stream` in
-# BENCH_scaling.json).
-bench-stream:
+# EXT-SCALE with the EXT-PLAN (`results.plan`: staged oracle vs rewrite
+# rules, launches and intermediate bytes) and EXT-STREAM (`results.stream`:
+# streamed under a 256 KiB device budget vs the non-streamed oracle, peak
+# residency, hidden transfers, bit-identity) sections. Writes
+# BENCH_scaling.json.
+bench-scaling:
     cargo run --release -p skelcl-bench --bin scaling
 
 # Regenerate the reports into a scratch directory and diff them against

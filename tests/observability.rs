@@ -6,7 +6,7 @@
 
 use skelcl_repro::skelcl::profile::json::Json;
 use skelcl_repro::skelcl::profile::metrics;
-use skelcl_repro::skelcl::{Context, DeviceSelection, Profiler, Reduce, Vector, Zip};
+use skelcl_repro::skelcl::{Config, Context, DeviceSelection, Profiler, Reduce, Vector, Zip};
 use skelcl_repro::vgpu::Platform;
 
 fn dot_product_profiled() -> Context {
@@ -15,15 +15,43 @@ fn dot_product_profiled() -> Context {
         DeviceSelection::All,
         Profiler::enabled(),
     );
+    dot_product(&ctx);
+    ctx
+}
+
+fn dot_product(ctx: &Context) {
     let sum: Reduce<f32> =
-        Reduce::new(&ctx, "float sum(float x, float y){ return x + y; }").unwrap();
+        Reduce::new(ctx, "float sum(float x, float y){ return x + y; }").unwrap();
     let mult: Zip<f32, f32, f32> =
-        Zip::new(&ctx, "float mult(float x, float y){ return x * y; }").unwrap();
-    let a = Vector::from_fn(&ctx, 1 << 14, |i| (i % 100) as f32 / 100.0);
-    let b = Vector::from_fn(&ctx, 1 << 14, |i| ((i + 7) % 50) as f32 / 50.0);
+        Zip::new(ctx, "float mult(float x, float y){ return x * y; }").unwrap();
+    let a = Vector::from_fn(ctx, 1 << 14, |i| (i % 100) as f32 / 100.0);
+    let b = Vector::from_fn(ctx, 1 << 14, |i| ((i + 7) % 50) as f32 / 50.0);
     let c = sum.call(&mult.call(&a, &b).unwrap()).unwrap();
     assert!(c.value() > 0.0);
-    ctx
+}
+
+/// `SKELCL_TRACE=<path>` on its own — no `SKELCL_PROFILE` — profiles the
+/// session and writes its trace when the last context handle drops.
+#[test]
+fn trace_path_alone_writes_a_trace_at_drop() {
+    let path = std::env::temp_dir().join(format!("skelcl_trace_alone_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let config = Config {
+        trace: Some(path.clone()),
+        ..Config::default()
+    };
+    assert!(!config.profile);
+    let ctx = Context::init_with_config(Platform::tesla_s1070(), DeviceSelection::All, config);
+    let clone = ctx.clone();
+    dot_product(&ctx);
+    drop(ctx);
+    assert!(!path.exists(), "a handle is still alive");
+    drop(clone);
+
+    let trace = Json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid JSON");
+    let _ = std::fs::remove_file(&path);
+    let events = trace.get("traceEvents").and_then(Json::as_arr);
+    assert!(events.is_some_and(|e| !e.is_empty()));
 }
 
 #[test]

@@ -1,65 +1,111 @@
-//! End-to-end tests that the paper's listings work as written.
+//! End-to-end tests that the paper's listings work as written — under the
+//! default configuration and, bit-identically, under each layer's oracle
+//! (see `common`).
 
+mod common;
+
+use common::{bits, forced_streaming, under_every_config};
+use skelcl_repro::skelcl::profile::metrics;
 use skelcl_repro::skelcl::{
-    BoundaryHandling, Context, Distribution, Map, MapOverlap, Matrix, Reduce, Vector, Zip,
+    BoundaryHandling, Config, Context, DeviceSelection, Distribution, Map, MapOverlap, Matrix,
+    Reduce, Vector, Zip,
 };
+use skelcl_repro::vgpu::{DeviceSpec, Platform};
+
+fn single_gpu() -> Platform {
+    Platform::single(DeviceSpec::tesla_t10())
+}
+
+const DOT_SIZE: usize = 10_000;
+
+/// Listing 1.1 as written (eager), and as the lazy pipeline the plan layer
+/// welds into the reduction: the bits of both results.
+fn dot_product(ctx: &Context) -> (u32, u32) {
+    // create skeletons
+    let sum: Reduce<f32> =
+        Reduce::new(ctx, "float sum(float x, float y){ return x + y; }").unwrap();
+    let mult: Zip<f32, f32, f32> =
+        Zip::new(ctx, "float mult(float x, float y){ return x * y; }").unwrap();
+
+    // create input vectors and fill with data
+    let a = Vector::from_fn(ctx, DOT_SIZE, |i| (i % 17) as f32);
+    let b = Vector::from_fn(ctx, DOT_SIZE, |i| (i % 5) as f32);
+
+    // execute skeleton
+    let c = sum.call(&mult.call(&a, &b).unwrap()).unwrap();
+    let fused = sum
+        .call_fused(&mult.lazy(&a.expr(), &b.expr()).unwrap())
+        .unwrap();
+
+    // fetch result
+    (c.value().to_bits(), fused.value().to_bits())
+}
 
 /// Paper Listing 1.1: dot product of two vectors.
 #[test]
 fn listing_1_1_dot_product() {
-    // SkelCL::init();
-    let ctx = Context::tesla_s1070();
+    let (eager, fused) = under_every_config(Platform::tesla_s1070, dot_product);
+    let expected: f32 = (0..DOT_SIZE).map(|i| ((i % 17) * (i % 5)) as f32).sum();
+    assert_eq!(f32::from_bits(eager), expected);
+    assert_eq!(fused, eager, "the welded pipeline is bit-identical");
 
-    // create skeletons
-    let sum: Reduce<f32> =
-        Reduce::new(&ctx, "float sum(float x, float y){ return x + y; }").unwrap();
-    let mult: Zip<f32, f32, f32> =
-        Zip::new(&ctx, "float mult(float x, float y){ return x * y; }").unwrap();
-
-    // create input vectors and fill with data
-    const SIZE: usize = 10_000;
-    let a = Vector::from_fn(&ctx, SIZE, |i| (i % 17) as f32);
-    let b = Vector::from_fn(&ctx, SIZE, |i| (i % 5) as f32);
-
-    // execute skeleton
-    let c = sum.call(&mult.call(&a, &b).unwrap()).unwrap();
-
-    // fetch result
-    let expected: f32 = (0..SIZE).map(|i| ((i % 17) * (i % 5)) as f32).sum();
-    assert_eq!(c.value(), expected);
+    // The forced-streaming run above did stream: the lazy pipeline's
+    // reduction region is chunked under the tiny budget.
+    let ctx = Context::init_with_config(
+        Platform::tesla_s1070(),
+        DeviceSelection::All,
+        Config {
+            profile: true,
+            ..forced_streaming()
+        },
+    );
+    dot_product(&ctx);
+    assert!(ctx.profiler().counter(metrics::STREAM_REGIONS) >= 1);
+    assert!(ctx.profiler().counter(metrics::STREAM_CHUNKS) > 4);
 }
 
 /// Paper §3.3: the map skeleton with negation.
 #[test]
 fn section_3_3_map_negation() {
-    let ctx = Context::single_gpu();
-    let neg: Map<f32, f32> = Map::new(&ctx, "float func(float x){ return -x; }").unwrap();
-    let input = Vector::from_fn(&ctx, 1000, |i| i as f32 - 500.0);
-    let result = neg.call(&input).unwrap();
-    let out = result.to_vec().unwrap();
-    assert!(out.iter().enumerate().all(|(i, &v)| v == 500.0 - i as f32));
+    let out = under_every_config(single_gpu, |ctx| {
+        let neg: Map<f32, f32> = Map::new(ctx, "float func(float x){ return -x; }").unwrap();
+        let input = Vector::from_fn(ctx, 1000, |i| i as f32 - 500.0);
+        bits(&neg.call(&input).unwrap().to_vec().unwrap())
+    });
+    assert!(out
+        .iter()
+        .enumerate()
+        .all(|(i, &v)| f32::from_bits(v) == 500.0 - i as f32));
 }
 
 /// Paper §3.3: the scan skeleton (prefix sums).
 #[test]
 fn section_3_3_prefix_sum() {
     use skelcl_repro::skelcl::Scan;
-    let ctx = Context::tesla_s1070();
-    let prefix: Scan<f32> =
-        Scan::new(&ctx, "float func(float x, float y){ return x + y; }").unwrap();
-    let input = Vector::from_fn(&ctx, 5000, |_| 1.0f32);
-    let result = prefix.call(&input).unwrap().to_vec().unwrap();
-    assert_eq!(result[0], 1.0);
-    assert_eq!(result[4999], 5000.0);
+    let result = under_every_config(Platform::tesla_s1070, |ctx| {
+        let prefix: Scan<f32> =
+            Scan::new(ctx, "float func(float x, float y){ return x + y; }").unwrap();
+        let input = Vector::from_fn(ctx, 5000, |_| 1.0f32);
+        bits(&prefix.call(&input).unwrap().to_vec().unwrap())
+    });
+    assert_eq!(f32::from_bits(result[0]), 1.0);
+    assert_eq!(f32::from_bits(result[4999]), 5000.0);
 }
 
 /// Paper Listing 1.2: sum of all direct neighbours of every matrix
 /// element, with neutral-value boundary handling.
 #[test]
 fn listing_1_2_neighbour_sum() {
-    let ctx = Context::single_gpu();
+    let out = under_every_config(single_gpu, neighbour_sum);
+    let at = |r: usize, c: usize| f32::from_bits(out[r * 10 + c]);
+    assert_eq!(at(5, 5), 9.0, "interior counts all 9 neighbours");
+    assert_eq!(at(0, 0), 4.0, "corner sees 4 in-range cells");
+    assert_eq!(at(0, 5), 6.0, "edge sees 6 in-range cells");
+}
+
+fn neighbour_sum(ctx: &Context) -> Vec<u32> {
     let m: MapOverlap<f32, f32> = MapOverlap::new(
-        &ctx,
+        ctx,
         "float func(const float* m_in){
             float sum = 0.0f;
             for (int i = -1; i <= 1; ++i)
@@ -71,15 +117,8 @@ fn listing_1_2_neighbour_sum() {
         BoundaryHandling::Neutral(0.0),
     )
     .unwrap();
-    let ones = Matrix::from_fn(&ctx, 10, 10, |_, _| 1.0f32);
-    let out = m.call(&ones).unwrap();
-    assert_eq!(
-        out.get(5, 5).unwrap(),
-        9.0,
-        "interior counts all 9 neighbours"
-    );
-    assert_eq!(out.get(0, 0).unwrap(), 4.0, "corner sees 4 in-range cells");
-    assert_eq!(out.get(0, 5).unwrap(), 6.0, "edge sees 6 in-range cells");
+    let ones = Matrix::from_fn(ctx, 10, 10, |_, _| 1.0f32);
+    bits(&m.call(&ones).unwrap().to_vec().unwrap())
 }
 
 /// Paper Listing 1.5: Sobel edge detection, checked against both raw
@@ -90,15 +129,14 @@ fn listing_1_5_sobel_agrees_with_raw_kernels() {
     let img: Vec<u8> = (0..w * h)
         .map(|i| (((i % w) * 255 / w) as u8).wrapping_add(if (i / w) % 8 < 4 { 40 } else { 0 }))
         .collect();
-    let skel = skelcl_bench_like_sobel(&img, w, h);
+    let skel = under_every_config(single_gpu, |ctx| skelcl_bench_like_sobel(ctx, &img, w, h));
     let reference = host_sobel(&img, w, h);
     assert_eq!(skel, reference);
 }
 
-fn skelcl_bench_like_sobel(img: &[u8], w: usize, h: usize) -> Vec<u8> {
-    let ctx = Context::single_gpu();
+fn skelcl_bench_like_sobel(ctx: &Context, img: &[u8], w: usize, h: usize) -> Vec<u8> {
     let m: MapOverlap<u8, u8> = MapOverlap::new(
-        &ctx,
+        ctx,
         "uchar func(const uchar* img)
          {
              int hx = -1 * (int)get(img, -1, -1) + 1 * (int)get(img, +1, -1)
@@ -113,7 +151,7 @@ fn skelcl_bench_like_sobel(img: &[u8], w: usize, h: usize) -> Vec<u8> {
         BoundaryHandling::Nearest,
     )
     .unwrap();
-    let input = Matrix::from_vec(&ctx, h, w, img.to_vec());
+    let input = Matrix::from_vec(ctx, h, w, img.to_vec());
     m.call(&input).unwrap().to_vec().unwrap()
 }
 
@@ -144,22 +182,24 @@ fn host_sobel(img: &[u8], width: usize, height: usize) -> Vec<u8> {
 /// coherent (Fig. 1's four layouts).
 #[test]
 fn section_3_2_runtime_redistribution() {
-    let ctx = Context::tesla_s1070();
-    let inc: Map<i32, i32> = Map::new(&ctx, "int f(int x){ return x + 1; }").unwrap();
-    let v = Vector::from_fn(&ctx, 4096, |i| i as i32);
+    under_every_config(Platform::tesla_s1070, |ctx| {
+        let inc: Map<i32, i32> = Map::new(ctx, "int f(int x){ return x + 1; }").unwrap();
+        let v = Vector::from_fn(ctx, 4096, |i| i as i32);
 
-    let mut expected: Vec<i32> = (0..4096).collect();
-    for dist in [
-        Distribution::Block,
-        Distribution::Copy,
-        Distribution::Single(2),
-        Distribution::Overlap { size: 8 },
-        Distribution::Block,
-    ] {
-        v.set_distribution(dist).unwrap();
-        let r = inc.call(&v).unwrap();
-        expected.iter_mut().for_each(|x| *x += 1);
-        assert_eq!(r.to_vec().unwrap(), expected, "after {dist}");
-        v.assign(r.to_vec().unwrap());
-    }
+        let mut expected: Vec<i32> = (0..4096).collect();
+        for dist in [
+            Distribution::Block,
+            Distribution::Copy,
+            Distribution::Single(2),
+            Distribution::Overlap { size: 8 },
+            Distribution::Block,
+        ] {
+            v.set_distribution(dist).unwrap();
+            let r = inc.call(&v).unwrap();
+            expected.iter_mut().for_each(|x| *x += 1);
+            assert_eq!(r.to_vec().unwrap(), expected, "after {dist}");
+            v.assign(r.to_vec().unwrap());
+        }
+        expected
+    });
 }

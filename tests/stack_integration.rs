@@ -1,9 +1,13 @@
 //! Cross-crate integration: drive all three layers together — compile
 //! kernels with `skelcl-kernel`, run them on `vgpu` queues, and cross-check
-//! against the `skelcl` skeleton library.
+//! against the `skelcl` skeleton library, under the default configuration
+//! and each layer's oracle (see `common`).
 
+mod common;
+
+use common::{bits, under_every_config};
 use skelcl_repro::kernel;
-use skelcl_repro::skelcl::{Context, DeviceSelection, Map, Reduce, Vector};
+use skelcl_repro::skelcl::{Context, Map, Reduce, Vector};
 use skelcl_repro::vgpu::{self, DeviceSpec, KernelArg, LaunchConfig, NdRange, Platform};
 
 use kernel::value::Value;
@@ -52,19 +56,20 @@ fn raw_kernel_and_skeleton_agree() {
         .collect();
 
     // (b) Skeleton path.
-    let ctx = Context::single_gpu();
-    let map: Map<f32, f32> = Map::new(
-        &ctx,
-        "float poly(float x){ return 3.0f * x * x - 2.0f * x + 1.0f; }",
-    )
-    .unwrap();
-    let skel = map
-        .call(&Vector::from_vec(&ctx, input.clone()))
-        .unwrap()
-        .to_vec()
-        .unwrap();
+    let skel = under_every_config(
+        || Platform::single(DeviceSpec::tesla_t10()),
+        |ctx| {
+            let map: Map<f32, f32> = Map::new(
+                ctx,
+                "float poly(float x){ return 3.0f * x * x - 2.0f * x + 1.0f; }",
+            )
+            .unwrap();
+            let out = map.call(&Vector::from_vec(ctx, input.clone())).unwrap();
+            bits(&out.to_vec().unwrap())
+        },
+    );
 
-    assert_eq!(raw, skel);
+    assert_eq!(bits(&raw), skel);
     // And both match the host.
     for (i, (&r, &x)) in raw.iter().zip(&input).enumerate() {
         assert_eq!(r, 3.0 * x * x - 2.0 * x + 1.0, "element {i}");
@@ -113,14 +118,17 @@ fn device_count_invariance() {
     let data: Vec<i64> = (0..12_345).map(|i| (i * i) % 1000 - 500).collect();
     let expected: i64 = data.iter().sum();
     for devices in 1..=4 {
-        let ctx = Context::init(
-            Platform::new(devices, DeviceSpec::tesla_t10()),
-            DeviceSelection::All,
+        let got = under_every_config(
+            || Platform::new(devices, DeviceSpec::tesla_t10()),
+            |ctx| {
+                let sum: Reduce<i64> =
+                    Reduce::new(ctx, "long add(long x, long y){ return x + y; }").unwrap();
+                sum.call(&Vector::from_vec(ctx, data.clone()))
+                    .unwrap()
+                    .value()
+            },
         );
-        let sum: Reduce<i64> =
-            Reduce::new(&ctx, "long add(long x, long y){ return x + y; }").unwrap();
-        let v = Vector::from_vec(&ctx, data.clone());
-        assert_eq!(sum.call(&v).unwrap().value(), expected, "{devices} devices");
+        assert_eq!(got, expected, "{devices} devices");
     }
 }
 
@@ -167,11 +175,20 @@ fn profiling_timeline_coherent() {
 /// calls, and the container stays coherent.
 #[test]
 fn raw_opencl_interop_with_containers() {
+    let out = under_every_config(
+        || Platform::single(DeviceSpec::tesla_t10()),
+        skeleton_raw_skeleton,
+    );
+    for (i, &x) in out.iter().enumerate() {
+        assert_eq!(x, (i as i32 + 1) * 3 + 1, "element {i}");
+    }
+}
+
+fn skeleton_raw_skeleton(ctx: &Context) -> Vec<i32> {
     use skelcl_repro::skelcl::Distribution;
 
-    let ctx = Context::single_gpu();
-    let inc: Map<i32, i32> = Map::new(&ctx, "int f(int x){ return x + 1; }").unwrap();
-    let v = Vector::from_fn(&ctx, 1000, |i| i as i32);
+    let inc: Map<i32, i32> = Map::new(ctx, "int f(int x){ return x + 1; }").unwrap();
+    let v = Vector::from_fn(ctx, 1000, |i| i as i32);
 
     // Skeleton step.
     let v = inc.call(&v).unwrap();
@@ -202,9 +219,6 @@ fn raw_opencl_interop_with_containers() {
     }
     v.mark_device_modified();
 
-    // Skeleton step again, then verify on the host.
-    let out = inc.call(&v).unwrap().to_vec().unwrap();
-    for (i, &x) in out.iter().enumerate() {
-        assert_eq!(x, (i as i32 + 1) * 3 + 1, "element {i}");
-    }
+    // Skeleton step again; the caller verifies on the host.
+    inc.call(&v).unwrap().to_vec().unwrap()
 }
