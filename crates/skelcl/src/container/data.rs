@@ -8,10 +8,12 @@
 //! The distribution unit is an *element* for vectors and a *row* for
 //! matrices (`unit_elems` elements per unit, paper Fig. 2).
 
-use parking_lot::Mutex;
+use std::sync::Arc;
 
+use parking_lot::Mutex;
 use vgpu::DeviceBuffer;
 
+use crate::container::InteropChunk;
 use crate::context::Context;
 use crate::distribution::{ChunkPlan, Distribution};
 use crate::error::Result;
@@ -311,7 +313,7 @@ impl<T: KernelScalar> DistributedData<T> {
         units: usize,
         unit_elems: usize,
         dist: Distribution,
-    ) -> Result<(Self, Vec<DeviceChunk>)> {
+    ) -> Result<(Arc<Self>, Vec<DeviceChunk>)> {
         let elem = std::mem::size_of::<T>();
         let plans = ctx.plan_units(units, dist);
         let mut chunks = Vec::with_capacity(plans.len());
@@ -335,7 +337,21 @@ impl<T: KernelScalar> DistributedData<T> {
                 preferred_dist: None,
             }),
         };
-        Ok((data, chunks))
+        Ok((Arc::new(data), chunks))
+    }
+
+    /// Materialises the data under `dist` and exposes the chunks' buffers
+    /// and ranges for raw OpenCL-level interop.
+    pub fn interop_chunks(&self, dist: Distribution) -> Result<Vec<InteropChunk>> {
+        let chunks = self.ensure_device(dist)?.into_iter();
+        Ok(chunks
+            .map(|c| InteropChunk {
+                device: c.plan.device,
+                buffer: c.buffer,
+                stored: c.plan.stored,
+                core: c.plan.core,
+            })
+            .collect())
     }
 
     /// Marks the device copy as freshly written by a kernel (host copy
@@ -570,6 +586,44 @@ impl<T: KernelScalar> DistributedData<T> {
         }
         st.host_valid = true;
         Ok(())
+    }
+}
+
+impl<T: KernelScalar> crate::exec::ElementwiseInput for DistributedData<T> {
+    fn input_ctx(&self) -> &Context {
+        &self.ctx
+    }
+
+    fn input_units(&self) -> usize {
+        self.units
+    }
+
+    fn input_unit_elems(&self) -> usize {
+        self.unit_elems
+    }
+
+    fn input_scalar(&self) -> skelcl_kernel::types::ScalarType {
+        T::SCALAR
+    }
+
+    fn input_distribution(&self, default: Distribution) -> Distribution {
+        self.effective_distribution(default)
+    }
+
+    fn input_chunks(&self, dist: Distribution) -> Result<Vec<DeviceChunk>> {
+        self.ensure_device(dist)
+    }
+
+    fn input_mark_device_written(&self) {
+        self.mark_device_written();
+    }
+
+    fn input_host_units(&self, units: std::ops::Range<usize>) -> Result<Vec<u8>> {
+        Ok(to_bytes(&self.read_host_range(units)?))
+    }
+
+    fn input_any(self: Arc<Self>) -> Arc<dyn std::any::Any + Send + Sync> {
+        self
     }
 }
 

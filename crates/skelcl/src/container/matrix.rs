@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::container::data::{DeviceChunk, DistributedData};
+use crate::container::data::DistributedData;
 use crate::container::InteropChunk;
 use crate::context::Context;
 use crate::distribution::Distribution;
@@ -66,22 +66,6 @@ impl<T: KernelScalar> Matrix<T> {
             }
         }
         Matrix::from_vec(ctx, rows, cols, data)
-    }
-
-    /// Creates a device-resident output matrix (used by skeletons).
-    pub(crate) fn alloc_device(
-        ctx: &Context,
-        rows: usize,
-        cols: usize,
-        dist: Distribution,
-    ) -> Result<(Self, Vec<DeviceChunk>)> {
-        let (data, chunks) = DistributedData::alloc_device(ctx.clone(), rows, cols, dist)?;
-        Ok((
-            Matrix {
-                data: Arc::new(data),
-            },
-            chunks,
-        ))
     }
 
     /// Number of rows.
@@ -216,80 +200,13 @@ impl<T: KernelScalar> Matrix<T> {
     ///
     /// Propagates transfer failures.
     pub fn interop_chunks(&self, dist: Distribution) -> Result<Vec<InteropChunk>> {
-        Ok(self
-            .data
-            .ensure_device(dist)?
-            .into_iter()
-            .map(|c| InteropChunk {
-                device: c.plan.device,
-                buffer: c.buffer,
-                stored: c.plan.stored,
-                core: c.plan.core,
-            })
-            .collect())
+        self.data.interop_chunks(dist)
     }
 
     /// Declares that raw kernels modified the device buffers returned by
     /// [`Matrix::interop_chunks`].
     pub fn mark_device_modified(&self) {
         self.data.mark_device_written();
-    }
-
-    /// Materialises on the devices under `dist` (crate-internal).
-    pub(crate) fn ensure_device(&self, dist: Distribution) -> Result<Vec<DeviceChunk>> {
-        self.data.ensure_device(dist)
-    }
-
-    /// The distribution a skeleton should use for this input.
-    pub(crate) fn effective_distribution(&self, default: Distribution) -> Distribution {
-        self.data.effective_distribution(default)
-    }
-
-    /// Marks device buffers as freshly written (crate-internal).
-    pub(crate) fn mark_device_written(&self) {
-        self.data.mark_device_written();
-    }
-}
-
-impl<T: KernelScalar> crate::exec::ElementwiseInput for Matrix<T> {
-    fn input_ctx(&self) -> &Context {
-        self.context()
-    }
-
-    fn input_len(&self) -> usize {
-        self.len()
-    }
-
-    fn input_scalar(&self) -> skelcl_kernel::types::ScalarType {
-        T::SCALAR
-    }
-
-    fn input_distribution(&self, default: Distribution) -> Distribution {
-        self.effective_distribution(default)
-    }
-
-    fn input_chunks(&self, dist: Distribution) -> Result<Vec<DeviceChunk>> {
-        self.ensure_device(dist)
-    }
-
-    fn input_id(&self) -> usize {
-        Arc::as_ptr(&self.data) as *const () as usize
-    }
-
-    fn input_mark_device_written(&self) {
-        self.mark_device_written();
-    }
-
-    fn input_host_units(&self, units: std::ops::Range<usize>) -> Result<Vec<u8>> {
-        Ok(crate::types::to_bytes(&self.data.read_host_range(units)?))
-    }
-
-    fn input_boxed(&self) -> Box<dyn crate::exec::ElementwiseInput> {
-        Box::new(self.clone())
-    }
-
-    fn input_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -319,11 +236,11 @@ mod tests {
     fn row_distribution_across_two_gpus() {
         let ctx = ctx(2);
         let m = Matrix::from_fn(&ctx, 6, 5, |r, c| (r * 5 + c) as f32);
-        let chunks = m.ensure_device(Distribution::Block).unwrap();
+        let chunks = m.data.ensure_device(Distribution::Block).unwrap();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].plan.core, 0..3);
         assert_eq!(chunks[0].buffer.len(), 3 * 5 * 4);
-        m.mark_device_written();
+        m.data.mark_device_written();
         assert_eq!(m.get(5, 4).unwrap(), 29.0);
     }
 
@@ -331,7 +248,10 @@ mod tests {
     fn overlap_distribution_stores_halo_rows() {
         let ctx = ctx(2);
         let m = Matrix::<u8>::zeros(&ctx, 8, 2);
-        let chunks = m.ensure_device(Distribution::Overlap { size: 1 }).unwrap();
+        let chunks = m
+            .data
+            .ensure_device(Distribution::Overlap { size: 1 })
+            .unwrap();
         // Fig. 2(d): top chunk rows 0..5 (4 core + 1 halo), bottom 3..8.
         assert_eq!(chunks[0].plan.stored, 0..5);
         assert_eq!(chunks[1].plan.stored, 3..8);

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::container::data::{DeviceChunk, DistributedData};
+use crate::container::data::DistributedData;
 use crate::container::InteropChunk;
 use crate::context::Context;
 use crate::distribution::Distribution;
@@ -52,21 +52,6 @@ impl<T: KernelScalar> Vector<T> {
     /// Creates a vector by evaluating `f` at every index.
     pub fn from_fn(ctx: &Context, len: usize, f: impl FnMut(usize) -> T) -> Self {
         Vector::from_vec(ctx, (0..len).map(f).collect())
-    }
-
-    /// Creates a device-resident output vector (used by skeletons).
-    pub(crate) fn alloc_device(
-        ctx: &Context,
-        len: usize,
-        dist: Distribution,
-    ) -> Result<(Self, Vec<DeviceChunk>)> {
-        let (data, chunks) = DistributedData::alloc_device(ctx.clone(), len, 1, dist)?;
-        Ok((
-            Vector {
-                data: Arc::new(data),
-            },
-            chunks,
-        ))
     }
 
     /// Number of elements.
@@ -206,17 +191,7 @@ impl<T: KernelScalar> Vector<T> {
     ///
     /// Propagates transfer failures.
     pub fn interop_chunks(&self, dist: Distribution) -> Result<Vec<InteropChunk>> {
-        Ok(self
-            .data
-            .ensure_device(dist)?
-            .into_iter()
-            .map(|c| InteropChunk {
-                device: c.plan.device,
-                buffer: c.buffer,
-                stored: c.plan.stored,
-                core: c.plan.core,
-            })
-            .collect())
+        self.data.interop_chunks(dist)
     }
 
     /// Declares that raw kernels modified the device buffers returned by
@@ -226,69 +201,11 @@ impl<T: KernelScalar> Vector<T> {
         self.data.mark_device_written();
     }
 
-    /// Materialises the vector on the devices under `dist` and returns the
-    /// chunks (crate-internal, used by skeletons).
-    pub(crate) fn ensure_device(&self, dist: Distribution) -> Result<Vec<DeviceChunk>> {
-        self.data.ensure_device(dist)
-    }
-
-    /// The distribution a skeleton should use for this input.
-    pub(crate) fn effective_distribution(&self, default: Distribution) -> Distribution {
-        self.data.effective_distribution(default)
-    }
-
-    /// Marks device buffers as freshly written (crate-internal).
-    pub(crate) fn mark_device_written(&self) {
-        self.data.mark_device_written();
-    }
-
     /// Wraps the vector as a lazy fusion source: the result composes with
     /// [`crate::Map::lazy`] / [`crate::Zip::lazy`] stages into a single
     /// fused kernel (see [`crate::Expr`]).
     pub fn expr(&self) -> crate::expr::Expr<T> {
         crate::expr::Expr::from(self)
-    }
-}
-
-impl<T: KernelScalar> crate::exec::ElementwiseInput for Vector<T> {
-    fn input_ctx(&self) -> &Context {
-        self.context()
-    }
-
-    fn input_len(&self) -> usize {
-        self.len()
-    }
-
-    fn input_scalar(&self) -> skelcl_kernel::types::ScalarType {
-        T::SCALAR
-    }
-
-    fn input_distribution(&self, default: Distribution) -> Distribution {
-        self.effective_distribution(default)
-    }
-
-    fn input_chunks(&self, dist: Distribution) -> Result<Vec<DeviceChunk>> {
-        self.ensure_device(dist)
-    }
-
-    fn input_id(&self) -> usize {
-        Arc::as_ptr(&self.data) as *const () as usize
-    }
-
-    fn input_mark_device_written(&self) {
-        self.mark_device_written();
-    }
-
-    fn input_host_units(&self, units: std::ops::Range<usize>) -> Result<Vec<u8>> {
-        Ok(crate::types::to_bytes(&self.data.read_host_range(units)?))
-    }
-
-    fn input_boxed(&self) -> Box<dyn crate::exec::ElementwiseInput> {
-        Box::new(self.clone())
-    }
-
-    fn input_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 
@@ -328,7 +245,7 @@ mod tests {
         let ctx = ctx(2);
         let vec = Vector::from_vec(&ctx, (0..10i32).collect());
         assert_eq!(vec.distribution(), None);
-        vec.ensure_device(Distribution::Block).unwrap();
+        vec.data.ensure_device(Distribution::Block).unwrap();
         assert_eq!(vec.distribution(), Some(Distribution::Block));
         vec.set_distribution(Distribution::Copy).unwrap();
         assert_eq!(vec.to_vec().unwrap(), (0..10i32).collect::<Vec<_>>());
@@ -338,10 +255,10 @@ mod tests {
     fn host_writes_visible_after_device_round_trip() {
         let ctx = ctx(2);
         let vec = Vector::from_vec(&ctx, vec![1.0f32; 8]);
-        vec.ensure_device(Distribution::Block).unwrap();
+        vec.data.ensure_device(Distribution::Block).unwrap();
         vec.with_slice_mut(|s| s[4] = 9.0).unwrap();
-        vec.ensure_device(Distribution::Block).unwrap();
-        vec.mark_device_written();
+        vec.data.ensure_device(Distribution::Block).unwrap();
+        vec.data.mark_device_written();
         assert_eq!(vec.get(4).unwrap(), 9.0);
     }
 
@@ -366,7 +283,7 @@ mod tests {
         let v = Vector::<f32>::zeros(&ctx, 0);
         assert!(v.is_empty());
         assert_eq!(v.to_vec().unwrap(), Vec::<f32>::new());
-        let chunks = v.ensure_device(Distribution::Block).unwrap();
+        let chunks = v.data.ensure_device(Distribution::Block).unwrap();
         assert!(chunks.is_empty());
     }
 }

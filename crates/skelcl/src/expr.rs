@@ -192,8 +192,8 @@ impl<T: KernelScalar> From<&Vector<T>> for Expr<T> {
     fn from(v: &Vector<T>) -> Self {
         Expr {
             node: Arc::new(PlanNode::Source {
-                ctx: crate::exec::ElementwiseInput::input_ctx(v).clone(),
-                input: Box::new(v.clone()),
+                ctx: v.context().clone(),
+                input: v.data.clone(),
                 fresh: false,
             }),
             _t: PhantomData,

@@ -21,7 +21,7 @@ pub(crate) enum PlanNode {
         /// Context the container belongs to.
         ctx: Context,
         /// The container itself, type-erased.
-        input: Box<dyn ElementwiseInput>,
+        input: Arc<dyn ElementwiseInput>,
         /// True only for intermediates created by staged lowering: the
         /// container is private to the plan, so a root-level `Source` can be
         /// returned without copying.
@@ -145,7 +145,7 @@ pub(crate) struct ScanOffsetState {
     /// `T::default()` — the "no offset" placeholder argument.
     pub(crate) zero: Value,
     /// The vector holding phase-1 per-chunk scan results.
-    pub(crate) vector: Box<dyn ElementwiseInput>,
+    pub(crate) vector: Arc<dyn ElementwiseInput>,
     /// Distribution the phase-1 scan ran under.
     pub(crate) dist: Distribution,
     /// `offsets[j - 1]` is the exclusive prefix total for chunk `j >= 1`.

@@ -16,14 +16,14 @@ use skelcl_kernel::value::Value;
 use vgpu::{Event, KernelArg, NdRange};
 
 use crate::codegen::{c_literal, compile_cached};
-use crate::container::data::DeviceChunk;
+use crate::container::data::{DeviceChunk, DistributedData};
 use crate::container::Vector;
 use crate::context::Context;
-use crate::distribution::Distribution;
+use crate::distribution::ChunkPlan;
 use crate::error::{Error, Result};
 use crate::exec::{
-    elementwise_distribution, elementwise_launches, materialize, run_launches, skeleton_span,
-    stencil_distributions, DeviceLaunch, ElementwiseInput,
+    elementwise_args, input_id, run_launches, run_map_region, skeleton_span, stencil_args,
+    DeviceLaunch, ElementwiseInput, MapRegion, WG,
 };
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
@@ -31,10 +31,6 @@ use crate::types::KernelScalar;
 use super::cost::should_fuse_stencil;
 use super::ir::{PlanNode, ScanOffsetState, StencilSpec};
 use super::PlanConfig;
-
-/// Work-group size for the stencil and scan-offset launches (matches the
-/// eager skeletons).
-const WG: usize = 256;
 
 /// Dispatches a call generic over [`KernelScalar`] on a runtime
 /// [`ScalarType`]. `Bool` is not a container element type, so it is an
@@ -132,7 +128,7 @@ impl<'a> FusedPlan<'a> {
             }
 
             fn source_index(&mut self, input: &'a dyn ElementwiseInput) -> usize {
-                let id = input.input_id();
+                let id = input_id(input);
                 self.source_ids
                     .iter()
                     .position(|&x| x == id)
@@ -293,71 +289,45 @@ impl<'a> FusedPlan<'a> {
         parts.join(", ")
     }
 
-    /// Ensures every folded scan can be fed by per-chunk offset arguments:
-    /// when the consumer's chunks do not line up with the chunks the scan
-    /// recorded, the offsets are applied as a standalone (ranged) pass
-    /// first, after which [`FusedPlan::scan_args`] degenerates to
-    /// "no offset".
+    /// Ensures every folded scan can be fed by per-chunk offset arguments
+    /// ([`crate::exec::BeforeLaunch`]): when the consumer's chunks do not
+    /// line up with the chunks the scan recorded — always so on the
+    /// streamed side (`chunk_sets` is `None`) — the offsets are applied as
+    /// a standalone (ranged) pass first, after which
+    /// [`FusedPlan::scan_args`] degenerates to "no offset".
     pub fn prepare_scan(
         &self,
-        chunk_sets: &[Vec<DeviceChunk>],
+        chunk_sets: Option<&[Vec<DeviceChunk>]>,
         events: &mut Vec<Event>,
     ) -> Result<()> {
         for leaf in &self.scan_leaves {
-            if leaf.state.is_applied() {
-                continue;
-            }
-            let chunks = &chunk_sets[leaf.idx];
-            let aligned = chunks.len() == leaf.state.plans.len()
-                && chunks.iter().all(|c| {
-                    leaf.state.plans.iter().any(|pl| {
-                        pl.device == c.plan.device
-                            && pl.core == c.plan.core
-                            && pl.stored == c.plan.stored
-                            && pl.stored == pl.core
-                    })
-                });
+            let chunks = chunk_sets.map(|sets| sets[leaf.idx].as_slice());
+            let aligned = chunks.is_some_and(|chunks| {
+                chunks.len() == leaf.state.plans.len()
+                    && chunks
+                        .iter()
+                        .all(|c| c.plan.stored == c.plan.core && leaf.state.plans.contains(&c.plan))
+            });
             if !aligned {
-                apply_offsets(&leaf.state, &self.ctx, events, Some(chunks))?;
+                apply_offsets(&leaf.state, &self.ctx, events, chunks)?;
             }
         }
         Ok(())
     }
 
-    /// Lands every folded scan's pending offsets in its source vector now
-    /// (idempotent) — used by the streaming executor, whose chunks never
-    /// line up with the chunks the scan recorded. Afterwards the kernels'
-    /// per-leaf `(has_offset, offset)` pairs degenerate to "no offset".
-    pub fn apply_scan_offsets(&self, events: &mut Vec<Event>) -> Result<()> {
-        for leaf in &self.scan_leaves {
-            apply_offsets(&leaf.state, &self.ctx, events, None)?;
-        }
-        Ok(())
-    }
-
-    /// The `(has_offset, offset)` scalar argument pairs for output chunk
-    /// `j`, in scan-leaf order. Call [`FusedPlan::prepare_scan`] first.
-    pub fn scan_args(&self, chunk_sets: &[Vec<DeviceChunk>], j: usize) -> Vec<KernelArg> {
+    /// The `(has_offset, offset)` scalar argument pairs for the chunk
+    /// `plan`, in scan-leaf order. Call [`FusedPlan::prepare_scan`] first.
+    pub fn scan_args(&self, plan: &ChunkPlan) -> Vec<KernelArg> {
         let mut args = Vec::with_capacity(self.scan_leaves.len() * 2);
         for leaf in &self.scan_leaves {
-            let pair = if leaf.state.is_applied() {
-                (0, leaf.state.zero)
+            let state = &leaf.state;
+            let pair = if state.is_applied() {
+                (0, state.zero)
             } else {
-                let c = &chunk_sets[leaf.idx][j];
-                let k = leaf
-                    .state
-                    .plans
-                    .iter()
-                    .position(|pl| {
-                        pl.device == c.plan.device
-                            && pl.core == c.plan.core
-                            && pl.stored == c.plan.stored
-                    })
-                    .expect("prepare_scan aligned the chunks");
-                if k == 0 {
-                    (0, leaf.state.zero)
-                } else {
-                    (1, leaf.state.offsets[k - 1])
+                let k = state.plans.iter().position(|pl| pl == plan);
+                match k.expect("prepare_scan aligned the chunks") {
+                    0 => (0, state.zero),
+                    k => (1, state.offsets[k - 1]),
                 }
             };
             args.push(KernelArg::Scalar(Value::I32(pair.0)));
@@ -395,12 +365,7 @@ pub(crate) fn apply_offsets(
         }
     };
     let aligned = chunks.len() == state.plans.len()
-        && chunks.iter().zip(&state.plans).all(|(c, pl)| {
-            c.plan.device == pl.device
-                && c.plan.core == pl.core
-                && c.plan.stored == pl.stored
-                && pl.stored == pl.core
-        });
+        && (chunks.iter().zip(&state.plans)).all(|(c, pl)| c.plan == *pl && pl.stored == pl.core);
     if aligned {
         let mut launches = Vec::new();
         for (j, c) in chunks.iter().enumerate().skip(1) {
@@ -468,6 +433,13 @@ pub(crate) fn apply_offsets(
     state.vector.input_mark_device_written();
     *applied = true;
     Ok(())
+}
+
+/// The host span of a staged intermediate: a skeleton-kind span that does
+/// not count as a skeleton call.
+fn stage_span(ctx: &Context) -> skelcl_profile::SpanGuard {
+    ctx.profiler()
+        .host_span(skelcl_profile::SpanKind::Skeleton, "plan.stage")
 }
 
 /// One lowering pass: rewrite-rule application, staged-region execution and
@@ -540,7 +512,7 @@ impl Lowering {
                     apply_offsets(state, ctx, &mut self.events, None)?;
                     Ok(Arc::new(PlanNode::Source {
                         ctx: ctx.clone(),
-                        input: state.vector.input_boxed(),
+                        input: state.vector.clone(),
                         fresh: false,
                     }))
                 }
@@ -557,15 +529,22 @@ impl Lowering {
 
     fn finish_region<T: KernelScalar>(&mut self, node: &Arc<PlanNode>) -> Result<Arc<PlanNode>> {
         let p = FusedPlan::build(node)?;
-        let ctx = p.ctx.clone();
-        let len = p.len;
         let out = self.run_region_typed::<T>(&p, false)?;
-        self.intermediate_bytes += (len * T::SCALAR.size_bytes()) as u64;
-        Ok(Arc::new(PlanNode::Source {
-            ctx,
-            input: Box::new(out),
+        Ok(self.intermediate(&p.ctx, out))
+    }
+
+    /// Re-enters a staged region's output as a `fresh` source leaf.
+    fn intermediate<T: KernelScalar>(
+        &mut self,
+        ctx: &Context,
+        data: Arc<DistributedData<T>>,
+    ) -> Arc<PlanNode> {
+        self.intermediate_bytes += (data.len() * T::SCALAR.size_bytes()) as u64;
+        Arc::new(PlanNode::Source {
+            ctx: ctx.clone(),
+            input: data,
             fresh: true,
-        }))
+        })
     }
 
     /// Compiles and launches one fused elementwise region. `root` regions
@@ -577,14 +556,12 @@ impl Lowering {
         &mut self,
         p: &FusedPlan,
         root: bool,
-    ) -> Result<Vector<O>> {
+    ) -> Result<Arc<DistributedData<O>>> {
         debug_assert!(!p.has_stencil, "stencil nodes are lowered by eval_stencil");
         let _span = if root {
             skeleton_span(&p.ctx, "Expr.eval")
         } else {
-            p.ctx
-                .profiler()
-                .host_span(skelcl_profile::SpanKind::Skeleton, "plan.stage")
+            stage_span(&p.ctx)
         };
         let source = format!(
             "{units}\n\
@@ -598,82 +575,15 @@ impl Lowering {
             expr = p.load_expr,
         );
         let program = compile_cached(&p.ctx, "skelcl_fused.cl", &source)?;
-        let dist = elementwise_distribution(p.sources[0].input_distribution(Distribution::Block));
-        let bytes_per_unit: usize =
-            p.input_types.iter().map(|t| t.size_bytes()).sum::<usize>() + O::SCALAR.size_bytes();
-        if let Some(sched) =
-            crate::stream::plan_stream(&p.ctx, p.len, dist, bytes_per_unit, &|_| 0, 0)
-        {
-            // Streamed chunks do not line up with the chunks a folded scan
-            // recorded, so land the offsets in the source first — the
-            // exact pass the oracle's `prepare_scan` runs for misaligned
-            // chunks, keeping results bit-identical.
-            p.apply_scan_offsets(&mut self.events)?;
-            let scan_args: Vec<KernelArg> = p
-                .scan_leaves
-                .iter()
-                .flat_map(|leaf| {
-                    [
-                        KernelArg::Scalar(Value::I32(0)),
-                        KernelArg::Scalar(leaf.state.zero),
-                    ]
-                })
-                .collect();
-            let bytes = crate::stream::stream_map_like(
-                &p.ctx,
-                &sched,
-                0,
-                p.len,
-                &p.sources,
-                O::SCALAR.size_bytes(),
-                &program,
-                "skelcl_fused",
-                &|chunk, ins, out| {
-                    let mut args: Vec<KernelArg> =
-                        ins.iter().map(|b| KernelArg::Buffer(b.clone())).collect();
-                    args.extend(scan_args.iter().cloned());
-                    args.push(KernelArg::Buffer(out.clone()));
-                    let n = chunk.range.len();
-                    args.push(KernelArg::Scalar(Value::I32(n as i32)));
-                    (args, NdRange::linear_default(n))
-                },
-                &mut self.events,
-            )?;
-            return Ok(Vector::from_vec(&p.ctx, crate::types::from_bytes(&bytes)));
-        }
-        let in_chunks = materialize(&p.sources, dist)?;
-        if !p.scan_leaves.is_empty() {
-            p.prepare_scan(&in_chunks, &mut self.events)?;
-        }
-        let (output, out_chunks) = Vector::alloc_device(&p.ctx, p.len, dist)?;
-        let launches = if p.scan_leaves.is_empty() {
-            elementwise_launches(&in_chunks, &out_chunks, 1, &[])
-        } else {
-            out_chunks
-                .iter()
-                .enumerate()
-                .map(|(j, oc)| {
-                    let n = oc.plan.core_len();
-                    let mut args: Vec<KernelArg> = in_chunks
-                        .iter()
-                        .map(|chunks| KernelArg::Buffer(chunks[j].buffer.clone()))
-                        .collect();
-                    args.extend(p.scan_args(&in_chunks, j));
-                    args.push(KernelArg::Buffer(oc.buffer.clone()));
-                    args.push(KernelArg::Scalar(Value::I32(n as i32)));
-                    DeviceLaunch {
-                        device: oc.plan.device,
-                        args,
-                        range: NdRange::linear_default(n),
-                        units: n,
-                    }
-                })
-                .collect()
+        let region = MapRegion {
+            before_launch: Some(&|chunk_sets, events| p.prepare_scan(chunk_sets, events)),
+            ..MapRegion::elementwise(&p.ctx, &p.sources, &program, "skelcl_fused")
         };
-        self.events
-            .extend(run_launches(&p.ctx, &program, "skelcl_fused", launches)?);
-        output.mark_device_written();
-        Ok(output)
+        run_map_region(
+            &region,
+            &|view| elementwise_args(view, p.scan_args(view.plan), &[]),
+            &mut self.events,
+        )
     }
 
     /// Lowers a stencil node: either welds its elementwise producer into
@@ -704,112 +614,40 @@ impl Lowering {
             let PlanNode::Source { input, .. } = a.as_ref() else {
                 unreachable!("run_region_erased returns a Source");
             };
+            // The staged stencil is `MapOverlapVec::call_with` on a
+            // materialised input, with the skeleton's pre-built program.
+            let _span = stage_span(ctx);
             dispatch_scalar!(
                 spec.out_scalar,
-                self.stencil_standalone(ctx, spec, input.as_ref())
+                self.run_stencil(
+                    ctx,
+                    spec.d,
+                    &[input.as_ref()],
+                    &spec.standalone,
+                    "skelcl_mapoverlap_vec",
+                    &spec.extras
+                )
             )
         }
     }
 
-    /// The staged stencil: replicates `MapOverlapVec::call_with` on a
-    /// materialised input using the skeleton's pre-built program.
-    fn stencil_standalone<O: KernelScalar>(
+    /// Launches a stencil kernel over `sources` and re-enters its output as
+    /// a source leaf.
+    fn run_stencil<O: KernelScalar>(
         &mut self,
         ctx: &Context,
-        spec: &StencilSpec,
-        input: &dyn ElementwiseInput,
+        d: usize,
+        sources: &[&dyn ElementwiseInput],
+        program: &skelcl_kernel::Program,
+        kernel: &str,
+        extras: &[Value],
     ) -> Result<Arc<PlanNode>> {
-        let _span = ctx
-            .profiler()
-            .host_span(skelcl_profile::SpanKind::Skeleton, "plan.stage");
-        let (in_dist, out_dist) = stencil_distributions(
-            input.input_distribution(Distribution::Overlap { size: spec.d }),
-            spec.d,
-        );
-        let bytes_per_unit = spec.in_scalar.size_bytes() + O::SCALAR.size_bytes();
-        if let Some(sched) = crate::stream::plan_stream(
-            ctx,
-            input.input_len(),
-            out_dist,
-            bytes_per_unit,
-            &|_| 0,
-            spec.d,
-        ) {
-            // Each chunk stages `range ± d` (clamped), so the kernel's
-            // boundary handling fires only at the true container edges —
-            // exactly as on a whole `Overlap` chunk.
-            let sources: [&dyn ElementwiseInput; 1] = [input];
-            let extras: Vec<KernelArg> =
-                spec.extras.iter().map(|v| KernelArg::Scalar(*v)).collect();
-            let bytes = crate::stream::stream_map_like(
-                ctx,
-                &sched,
-                spec.d,
-                input.input_len(),
-                &sources,
-                O::SCALAR.size_bytes(),
-                &spec.standalone,
-                "skelcl_mapoverlap_vec",
-                &|chunk, ins, out| {
-                    let mut args = vec![
-                        KernelArg::Buffer(ins[0].clone()),
-                        KernelArg::Buffer(out.clone()),
-                        KernelArg::Scalar(Value::I32(chunk.staged.len() as i32)),
-                        KernelArg::Scalar(Value::I32(chunk.range.len() as i32)),
-                        KernelArg::Scalar(Value::I32(
-                            (chunk.range.start - chunk.staged.start) as i32,
-                        )),
-                    ];
-                    args.extend(extras.iter().cloned());
-                    (args, NdRange::linear(chunk.range.len(), WG))
-                },
-                &mut self.events,
-            )?;
-            let output = Vector::<O>::from_vec(ctx, crate::types::from_bytes(&bytes));
-            self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-            return Ok(Arc::new(PlanNode::Source {
-                ctx: ctx.clone(),
-                input: Box::new(output),
-                fresh: true,
-            }));
-        }
-        let in_chunks = input.input_chunks(in_dist)?;
-        let (output, out_chunks) = Vector::<O>::alloc_device(ctx, input.input_len(), out_dist)?;
-        let launches = in_chunks
-            .iter()
-            .zip(&out_chunks)
-            .map(|(ic, oc)| {
-                let out_n = oc.plan.core_len();
-                let mut args = vec![
-                    KernelArg::Buffer(ic.buffer.clone()),
-                    KernelArg::Buffer(oc.buffer.clone()),
-                    KernelArg::Scalar(Value::I32(ic.plan.stored_len() as i32)),
-                    KernelArg::Scalar(Value::I32(out_n as i32)),
-                    KernelArg::Scalar(Value::I32(ic.plan.core_offset() as i32)),
-                ];
-                args.extend(spec.extras.iter().map(|v| KernelArg::Scalar(*v)));
-                DeviceLaunch {
-                    device: ic.plan.device,
-                    args,
-                    range: NdRange::linear(out_n, WG),
-                    units: ic.plan.core_len(),
-                }
-            })
-            .collect();
-        self.events.extend(run_launches(
-            ctx,
-            &spec.standalone,
-            "skelcl_mapoverlap_vec",
-            launches,
-        )?);
-        output.mark_device_written();
-        self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-        let node = PlanNode::Source {
-            ctx: ctx.clone(),
-            input: Box::new(output),
-            fresh: true,
-        };
-        Ok(Arc::new(node))
+        let out = run_map_region::<O>(
+            &MapRegion::stencil(ctx, sources, d, program, kernel),
+            &|view| stencil_args(view, extras),
+            &mut self.events,
+        )?;
+        Ok(self.intermediate(ctx, out))
     }
 
     /// The fused stencil: the producer chain becomes a
@@ -824,9 +662,7 @@ impl Lowering {
         spec: &StencilSpec,
         producer: &Arc<PlanNode>,
     ) -> Result<Arc<PlanNode>> {
-        let _span = ctx
-            .profiler()
-            .host_span(skelcl_profile::SpanKind::Skeleton, "plan.stage");
+        let _span = stage_span(ctx);
         let p = FusedPlan::build(producer)?;
         debug_assert!(
             p.scan_leaves.is_empty(),
@@ -884,83 +720,7 @@ impl Lowering {
             expr = p.load_expr,
         );
         let program = compile_cached(ctx, "skelcl_mapoverlap_fused.cl", &source)?;
-        let (in_dist, out_dist) = stencil_distributions(
-            p.sources[0].input_distribution(Distribution::Overlap { size: d }),
-            d,
-        );
-        let bytes_per_unit: usize =
-            p.input_types.iter().map(|t| t.size_bytes()).sum::<usize>() + O::SCALAR.size_bytes();
-        if let Some(sched) =
-            crate::stream::plan_stream(ctx, p.len, out_dist, bytes_per_unit, &|_| 0, d)
-        {
-            let bytes = crate::stream::stream_map_like(
-                ctx,
-                &sched,
-                d,
-                p.len,
-                &p.sources,
-                O::SCALAR.size_bytes(),
-                &program,
-                "skelcl_mapoverlap_fused",
-                &|chunk, ins, out| {
-                    let mut args: Vec<KernelArg> =
-                        ins.iter().map(|b| KernelArg::Buffer(b.clone())).collect();
-                    args.push(KernelArg::Buffer(out.clone()));
-                    args.push(KernelArg::Scalar(Value::I32(chunk.staged.len() as i32)));
-                    args.push(KernelArg::Scalar(Value::I32(chunk.range.len() as i32)));
-                    args.push(KernelArg::Scalar(Value::I32(
-                        (chunk.range.start - chunk.staged.start) as i32,
-                    )));
-                    (args, NdRange::linear(chunk.range.len(), WG))
-                },
-                &mut self.events,
-            )?;
-            let output = Vector::<O>::from_vec(ctx, crate::types::from_bytes(&bytes));
-            self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-            return Ok(Arc::new(PlanNode::Source {
-                ctx: ctx.clone(),
-                input: Box::new(output),
-                fresh: true,
-            }));
-        }
-        let in_chunks = materialize(&p.sources, in_dist)?;
-        let (output, out_chunks) = Vector::<O>::alloc_device(ctx, p.len, out_dist)?;
-        let launches = out_chunks
-            .iter()
-            .enumerate()
-            .map(|(j, oc)| {
-                let ic_plan = &in_chunks[0][j].plan;
-                let out_n = oc.plan.core_len();
-                let mut args: Vec<KernelArg> = in_chunks
-                    .iter()
-                    .map(|chunks| KernelArg::Buffer(chunks[j].buffer.clone()))
-                    .collect();
-                args.push(KernelArg::Buffer(oc.buffer.clone()));
-                args.push(KernelArg::Scalar(Value::I32(ic_plan.stored_len() as i32)));
-                args.push(KernelArg::Scalar(Value::I32(out_n as i32)));
-                args.push(KernelArg::Scalar(Value::I32(ic_plan.core_offset() as i32)));
-                DeviceLaunch {
-                    device: ic_plan.device,
-                    args,
-                    range: NdRange::linear(out_n, WG),
-                    units: ic_plan.core_len(),
-                }
-            })
-            .collect();
-        self.events.extend(run_launches(
-            ctx,
-            &program,
-            "skelcl_mapoverlap_fused",
-            launches,
-        )?);
-        output.mark_device_written();
-        self.intermediate_bytes += (output.len() * O::SCALAR.size_bytes()) as u64;
-        let node = PlanNode::Source {
-            ctx: ctx.clone(),
-            input: Box::new(output),
-            fresh: true,
-        };
-        Ok(Arc::new(node))
+        self.run_stencil::<O>(ctx, d, &p.sources, &program, "skelcl_mapoverlap_fused", &[])
     }
 
     /// Publishes the pass's telemetry: `plan.rules_fired`,
@@ -1013,13 +773,14 @@ pub(crate) fn eval_vector<O: KernelScalar>(
         PlanNode::Source {
             input, fresh: true, ..
         } => {
-            let v = input
+            let data = input
+                .clone()
                 .input_any()
-                .downcast_ref::<Vector<O>>()
-                .ok_or_else(|| Error::ShapeMismatch {
+                .downcast()
+                .map_err(|_| Error::ShapeMismatch {
                     reason: "plan produced a container of an unexpected element type".into(),
-                })?
-                .clone();
+                })?;
+            let v = Vector { data };
             // The final region's output is the result, not an intermediate.
             lo.intermediate_bytes = lo
                 .intermediate_bytes
@@ -1028,7 +789,9 @@ pub(crate) fn eval_vector<O: KernelScalar>(
         }
         _ => {
             let p = FusedPlan::build(&collapsed)?;
-            lo.run_region_typed::<O>(&p, true)?
+            Vector {
+                data: lo.run_region_typed::<O>(&p, true)?,
+            }
         }
     };
     lo.attach(&mut span);

@@ -37,7 +37,7 @@ pub(crate) mod ir;
 pub(crate) mod lower;
 
 pub(crate) use ir::{PlanNode, ScanOffsetState, StencilSpec};
-pub(crate) use lower::{eval_vector, prepare_reduce, FusedPlan, ReduceInput};
+pub(crate) use lower::{apply_offsets, eval_vector, prepare_reduce, FusedPlan, ReduceInput};
 
 /// Which rewrite rules a lowering may apply (parsed from `SKELCL_PLAN`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

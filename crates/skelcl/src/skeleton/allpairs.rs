@@ -19,12 +19,12 @@ use vgpu::{KernelArg, NdRange};
 use crate::codegen::{
     compile_cached, expect_pointer_param, expect_return, expect_scalar_param, parse_user_function,
 };
+use crate::container::data::DistributedData;
 use crate::container::Matrix;
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::error::{Error, Result};
-use crate::exec::{DeviceLaunch, Skeleton, SkeletonCore};
-use crate::skeleton::EventLog;
+use crate::exec::{impl_skeleton, DeviceLaunch, SkeletonCore};
 use crate::types::KernelScalar;
 
 /// Tile edge of the zip-reduce specialisation's work-groups.
@@ -195,6 +195,8 @@ impl<I: KernelScalar, O: KernelScalar> Allpairs<I, O> {
     /// any platform failure.
     pub fn call(&self, a: &Matrix<I>, b: &Matrix<I>) -> Result<Matrix<O>> {
         let _span = self.core.begin("Allpairs.call");
+        self.core.check_ctx(a.context())?;
+        self.core.check_ctx(b.context())?;
         if a.cols() != b.cols() {
             return Err(Error::ShapeMismatch {
                 reason: format!(
@@ -205,9 +207,10 @@ impl<I: KernelScalar, O: KernelScalar> Allpairs<I, O> {
             });
         }
         let (n, m, d) = (a.rows(), b.rows(), a.cols());
-        let a_chunks = a.ensure_device(Distribution::Block)?;
-        let b_chunks = b.ensure_device(Distribution::Copy)?;
-        let (output, out_chunks) = Matrix::alloc_device(&self.core.ctx, n, m, Distribution::Block)?;
+        let a_chunks = a.data.ensure_device(Distribution::Block)?;
+        let b_chunks = b.data.ensure_device(Distribution::Copy)?;
+        let (data, out_chunks) =
+            DistributedData::alloc_device(self.core.ctx.clone(), n, m, Distribution::Block)?;
 
         let launches = a_chunks
             .iter()
@@ -237,33 +240,12 @@ impl<I: KernelScalar, O: KernelScalar> Allpairs<I, O> {
             })
             .collect();
         self.core.run(self.kernel, launches)?;
-        output.mark_device_written();
-        Ok(output)
-    }
-
-    /// Profiling of the most recent call.
-    pub fn events(&self) -> &EventLog {
-        &self.core.events
+        data.mark_device_written();
+        Ok(Matrix { data })
     }
 }
 
-impl<I: KernelScalar, O: KernelScalar> Skeleton for Allpairs<I, O> {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn context(&self) -> &Context {
-        &self.core.ctx
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn kernel_disassembly(&self) -> String {
-        self.core.program.disassemble()
-    }
-}
+impl_skeleton!(Allpairs<I, O>);
 
 /// Matrix multiplication via the allpairs skeleton (paper Example 1):
 /// `A × B = allpairs(dotProduct)(A, Bᵀ)`.

@@ -10,15 +10,13 @@ use crate::codegen::{
     compile_cached, expect_return, expect_scalar_extras, expect_scalar_param, extra_param_decls,
     extra_param_uses, parse_user_function, stage_spec, weld_elementwise, StageSpec,
 };
+use crate::container::data::DistributedData;
 use crate::container::{Matrix, Vector};
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::error::Result;
-use crate::exec::{
-    elementwise_matrix, elementwise_vector, DeviceLaunch, ElementwiseInput, Skeleton, SkeletonCore,
-};
+use crate::exec::{impl_skeleton, DeviceLaunch, SkeletonCore};
 use crate::expr::Expr;
-use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
 /// The Map skeleton: `map f [x1, …, xn] = [f(x1), …, f(xn)]`.
@@ -118,12 +116,10 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
     pub fn call_with(&self, input: &Vector<I>, extra: &[Value]) -> Result<Vector<O>> {
         let _span = self.core.begin("Map.call");
         self.core.check_extras(extra)?;
-        elementwise_vector(
-            &self.core,
-            "skelcl_map",
-            &[input as &dyn ElementwiseInput],
-            extra,
-        )
+        let data = self
+            .core
+            .elementwise("skelcl_map", &[&*input.data], extra)?;
+        Ok(Vector { data })
     }
 
     /// Applies the skeleton elementwise to a matrix.
@@ -143,14 +139,10 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
     pub fn call_matrix_with(&self, input: &Matrix<I>, extra: &[Value]) -> Result<Matrix<O>> {
         let _span = self.core.begin("Map.call_matrix");
         self.core.check_extras(extra)?;
-        elementwise_matrix(
-            &self.core,
-            "skelcl_map",
-            &[input as &dyn ElementwiseInput],
-            input.rows(),
-            input.cols(),
-            extra,
-        )
+        let data = self
+            .core
+            .elementwise("skelcl_map", &[&*input.data], extra)?;
+        Ok(Matrix { data })
     }
 
     /// Applies the customizing function to the index range `0..len`
@@ -173,7 +165,8 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
             });
         }
         self.core.check_extras(extra)?;
-        let (output, out_chunks) = Vector::alloc_device(&self.core.ctx, len, Distribution::Block)?;
+        let (data, out_chunks) =
+            DistributedData::alloc_device(self.core.ctx.clone(), len, 1, Distribution::Block)?;
         let launches = out_chunks
             .iter()
             .map(|oc| {
@@ -193,8 +186,8 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
             })
             .collect();
         self.core.run("skelcl_map_index", launches)?;
-        output.mark_device_written();
-        Ok(output)
+        data.mark_device_written();
+        Ok(Vector { data })
     }
 
     /// Defers the stage onto `input` instead of executing it: the result
@@ -227,39 +220,19 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
         ))
     }
 
-    /// Profiling of the most recent call.
-    pub fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
     /// The generated kernel's disassembly (debugging aid).
     pub fn kernel_disassembly(&self) -> String {
         self.core.program.disassemble()
     }
 }
 
-impl<I: KernelScalar, O: KernelScalar> Skeleton for Map<I, O> {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn context(&self) -> &Context {
-        &self.core.ctx
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn kernel_disassembly(&self) -> String {
-        self.core.program.disassemble()
-    }
-}
+impl_skeleton!(Map<I, O>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::DeviceSelection;
+    use crate::exec::Skeleton;
     use vgpu::{DeviceSpec, Platform};
 
     fn ctx(n: usize) -> Context {

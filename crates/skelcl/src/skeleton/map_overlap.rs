@@ -13,7 +13,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use skelcl_kernel::value::Value;
-use vgpu::{KernelArg, NdRange};
+use vgpu::NdRange;
 
 use crate::codegen::{
     c_literal, compile_cached, expect_pointer_param, expect_return, expect_scalar_extras,
@@ -21,19 +21,15 @@ use crate::codegen::{
 };
 use crate::container::{Matrix, Vector};
 use crate::context::Context;
-use crate::distribution::Distribution;
 use crate::error::{Error, Result};
-use crate::exec::{stencil_distributions, DeviceLaunch, Skeleton, SkeletonCore};
+use crate::exec::{extra_args, impl_skeleton, stencil_args, MapRegion, SkeletonCore, WG};
 use crate::expr::Expr;
 use crate::plan::{PlanNode, StencilSpec};
-use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
 /// 2-D work-group edge for matrix stencils (16×16, as the paper's CUDA and
 /// OpenCL implementations use).
 const TILE: usize = 16;
-/// 1-D work-group size for vector stencils.
-const WG: usize = 256;
 
 /// How out-of-bounds stencil accesses are handled (paper §3.4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,51 +208,35 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlap<I, O> {
     pub fn call_with(&self, input: &Matrix<I>, extra: &[Value]) -> Result<Matrix<O>> {
         let _span = self.core.begin("MapOverlap.call");
         self.core.check_extras(extra)?;
-        let (in_dist, out_dist) = stencil_distributions(
-            input.effective_distribution(Distribution::Overlap { size: self.d }),
-            self.d,
-        );
-        let in_chunks = input.ensure_device(in_dist)?;
-        let (output, out_chunks) =
-            Matrix::alloc_device(&self.core.ctx, input.rows(), input.cols(), out_dist)?;
-        let cols = input.cols();
-
-        let launches = in_chunks
-            .iter()
-            .zip(&out_chunks)
-            .map(|(ic, oc)| {
-                debug_assert_eq!(ic.plan.core, oc.plan.core);
-                let out_rows = oc.plan.core_len();
-                let mut args = vec![
-                    KernelArg::Buffer(ic.buffer.clone()),
-                    KernelArg::Buffer(oc.buffer.clone()),
-                    KernelArg::Scalar(Value::I32(ic.plan.stored_len() as i32)),
-                    KernelArg::Scalar(Value::I32(cols as i32)),
-                    KernelArg::Scalar(Value::I32(out_rows as i32)),
-                    KernelArg::Scalar(Value::I32(ic.plan.core_offset() as i32)),
-                ];
-                args.extend(extra.iter().map(|v| KernelArg::Scalar(*v)));
-                DeviceLaunch {
-                    device: ic.plan.device,
-                    args,
-                    range: NdRange::grid([cols, out_rows], [TILE, TILE]),
-                    units: ic.plan.core_len(),
-                }
-            })
-            .collect();
-        self.core.run("skelcl_mapoverlap", launches)?;
-        output.mark_device_written();
-        Ok(output)
+        // The distribution unit is a row: `ins, out, stored rows, cols,
+        // core rows, first core row, extras…` over a cols × core-rows grid.
+        let data = self.core.run_region(
+            &MapRegion::stencil(
+                &self.core.ctx,
+                &[&*input.data],
+                self.d,
+                &self.core.program,
+                "skelcl_mapoverlap",
+            ),
+            &|view| {
+                let (plan, cols) = (view.plan, view.unit_elems);
+                let mut args = view.input_args();
+                args.extend(view.output_args([
+                    plan.stored_len(),
+                    cols,
+                    plan.core_len(),
+                    plan.core_offset(),
+                ]));
+                args.extend(extra_args(extra));
+                (args, NdRange::grid([cols, plan.core_len()], [TILE, TILE]))
+            },
+        )?;
+        Ok(Matrix { data })
     }
 
     /// The overlap range `d`.
     pub fn overlap(&self) -> usize {
         self.d
-    }
-
-    /// Profiling of the most recent call.
-    pub fn events(&self) -> &EventLog {
-        &self.core.events
     }
 
     /// The generated kernel program (debugging/ablation aid).
@@ -265,23 +245,7 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlap<I, O> {
     }
 }
 
-impl<I: KernelScalar, O: KernelScalar> Skeleton for MapOverlap<I, O> {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn context(&self) -> &Context {
-        &self.core.ctx
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn kernel_disassembly(&self) -> String {
-        self.core.program.disassemble()
-    }
-}
+impl_skeleton!(MapOverlap<I, O>);
 
 /// MapOverlap on vectors: the customizing function reads neighbours with
 /// `get(v, di)`, `di ∈ [-d, +d]`.
@@ -409,37 +373,17 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
     pub fn call_with(&self, input: &Vector<I>, extra: &[Value]) -> Result<Vector<O>> {
         let _span = self.core.begin("MapOverlapVec.call");
         self.core.check_extras(extra)?;
-        let (in_dist, out_dist) = stencil_distributions(
-            input.effective_distribution(Distribution::Overlap { size: self.d }),
-            self.d,
-        );
-        let in_chunks = input.ensure_device(in_dist)?;
-        let (output, out_chunks) = Vector::alloc_device(&self.core.ctx, input.len(), out_dist)?;
-
-        let launches = in_chunks
-            .iter()
-            .zip(&out_chunks)
-            .map(|(ic, oc)| {
-                let out_n = oc.plan.core_len();
-                let mut args = vec![
-                    KernelArg::Buffer(ic.buffer.clone()),
-                    KernelArg::Buffer(oc.buffer.clone()),
-                    KernelArg::Scalar(Value::I32(ic.plan.stored_len() as i32)),
-                    KernelArg::Scalar(Value::I32(out_n as i32)),
-                    KernelArg::Scalar(Value::I32(ic.plan.core_offset() as i32)),
-                ];
-                args.extend(extra.iter().map(|v| KernelArg::Scalar(*v)));
-                DeviceLaunch {
-                    device: ic.plan.device,
-                    args,
-                    range: NdRange::linear(out_n, WG),
-                    units: ic.plan.core_len(),
-                }
-            })
-            .collect();
-        self.core.run("skelcl_mapoverlap_vec", launches)?;
-        output.mark_device_written();
-        Ok(output)
+        let data = self.core.run_region(
+            &MapRegion::stencil(
+                &self.core.ctx,
+                &[&*input.data],
+                self.d,
+                &self.core.program,
+                "skelcl_mapoverlap_vec",
+            ),
+            &|view| stencil_args(view, extra),
+        )?;
+        Ok(Vector { data })
     }
 
     /// Defers the stencil into an [`Expr`] node instead of executing it.
@@ -476,30 +420,9 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
     pub fn overlap(&self) -> usize {
         self.d
     }
-
-    /// Profiling of the most recent call.
-    pub fn events(&self) -> &EventLog {
-        &self.core.events
-    }
 }
 
-impl<I: KernelScalar, O: KernelScalar> Skeleton for MapOverlapVec<I, O> {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn context(&self) -> &Context {
-        &self.core.ctx
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn kernel_disassembly(&self) -> String {
-        self.core.program.disassemble()
-    }
-}
+impl_skeleton!(MapOverlapVec<I, O>);
 
 #[cfg(test)]
 mod tests {

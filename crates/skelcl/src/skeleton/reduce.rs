@@ -19,16 +19,17 @@ use skelcl_kernel::value::Value;
 use vgpu::{DeviceBuffer, Event, KernelArg, NdRange};
 
 use crate::codegen::{compile_cached, expect_return, expect_scalar_param, parse_user_function};
-use crate::container::data::DeviceChunk;
 use crate::container::{Matrix, Scalar, Vector};
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::engine::{LaunchPlan, NodeId};
 use crate::error::{Error, Result};
-use crate::exec::{materialize, reduction_distribution, Skeleton, SkeletonCore};
+use crate::exec::{
+    impl_skeleton, materialize, reduction_distribution, run_plan, ElementwiseInput, SkeletonCore,
+};
 use crate::expr::Expr;
 use crate::plan::{prepare_reduce, FusedPlan, PlanNode, ReduceInput};
-use crate::skeleton::EventLog;
+use crate::stream::{StreamShare, StreamedRegion};
 use crate::types::KernelScalar;
 
 /// Work-group size used by the reduction kernels.
@@ -36,20 +37,19 @@ const WG: usize = 256;
 /// Maximum number of work-groups per pass (grid-stride covers the rest).
 const MAX_GROUPS: usize = 64;
 
-/// Generates a two-level tree-reduction kernel named `kernel`. The element
-/// loads are abstracted (`load_first` for the seeding load at `gid`,
-/// `load_loop` for the grid-stride load at `i`) so the same template welds
-/// both the plain kernel (loads from `skelcl_in`) and the fused kernel
-/// (loads through the generated `skelcl_fused_load` prologue) — both
-/// perform exactly the same operator applications in the same order, which
-/// is what makes fused and unfused results bit-identical.
+/// Generates a two-level tree-reduction kernel named `kernel`: every live
+/// work-item puts one value into local memory (`seed`, a statement run
+/// under `gid < active`), then each group tree-combines its lanes and
+/// writes one partial. All reduction kernels come from this one template,
+/// so they perform exactly the same operator applications in the same
+/// order — which is what makes fused, streamed and plain results
+/// bit-identical.
 fn tree_reduce_kernel(
     t: skelcl_kernel::types::ScalarType,
     f: &str,
     kernel: &str,
     in_params: &str,
-    load_first: &str,
-    load_loop: &str,
+    seed: &str,
 ) -> String {
     format!(
         "__kernel void {kernel}({in_params}__global {t}* skelcl_out, int skelcl_n) {{\n\
@@ -59,11 +59,7 @@ fn tree_reduce_kernel(
              int gsize = (int)get_global_size(0);\n\
              int lsz = (int)get_local_size(0);\n\
              int active = skelcl_n < gsize ? skelcl_n : gsize;\n\
-             if (gid < active) {{\n\
-                 {t} acc = {load_first};\n\
-                 for (int i = gid + gsize; i < skelcl_n; i += gsize) acc = {f}(acc, {load_loop});\n\
-                 skelcl_scratch[lid] = acc;\n\
-             }}\n\
+             if (gid < active) {seed}\n\
              barrier(CLK_LOCAL_MEM_FENCE);\n\
              int group_base = (int)get_group_id(0) * lsz;\n\
              int group_active = active - group_base;\n\
@@ -77,6 +73,25 @@ fn tree_reduce_kernel(
                  skelcl_out[get_group_id(0)] = skelcl_scratch[0];\n\
          }}\n",
         wg = WG,
+    )
+}
+
+/// The seed of the one-shot kernels: a grid-strided accumulation over all
+/// `skelcl_n` elements. The loads are abstracted (`load_first` at `gid`,
+/// `load_loop` at `i`) so the plain kernel reads `skelcl_in` and the fused
+/// one goes through the generated `skelcl_fused_load` prologue.
+fn grid_stride_seed(
+    t: skelcl_kernel::types::ScalarType,
+    f: &str,
+    load_first: &str,
+    load_loop: &str,
+) -> String {
+    format!(
+        "{{\n\
+             {t} acc = {load_first};\n\
+             for (int i = gid + gsize; i < skelcl_n; i += gsize) acc = {f}(acc, {load_loop});\n\
+             skelcl_scratch[lid] = acc;\n\
+         }}"
     )
 }
 
@@ -134,8 +149,7 @@ impl<T: KernelScalar> Reduce<T> {
                 &f.name,
                 "skelcl_reduce",
                 &format!("__global const {t}* skelcl_in, ", t = T::SCALAR),
-                "skelcl_in[gid]",
-                "skelcl_in[i]",
+                &grid_stride_seed(T::SCALAR, &f.name, "skelcl_in[gid]", "skelcl_in[i]"),
             ),
         );
         let program = compile_cached(ctx, "skelcl_reduce.cl", &kernel_source)?;
@@ -155,21 +169,9 @@ impl<T: KernelScalar> Reduce<T> {
     /// platform failure.
     pub fn call(&self, input: &Vector<T>) -> Result<Scalar<T>> {
         let _span = self.core.begin("Reduce.call");
-        if input.is_empty() {
-            return Err(Error::EmptyContainer {
-                operation: "Reduce",
-            });
-        }
-        // Distribute (block by default; copy degrades to a single device —
-        // reducing the same copy on every GPU would be redundant work).
-        let dist = reduction_distribution(input.effective_distribution(Distribution::Block));
-        let chunks = input.ensure_device(dist)?;
-
-        let mut events: Vec<Event> = Vec::new();
-        let values = self.reduce_chunks(&chunks, 1, &mut events)?;
-        let result = self.combine_partials(&values, chunks[0].plan.device, &mut events)?;
-        self.core.events.record(events);
-        Ok(Scalar::new(result, self.core.events.last_kernel_time()))
+        let mut events = Vec::new();
+        let value = self.reduce_resident(&*input.data, &mut events)?;
+        Ok(self.finish(value, events))
     }
 
     /// Reduces a matrix (all elements, row-major order of combination per
@@ -180,19 +182,9 @@ impl<T: KernelScalar> Reduce<T> {
     /// As for [`Reduce::call`].
     pub fn call_matrix(&self, input: &Matrix<T>) -> Result<Scalar<T>> {
         let _span = self.core.begin("Reduce.call_matrix");
-        if input.is_empty() {
-            return Err(Error::EmptyContainer {
-                operation: "Reduce",
-            });
-        }
-        let dist = reduction_distribution(input.effective_distribution(Distribution::Block));
-        let chunks = input.ensure_device(dist)?;
-
-        let mut events: Vec<Event> = Vec::new();
-        let values = self.reduce_chunks(&chunks, input.cols(), &mut events)?;
-        let result = self.combine_partials(&values, chunks[0].plan.device, &mut events)?;
-        self.core.events.record(events);
-        Ok(Scalar::new(result, self.core.events.last_kernel_time()))
+        let mut events = Vec::new();
+        let value = self.reduce_resident(&*input.data, &mut events)?;
+        Ok(self.finish(value, events))
     }
 
     /// Reduces a lazy elementwise expression without materialising it: the
@@ -248,59 +240,125 @@ impl<T: KernelScalar> Reduce<T> {
 
         // Lower the input DAG (stencils always execute here; staging
         // depends on SKELCL_PLAN), then weld or plainly reduce the rest.
-        let (input, pre_events) = prepare_reduce(&node)?;
-        let mut events = pre_events;
-        let result = match &input {
+        let (input, mut events) = prepare_reduce(&node)?;
+        let value = match &input {
             ReduceInput::Staged(collapsed) => {
                 let PlanNode::Source { input, .. } = collapsed.as_ref() else {
                     unreachable!("staged lowering returns a Source");
                 };
-                let dist = reduction_distribution(input.input_distribution(Distribution::Block));
-                let chunks = input.input_chunks(dist)?;
-                let values = self.reduce_chunks(&chunks, 1, &mut events)?;
-                self.combine_partials(&values, chunks[0].plan.device, &mut events)?
+                self.reduce_resident(input.as_ref(), &mut events)?
             }
             ReduceInput::Welded(collapsed) => self.reduce_welded(collapsed, &mut events)?,
         };
-        self.core.events.record(events);
-        Ok(Scalar::new(result, self.core.events.last_kernel_time()))
+        Ok(self.finish(value, events))
     }
 
-    /// Welds a collapsed elementwise/scan region into the reduction's
-    /// first pass: stage units + reduce operator + fused-load prologue +
-    /// a tree reduction that loads through the prologue.
-    fn reduce_welded(&self, collapsed: &PlanNode, events: &mut Vec<Event>) -> Result<T> {
-        let p = FusedPlan::build(collapsed)?;
-        let in_params = p.input_params();
-        let in_args = p.input_args();
-        let source = format!(
+    /// Records a call's events and wraps its result.
+    fn finish(&self, value: T, events: Vec<Event>) -> Scalar<T> {
+        self.core.events.record(events);
+        Scalar::new(value, self.core.events.last_kernel_time())
+    }
+
+    /// The plain reduction of a materialised container: one plan in which
+    /// every device reduces its chunk down to a single value on its own
+    /// asynchronous queue, then the per-device partials are combined.
+    fn reduce_resident(&self, input: &dyn ElementwiseInput, events: &mut Vec<Event>) -> Result<T> {
+        self.core.check_ctx(input.input_ctx())?;
+        if input.input_len() == 0 {
+            return Err(Error::EmptyContainer {
+                operation: "Reduce",
+            });
+        }
+        // Block by default; copy degrades to a single device — reducing
+        // the same copy on every GPU would be redundant work.
+        let dist = reduction_distribution(input.input_distribution(Distribution::Block));
+        let chunks = input.input_chunks(dist)?;
+        let mut plan = LaunchPlan::new();
+        let mut reads = Vec::with_capacity(chunks.len());
+        for chunk in &chunks {
+            reads.push(self.plan_chain(
+                &mut plan,
+                chunk.plan.device,
+                chunk.buffer.clone(),
+                chunk.plan.core_len() * input.input_unit_elems(),
+                chunk.plan.core_len(),
+                Vec::new(),
+            )?);
+        }
+        let values = self.run_values(plan, &reads, events)?;
+        self.combine_partials(&values, chunks[0].plan.device, events)
+    }
+
+    /// Executes a reduction plan and decodes its one-element readbacks.
+    fn run_values(
+        &self,
+        plan: LaunchPlan,
+        reads: &[NodeId],
+        events: &mut Vec<Event>,
+    ) -> Result<Vec<T>> {
+        Ok(Self::values(run_plan(
+            &self.core.ctx,
+            plan,
+            reads,
+            &[],
+            events,
+        )?))
+    }
+
+    /// Decodes a reduction plan's one-element readbacks.
+    fn values(reads: Vec<Vec<u8>>) -> Vec<T> {
+        reads.iter().map(|b| T::from_le_bytes(b)).collect()
+    }
+
+    /// The translation unit every welded reduction starts with: stage
+    /// units, the reduce operator and the region as a `skelcl_fused_load`
+    /// device function.
+    fn fused_prologue(&self, p: &FusedPlan) -> String {
+        format!(
             "{units}\n{user}\n\
              {t} skelcl_fused_load({in_params}int skelcl_i) {{\n\
              \x20   return {load};\n\
-             }}\n{kernel}",
+             }}\n",
             units = p.units,
             user = self.user_source,
             t = T::SCALAR,
+            in_params = p.input_params(),
             load = p.load_expr,
+        )
+    }
+
+    /// Welds a collapsed elementwise/scan region into the reduction's
+    /// first pass: a tree reduction that loads through the prologue.
+    fn reduce_welded(&self, collapsed: &PlanNode, events: &mut Vec<Event>) -> Result<T> {
+        let p = FusedPlan::build(collapsed)?;
+        let in_args = p.input_args();
+        let source = format!(
+            "{prologue}{kernel}",
+            prologue = self.fused_prologue(&p),
             kernel = tree_reduce_kernel(
                 T::SCALAR,
                 &self.user_name,
                 "skelcl_reduce_fused",
-                &in_params,
-                &format!("skelcl_fused_load({in_args}, gid)"),
-                &format!("skelcl_fused_load({in_args}, i)"),
+                &p.input_params(),
+                &grid_stride_seed(
+                    T::SCALAR,
+                    &self.user_name,
+                    &format!("skelcl_fused_load({in_args}, gid)"),
+                    &format!("skelcl_fused_load({in_args}, i)"),
+                ),
             ),
         );
         let fused_program = compile_cached(&self.core.ctx, "skelcl_reduce_fused.cl", &source)?;
 
         let dist = reduction_distribution(p.sources[0].input_distribution(Distribution::Block));
         let bytes_per_unit: usize = p.input_types.iter().map(|t| t.size_bytes()).sum();
-        if let Some(sched) = crate::stream::plan_stream(
+        if let Some(shares) = crate::stream::plan_stream(
             &self.core.ctx,
             p.len,
+            1,
             dist,
             bytes_per_unit,
-            &|n| {
+            &|n: usize| {
                 // Resident outside the staging ring: the grid-sized lane
                 // accumulator, the per-group partials buffer, and the
                 // partial chain's intermediates (bounded by another
@@ -310,12 +368,10 @@ impl<T: KernelScalar> Reduce<T> {
             },
             0,
         ) {
-            return self.reduce_streamed(&p, &sched, events);
+            return self.reduce_streamed(&p, &shares, events);
         }
         let chunk_sets = materialize(&p.sources, dist)?;
-        if !p.scan_leaves.is_empty() {
-            p.prepare_scan(&chunk_sets, events)?;
-        }
+        p.prepare_scan(Some(&chunk_sets), events)?;
         let elem = std::mem::size_of::<T>();
 
         // Phase 1: per device, one fused pass (sources → per-group
@@ -323,21 +379,19 @@ impl<T: KernelScalar> Reduce<T> {
         // — identical to what the plain path does after its first pass.
         let mut plan = LaunchPlan::new();
         let mut read_ids = Vec::new();
-        let mut first_device = None;
-        for j in 0..chunk_sets[0].len() {
-            let device = chunk_sets[0][j].plan.device;
-            first_device.get_or_insert(device);
-            let n = chunk_sets[0][j].plan.core_len();
+        for (j, chunk) in chunk_sets[0].iter().enumerate() {
+            let device = chunk.plan.device;
+            let n = chunk.plan.core_len();
             let groups = n.div_ceil(WG).min(MAX_GROUPS);
             let partials = self.core.ctx.queue(device).create_buffer(groups * elem)?;
             let mut args: Vec<KernelArg> = chunk_sets
                 .iter()
                 .map(|chunks| {
-                    debug_assert_eq!(chunks[j].plan.core, chunk_sets[0][j].plan.core);
+                    debug_assert_eq!(chunks[j].plan.core, chunk.plan.core);
                     KernelArg::Buffer(chunks[j].buffer.clone())
                 })
                 .collect();
-            args.extend(p.scan_args(&chunk_sets, j));
+            args.extend(p.scan_args(&chunk.plan));
             args.push(KernelArg::Buffer(partials.clone()));
             args.push(KernelArg::Scalar(Value::I32(n as i32)));
             let first = plan.kernel(
@@ -358,17 +412,10 @@ impl<T: KernelScalar> Reduce<T> {
                 vec![first],
             )?);
         }
-        let mut run = plan.execute(&self.core.ctx)?;
-        run.wait()?;
-        let mut values = Vec::with_capacity(read_ids.len());
-        for id in read_ids {
-            values.push(T::from_le_bytes(&run.take_read(id)?));
-        }
-        events.extend(run.into_events());
+        let values = self.run_values(plan, &read_ids, events)?;
 
         // Phase 2: combine per-device partials, as in the plain path.
-        let device = first_device.expect("non-empty expression has chunks");
-        self.combine_partials(&values, device, events)
+        self.combine_partials(&values, chunk_sets[0][0].plan.device, events)
     }
 
     /// The out-of-core streamed reduction (`SKELCL_STREAM`): each device
@@ -383,27 +430,21 @@ impl<T: KernelScalar> Reduce<T> {
     fn reduce_streamed(
         &self,
         p: &FusedPlan,
-        sched: &crate::stream::StreamSchedule,
+        shares: &[StreamShare],
         events: &mut Vec<Event>,
     ) -> Result<T> {
-        use skelcl_profile::{metrics as m, FlightKind};
-
         let ctx = &self.core.ctx;
-        let profiler = ctx.profiler().clone();
-        profiler.add(m::STREAM_REGIONS, 1);
+        let mut stream = StreamedRegion::new(ctx, &p.sources, 0);
         // Streamed chunks never line up with the chunks a folded scan
         // recorded: land the offsets in the source first (the kernel's
         // `(has_offset, offset)` pairs degenerate to "no offset").
-        p.apply_scan_offsets(events)?;
+        p.prepare_scan(None, events)?;
         let in_params = p.input_params();
         let in_args = p.input_args();
         let t = T::SCALAR;
         let f = &self.user_name;
         let source = format!(
-            "{units}\n{user}\n\
-             {t} skelcl_fused_load({in_params}int skelcl_i) {{\n\
-             \x20   return {load};\n\
-             }}\n\
+            "{prologue}\
              __kernel void skelcl_reduce_stream({in_params}__global {t}* skelcl_acc,\n\
              \x20       int skelcl_cs, int skelcl_ce) {{\n\
              \x20   int g = (int)get_global_id(0);\n\
@@ -419,209 +460,94 @@ impl<T: KernelScalar> Reduce<T> {
              \x20   }}\n\
              \x20   if (have) skelcl_acc[g] = acc;\n\
              }}\n\
-             __kernel void skelcl_reduce_stream_finish(__global const {t}* skelcl_acc,\n\
-             \x20       __global {t}* skelcl_out, int skelcl_n) {{\n\
-             \x20   __local {t} skelcl_scratch[{wg}];\n\
-             \x20   int lid = (int)get_local_id(0);\n\
-             \x20   int gid = (int)get_global_id(0);\n\
-             \x20   int gsize = (int)get_global_size(0);\n\
-             \x20   int lsz = (int)get_local_size(0);\n\
-             \x20   int active = skelcl_n < gsize ? skelcl_n : gsize;\n\
-             \x20   if (gid < active) skelcl_scratch[lid] = skelcl_acc[gid];\n\
-             \x20   barrier(CLK_LOCAL_MEM_FENCE);\n\
-             \x20   int group_base = (int)get_group_id(0) * lsz;\n\
-             \x20   int group_active = active - group_base;\n\
-             \x20   if (group_active > lsz) group_active = lsz;\n\
-             \x20   for (int stride = lsz / 2; stride > 0; stride >>= 1) {{\n\
-             \x20       if (lid < stride && lid + stride < group_active)\n\
-             \x20           skelcl_scratch[lid] = {f}(skelcl_scratch[lid], skelcl_scratch[lid + stride]);\n\
-             \x20       barrier(CLK_LOCAL_MEM_FENCE);\n\
-             \x20   }}\n\
-             \x20   if (lid == 0 && group_active > 0)\n\
-             \x20       skelcl_out[get_group_id(0)] = skelcl_scratch[0];\n\
-             }}\n",
-            units = p.units,
-            user = self.user_source,
-            load = p.load_expr,
-            wg = WG,
+             {finish}",
+            prologue = self.fused_prologue(p),
+            finish = tree_reduce_kernel(
+                t,
+                f,
+                "skelcl_reduce_stream_finish",
+                &format!("__global const {t}* skelcl_acc, "),
+                "skelcl_scratch[lid] = skelcl_acc[gid];",
+            ),
         );
         let program = compile_cached(ctx, "skelcl_reduce_stream.cl", &source)?;
 
         let elem = std::mem::size_of::<T>();
-        let bytes_per_unit: usize = p.input_types.iter().map(|ty| ty.size_bytes()).sum();
-        let mut plan = LaunchPlan::new();
-        plan.observe_per_kernel();
-        let mut rings = Vec::new();
-        let mut lifecycles = Vec::new();
         let mut read_ids = Vec::new();
-        let mut first_device = None;
-        let mut staged_total = 0u64;
-        let mut chunk_total = 0u64;
-        for share in &sched.shares {
+        for share in shares {
             let device = share.plan.device;
-            first_device.get_or_insert(device);
-            let core = share.plan.core.clone();
-            let n = core.len();
+            let base = share.plan.core.start;
+            let n = share.plan.core_len();
             let groups = n.div_ceil(WG).min(MAX_GROUPS);
             let gsize = groups * WG;
             let acc = ctx.queue(device).create_buffer(gsize * elem)?;
             let partials = ctx.queue(device).create_buffer(groups * elem)?;
-            let cu = share.chunk_units.clamp(1, n);
-            let chunks = n.div_ceil(cu);
-            let depth = sched.depth.min(chunks).max(1);
-            let caps: Vec<usize> = p
-                .input_types
-                .iter()
-                .map(|ty| cu * ty.size_bytes())
-                .collect();
-            let mut ring = crate::stream::StagingRing::new(ctx, device, depth, &caps)?;
-            profiler.set_device_gauge(
-                m::STREAM_RESIDENT_BYTES,
-                device,
-                (ring.bytes() + (gsize + groups) * elem) as f64,
-            );
-            let mut prev_kernel: Option<NodeId> = None;
-            for seq in 0..chunks {
-                let cs = seq * cu;
-                let ce = (cs + cu).min(n);
-                let (slot, recycle) = ring.lease(seq);
-                let mut writes = Vec::with_capacity(p.sources.len());
-                for (i, src) in p.sources.iter().enumerate() {
-                    let bytes = src.input_host_units(core.start + cs..core.start + ce)?;
-                    staged_total += bytes.len() as u64;
-                    writes.push(plan.write(device, &ring.bufs(slot)[i], 0, bytes, &recycle));
-                }
-                let mut args: Vec<KernelArg> = ring
-                    .bufs(slot)
+            let mut last = None;
+            stream.share(share, (gsize + groups) * elem, |plan, chunk| {
+                let core = &chunk.plan.core;
+                let mut args: Vec<KernelArg> = chunk
+                    .bufs
                     .iter()
                     .map(|b| KernelArg::Buffer(b.clone()))
                     .collect();
-                for leaf in &p.scan_leaves {
-                    args.push(KernelArg::Scalar(Value::I32(0)));
-                    args.push(KernelArg::Scalar(leaf.state.zero));
-                }
+                args.extend(p.scan_args(&chunk.plan));
                 args.push(KernelArg::Buffer(acc.clone()));
-                args.push(KernelArg::Scalar(Value::I32(cs as i32)));
-                args.push(KernelArg::Scalar(Value::I32(ce as i32)));
-                let mut deps = writes.clone();
+                args.push(KernelArg::Scalar(Value::I32((core.start - base) as i32)));
+                args.push(KernelArg::Scalar(Value::I32((core.end - base) as i32)));
+                let mut deps = chunk.writes.to_vec();
                 // The lane accumulator chains chunk to chunk (a RAW edge);
                 // ring recycling already gates the uploads.
-                deps.extend(prev_kernel);
+                deps.extend(last);
                 let kid = plan.kernel(
                     device,
                     &program,
                     "skelcl_reduce_stream",
                     args,
                     NdRange::linear(gsize, WG),
-                    ce - cs,
+                    core.len(),
                     &deps,
                 );
-                ring.set_consumer(slot, kid);
-                prev_kernel = Some(kid);
-                ctx.flight().record(
-                    FlightKind::ChunkSubmit,
-                    device,
-                    "stream",
-                    0,
-                    seq as u64,
-                    ((ce - cs) * bytes_per_unit) as u64,
-                );
-                lifecycles.push(crate::stream::ChunkLifecycle {
-                    device,
-                    seq,
-                    acquire: writes[0],
-                    retire: kid,
-                });
-                chunk_total += 1;
-            }
-            let last = prev_kernel.expect("non-empty share has chunks");
-            let fid = plan.kernel(
+                last = Some(kid);
+                (kid, kid)
+            })?;
+            let fid = stream.plan.kernel(
                 device,
                 &program,
                 "skelcl_reduce_stream_finish",
                 vec![
-                    KernelArg::Buffer(acc.clone()),
+                    KernelArg::Buffer(acc),
                     KernelArg::Buffer(partials.clone()),
                     KernelArg::Scalar(Value::I32(n as i32)),
                 ],
                 NdRange::linear(gsize, WG),
                 0,
-                &[last],
+                &[last.expect("non-empty share has chunks")],
             );
             read_ids.push(self.plan_chain(
-                &mut plan,
+                &mut stream.plan,
                 device,
                 partials,
                 groups.min(n.div_ceil(WG)),
                 0,
                 vec![fid],
             )?);
-            rings.push(ring);
         }
-        profiler.add(m::STREAM_CHUNKS, chunk_total);
-        profiler.add(m::STREAM_BYTES_STAGED, staged_total);
-        let mut run = plan.execute(ctx)?;
-        crate::stream::attach_chunk_lifecycle(ctx, run.events(), &lifecycles);
-        run.wait()?;
-        let mut values = Vec::with_capacity(read_ids.len());
-        for id in read_ids {
-            values.push(T::from_le_bytes(&run.take_read(id)?));
-        }
-        events.extend(run.into_events());
-        drop(rings);
-        let device = first_device.expect("engaged schedule has shares");
-        self.combine_partials(&values, device, events)
+        let values = Self::values(stream.run(&read_ids, events)?);
+        self.combine_partials(&values, shares[0].plan.device, events)
     }
 
-    /// Phase 1 of a reduction: one plan — every device reduces its chunk
-    /// (of `core_len × unit_elems` elements) down to a single value on its
-    /// own asynchronous queue, ending in a one-element readback. The
-    /// queues run concurrently; no host threads are involved.
-    fn reduce_chunks(
-        &self,
-        chunks: &[DeviceChunk],
-        unit_elems: usize,
-        events: &mut Vec<Event>,
-    ) -> Result<Vec<T>> {
-        let mut plan = LaunchPlan::new();
-        let mut read_ids = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            read_ids.push(self.plan_chain(
-                &mut plan,
-                chunk.plan.device,
-                chunk.buffer.clone(),
-                chunk.plan.core_len() * unit_elems,
-                chunk.plan.core_len(),
-                Vec::new(),
-            )?);
-        }
-        let mut run = plan.execute(&self.core.ctx)?;
-        run.wait()?;
-        let mut values = Vec::with_capacity(read_ids.len());
-        for id in read_ids {
-            values.push(T::from_le_bytes(&run.take_read(id)?));
-        }
-        events.extend(run.into_events());
-        Ok(values)
-    }
-
-    /// Phase 2 of a reduction: combines the per-device partials (at most
-    /// one per GPU) on `device`. A single partial needs no kernel at all.
+    /// Combines the per-device partials (at most one per GPU) on `device`.
+    /// A single partial needs no kernel at all.
     fn combine_partials(&self, values: &[T], device: usize, events: &mut Vec<Event>) -> Result<T> {
         if values.len() == 1 {
             return Ok(values[0]);
         }
         let bytes = crate::types::to_bytes(values);
-        let len = values.len();
         let buf = self.core.ctx.queue(device).create_buffer(bytes.len())?;
         let mut plan = LaunchPlan::new();
         let upload = plan.write(device, &buf, 0, bytes, &[]);
-        let read = self.plan_chain(&mut plan, device, buf, len, 0, vec![upload])?;
-        let mut run = plan.execute(&self.core.ctx)?;
-        run.wait()?;
-        let v = T::from_le_bytes(&run.take_read(read)?);
-        events.extend(run.into_events());
-        Ok(v)
+        let read = self.plan_chain(&mut plan, device, buf, values.len(), 0, vec![upload])?;
+        Ok(self.run_values(plan, &[read], events)?[0])
     }
 
     /// Appends the multi-pass reduction of `n` leading elements of
@@ -664,30 +590,9 @@ impl<T: KernelScalar> Reduce<T> {
         }
         Ok(plan.read(device, &buffer, 0, elem, &deps))
     }
-
-    /// Profiling of the most recent call.
-    pub fn events(&self) -> &EventLog {
-        &self.core.events
-    }
 }
 
-impl<T: KernelScalar> Skeleton for Reduce<T> {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn context(&self) -> &Context {
-        &self.core.ctx
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn kernel_disassembly(&self) -> String {
-        self.core.program.disassemble()
-    }
-}
+impl_skeleton!(Reduce<T>);
 
 #[cfg(test)]
 mod tests {

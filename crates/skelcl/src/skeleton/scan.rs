@@ -16,16 +16,15 @@ use vgpu::{DeviceBuffer, Event, KernelArg, NdRange};
 use crate::codegen::{
     compile_cached, expect_return, expect_scalar_param, parse_user_function, stage_spec, StageSpec,
 };
-use crate::container::data::DeviceChunk;
+use crate::container::data::{DeviceChunk, DistributedData};
 use crate::container::Vector;
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::engine::{LaunchPlan, NodeId};
 use crate::error::{Error, Result};
-use crate::exec::{reduction_distribution, Skeleton, SkeletonCore};
+use crate::exec::{impl_skeleton, reduction_distribution, run_plan, SkeletonCore};
 use crate::expr::Expr;
-use crate::plan::{PlanNode, ScanOffsetState};
-use crate::skeleton::EventLog;
+use crate::plan::{apply_offsets, PlanNode, ScanOffsetState};
 use crate::types::{from_bytes, to_bytes, KernelScalar};
 
 /// Work-group (and scan block) size.
@@ -136,37 +135,19 @@ impl<T: KernelScalar> Scan<T> {
     /// Propagates platform failures; empty input yields an empty output.
     pub fn call(&self, input: &Vector<T>) -> Result<Vector<T>> {
         let _span = self.core.begin("Scan.call");
+        self.core.check_ctx(input.context())?;
         if input.is_empty() {
             return Ok(Vector::from_vec(&self.core.ctx, Vec::new()));
         }
         let mut p1 = self.run_phase1(input)?;
-
         // Phase 2b: one offset kernel per remaining chunk.
         if !p1.prefixes.is_empty() {
-            let mut plan = LaunchPlan::new();
-            for (i, oc) in p1.out_chunks.iter().enumerate().skip(1) {
-                let n = oc.plan.core_len();
-                plan.kernel(
-                    oc.plan.device,
-                    &self.core.program,
-                    "skelcl_scan_offset",
-                    vec![
-                        KernelArg::Buffer(oc.buffer.clone()),
-                        KernelArg::Scalar(p1.prefixes[i - 1].to_value()),
-                        KernelArg::Scalar(Value::I32(n as i32)),
-                    ],
-                    NdRange::linear(n, WG),
-                    0,
-                    &[],
-                );
-            }
-            let run = plan.execute(&self.core.ctx)?;
-            run.wait()?;
-            p1.events.extend(run.into_events());
+            let state = self.pending_offsets(&p1);
+            let chunks = Some(p1.out_chunks.as_slice());
+            apply_offsets(&state, &self.core.ctx, &mut p1.events, chunks)?;
         }
-
         self.core.events.record(p1.events);
-        p1.output.mark_device_written();
+        p1.output.data.mark_device_written();
         Ok(p1.output)
     }
 
@@ -181,39 +162,48 @@ impl<T: KernelScalar> Scan<T> {
     /// As for [`Scan::call`].
     pub fn lazy(&self, input: &Vector<T>) -> Result<Expr<T>> {
         let _span = self.core.begin("Scan.lazy");
+        self.core.check_ctx(input.context())?;
         if input.is_empty() {
             return Ok(Expr::from(&Vector::from_vec(&self.core.ctx, Vec::new())));
         }
         let p1 = self.run_phase1(input)?;
+        p1.output.data.mark_device_written();
+        let expr = if p1.prefixes.is_empty() {
+            Expr::from(&p1.output)
+        } else {
+            Expr::from_node(Arc::new(PlanNode::ScanOffset {
+                ctx: self.core.ctx.clone(),
+                state: Arc::new(self.pending_offsets(&p1)),
+            }))
+        };
         self.core.events.record(p1.events);
-        p1.output.mark_device_written();
-        if p1.prefixes.is_empty() {
-            return Ok(Expr::from(&p1.output));
-        }
-        let state = ScanOffsetState {
+        Ok(expr)
+    }
+
+    /// Phase 2b — adding each predecessor chunk's total — as pending
+    /// state over phase 1's output.
+    fn pending_offsets(&self, p1: &ScanPhase1<T>) -> ScanOffsetState {
+        ScanOffsetState {
             program: self.core.program.clone(),
             stage: self.stage.clone(),
             scalar: T::SCALAR,
             zero: T::default().to_value(),
-            vector: Box::new(p1.output.clone()),
+            vector: p1.output.data.clone(),
             dist: p1.dist,
             offsets: p1.prefixes.iter().map(|v| v.to_value()).collect(),
             plans: p1.out_chunks.iter().map(|c| c.plan.clone()).collect(),
             applied: Mutex::new(false),
-        };
-        Ok(Expr::from_node(Arc::new(PlanNode::ScanOffset {
-            ctx: self.core.ctx.clone(),
-            state: Arc::new(state),
-        })))
+        }
     }
 
     /// Phase 1 (per-chunk inclusive scans) plus phase 2a (scan of the
     /// chunk totals on the first device). `prefixes` stays empty on a
     /// single chunk, where the scan is already complete.
     fn run_phase1(&self, input: &Vector<T>) -> Result<ScanPhase1<T>> {
-        let dist = reduction_distribution(input.effective_distribution(Distribution::Block));
-        let in_chunks = input.ensure_device(dist)?;
-        let (output, out_chunks) = Vector::alloc_device(&self.core.ctx, input.len(), dist)?;
+        let dist = reduction_distribution(input.data.effective_distribution(Distribution::Block));
+        let in_chunks = input.data.ensure_device(dist)?;
+        let (output, out_chunks) =
+            DistributedData::alloc_device(self.core.ctx.clone(), input.len(), 1, dist)?;
         let elem = std::mem::size_of::<T>();
         let multi = out_chunks.len() > 1;
 
@@ -244,13 +234,11 @@ impl<T: KernelScalar> Scan<T> {
                 ));
             }
         }
-        let mut run = plan.execute(&self.core.ctx)?;
-        run.wait()?;
-        let mut totals: Vec<T> = Vec::with_capacity(total_reads.len());
-        for id in total_reads {
-            totals.push(T::from_le_bytes(&run.take_read(id)?));
-        }
-        let mut events = run.into_events();
+        let mut events = Vec::new();
+        let totals: Vec<T> = run_plan(&self.core.ctx, plan, &total_reads, &[], &mut events)?
+            .iter()
+            .map(|b| T::from_le_bytes(b))
+            .collect();
 
         // Phase 2a: scan the chunk totals on the first device to get the
         // per-chunk offsets.
@@ -265,14 +253,11 @@ impl<T: KernelScalar> Scan<T> {
             let upload = plan.write(first, &tot_buf, 0, to_bytes(&totals), &[]);
             let done = self.plan_scan(&mut plan, first, &tot_buf, &scanned, count, 0, &[upload])?;
             let read = plan.read(first, &scanned, 0, count * elem, &[done]);
-            let mut run = plan.execute(&self.core.ctx)?;
-            run.wait()?;
-            prefixes = from_bytes(&run.take_read(read)?);
-            events.extend(run.into_events());
+            prefixes = from_bytes(&run_plan(&self.core.ctx, plan, &[read], &[], &mut events)?[0]);
         }
 
         Ok(ScanPhase1 {
-            output,
+            output: Vector { data: output },
             out_chunks,
             dist,
             prefixes,
@@ -333,30 +318,9 @@ impl<T: KernelScalar> Scan<T> {
             &[sums_done],
         ))
     }
-
-    /// Profiling of the most recent call.
-    pub fn events(&self) -> &EventLog {
-        &self.core.events
-    }
 }
 
-impl<T: KernelScalar> Skeleton for Scan<T> {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn context(&self) -> &Context {
-        &self.core.ctx
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn kernel_disassembly(&self) -> String {
-        self.core.program.disassemble()
-    }
-}
+impl_skeleton!(Scan<T>);
 
 #[cfg(test)]
 mod tests {

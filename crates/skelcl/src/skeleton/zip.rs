@@ -12,11 +12,8 @@ use crate::codegen::{
 use crate::container::{Matrix, Vector};
 use crate::context::Context;
 use crate::error::{Error, Result};
-use crate::exec::{
-    elementwise_matrix, elementwise_vector, ElementwiseInput, Skeleton, SkeletonCore,
-};
+use crate::exec::{impl_skeleton, SkeletonCore};
 use crate::expr::Expr;
-use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
 /// The Zip skeleton: `zip (⊕) xs ys = [x1 ⊕ y1, …, xn ⊕ yn]`.
@@ -103,14 +100,10 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
                 ),
             });
         }
-        // Both operands follow the left operand's effective distribution so
-        // their chunks align (the right one is redistributed implicitly).
-        elementwise_vector(
-            &self.core,
-            "skelcl_zip",
-            &[lhs as &dyn ElementwiseInput, rhs as &dyn ElementwiseInput],
-            extra,
-        )
+        let data = self
+            .core
+            .elementwise("skelcl_zip", &[&*lhs.data, &*rhs.data], extra)?;
+        Ok(Vector { data })
     }
 
     /// Applies the skeleton elementwise to two matrices of equal shape.
@@ -146,14 +139,10 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
                 ),
             });
         }
-        elementwise_matrix(
-            &self.core,
-            "skelcl_zip",
-            &[lhs as &dyn ElementwiseInput, rhs as &dyn ElementwiseInput],
-            lhs.rows(),
-            lhs.cols(),
-            extra,
-        )
+        let data = self
+            .core
+            .elementwise("skelcl_zip", &[&*lhs.data, &*rhs.data], extra)?;
+        Ok(Matrix { data })
     }
 
     /// Defers the stage onto two expressions instead of executing it: the
@@ -185,30 +174,9 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
             vec![lhs.node().clone(), rhs.node().clone()],
         ))
     }
-
-    /// Profiling of the most recent call.
-    pub fn events(&self) -> &EventLog {
-        &self.core.events
-    }
 }
 
-impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Skeleton for Zip<L, R, O> {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn context(&self) -> &Context {
-        &self.core.ctx
-    }
-
-    fn events(&self) -> &EventLog {
-        &self.core.events
-    }
-
-    fn kernel_disassembly(&self) -> String {
-        self.core.program.disassemble()
-    }
-}
+impl_skeleton!(Zip<L, R, O>);
 
 #[cfg(test)]
 mod tests {
@@ -272,7 +240,7 @@ mod tests {
         let b = Vector::from_fn(&ctx, 100, |i| (1000 - i) as i32);
         // Put b under copy first; zip must coerce it to a's block.
         b.set_distribution(Distribution::Copy).unwrap();
-        b.ensure_device(Distribution::Copy).unwrap();
+        b.prefetch(Distribution::Copy).unwrap();
         a.set_distribution(Distribution::Block).unwrap();
         let c = add.call(&a, &b).unwrap();
         assert!(c.to_vec().unwrap().iter().all(|&v| v == 1000));

@@ -1,12 +1,13 @@
 //! The out-of-core streaming executor (`SKELCL_STREAM`).
 //!
-//! When a lowered plan region's per-device working set exceeds a memory
-//! budget ([`Config::device_budget`](crate::Config::device_budget), from
+//! When a region's per-device working set exceeds a memory budget
+//! ([`Config::device_budget`](crate::Config::device_budget), from
 //! `SKELCL_DEVICE_BUDGET` in bytes, defaulting to each device's real
-//! [`vgpu::Device::available_bytes`]), the plan layer does not
-//! materialise whole containers on the devices. Instead it splits every
-//! device's share of the distribution axis into chunks and drives them
-//! through one [`LaunchPlan`] as a software pipeline:
+//! [`vgpu::Device::available_bytes`]), [`crate::exec::run_map_region`] —
+//! every eager map-like call and every lowered plan region — and the
+//! welded reduction do not materialise whole containers on the devices.
+//! Instead every device's share of the distribution axis is split into
+//! chunks driven through one [`LaunchPlan`] as a software pipeline:
 //!
 //! * each device owns a **staging ring** of `depth` reusable slots
 //!   (`SKELCL_STREAM=<depth>`, default 2 — double buffering); a chunk
@@ -29,23 +30,23 @@
 //! stream proptests and the `results.stream` bench section compare
 //! against.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use skelcl_profile::{metrics as m, FlightKind};
-use vgpu::{DeviceBuffer, Event, KernelArg, NdRange};
+use vgpu::{DeviceBuffer, Event};
 
 use crate::context::Context;
 use crate::distribution::{ChunkPlan, Distribution};
 use crate::engine::{LaunchPlan, NodeId};
 use crate::error::Result;
-use crate::exec::ElementwiseInput;
+use crate::exec::{run_plan, BuildArgs, ChunkView, ElementwiseInput, MapRegion};
 
-/// Smallest chunk the splitter produces, in distribution units: below
-/// this, per-chunk launch overhead dwarfs the transfer time the pipeline
-/// can hide. Budgets too small to honour it are exceeded best-effort.
-pub(crate) const MIN_CHUNK_UNITS: usize = 256;
+/// Smallest chunk the splitter produces, in elements (so at least one
+/// unit, and 256 units only when a unit is one element): below this,
+/// per-chunk launch overhead dwarfs the transfer time the pipeline can
+/// hide. Budgets too small to honour it are exceeded best-effort.
+pub(crate) const MIN_CHUNK_ELEMS: usize = 256;
 
 /// The streaming gate parsed from `SKELCL_STREAM`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,26 +110,22 @@ pub(crate) fn device_budget(ctx: &Context, device: usize) -> usize {
 
 /// One device's share of a streamed region: the same partition the
 /// non-streamed path would use (scheduler-weighted for `Block`), plus the
-/// chunk size the budget allows.
+/// chunking the budget allows.
 #[derive(Debug, Clone)]
 pub(crate) struct StreamShare {
     /// The device's full share (`core` in global units).
     pub plan: ChunkPlan,
-    /// Units per streamed chunk on this device.
+    /// Units per streamed chunk on this device (the last may be shorter).
     pub chunk_units: usize,
-}
-
-/// A chunked execution schedule for one streamed region.
-#[derive(Debug, Clone)]
-pub(crate) struct StreamSchedule {
-    /// Staging-ring depth per device.
+    /// Number of chunks the share splits into.
+    pub chunks: usize,
+    /// Staging-ring slots on this device: the configured depth, or fewer
+    /// when the share has fewer chunks.
     pub depth: usize,
-    /// Per-device shares, in `plan_units` order.
-    pub shares: Vec<StreamShare>,
 }
 
-/// Decides whether a region of `units` distribution units under `dist`
-/// must stream, and if so how to chunk it.
+/// Decides whether a region of `units` distribution units of `unit_elems`
+/// elements under `dist` must stream, and if so how to chunk it.
 ///
 /// `bytes_per_unit` is the region's staging traffic per unit (all input
 /// element sizes plus the per-unit output residency); `fixed_bytes` maps a
@@ -143,11 +140,12 @@ pub(crate) struct StreamSchedule {
 pub(crate) fn plan_stream(
     ctx: &Context,
     units: usize,
+    unit_elems: usize,
     dist: Distribution,
     bytes_per_unit: usize,
     fixed_bytes: &dyn Fn(usize) -> usize,
     halo: usize,
-) -> Option<StreamSchedule> {
+) -> Option<Vec<StreamShare>> {
     let cfg = ctx.config().stream;
     if !cfg.enabled || units == 0 {
         return None;
@@ -156,6 +154,7 @@ pub(crate) fn plan_stream(
         return None;
     }
     let bytes_per_unit = bytes_per_unit.max(1);
+    let min_chunk = (MIN_CHUNK_ELEMS / unit_elems.max(1)).max(1);
     let mut engaged = false;
     let mut shares = Vec::new();
     for plan in ctx.plan_units(units, dist) {
@@ -172,88 +171,20 @@ pub(crate) fn plan_stream(
         let per_slot = budget.saturating_sub(fixed) / cfg.depth.max(1);
         let chunk_units = (per_slot / bytes_per_unit)
             .saturating_sub(2 * halo)
-            .max(MIN_CHUNK_UNITS)
+            .max(min_chunk)
             .min(n);
         if working > budget && chunk_units < n {
             engaged = true;
         }
-        shares.push(StreamShare { plan, chunk_units });
+        let chunks = n.div_ceil(chunk_units);
+        shares.push(StreamShare {
+            plan,
+            chunk_units,
+            chunks,
+            depth: cfg.depth.clamp(1, chunks),
+        });
     }
-    if !engaged || shares.is_empty() {
-        return None;
-    }
-    Some(StreamSchedule {
-        depth: cfg.depth.max(1),
-        shares,
-    })
-}
-
-/// One chunk of a streamed region, in global distribution units.
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkCtx {
-    /// The output units this chunk produces.
-    pub range: Range<usize>,
-    /// The input units staged for it (`range ± halo`, clamped).
-    pub staged: Range<usize>,
-}
-
-/// One device's ring of reusable staging buffers. A chunk **leases** the
-/// slot `seq % depth`, picking up a wait-list edge on the slot's previous
-/// consumer (the kernel that last read its buffers); declaring the new
-/// consumer **returns** the lease for the chunk `depth` positions later.
-pub(crate) struct StagingRing {
-    slots: Vec<RingSlot>,
-    bytes: usize,
-}
-
-struct RingSlot {
-    bufs: Vec<DeviceBuffer>,
-    last_consumer: Option<NodeId>,
-}
-
-impl StagingRing {
-    /// Allocates `depth` slots on `device`, each holding one buffer of
-    /// `caps[i]` bytes per streamed source.
-    pub fn new(ctx: &Context, device: usize, depth: usize, caps: &[usize]) -> Result<Self> {
-        let queue = ctx.queue(device);
-        let mut slots = Vec::with_capacity(depth);
-        let mut bytes = 0usize;
-        for _ in 0..depth.max(1) {
-            let mut bufs = Vec::with_capacity(caps.len());
-            for &cap in caps {
-                bufs.push(queue.create_buffer(cap)?);
-                bytes += cap;
-            }
-            slots.push(RingSlot {
-                bufs,
-                last_consumer: None,
-            });
-        }
-        Ok(StagingRing { slots, bytes })
-    }
-
-    /// Total device bytes the ring keeps resident.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Leases the slot for chunk `seq`: its index, plus the recycle
-    /// dependency on the slot's previous consumer (empty on first use).
-    pub fn lease(&self, seq: usize) -> (usize, Vec<NodeId>) {
-        let idx = seq % self.slots.len();
-        (idx, self.slots[idx].last_consumer.into_iter().collect())
-    }
-
-    /// The leased slot's buffers, one per streamed source.
-    pub fn bufs(&self, slot: usize) -> &[DeviceBuffer] {
-        &self.slots[slot].bufs
-    }
-
-    /// Returns the lease: `consumer` is the last plan node reading the
-    /// slot's buffers; the chunk `depth` positions later waits on it.
-    pub fn set_consumer(&mut self, slot: usize, consumer: NodeId) {
-        self.slots[slot].last_consumer = Some(consumer);
-    }
+    engaged.then_some(shares)
 }
 
 /// A chunk's plan nodes that bound its ring-slot tenancy, used to emit
@@ -269,148 +200,200 @@ pub(crate) struct ChunkLifecycle {
     pub retire: NodeId,
 }
 
-/// A chunk's bookkeeping for post-execute flight callbacks and output
-/// assembly.
-struct ChunkRecord {
-    device: usize,
-    seq: usize,
-    first_write: NodeId,
-    read: NodeId,
-    out_offset: usize,
-    out_len: usize,
+/// One ring chunk handed to a [`StreamedRegion::share`] closure, after
+/// its uploads were planned.
+pub(crate) struct RingChunk<'a> {
+    /// Device, staged (`stored`) and produced (`core`) range in global
+    /// units.
+    pub plan: ChunkPlan,
+    /// The leased ring slot.
+    pub slot: usize,
+    /// The slot's staging buffers, one per source.
+    pub bufs: &'a [DeviceBuffer],
+    /// The upload nodes filling `bufs`, one per source.
+    pub writes: &'a [NodeId],
 }
 
-/// Kernel-ABI callback for [`stream_map_like`]: chunk, slot input buffers
-/// (in source order) and the chunk's output buffer → argument list plus
-/// launch geometry.
-pub(crate) type BuildArgs<'a> =
-    &'a dyn Fn(&ChunkCtx, &[DeviceBuffer], &DeviceBuffer) -> (Vec<KernelArg>, NdRange);
-
-/// Streams a map-like region (fused elementwise or stencil): every chunk
-/// stages each source's `staged` range into its ring slot, launches
-/// `kernel` with arguments from `build_args`, and reads the chunk's
-/// output back to the host. Returns the assembled output bytes
-/// (`units × out_elem`).
-///
-/// `build_args` receives the chunk, the slot's input buffers (in source
-/// order) and the chunk's output buffer, and produces the kernel argument
-/// list plus launch geometry — the caller owns the kernel ABI, this
-/// driver owns chunking, the rings and the pipeline edges.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stream_map_like(
-    ctx: &Context,
-    sched: &StreamSchedule,
+/// A streamed region under construction: one [`LaunchPlan`] into which
+/// every device's share is driven chunk by chunk through a staging ring.
+/// The driver owns chunking, the rings, the staged uploads and the
+/// recycle edges; the caller's closure emits the chunk's kernel(s) and
+/// names the nodes that return the slot.
+pub(crate) struct StreamedRegion<'a> {
+    ctx: &'a Context,
+    /// The region's plan; callers append per-share epilogues to it.
+    pub plan: LaunchPlan,
+    sources: &'a [&'a dyn ElementwiseInput],
+    in_unit_bytes: Vec<usize>,
     halo: usize,
     units: usize,
-    sources: &[&dyn ElementwiseInput],
-    out_elem: usize,
-    program: &skelcl_kernel::Program,
-    kernel: &str,
-    build_args: BuildArgs<'_>,
-    events: &mut Vec<Event>,
-) -> Result<Vec<u8>> {
-    let profiler = ctx.profiler().clone();
-    profiler.add(m::STREAM_REGIONS, 1);
-    let in_elems: Vec<usize> = sources
-        .iter()
-        .map(|s| s.input_scalar().size_bytes())
-        .collect();
+    lifecycles: Vec<ChunkLifecycle>,
+    bytes_staged: u64,
+}
 
-    let mut plan = LaunchPlan::new();
-    plan.observe_per_kernel();
-    let mut rings: Vec<StagingRing> = Vec::new();
-    let mut out_slots: Vec<Vec<DeviceBuffer>> = Vec::new();
-    let mut records: Vec<ChunkRecord> = Vec::new();
-    let mut staged_total = 0u64;
+impl<'a> StreamedRegion<'a> {
+    /// Starts a streamed region over `sources` (all of the first one's
+    /// shape) whose chunks read `halo` extra units on each side.
+    pub fn new(ctx: &'a Context, sources: &'a [&'a dyn ElementwiseInput], halo: usize) -> Self {
+        ctx.profiler().add(m::STREAM_REGIONS, 1);
+        let mut plan = LaunchPlan::new();
+        plan.observe_per_kernel();
+        let unit_elems = sources[0].input_unit_elems();
+        StreamedRegion {
+            ctx,
+            plan,
+            sources,
+            in_unit_bytes: sources
+                .iter()
+                .map(|s| s.input_scalar().size_bytes() * unit_elems)
+                .collect(),
+            halo,
+            units: sources[0].input_units(),
+            lifecycles: Vec::new(),
+            bytes_staged: 0,
+        }
+    }
 
-    for share in &sched.shares {
+    /// Drives one device's share through its staging ring: `depth` slots
+    /// of one buffer per source. Chunk `seq` **leases** slot `seq % depth`,
+    /// stages every source's `core ± halo` range (clamped to the
+    /// container) behind a wait-list edge on the slot's previous consumer,
+    /// and calls `emit`, which appends the chunk's kernel(s) and returns
+    /// `(consumer, retire)`: the last node reading the slot's staging
+    /// buffers — which **returns** the lease to the chunk `depth`
+    /// positions later — and the node whose completion ends the chunk's
+    /// tenancy. `resident_bytes` is what the caller keeps on the device
+    /// next to the ring, for the residency gauge.
+    pub fn share(
+        &mut self,
+        share: &StreamShare,
+        resident_bytes: usize,
+        mut emit: impl FnMut(&mut LaunchPlan, &RingChunk<'_>) -> (NodeId, NodeId),
+    ) -> Result<()> {
         let device = share.plan.device;
-        let core = share.plan.core.clone();
-        let n_share = core.len();
-        let cu = share.chunk_units.clamp(1, n_share);
-        let chunks = n_share.div_ceil(cu);
-        let depth = sched.depth.min(chunks).max(1);
-        let caps: Vec<usize> = in_elems.iter().map(|e| (cu + 2 * halo) * e).collect();
-        let mut ring = StagingRing::new(ctx, device, depth, &caps)?;
-        let queue = ctx.queue(device);
-        let outs: Vec<DeviceBuffer> = (0..depth)
-            .map(|_| queue.create_buffer(cu * out_elem))
-            .collect::<std::result::Result<_, _>>()?;
-        profiler.set_device_gauge(
+        let core = &share.plan.core;
+        let cu = share.chunk_units;
+        let caps: Vec<usize> = self
+            .in_unit_bytes
+            .iter()
+            .map(|b| (cu + 2 * self.halo) * b)
+            .collect();
+        let queue = self.ctx.queue(device);
+        let mut slots: Vec<Vec<DeviceBuffer>> = Vec::with_capacity(share.depth);
+        for _ in 0..share.depth {
+            let bufs = caps.iter().map(|&cap| queue.create_buffer(cap));
+            slots.push(bufs.collect::<std::result::Result<_, _>>()?);
+        }
+        let mut consumers: Vec<Option<NodeId>> = vec![None; share.depth];
+        self.ctx.profiler().set_device_gauge(
             m::STREAM_RESIDENT_BYTES,
             device,
-            (ring.bytes() + outs.iter().map(|b| b.len()).sum::<usize>()) as f64,
+            (share.depth * caps.iter().sum::<usize>() + resident_bytes) as f64,
         );
-        // Per-slot readback of the previous tenant: the kernel writing a
-        // slot's output buffer must wait for that read to drain.
-        let mut last_reads: Vec<Option<NodeId>> = vec![None; depth];
-        for seq in 0..chunks {
+        for seq in 0..share.chunks {
             let start = core.start + seq * cu;
             let end = (start + cu).min(core.end);
-            let staged = start.saturating_sub(halo)..(end + halo).min(units);
-            let (slot, recycle) = ring.lease(seq);
-            let mut writes = Vec::with_capacity(sources.len());
-            for (i, src) in sources.iter().enumerate() {
+            let staged = start.saturating_sub(self.halo)..(end + self.halo).min(self.units);
+            let slot = seq % share.depth;
+            let recycle: Vec<NodeId> = consumers[slot].into_iter().collect();
+            let mut writes = Vec::with_capacity(self.sources.len());
+            for (src, buf) in self.sources.iter().zip(&slots[slot]) {
                 let bytes = src.input_host_units(staged.clone())?;
-                staged_total += bytes.len() as u64;
-                writes.push(plan.write(device, &ring.bufs(slot)[i], 0, bytes, &recycle));
+                self.bytes_staged += bytes.len() as u64;
+                writes.push(self.plan.write(device, buf, 0, bytes, &recycle));
             }
-            let chunk = ChunkCtx {
-                range: start..end,
-                staged,
+            let staged_bytes = staged.len() * self.in_unit_bytes.iter().sum::<usize>();
+            let chunk = RingChunk {
+                plan: ChunkPlan {
+                    device,
+                    stored: staged,
+                    core: start..end,
+                },
+                slot,
+                bufs: &slots[slot],
+                writes: &writes,
             };
-            let (args, range) = build_args(&chunk, ring.bufs(slot), &outs[slot]);
-            let mut deps = writes.clone();
-            if let Some(r) = last_reads[slot] {
-                deps.push(r);
-            }
-            let kid = plan.kernel(device, program, kernel, args, range, end - start, &deps);
-            let rid = plan.read(device, &outs[slot], 0, (end - start) * out_elem, &[kid]);
-            ring.set_consumer(slot, kid);
-            last_reads[slot] = Some(rid);
-            ctx.flight().record(
+            let (consumer, retire) = emit(&mut self.plan, &chunk);
+            consumers[slot] = Some(consumer);
+            self.ctx.flight().record(
                 FlightKind::ChunkSubmit,
                 device,
                 "stream",
                 0,
                 seq as u64,
-                (chunk.staged.len() * in_elems.iter().sum::<usize>()) as u64,
+                staged_bytes as u64,
             );
-            records.push(ChunkRecord {
+            self.lifecycles.push(ChunkLifecycle {
                 device,
                 seq,
-                first_write: writes[0],
-                read: rid,
-                out_offset: start * out_elem,
-                out_len: (end - start) * out_elem,
+                acquire: writes[0],
+                retire,
             });
         }
-        rings.push(ring);
-        out_slots.push(outs);
+        Ok(())
     }
 
-    profiler.add(m::STREAM_CHUNKS, records.len() as u64);
-    profiler.add(m::STREAM_BYTES_STAGED, staged_total);
-    let mut run = plan.execute(ctx)?;
-    let lifecycles: Vec<ChunkLifecycle> = records
-        .iter()
-        .map(|r| ChunkLifecycle {
-            device: r.device,
-            seq: r.seq,
-            acquire: r.first_write,
-            retire: r.read,
-        })
-        .collect();
-    attach_chunk_lifecycle(ctx, run.events(), &lifecycles);
-    run.wait()?;
-    let mut out = vec![0u8; units * out_elem];
-    for rec in &records {
-        let bytes = run.take_read(rec.read)?;
-        out[rec.out_offset..rec.out_offset + rec.out_len].copy_from_slice(&bytes);
+    /// Executes the plan and returns the bytes of the `reads` nodes in
+    /// order. The rings and whatever the closures allocated are held by
+    /// the plan's nodes, so they are released as the plan drains.
+    pub fn run(self, reads: &[NodeId], events: &mut Vec<Event>) -> Result<Vec<Vec<u8>>> {
+        let profiler = self.ctx.profiler();
+        profiler.add(m::STREAM_CHUNKS, self.lifecycles.len() as u64);
+        profiler.add(m::STREAM_BYTES_STAGED, self.bytes_staged);
+        run_plan(self.ctx, self.plan, reads, &self.lifecycles, events)
     }
-    events.extend(run.into_events());
-    drop(rings);
-    drop(out_slots);
+}
+
+/// Streams a map-like region: every chunk stages each source's range into
+/// its ring slot, launches `region.kernel` with the arguments `build`
+/// gives for the chunk's [`ChunkView`], and reads the chunk's output back
+/// to the host. Returns the assembled output bytes (`units ×
+/// out_unit_bytes`).
+pub(crate) fn stream_map_like(
+    region: &MapRegion<'_>,
+    shares: &[StreamShare],
+    out_unit_bytes: usize,
+    build: BuildArgs<'_>,
+    events: &mut Vec<Event>,
+) -> Result<Vec<u8>> {
+    let mut stream = StreamedRegion::new(region.ctx, region.sources, region.halo);
+    let unit_elems = region.sources[0].input_unit_elems();
+    let units = region.sources[0].input_units();
+    let mut reads = Vec::new();
+    let mut offsets = Vec::new();
+    for share in shares {
+        let device = share.plan.device;
+        let queue = region.ctx.queue(device);
+        let outs: Vec<DeviceBuffer> = (0..share.depth)
+            .map(|_| queue.create_buffer(share.chunk_units * out_unit_bytes))
+            .collect::<std::result::Result<_, _>>()?;
+        // Per-slot readback of the previous tenant: the kernel writing a
+        // slot's output buffer must wait for that read to drain.
+        let mut last_reads: Vec<Option<NodeId>> = vec![None; share.depth];
+        let out_bytes = share.depth * share.chunk_units * out_unit_bytes;
+        stream.share(share, out_bytes, |plan, chunk| {
+            let out = &outs[chunk.slot];
+            let (args, range) = build(&ChunkView {
+                inputs: chunk.bufs,
+                output: out,
+                plan: &chunk.plan,
+                unit_elems,
+            });
+            let mut deps = chunk.writes.to_vec();
+            deps.extend(last_reads[chunk.slot]);
+            let n = chunk.plan.core_len();
+            let kid = plan.kernel(device, region.program, region.kernel, args, range, n, &deps);
+            let rid = plan.read(device, out, 0, n * out_unit_bytes, &[kid]);
+            last_reads[chunk.slot] = Some(rid);
+            reads.push(rid);
+            offsets.push(chunk.plan.core.start * out_unit_bytes);
+            (kid, rid)
+        })?;
+    }
+    let mut out = vec![0u8; units * out_unit_bytes];
+    for (offset, bytes) in offsets.into_iter().zip(stream.run(&reads, events)?) {
+        out[offset..offset + bytes.len()].copy_from_slice(&bytes);
+    }
     Ok(out)
 }
 
@@ -420,7 +403,7 @@ pub(crate) fn stream_map_like(
 /// and the slot becomes reusable (occupancy falls).
 pub(crate) fn attach_chunk_lifecycle(ctx: &Context, events: &[Event], chunks: &[ChunkLifecycle]) {
     let flight = ctx.flight();
-    if !flight.is_enabled() {
+    if !flight.is_enabled() || chunks.is_empty() {
         return;
     }
     let occupancy: Vec<Arc<AtomicI64>> = (0..ctx.device_count())
@@ -428,32 +411,24 @@ pub(crate) fn attach_chunk_lifecycle(ctx: &Context, events: &[Event], chunks: &[
         .collect();
     for rec in chunks {
         let (device, seq) = (rec.device, rec.seq);
-        let occ = Arc::clone(&occupancy[device]);
-        let f = flight.clone();
-        events[rec.acquire.index()].on_complete(move |e| {
-            let now = occ.fetch_add(1, Ordering::Relaxed) + 1;
-            f.record(
-                FlightKind::ChunkAcquire,
-                device,
-                "stream",
-                e.ended_ns(),
-                seq as u64,
-                now.max(0) as u64,
-            );
-        });
-        let occ = Arc::clone(&occupancy[device]);
-        let f = flight.clone();
-        events[rec.retire.index()].on_complete(move |e| {
-            let now = occ.fetch_sub(1, Ordering::Relaxed) - 1;
-            f.record(
-                FlightKind::ChunkRetire,
-                device,
-                "stream",
-                e.ended_ns(),
-                seq as u64,
-                now.max(0) as u64,
-            );
-        });
+        for (node, kind, delta) in [
+            (rec.acquire, FlightKind::ChunkAcquire, 1),
+            (rec.retire, FlightKind::ChunkRetire, -1),
+        ] {
+            let occ = Arc::clone(&occupancy[device]);
+            let f = flight.clone();
+            events[node.index()].on_complete(move |e| {
+                let now = occ.fetch_add(delta, Ordering::Relaxed) + delta;
+                f.record(
+                    kind,
+                    device,
+                    "stream",
+                    e.ended_ns(),
+                    seq as u64,
+                    now.max(0) as u64,
+                );
+            });
+        }
     }
 }
 

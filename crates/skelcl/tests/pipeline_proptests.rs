@@ -1,7 +1,9 @@
 //! Property tests for the plan layer and the streaming executor: six
 //! pipeline shapes — one per rewrite rule (chain, reduce-weld, stencil,
-//! scan-offset), all rules at once, and scan into a welded reduce — over
-//! random data and 1–4 devices must produce bit-identical results
+//! scan-offset), all rules at once, and scan into a welded reduce — plus
+//! the four eager map-like calls (`Map`, `Zip`, `MapOverlapVec`, matrix
+//! `MapOverlap`), which share the streaming executor, over random data and
+//! 1–4 devices must produce bit-identical results
 //!
 //! * with the rewrite rules enabled ([`PlanConfig::all`]) and fully staged
 //!   ([`PlanConfig::oracle`]);
@@ -12,8 +14,8 @@
 use proptest::prelude::*;
 
 use skelcl::{
-    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlapVec, PlanConfig, Reduce,
-    Scan, StreamConfig, Vector,
+    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlap, MapOverlapVec, Matrix,
+    PlanConfig, Reduce, Scan, StreamConfig, Vector, Zip,
 };
 use vgpu::{DeviceSpec, Platform};
 
@@ -73,11 +75,37 @@ fn run(shape: u8, data: &[f32], devices: usize, config: Config) -> Vec<u32> {
             .value()
             .to_bits()],
         // Scan offsets folded into the reduce weld prologue.
-        _ => vec![sum
+        5 => vec![sum
             .call_fused(&scan.lazy(&v).unwrap())
             .unwrap()
             .value()
             .to_bits()],
+        // The eager map-like calls: one region each, no plan.
+        6 => bits(neg.call(&v).unwrap()),
+        7 => {
+            let mult: Zip<f32, f32, f32> =
+                Zip::new(&ctx, "float mult(float x, float y){ return x * y; }").unwrap();
+            bits(mult.call(&v, &sq.call(&v).unwrap()).unwrap())
+        }
+        8 => bits(blur.call(&v).unwrap()),
+        // The data as a matrix of 5-element rows (the distribution unit is
+        // a row), under a 2-D stencil of range 2.
+        _ => {
+            let cols = data.len().min(5);
+            let rows = data.len() / cols;
+            let m = Matrix::from_vec(&ctx, rows, cols, data[..rows * cols].to_vec());
+            let cross: MapOverlap<f32, f32> = MapOverlap::new(
+                &ctx,
+                "float cross(const float* m){
+                     return get(m, -2, 0) + get(m, 2, 0) + get(m, 0, -2) + get(m, 0, 2) - get(m, 0, 0);
+                 }",
+                2,
+                BoundaryHandling::Nearest,
+            )
+            .unwrap();
+            let out = cross.call(&m).unwrap().to_vec().unwrap();
+            out.iter().map(|x| x.to_bits()).collect()
+        }
     }
 }
 
@@ -100,7 +128,7 @@ proptest! {
     fn streamed_is_bit_identical_to_oracle(
         data in proptest::collection::vec(any::<f32>(), 1..2500),
         devices in 1usize..=4,
-        shape in 0u8..6,
+        shape in 0u8..10,
         depth in 2usize..=4,
     ) {
         // A budget far below the shares' working sets, so every region

@@ -1,10 +1,14 @@
 //! End-to-end test of the observability layer: a Reduce on two virtual
 //! devices, cross-checked against the Chrome trace export and the
-//! skeleton's own `EventLog`.
+//! skeleton's own `EventLog`; and the host spans and call counts each
+//! skeleton entry point owns.
 
 use skelcl::profile::json::Json;
-use skelcl::profile::{Lane, SpanKind};
-use skelcl::{Context, DeviceSelection, Profiler, Reduce, Vector};
+use skelcl::profile::{metrics, Lane, SpanKind};
+use skelcl::{
+    Allpairs, BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlap, MapOverlapVec,
+    Matrix, PlanConfig, Profiler, Reduce, Scan, Vector, Zip,
+};
 use vgpu::{event, CommandKind, DeviceSpec, Platform};
 
 fn two_gpu_profiled() -> Context {
@@ -121,4 +125,150 @@ fn metrics_cover_transfers_compile_cache_and_busy_ns() {
         assert!(busy.transfer_ns > 0);
     }
     assert!(m.load_imbalance() >= 1.0);
+}
+
+/// Names of the skeleton-kind host spans closed so far, in closing order.
+fn skeleton_spans(ctx: &Context) -> Vec<String> {
+    let spans = ctx.profiler().spans().into_iter();
+    spans
+        .filter(|s| s.kind == SpanKind::Skeleton && s.lane == Lane::Host)
+        .map(|s| s.name)
+        .collect()
+}
+
+/// Spans and the `skeleton.calls` counter belong to the skeleton entry
+/// points, not to the region executor they share: every eager call opens
+/// exactly one skeleton-kind host span under its own name and counts as
+/// one call; a staged plan intermediate opens `plan.stage` and is not a
+/// call; the root of a lazy evaluation is `Expr.eval`.
+#[test]
+fn entry_points_own_their_span_and_call_count() {
+    let ctx = Context::init_with_config(
+        Platform::new(2, DeviceSpec::tesla_t10()),
+        DeviceSelection::All,
+        Config {
+            plan: PlanConfig::oracle(),
+            profile: true,
+            ..Config::default()
+        },
+    );
+    let v = Vector::from_fn(&ctx, 1000, |i| i as f32);
+    let m = Matrix::from_fn(&ctx, 20, 30, |r, c| (r * 30 + c) as f32);
+    let neg: Map<f32, f32> = Map::new(&ctx, "float neg(float x){ return -x; }").unwrap();
+    let index: Map<i32, f32> = Map::new(&ctx, "float half(int i){ return i * 0.5f; }").unwrap();
+    let add: Zip<f32, f32, f32> =
+        Zip::new(&ctx, "float add(float x, float y){ return x + y; }").unwrap();
+    let sum: Reduce<f32> =
+        Reduce::new(&ctx, "float sum(float x, float y){ return x + y; }").unwrap();
+    let prefix: Scan<f32> =
+        Scan::new(&ctx, "float plus(float x, float y){ return x + y; }").unwrap();
+    let stencil: MapOverlap<f32, f32> = MapOverlap::new(
+        &ctx,
+        "float up(const float* m){ return get(m, 0, -1); }",
+        1,
+        BoundaryHandling::Nearest,
+    )
+    .unwrap();
+    let stencil_vec: MapOverlapVec<f32, f32> = MapOverlapVec::new(
+        &ctx,
+        "float left(const float* v){ return get(v, -1); }",
+        1,
+        BoundaryHandling::Nearest,
+    )
+    .unwrap();
+    let pairs: Allpairs<f32, f32> = Allpairs::new(
+        &ctx,
+        "float first(const float* a, const float* b, int d){ return a[0] + b[0]; }",
+    )
+    .unwrap();
+
+    type Call<'a> = Box<dyn Fn() + 'a>;
+    let table: Vec<(&[&str], Call)> = vec![
+        (
+            &["Map.call"],
+            Box::new(|| {
+                neg.call(&v).unwrap();
+            }),
+        ),
+        (
+            &["Map.call_matrix"],
+            Box::new(|| {
+                neg.call_matrix(&m).unwrap();
+            }),
+        ),
+        (
+            &["Map.call_index"],
+            Box::new(|| {
+                index.call_index(64, &[]).unwrap();
+            }),
+        ),
+        (
+            &["Zip.call"],
+            Box::new(|| {
+                add.call(&v, &v).unwrap();
+            }),
+        ),
+        (
+            &["Zip.call_matrix"],
+            Box::new(|| {
+                add.call_matrix(&m, &m).unwrap();
+            }),
+        ),
+        (
+            &["Reduce.call"],
+            Box::new(|| {
+                sum.call(&v).unwrap();
+            }),
+        ),
+        (
+            &["Reduce.call_matrix"],
+            Box::new(|| {
+                sum.call_matrix(&m).unwrap();
+            }),
+        ),
+        (
+            &["Scan.call"],
+            Box::new(|| {
+                prefix.call(&v).unwrap();
+            }),
+        ),
+        (
+            &["MapOverlap.call"],
+            Box::new(|| {
+                stencil.call(&m).unwrap();
+            }),
+        ),
+        (
+            &["MapOverlapVec.call"],
+            Box::new(|| {
+                stencil_vec.call(&v).unwrap();
+            }),
+        ),
+        (
+            &["Allpairs.call"],
+            Box::new(|| {
+                pairs.call(&m, &m).unwrap();
+            }),
+        ),
+        // Staged (the context runs the plan oracle): the inner map is an
+        // intermediate, the outer one the root; one call in all.
+        (
+            &["plan.stage", "Expr.eval", "plan.lower"],
+            Box::new(|| {
+                let inner = neg.lazy(&v.expr()).unwrap();
+                neg.lazy(&inner).unwrap().eval().unwrap();
+            }),
+        ),
+    ];
+    for (expected, call) in table {
+        let spans_before = skeleton_spans(&ctx).len();
+        let calls_before = ctx.profiler().counter(metrics::SKELETON_CALLS);
+        call();
+        assert_eq!(&skeleton_spans(&ctx)[spans_before..], expected);
+        assert_eq!(
+            ctx.profiler().counter(metrics::SKELETON_CALLS) - calls_before,
+            1,
+            "{expected:?} is one skeleton call"
+        );
+    }
 }

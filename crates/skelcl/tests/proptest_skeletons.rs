@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 
 use skelcl::{
-    BoundaryHandling, Context, DeviceSelection, Distribution, Map, MapOverlap, Matrix, Reduce,
-    Scan, Vector, Zip,
+    Allpairs, BoundaryHandling, Context, DeviceSelection, Distribution, Error, Map, MapOverlap,
+    MapOverlapVec, Matrix, Reduce, Scan, Vector, Zip,
 };
 use vgpu::{DeviceSpec, Platform};
 
@@ -162,5 +162,97 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+    }
+}
+
+/// A container created on another `Context` is a typed error on every
+/// eager entry point of every skeleton — never a launch on a foreign
+/// queue, an out-of-range transfer or an index panic. The two platforms
+/// differ in device count (so the chunk lists differ in length), and each
+/// plays the skeleton's and the container's side once.
+#[test]
+fn foreign_context_containers_are_shape_mismatches() {
+    for (own, other) in [(2, 1), (1, 2)] {
+        let home = ctx(own);
+        let away = ctx(other);
+        let vec = |c: &Context| Vector::from_fn(c, 600, |i| i as f32);
+        let mat = |c: &Context| Matrix::from_fn(c, 24, 25, |r, col| (r * 25 + col) as f32);
+
+        let map: Map<f32, f32> = Map::new(&home, "float f(float x){ return -x; }").unwrap();
+        let zip: Zip<f32, f32, f32> =
+            Zip::new(&home, "float f(float x, float y){ return x + y; }").unwrap();
+        let reduce: Reduce<f32> =
+            Reduce::new(&home, "float f(float x, float y){ return x + y; }").unwrap();
+        let scan: Scan<f32> =
+            Scan::new(&home, "float f(float x, float y){ return x + y; }").unwrap();
+        let stencil: MapOverlap<f32, f32> = MapOverlap::new(
+            &home,
+            "float f(const float* m){ return get(m, -1, 0) + get(m, 0, 1); }",
+            1,
+            BoundaryHandling::Nearest,
+        )
+        .unwrap();
+        let stencil_vec: MapOverlapVec<f32, f32> = MapOverlapVec::new(
+            &home,
+            "float f(const float* v){ return get(v, -1) + get(v, 1); }",
+            1,
+            BoundaryHandling::Nearest,
+        )
+        .unwrap();
+        let allpairs: Allpairs<f32, f32> = Allpairs::new(
+            &home,
+            "float f(const float* a, const float* b, int d){ return a[0] * b[d - 1]; }",
+        )
+        .unwrap();
+
+        let cases: Vec<(&str, Result<(), Error>)> = vec![
+            ("Map::call", map.call(&vec(&away)).map(drop)),
+            ("Map::call_matrix", map.call_matrix(&mat(&away)).map(drop)),
+            (
+                "Zip::call lhs",
+                zip.call(&vec(&away), &vec(&home)).map(drop),
+            ),
+            (
+                "Zip::call rhs",
+                zip.call(&vec(&home), &vec(&away)).map(drop),
+            ),
+            (
+                "Zip::call_matrix lhs",
+                zip.call_matrix(&mat(&away), &mat(&home)).map(drop),
+            ),
+            (
+                "Zip::call_matrix rhs",
+                zip.call_matrix(&mat(&home), &mat(&away)).map(drop),
+            ),
+            ("Reduce::call", reduce.call(&vec(&away)).map(drop)),
+            (
+                "Reduce::call_matrix",
+                reduce.call_matrix(&mat(&away)).map(drop),
+            ),
+            ("Scan::call", scan.call(&vec(&away)).map(drop)),
+            ("Scan::lazy", scan.lazy(&vec(&away)).map(drop)),
+            ("MapOverlap::call", stencil.call(&mat(&away)).map(drop)),
+            (
+                "MapOverlapVec::call",
+                stencil_vec.call(&vec(&away)).map(drop),
+            ),
+            (
+                "Allpairs::call a",
+                allpairs.call(&mat(&away), &mat(&home)).map(drop),
+            ),
+            (
+                "Allpairs::call b",
+                allpairs.call(&mat(&home), &mat(&away)).map(drop),
+            ),
+        ];
+        for (entry, result) in cases {
+            assert!(
+                matches!(result, Err(Error::ShapeMismatch { .. })),
+                "{entry} on {own} device(s), container from {other}: {result:?}"
+            );
+        }
+        // The same calls on home containers still work.
+        assert_eq!(map.call(&vec(&home)).unwrap().get(3).unwrap(), -3.0);
+        assert!(allpairs.call(&mat(&home), &mat(&home)).is_ok());
     }
 }

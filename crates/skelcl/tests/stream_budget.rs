@@ -1,13 +1,14 @@
-//! Acceptance test for the out-of-core streaming executor: a 4-GPU fused
-//! map → stencil → reduce whose working set exceeds the per-device budget
-//! must actually engage streaming (chunked regions, staged bytes), stay
-//! within the budget for peak resident device bytes, and produce a result
-//! bit-identical to the non-streamed oracle.
+//! Acceptance tests for the out-of-core streaming executor: a 4-GPU fused
+//! map → stencil → reduce, and each eager map-like skeleton call, whose
+//! working set exceeds the per-device budget must actually engage
+//! streaming (chunked regions, staged bytes), stay within the budget for
+//! peak resident device bytes, and produce a result bit-identical to the
+//! non-streamed run.
 
 use skelcl::profile::metrics;
 use skelcl::{
-    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlapVec, Reduce, StreamConfig,
-    Vector,
+    BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlap, MapOverlapVec, Matrix,
+    Reduce, StreamConfig, Vector, Zip,
 };
 use vgpu::{DeviceSpec, Platform};
 
@@ -87,5 +88,98 @@ fn streams_within_budget_and_matches_oracle() {
             peak <= BUDGET,
             "device {d} peak resident bytes {peak} exceed the budget {BUDGET}"
         );
+    }
+}
+
+/// The paper's Sobel customizing function (Listing 1.5).
+const SOBEL: &str = "uchar func(const uchar* img)
+    {
+        int hx = -1 * (int)get(img, -1, -1) + 1 * (int)get(img, +1, -1)
+                 -2 * (int)get(img, -1,  0) + 2 * (int)get(img, +1,  0)
+                 -1 * (int)get(img, -1, +1) + 1 * (int)get(img, +1, +1);
+        int vy = -1 * (int)get(img, -1, -1) - 2 * (int)get(img, 0, -1) - 1 * (int)get(img, +1, -1)
+                 +1 * (int)get(img, -1, +1) + 2 * (int)get(img, 0, +1) + 1 * (int)get(img, +1, +1);
+        int mag = (int)sqrt((float)(hx * hx + vy * vy));
+        return (uchar)(mag > 255 ? 255 : mag);
+    }";
+
+/// Runs eager skeleton call `shape` on host-resident inputs under
+/// `device_budget`, returning the result bytes and the profiled context.
+fn run_eager(shape: &str, device_budget: Option<usize>) -> (Vec<u8>, Context) {
+    let ctx = Context::init_with_config(
+        Platform::new(DEVICES, DeviceSpec::tesla_t10()),
+        DeviceSelection::All,
+        Config {
+            device_budget,
+            profile: true,
+            ..Config::default()
+        },
+    );
+    let v = Vector::from_fn(&ctx, N, |i| ((i * 37) % 1999) as f32 * 0.5);
+    let w = Vector::from_fn(&ctx, N, |i| ((i * 11) % 257) as f32 - 100.0);
+    let (rows, cols) = (1024, 256);
+    let image = Matrix::from_fn(&ctx, rows, cols, |r, c| ((r * 7 + c * 13) % 251) as u8);
+    let sq: Map<f32, f32> = Map::new(&ctx, "float sq(float x){ return x * x; }").unwrap();
+    let mult: Zip<f32, f32, f32> =
+        Zip::new(&ctx, "float mult(float x, float y){ return x * y; }").unwrap();
+    let blur: MapOverlapVec<f32, f32> = MapOverlapVec::new(
+        &ctx,
+        "float blur(const float* v){ return (get(v,-1) + get(v,0) + get(v,1)) / 3.0f; }",
+        1,
+        BoundaryHandling::Neutral(0.0),
+    )
+    .unwrap();
+    let sobel: MapOverlap<u8, u8> =
+        MapOverlap::new(&ctx, SOBEL, 1, BoundaryHandling::Nearest).unwrap();
+    for d in 0..DEVICES {
+        ctx.platform().device(d).reset_peak();
+    }
+    let floats = |v: Vector<f32>| -> Vec<u8> {
+        let values = v.to_vec().unwrap();
+        values.iter().flat_map(|x| x.to_le_bytes()).collect()
+    };
+    let bytes = match shape {
+        "Map" => floats(sq.call(&v).unwrap()),
+        "Zip" => floats(mult.call(&v, &w).unwrap()),
+        "MapOverlapVec" => floats(blur.call(&v).unwrap()),
+        "MapOverlap" => sobel.call(&image).unwrap().to_vec().unwrap(),
+        other => unreachable!("unknown shape {other}"),
+    };
+    (bytes, ctx)
+}
+
+#[test]
+fn eager_calls_stream_within_budget_and_match_unbudgeted() {
+    // The Sobel image is a quarter of the vectors' bytes, so is its budget;
+    // its distribution unit is a 256-pixel row, which the element-based
+    // chunk floor lets a 64 KiB ring hold.
+    for (shape, budget) in [
+        ("Map", BUDGET),
+        ("Zip", BUDGET),
+        ("MapOverlapVec", BUDGET),
+        ("MapOverlap", BUDGET / 4),
+    ] {
+        let (resident, resident_ctx) = run_eager(shape, None);
+        assert_eq!(
+            resident_ctx.profiler().counter(metrics::STREAM_REGIONS),
+            0,
+            "{shape}: no budget pressure, no streaming"
+        );
+        let (streamed, ctx) = run_eager(shape, Some(budget));
+        assert_eq!(
+            streamed, resident,
+            "{shape}: streamed must be bit-identical"
+        );
+        assert!(
+            ctx.profiler().counter(metrics::STREAM_REGIONS) >= 1,
+            "{shape}: an over-budget eager call must stream"
+        );
+        for d in 0..DEVICES {
+            let peak = ctx.platform().device(d).peak_allocated_bytes();
+            assert!(
+                peak <= budget,
+                "{shape}: device {d} peak resident bytes {peak} exceed the budget {budget}"
+            );
+        }
     }
 }

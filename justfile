@@ -29,6 +29,12 @@ fmt-check:
 fmt:
     cargo fmt --all
 
+# Rust line counts per crate and in total over crates/ tests/ src/ examples/
+# — the number ROADMAP quotes, so a "falling line count" is reproducible.
+loc:
+    @for d in crates/* tests src examples; do printf '%8d  %s\n' "$(find "$d" -name '*.rs' -print0 | xargs -0 cat | wc -l)" "$d"; done
+    @printf '%8d  total\n' "$(find crates tests src examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+
 # Regenerate the paper's figures and their BENCH_*.json reports.
 figures:
     cargo run --release -p skelcl-bench --bin fig4_mandelbrot
