@@ -49,8 +49,8 @@ pub fn emit_unit(mir: &MirUnit, hir_unit: &hir::Unit, source_name: &str) -> Prog
         if hf.is_kernel {
             // Conservative: any barrier site in the program may be reached
             // from any kernel (helpers are shared), so every kernel reports
-            // the program-wide total. The executor only uses it as a "needs
-            // lockstep rounds" hint.
+            // the program-wide total. It is launch metadata for hosts and
+            // tests; the executor parks lanes wherever a barrier is met.
             kernels.push(kernel_info(hf, idx as u16, mir.barrier_count));
         }
     }

@@ -62,7 +62,7 @@ pub struct KernelInfo {
     /// Total bytes of statically declared local memory.
     pub static_local_bytes: u32,
     /// Number of distinct barrier sites in code reachable from this kernel
-    /// (0 means launches never need lockstep rounds).
+    /// (0 means no lane of a launch ever waits for another).
     pub barrier_count: u32,
 }
 

@@ -1,10 +1,19 @@
-//! The work-item virtual machine.
+//! The kernel virtual machine.
 //!
-//! Each work-item is an independent [`WorkItem`] interpreter over the
-//! program bytecode. `barrier()` suspends the item ([`Exit::Barrier`]); the
-//! executor (in the `vgpu` crate) runs all items of a work-group in lockstep
-//! rounds, resuming them after every item reached the same barrier — exactly
-//! the OpenCL work-group execution model.
+//! The unit of execution is the work-group. A [`WorkGroup`] runs the
+//! program's pre-decoded instruction stream (`crate::decode`) for the
+//! lanes of a group together — in strips of up to 64 lanes, each decoded
+//! instruction fetched and matched once per strip, the loop over the active
+//! lanes inside that match — splitting the active set at divergent branches
+//! and parking lanes at `barrier()` until the whole group waits at the same
+//! site, exactly the OpenCL work-group execution model. The executor (in
+//! the `vgpu` crate) arms one per host thread and runs work-groups on it.
+//!
+//! A [`WorkItem`] is the one-lane case of the same executor
+//! ([`WorkItem::run`]) plus the semantic oracle every equivalence suite
+//! compares against: [`WorkItem::run_reference`], a plain per-item
+//! interpreter over the source bytecode that shares no dispatch code with
+//! the group executor. There are two dispatch loops in this file, those two.
 //!
 //! Global memory is abstracted behind [`GlobalMemory`] so that the platform
 //! simulator can share buffers between concurrently executing work-groups.
@@ -12,7 +21,7 @@
 use std::fmt;
 
 use crate::builtins::{self, Builtin};
-use crate::decode::{ChainTail, CmpUse, Decoded, Dst, Operand};
+use crate::decode::{Chain, ChainTail, CmpUse, Decoded, Dst, Operand};
 use crate::hir::{BinOp, CmpOp};
 use crate::ir::Op;
 use crate::program::{KernelInfo, Program};
@@ -39,6 +48,12 @@ pub struct ItemGeometry {
     pub local_size: [u64; 3],
     /// `get_num_groups`
     pub num_groups: [u64; 3],
+}
+
+impl Default for ItemGeometry {
+    fn default() -> Self {
+        ItemGeometry::single()
+    }
 }
 
 impl ItemGeometry {
@@ -309,15 +324,18 @@ impl GlobalMemory for HostMemory {
     }
 }
 
-/// How a [`WorkItem::run`] call ended.
+/// How a [`WorkItem::run`] or [`WorkGroup::run`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exit {
-    /// The kernel finished for this item.
+    /// The kernel finished (for the item, or for every lane of the group).
     Done,
-    /// The item reached the barrier with the given site id and is suspended.
+    /// The item — or every lane of the group — reached the barrier with the
+    /// given site id and waits there.
     Barrier(u32),
 }
 
+/// A call frame of the reference interpreter; a [`WorkItem`]'s entry frame
+/// also is what its [`Strip`] of one lane is armed from.
 #[derive(Debug)]
 struct Frame {
     func: u16,
@@ -326,24 +344,12 @@ struct Frame {
     stack: Vec<Value>,
 }
 
-impl Frame {
-    /// An empty frame shell, ready to be filled from a frame pool.
-    fn blank() -> Self {
-        Frame {
-            func: 0,
-            pc: 0,
-            locals: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
-}
-
 /// A kernel's entry frame, prepared **once per launch**: the entry
 /// function's initial locals with the launch arguments copied over the
 /// parameter slots and every static `__local` array slot bound to its
-/// pointer into the work-group arena. [`WorkItem::arm`] starts an item from
-/// it with one slice copy, so nothing about the arguments is re-derived per
-/// work-item.
+/// pointer into the work-group arena. [`WorkGroup::arm`] broadcasts it over
+/// a group's lanes (and [`WorkItem::arm`] copies it into an item), so nothing
+/// about the arguments is re-derived per work-item.
 #[derive(Debug, Clone)]
 pub struct EntryFrame {
     program: Program,
@@ -389,13 +395,1146 @@ impl EntryFrame {
     }
 }
 
-/// A single work-item's suspended or running execution state.
+/// Why a [`WorkGroup::run`] call failed: the first event of the round in
+/// row-major item order, as a launcher running the items one after another
+/// would meet it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum GroupFault {
+    /// Lane `lane` (row-major index in the group) raised `error`.
+    Lane {
+        /// The faulting lane; [`WorkGroup::global_id`] names its item.
+        lane: usize,
+        /// What it raised.
+        error: RuntimeError,
+    },
+    /// Lanes wait at different barrier sites, or some finished while
+    /// others wait at a barrier that can then never be satisfied.
+    BarrierDivergence,
+}
+
+/// Where a lane stands between two instructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// Has a `pc` to continue from.
+    Run,
+    /// Waits at the barrier with this site id.
+    Parked(u32),
+    /// Returned from the kernel.
+    Done,
+}
+
+/// One call depth of a group. Registers are column-major — slot `s` of lane
+/// `l` is `regs[s * lanes + l]` — with the function's locals in the first
+/// slots and its operand stack in the slots above them, so a stack operand
+/// and a local are the same kind of thing: a column. `func`, `pc` and `sp`
+/// are per lane and only current for lanes that are *not* executing (the
+/// active set keeps its own in scalars until it is rescheduled).
+#[derive(Debug, Default)]
+struct Level {
+    func: Vec<u16>,
+    pc: Vec<u32>,
+    sp: Vec<u32>,
+    regs: Vec<Value>,
+}
+
+impl Level {
+    /// Makes room for a function with `slots` locals on `n` lanes.
+    fn fit(&mut self, slots: usize, n: usize) {
+        if self.regs.len() < slots * n {
+            self.regs.resize(slots * n, ZERO);
+        }
+    }
+}
+
+/// A fused operand resolved for the whole active set: a register column
+/// (by the index of its lane 0) or an immediate.
+#[derive(Debug, Clone, Copy)]
+enum Src {
+    Col(usize),
+    Const(Value),
+}
+
+impl Src {
+    #[inline(always)]
+    fn get(self, regs: &[Value], lane: usize) -> Value {
+        match self {
+            Src::Col(c) => regs[c + lane],
+            Src::Const(v) => v,
+        }
+    }
+}
+
+/// A lane loop's outcome: the *position* in the active set of the first
+/// lane that faulted, and its error.
+type LaneResult = Result<(), (usize, RuntimeError)>;
+
+/// The lanes executing the current instruction: the first `m` entries of
+/// `idx`, ascending.
+#[derive(Debug, Default)]
+struct Active {
+    idx: Vec<u32>,
+    m: usize,
+}
+
+impl Active {
+    /// Runs `f` for every active lane in ascending order, stopping at the
+    /// first fault. (One loop with one call site, so `f` — a closure used
+    /// once — is inlined into it.)
+    #[inline(always)]
+    fn each(&self, mut f: impl FnMut(usize) -> Result<(), RuntimeError>) -> LaneResult {
+        for (p, &lane) in self.idx[..self.m].iter().enumerate() {
+            f(lane as usize).map_err(|e| (p, e))?;
+        }
+        Ok(())
+    }
+
+    /// [`Active::each`] for loops that cannot fault.
+    #[inline(always)]
+    fn each_ok(&self, mut f: impl FnMut(usize)) {
+        let _ = self.each(|l| {
+            f(l);
+            Ok(())
+        });
+    }
+}
+
+const ZERO: Value = Value::Bool(false);
+
+/// Lanes a [`Strip`] executes together. A column of 64 `Value`s is 1 KiB, so
+/// a kernel's whole register file (tens of slots) stays in the L1 cache and
+/// a barrier-free kernel holds 64 lanes of it, not a work-group's worth.
+const STRIP: usize = 64;
+
+/// `[global_id, local_id]` of the item at row-major position `lane` of the
+/// group `geometry.group_id`.
+fn item_ids(geometry: &ItemGeometry, lane: usize) -> [[u64; 3]; 2] {
+    let (size, lane) = (geometry.local_size, lane as u64);
+    let local = [
+        lane % size[0],
+        lane / size[0] % size[1],
+        lane / (size[0] * size[1]),
+    ];
+    [
+        [0, 1, 2].map(|d| geometry.group_id[d] * size[d] + local[d]),
+        local,
+    ]
+}
+
+/// What a group's execution added up to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GroupStats {
+    /// Cost counters summed over all lanes.
+    pub counters: CostCounters,
+    /// Instructions executed: one per decoded head per strip, however many
+    /// lanes it covered.
+    pub steps: u64,
+    /// Σ lanes active over `steps`.
+    pub lane_steps: u64,
+    /// Σ lanes armed over `steps` — what `lane_steps` would be had no lane
+    /// ever diverged; `lane_steps / lane_slots` is the lane utilisation.
+    pub lane_slots: u64,
+}
+
+impl GroupStats {
+    /// Adds another group's (or worker's) statistics into these.
+    pub fn merge(&mut self, other: &GroupStats) {
+        self.counters.merge(&other.counters);
+        self.steps += other.steps;
+        self.lane_steps += other.lane_steps;
+        self.lane_slots += other.lane_slots;
+    }
+}
+
+/// The group executor: a work-group's lanes executing the program's
+/// pre-decoded stream together, in strips of up to 64 lanes (`STRIP`).
+///
+/// Within a strip every instruction is fetched, charged and matched
+/// (operation, operand kinds, destination) **once**, and the loop over the
+/// *active* lanes sits inside that match; locals and operand stack are
+/// column-major lane arrays (`Level`). Lanes carry their own `pc`: a
+/// divergent branch splits the active set and the scheduler runs the lanes
+/// in the deepest call frame at the lowest `pc` next, so lanes that took
+/// the short side of a branch wait at the join until the others arrive
+/// (whatever the block layout — a set that cannot be rejoined simply runs
+/// on by itself). `barrier()` parks lanes at their position in the stream.
+/// The strips of a group run one after another up to their park point: a
+/// strip that finished hands its state to the next one, a strip that
+/// parked keeps it, and [`WorkGroup::run`] returns when none can run.
+///
+/// Observable behaviour is that of the reference launcher over
+/// [`WorkItem::run_reference`]: summed [`CostCounters`] are bit-identical
+/// (a fused head covering `k` ops charges `k` per active lane), and a
+/// failing round reports its first event in item order — when lane `i`
+/// faults, lanes above `i` are retired at once (the launcher never runs
+/// them) while lanes below run on to their park point, where an earlier
+/// fault or barrier mismatch may still overrule it. What differs is the
+/// order of memory accesses *between* lanes: within a strip
+/// instruction-major, lanes ascending within one instruction, instead of
+/// item-major. That order is a function of the program and the launch
+/// alone, so racy kernels stay deterministic; they just need not equal the
+/// item-major result.
+#[derive(Debug, Default)]
+pub struct WorkGroup {
+    /// `strips[..live]` wait at a barrier; the rest are spare states.
+    strips: Vec<Strip>,
+    live: usize,
+    started: bool,
+    /// The launch-wide geometry plus this group's id (item ids unused).
+    geometry: ItemGeometry,
+    budget: u64,
+    /// Counters and lane statistics since [`WorkGroup::arm`].
+    pub stats: GroupStats,
+}
+
+impl WorkGroup {
+    /// Arms the group for work-group `geometry.group_id` of a launch: one
+    /// lane per item of `geometry.local_size` in row-major order, each
+    /// with `ops_budget` to spend; statistics reset. `geometry`'s item ids
+    /// are ignored. Every allocation of the previous group is recycled.
+    pub fn arm(&mut self, geometry: ItemGeometry, ops_budget: u64) {
+        (self.geometry, self.budget) = (geometry, ops_budget);
+        (self.live, self.started) = (0, false);
+        self.stats = GroupStats::default();
+    }
+
+    /// `get_global_id` of the item at lane `lane`.
+    pub fn global_id(&self, lane: usize) -> [u64; 3] {
+        item_ids(&self.geometry, lane)[0]
+    }
+
+    /// Runs the group, started from `entry`, until every lane has finished
+    /// ([`Exit::Done`]) or every lane waits at the same barrier
+    /// ([`Exit::Barrier`]; the next call resumes them). `local_mem` is the
+    /// group's local-memory arena and `global` the device's global memory.
+    ///
+    /// # Errors
+    ///
+    /// The round's first event in item order (see [`GroupFault`]); the
+    /// group must be re-armed afterwards.
+    pub fn run(
+        &mut self,
+        entry: &EntryFrame,
+        global: &dyn GlobalMemory,
+        local_mem: &mut [u8],
+    ) -> Result<Exit, GroupFault> {
+        // Where the strips so far wait, and whether a lane finished.
+        let (mut site, mut done) = (None, false);
+        let mut run = |strip: &mut Strip, stats: &mut GroupStats| {
+            let (parked, finished) =
+                strip.run(&entry.program, global, local_mem, &mut site, stats)?;
+            done |= finished;
+            Ok(parked)
+        };
+        if self.started {
+            for strip in &mut self.strips[..self.live] {
+                run(strip, &mut self.stats)?;
+            }
+        } else {
+            self.started = true;
+            let size = self.geometry.local_size;
+            let lanes = (size[0] * size[1] * size[2]) as usize;
+            for first in (0..lanes).step_by(STRIP) {
+                if self.live == self.strips.len() {
+                    self.strips.push(Strip::default());
+                }
+                let strip = &mut self.strips[self.live];
+                let n = STRIP.min(lanes - first);
+                strip.arm(entry.func, &entry.locals, self.geometry, n, self.budget);
+                strip.first = first;
+                for (lane, ids) in strip.ids.iter_mut().enumerate() {
+                    *ids = item_ids(&self.geometry, first + lane);
+                }
+                // A strip with nobody at a barrier hands its state on.
+                self.live += run(strip, &mut self.stats)? as usize;
+            }
+        }
+        verdict(site, done)
+    }
+}
+
+/// A finished round: lanes that wait (all at `site`, or an error would have
+/// ended it) beside lanes that `finished` can never be released.
+fn verdict(site: Option<u32>, finished: bool) -> Result<Exit, GroupFault> {
+    match site {
+        None => Ok(Exit::Done),
+        Some(_) if finished => Err(GroupFault::BarrierDivergence),
+        Some(id) => Ok(Exit::Barrier(id)),
+    }
+}
+
+/// Up to [`STRIP`] consecutive lanes of a work-group and the machinery that
+/// executes them together; see [`WorkGroup`]. A [`WorkItem`] is a strip of
+/// one.
+#[derive(Debug, Default)]
+struct Strip {
+    /// Lanes in the strip: the stride of every register column.
+    n: usize,
+    /// Position of lane 0 in its group.
+    first: usize,
+    /// The launch-wide geometry plus the group's id (item ids unused).
+    geometry: ItemGeometry,
+    /// Per lane: `[global_id, local_id]`.
+    ids: Vec<[[u64; 3]; 2]>,
+    levels: Vec<Level>,
+    /// Per lane: index of its innermost [`Level`].
+    depth: Vec<u16>,
+    state: Vec<Lane>,
+    /// Per lane: ops charged, for the budget check (the active set's share
+    /// since it was scheduled is in `delta`).
+    ops: Vec<u64>,
+    budget: u64,
+    /// Lanes at and above `limit` are dead: lane `limit` faulted with
+    /// `fault`, the ones above it were retired.
+    limit: usize,
+    fault: Option<RuntimeError>,
+    flags: Vec<bool>,
+    /// A chain's link operands, resolved.
+    srcs: Vec<Src>,
+    /// Runnable lanes outside the active set, in no particular order.
+    waiters: Vec<u32>,
+
+    act: Active,
+    // The active set's frame, in scalars.
+    d: usize,
+    func: u16,
+    pc: u32,
+    sp: u32,
+    /// Slot of the operand stack's bottom: `func`'s local count.
+    base: usize,
+    delta: u64,
+    /// Ops the active lane with the most charged can still afford.
+    headroom: u64,
+    /// Lowest `pc` of a runnable lane waiting in this frame: reaching it
+    /// means the active set may rejoin it, passing it that it must yield.
+    wait_pc: u32,
+    /// Steps the active set may still take while others wait; then the
+    /// lowest waiting lane gets a turn whatever its `pc`, so that a lane
+    /// spinning at a low `pc` cannot keep an earlier lane from the fault
+    /// that would retire it.
+    turn: u32,
+}
+
+/// Steps per [`Strip::turn`].
+const TURN: u32 = 1 << 14;
+
+impl Strip {
+    /// Arms `n` lanes at the start of `func` with `locals`, all with
+    /// `geometry`'s own item ids.
+    fn arm(
+        &mut self,
+        func: u16,
+        locals: &[Value],
+        geometry: ItemGeometry,
+        n: usize,
+        ops_budget: u64,
+    ) {
+        fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+            v.clear();
+            v.resize(n, x);
+        }
+        (self.n, self.first, self.limit) = (n, 0, n);
+        self.geometry = geometry;
+        self.budget = ops_budget;
+        self.fault = None;
+        self.act.m = 0;
+        self.waiters.clear();
+        self.waiters.extend(0..n as u32);
+        refill(&mut self.ids, n, [geometry.global_id, geometry.local_id]);
+        self.flags.resize(n, false);
+        refill(&mut self.depth, n, 0);
+        refill(&mut self.state, n, Lane::Run);
+        refill(&mut self.ops, n, 0);
+        if self.levels.is_empty() {
+            self.levels.push(Level::default());
+        }
+        let level = &mut self.levels[0];
+        refill(&mut level.func, n, func);
+        refill(&mut level.pc, n, 0);
+        refill(&mut level.sp, n, 0);
+        level.fit(locals.len(), n);
+        for (column, v) in level.regs.chunks_exact_mut(n.max(1)).zip(locals) {
+            column.fill(*v);
+        }
+    }
+
+    /// Pops the active set's operand stack: the popped column.
+    fn pop(&mut self) -> usize {
+        match self.sp.checked_sub(1) {
+            Some(sp) => self.sp = sp,
+            None => self.fault_at(0, stack_underflow()),
+        }
+        (self.base + self.sp as usize) * self.n
+    }
+
+    /// Pushes onto the active set's operand stack: the column to fill.
+    fn push(&mut self) -> usize {
+        let column = (self.base + self.sp as usize) * self.n;
+        let regs = &mut self.levels[self.d].regs;
+        if regs.len() < column + self.n {
+            regs.resize(column + self.n, ZERO);
+        }
+        self.sp += 1;
+        column
+    }
+
+    /// The column on top of the active set's operand stack.
+    fn peek(&mut self) -> usize {
+        let column = self.pop();
+        self.sp += 1;
+        column
+    }
+
+    /// Resolves a fused operand (callers resolve the rhs before the lhs so
+    /// stack pops happen in the unfused order).
+    fn src(&mut self, operand: &Operand) -> Src {
+        match operand {
+            Operand::Stack => Src::Col(self.pop()),
+            Operand::Local(s) => Src::Col(*s as usize * self.n),
+            Operand::Const(c) => Src::Const(*c),
+        }
+    }
+
+    fn dst(&mut self, dst: &Dst) -> usize {
+        match dst {
+            Dst::Stack => self.push(),
+            Dst::Local(s) => *s as usize * self.n,
+        }
+    }
+
+    /// The active lane at position `p` faulted: it and every lane of the
+    /// group above it are dead (whatever fault was recorded before was
+    /// raised by a higher lane, so this one replaces it); the active lanes
+    /// below it finish the instruction, then the group reschedules.
+    fn fault_at(&mut self, p: usize, error: RuntimeError) {
+        if p < self.act.m {
+            let limit = self.act.idx[p];
+            self.limit = limit as usize;
+            self.fault = Some(error);
+            self.act.m = p;
+            self.waiters.retain(|&l| l < limit);
+            self.wait_pc = 0;
+        }
+    }
+
+    fn check(&mut self, result: LaneResult) {
+        if let Err((p, error)) = result {
+            self.fault_at(p, error);
+        }
+    }
+
+    /// Writes the active set's scalars back to its lanes.
+    fn flush(&mut self) {
+        let level = &mut self.levels[self.d];
+        let (pc, sp, delta, ops) = (self.pc, self.sp, self.delta, &mut self.ops);
+        self.act.each_ok(|l| {
+            level.pc[l] = pc;
+            level.sp[l] = sp;
+            ops[l] += delta;
+        });
+        self.delta = 0;
+    }
+
+    /// Some active lane cannot afford the next `k` ops: the first such
+    /// lane faults, the ones below it carry on.
+    fn out_of_budget(&mut self, k: u64) {
+        self.flush();
+        let spent = |&l: &u32| self.ops[l as usize] + (k - 1) >= self.budget;
+        if let Some(p) = self.act.idx[..self.act.m].iter().position(spent) {
+            self.fault_at(p, RuntimeError::OpLimitExceeded);
+        }
+        let charged = self.act.idx[..self.act.m]
+            .iter()
+            .map(|&l| self.ops[l as usize]);
+        self.headroom = self.budget.saturating_sub(charged.max().unwrap_or(0));
+    }
+
+    /// Yields the active set and picks the next one: of the runnable lanes,
+    /// those in the deepest frame at the lowest `pc` (and of one stack
+    /// height). `false` when no lane can run — the round is over.
+    fn schedule(&mut self, functions: &[crate::ir::FuncCode]) -> bool {
+        self.flush();
+        let (act, waiters) = (&mut self.act, &mut self.waiters);
+        waiters.extend_from_slice(&act.idx[..act.m]);
+        act.idx.clear();
+        act.m = 0;
+        let key = |l: u32| {
+            let d = self.depth[l as usize];
+            let level = &self.levels[d as usize];
+            let l = l as usize;
+            (
+                std::cmp::Reverse(d),
+                level.func[l],
+                level.pc[l],
+                level.sp[l],
+            )
+        };
+        let fair = std::mem::replace(&mut self.turn, TURN) == 0;
+        let best = match fair {
+            true => waiters.iter().min().map(|&l| key(l)),
+            false => waiters.iter().map(|&l| key(l)).min(),
+        };
+        let Some(best) = best else {
+            return false;
+        };
+        self.wait_pc = u32::MAX;
+        let mut most_ops = 0;
+        waiters.retain(|&l| {
+            let k = key(l);
+            if k == best {
+                act.idx.push(l);
+                most_ops = most_ops.max(self.ops[l as usize]);
+            } else if (k.0, k.1) == (best.0, best.1) {
+                self.wait_pc = self.wait_pc.min(k.2);
+            }
+            k != best
+        });
+        act.idx.sort_unstable();
+        act.m = act.idx.len();
+        let (std::cmp::Reverse(d), func, pc, sp) = best;
+        (self.d, self.func, self.pc, self.sp) = (d as usize, func, pc, sp);
+        self.base = functions[func as usize].local_init.len();
+        self.headroom = self.budget.saturating_sub(most_ops);
+        true
+    }
+
+    /// No lane can run: the round's events in item order — a lane at
+    /// another barrier than `site` (where the group's earlier strips wait,
+    /// and after this, its own lanes), or the fault — else whether lanes
+    /// parked and whether lanes finished.
+    fn end_round(&mut self, site: &mut Option<u32>) -> Result<(bool, bool), GroupFault> {
+        let (mut parked, mut done) = (false, false);
+        for state in &self.state[..self.limit] {
+            match *state {
+                Lane::Parked(id) if *site.get_or_insert(id) != id => {
+                    return Err(GroupFault::BarrierDivergence);
+                }
+                Lane::Parked(_) => parked = true,
+                Lane::Done => done = true,
+                Lane::Run => {}
+            }
+        }
+        match self.fault.take() {
+            Some(error) => Err(GroupFault::Lane {
+                lane: self.first + self.limit,
+                error,
+            }),
+            None => Ok((parked, done)),
+        }
+    }
+
+    /// `dst = src` over the active lanes.
+    fn mov(&mut self, src: Src, dst: usize) {
+        let regs = &mut self.levels[self.d].regs;
+        self.act.each_ok(|l| regs[dst + l] = src.get(regs, l));
+    }
+
+    /// `dst = l op r` over the active lanes. The operation and — by the
+    /// first lane's operand — the type are matched here, once: the lane loop
+    /// keeps the tag check, and a lane of another type goes the general way.
+    fn bin(&mut self, l: Src, r: Src, dst: usize, op: BinOp) {
+        let regs = &mut self.levels[self.d].regs;
+        let Some(&first) = self.act.idx[..self.act.m].first() else {
+            return;
+        };
+        macro_rules! lanes {
+            ($t:ty, $op:expr) => {
+                self.act.each(|i| {
+                    let (a, b) = (l.get(regs, i), r.get(regs, i));
+                    let fast = match (<$t>::of(a), <$t>::of(b)) {
+                        (Some(x), Some(y)) => <$t>::bin($op, x, y),
+                        _ => None,
+                    };
+                    match fast {
+                        Some(z) => {
+                            regs[dst + i] = z.value();
+                            Ok(())
+                        }
+                        None => bin_into(&mut regs[dst + i], op, a, b),
+                    }
+                })
+            };
+        }
+        use BinOp::{Add, BitAnd, BitOr, BitXor, Div, Mul, Sub};
+        let result = match (l.get(regs, first as usize), op) {
+            (Value::F32(_), Add) => lanes!(f32, Add),
+            (Value::F32(_), Sub) => lanes!(f32, Sub),
+            (Value::F32(_), Mul) => lanes!(f32, Mul),
+            (Value::F32(_), Div) => lanes!(f32, Div),
+            (Value::I32(_), Add) => lanes!(i32, Add),
+            (Value::I32(_), Sub) => lanes!(i32, Sub),
+            (Value::I32(_), Mul) => lanes!(i32, Mul),
+            (Value::I32(_), BitAnd) => lanes!(i32, BitAnd),
+            (Value::I32(_), BitOr) => lanes!(i32, BitOr),
+            (Value::I32(_), BitXor) => lanes!(i32, BitXor),
+            _ => self.act.each(|i| {
+                let (a, b) = (l.get(regs, i), r.get(regs, i));
+                bin_into(&mut regs[dst + i], op, a, b)
+            }),
+        };
+        self.check(result);
+    }
+
+    /// `flags[lane] = l op r` over the active lanes.
+    fn cmp(&mut self, l: Src, r: Src, op: CmpOp) {
+        let (regs, flags) = (&self.levels[self.d].regs, &mut self.flags);
+        let result = self.act.each(|i| {
+            flags[i] = cmp1(op, l.get(regs, i), r.get(regs, i))?;
+            Ok(())
+        });
+        self.check(result);
+    }
+
+    /// A fused arithmetic chain in one pass over the active lanes: the
+    /// operands resolve once, in the unfused pop order, and each lane keeps
+    /// its accumulator in a register from the first operation to the tail.
+    fn chain(&mut self, c: &Chain) {
+        let (r, l) = (self.src(&c.r), self.src(&c.l));
+        let tree = c.tree.as_ref().map(|(l2, r2, op2, comb)| {
+            let r2 = self.src(r2);
+            (self.src(l2), r2, *op2, *comb)
+        });
+        self.srcs.clear();
+        for (_, r) in &c.links {
+            let r = self.src(r);
+            self.srcs.push(r);
+        }
+        let (cmp_r, dst) = match &c.tail {
+            ChainTail::Push => (Src::Const(ZERO), self.push()),
+            ChainTail::Store(s) => (Src::Const(ZERO), *s as usize * self.n),
+            ChainTail::Cmp { r, .. } => (self.src(r), 0),
+        };
+        let (regs, flags, links) = (&mut self.levels[self.d].regs, &mut self.flags, &self.srcs);
+        let cmp = match c.tail {
+            ChainTail::Cmp { op, .. } => Some(op),
+            _ => None,
+        };
+        let result = self.act.each(|i| {
+            let ops = (l, r, tree, &links[..], cmp_r, cmp);
+            macro_rules! typed {
+                ($t:ty) => {
+                    if let Some((acc, flag)) = chain_lane::<$t>(c, ops, regs, i) {
+                        match cmp {
+                            Some(_) => flags[i] = flag,
+                            None => regs[dst + i] = acc.value(),
+                        }
+                        return Ok(());
+                    }
+                };
+            }
+            match l.get(regs, i) {
+                Value::F32(_) => typed!(f32),
+                Value::I32(_) => typed!(i32),
+                _ => {}
+            }
+            // Some other type, or an operation that can fault.
+            let mut acc = ZERO;
+            bin_into(&mut acc, c.op, l.get(regs, i), r.get(regs, i))?;
+            if let Some((l2, r2, op2, comb)) = tree {
+                let mut acc2 = ZERO;
+                bin_into(&mut acc2, op2, l2.get(regs, i), r2.get(regs, i))?;
+                let left = acc;
+                bin_into(&mut acc, comb, left, acc2)?;
+            }
+            for ((op, _), r) in c.links.iter().zip(links) {
+                let left = acc;
+                bin_into(&mut acc, *op, left, r.get(regs, i))?;
+            }
+            match cmp {
+                Some(op) => flags[i] = cmp1(op, acc, cmp_r.get(regs, i))?,
+                None => regs[dst + i] = acc,
+            }
+            Ok(())
+        });
+        self.check(result);
+        if let ChainTail::Cmp { along, .. } = c.tail {
+            self.cmp_use(along);
+        }
+    }
+
+    /// Routes a comparison's `flags` (see [`CmpUse`]): pushed, or a branch.
+    /// `pc` is already past the fused block.
+    fn cmp_use(&mut self, along: CmpUse) {
+        match along {
+            CmpUse::Push => {
+                let dst = self.push();
+                let (regs, flags) = (&mut self.levels[self.d].regs, &self.flags);
+                self.act.each_ok(|l| regs[dst + l] = Value::Bool(flags[l]));
+            }
+            CmpUse::BranchIfFalse(t) => self.branch(self.pc, t),
+            CmpUse::BranchIfTrue(t) => self.branch(t, self.pc),
+            CmpUse::BranchBoth { if_true, if_false } => self.branch(if_true, if_false),
+        }
+    }
+
+    /// Sends every active lane to `if_true` or `if_false` by its flag. When
+    /// they disagree the set splits: the lanes bound for the lower `pc` stay
+    /// active, the others wait at theirs.
+    fn branch(&mut self, if_true: u32, if_false: u32) {
+        let mut taken = 0;
+        self.act.each_ok(|l| taken += self.flags[l] as usize);
+        if taken == self.act.m || if_true == if_false {
+            self.pc = if_true;
+        } else if taken == 0 {
+            self.pc = if_false;
+        } else {
+            let (stay, wait) = (if_true.min(if_false), if_true.max(if_false));
+            let (level, act) = (&mut self.levels[self.d], &mut self.act);
+            let mut kept = 0;
+            for p in 0..act.m {
+                let l = act.idx[p] as usize;
+                if self.flags[l] == (if_true < if_false) {
+                    act.idx[kept] = l as u32;
+                    kept += 1;
+                } else {
+                    (level.pc[l], level.sp[l]) = (wait, self.sp);
+                    self.ops[l] += self.delta;
+                    self.waiters.push(l as u32);
+                }
+            }
+            act.m = kept;
+            self.pc = stay;
+            self.wait_pc = self.wait_pc.min(wait);
+        }
+    }
+
+    /// Branches on the truthiness of the popped column.
+    fn branch_on_top(&mut self, if_true: u32, if_false: u32) {
+        let c = self.pop();
+        let (regs, flags) = (&self.levels[self.d].regs, &mut self.flags);
+        self.act.each_ok(|l| flags[l] = regs[c + l].is_truthy());
+        self.branch(if_true, if_false);
+    }
+
+    /// `f(src, &mut dst)` over the active lanes.
+    fn map(
+        &mut self,
+        src: Src,
+        dst: usize,
+        f: impl Fn(Value, &mut Value) -> Result<(), RuntimeError>,
+    ) {
+        let regs = &mut self.levels[self.d].regs;
+        let result = self.act.each(|l| f(src.get(regs, l), &mut regs[dst + l]));
+        self.check(result);
+    }
+
+    /// The array-indexing idiom over the active lanes: `f(lane, p)` with
+    /// `p = regs[ptr] + regs[idx] * size`. The index is converted before
+    /// the pointer is checked, as the unfused sequence does.
+    fn indexed(
+        &mut self,
+        (ptr, idx, size, conv): (usize, usize, u32, bool),
+        mut f: impl FnMut(&mut [Value], usize, Ptr) -> Result<(), RuntimeError>,
+    ) {
+        let regs = &mut self.levels[self.d].regs;
+        let result = self.act.each(|l| {
+            let count = match regs[idx + l] {
+                v if conv => value::convert(v, ScalarType::Long).as_i64(),
+                v => v.as_i64(),
+            };
+            let base = expect_ptr(regs[ptr + l])?;
+            let byte_offset = base
+                .byte_offset
+                .wrapping_add(count.wrapping_mul(size as i64));
+            let p = Ptr {
+                byte_offset,
+                ..base
+            };
+            f(regs, l, p)
+        });
+        self.check(result);
+    }
+
+    /// Stores `v` through the pointers in column `ptr` (checked before the
+    /// value is read, as the unfused sequence pops them).
+    fn store(
+        &mut self,
+        v: Src,
+        ptr: usize,
+        ty: ScalarType,
+        (counters, global, local_mem): (&mut CostCounters, &dyn GlobalMemory, &mut [u8]),
+    ) {
+        let regs = &self.levels[self.d].regs;
+        let result = self.act.each(|l| {
+            let p = expect_ptr(regs[ptr + l])?;
+            mem_store(counters, global, local_mem, p, ty, v.get(regs, l))
+        });
+        self.check(result);
+    }
+
+    /// A work-item query over the active lanes, in place on the popped
+    /// dimension column. OpenCL: out-of-range dims yield 0 (sizes yield 1).
+    fn work_item_query(&mut self, b: Builtin) {
+        if b == Builtin::GetWorkDim {
+            let dst = self.push();
+            return self.mov(Src::Const(Value::U32(self.geometry.work_dim)), dst);
+        }
+        let g = &self.geometry;
+        let (per_lane, shared, default) = match b {
+            Builtin::GetGlobalId => (Some(0), [0; 3], 0),
+            Builtin::GetLocalId => (Some(1), [0; 3], 0),
+            Builtin::GetGroupId => (None, g.group_id, 0),
+            Builtin::GetGlobalSize => (None, g.global_size, 1),
+            Builtin::GetLocalSize => (None, g.local_size, 1),
+            Builtin::GetNumGroups => (None, g.num_groups, 1),
+            other => {
+                let error = RuntimeError::Internal(format!("not a work-item query: {other:?}"));
+                return self.fault_at(0, error);
+            }
+        };
+        let c = self.pop();
+        self.sp += 1;
+        let (regs, ids) = (&mut self.levels[self.d].regs, &self.ids);
+        self.act.each_ok(|l| {
+            let dim = regs[c + l].as_i64();
+            let of = per_lane.map_or(&shared, |which| &ids[l][which]);
+            let v = if (0..3).contains(&dim) {
+                of[dim as usize]
+            } else {
+                default
+            };
+            regs[c + l] = Value::U64(v);
+        });
+    }
+
+    /// Enters `callee` with the top `argc` stack slots as its arguments.
+    fn call(&mut self, functions: &[crate::ir::FuncCode], callee: u16, argc: usize) {
+        if self.d + 1 >= MAX_CALL_DEPTH {
+            return self.fault_at(0, RuntimeError::StackOverflow);
+        }
+        match self.sp.checked_sub(argc as u32) {
+            Some(sp) => self.sp = sp,
+            None => return self.fault_at(0, stack_underflow()),
+        }
+        // The return value lands where the first argument was.
+        let args = self.push();
+        self.sp -= 1;
+        let n = self.n;
+        if self.levels.len() == self.d + 1 {
+            self.levels.push(Level::default());
+        }
+        let (callers, callees) = self.levels.split_at_mut(self.d + 1);
+        let (caller, level) = (&mut callers[self.d], &mut callees[0]);
+        let init = &functions[callee as usize].local_init;
+        level.fit(init.len(), n);
+        for lanes in [&mut level.pc, &mut level.sp] {
+            lanes.resize(n, 0);
+        }
+        level.func.resize(n, 0);
+        for (s, v) in init.iter().enumerate() {
+            let (column, arg) = (s * n, args + s * n);
+            self.act.each_ok(|l| {
+                level.regs[column + l] = if s < argc { caller.regs[arg + l] } else { *v };
+            });
+        }
+        let (pc, sp, depth) = (self.pc, self.sp, &mut self.depth);
+        self.act.each_ok(|l| {
+            level.func[l] = callee;
+            depth[l] += 1;
+            caller.pc[l] = pc;
+            caller.sp[l] = sp;
+        });
+        self.d += 1;
+        (self.func, self.pc, self.sp) = (callee, 0, 0);
+        self.base = init.len();
+        // Nothing waits in a frame that was only just entered.
+        self.wait_pc = u32::MAX;
+    }
+
+    /// Leaves the active set's frame, pushing the column `value` (if any)
+    /// onto each lane's caller; lanes in the kernel's own frame are done.
+    /// Callers may differ between lanes (a callee with a barrier can be
+    /// entered from two call sites), so each lane is returned on its own
+    /// and the group reschedules.
+    fn ret(&mut self, functions: &[crate::ir::FuncCode], value: Option<usize>) {
+        self.flush();
+        let n = self.n;
+        if self.d == 0 {
+            self.act.each_ok(|l| self.state[l] = Lane::Done);
+        } else {
+            let (callers, callees) = self.levels.split_at_mut(self.d);
+            let (caller, level, depth) = (&mut callers[self.d - 1], &callees[0], &mut self.depth);
+            self.act.each_ok(|l| {
+                depth[l] -= 1;
+                if let Some(value) = value {
+                    let base = functions[caller.func[l] as usize].local_init.len();
+                    caller.regs[(base + caller.sp[l] as usize) * n + l] = level.regs[value + l];
+                    caller.sp[l] += 1;
+                }
+            });
+            self.waiters.extend_from_slice(&self.act.idx[..self.act.m]);
+        }
+        self.act.m = 0;
+    }
+
+    /// Runs the strip until no lane can (the next call resumes the parked
+    /// ones): whether lanes parked, and whether lanes finished. `site` is
+    /// the barrier the group's earlier strips wait at.
+    fn run(
+        &mut self,
+        program: &Program,
+        global: &dyn GlobalMemory,
+        local_mem: &mut [u8],
+        site: &mut Option<u32>,
+        stats: &mut GroupStats,
+    ) -> Result<(bool, bool), GroupFault> {
+        let functions = program.functions();
+        for (l, state) in self.state[..self.limit].iter_mut().enumerate() {
+            if let Lane::Parked(_) = state {
+                *state = Lane::Run;
+                self.waiters.push(l as u32);
+            }
+        }
+        'schedule: loop {
+            if !self.schedule(functions) {
+                return self.end_round(site);
+            }
+            'frame: loop {
+                let dec = program.decoded_fn(self.func as usize);
+                loop {
+                    let d = &dec[self.pc as usize];
+                    // A fused head covers `k` source ops: every active lane
+                    // is charged all of them, and one runs out of budget
+                    // iff the reference would have inside the block.
+                    let k = d.cost();
+                    stats.steps += 1;
+                    stats.lane_slots += self.n as u64;
+                    if self.delta + (k - 1) >= self.headroom {
+                        self.out_of_budget(k);
+                        if self.act.m == 0 {
+                            continue 'schedule;
+                        }
+                    }
+                    let m = self.act.m as u64;
+                    self.delta += k;
+                    stats.counters.ops += k * m;
+                    stats.lane_steps += m;
+                    let counters = &mut stats.counters;
+                    self.pc += k as u32;
+                    let n = self.n;
+                    match d {
+                        Decoded::Bin { l, r, op, dst, .. } => {
+                            // The rhs is popped first when unfused.
+                            let (r, l) = (self.src(r), self.src(l));
+                            let dst = self.dst(dst);
+                            self.bin(l, r, dst, *op);
+                        }
+                        Decoded::Cmp {
+                            l, r, op, along, ..
+                        } => {
+                            let (r, l) = (self.src(r), self.src(l));
+                            self.cmp(l, r, *op);
+                            self.cmp_use(*along);
+                        }
+                        Decoded::Chain(c) => self.chain(c),
+                        Decoded::StMem { v, ptr, ty, .. } => {
+                            let v = self.src(v);
+                            self.store(v, *ptr as usize * n, *ty, (counters, global, local_mem));
+                        }
+                        Decoded::StIdx {
+                            v,
+                            ptr,
+                            idx,
+                            size,
+                            conv,
+                            ty,
+                            ..
+                        } => {
+                            let v = self.src(v);
+                            let at = (*ptr as usize * n, *idx as usize * n, *size, *conv);
+                            self.indexed(at, |regs, l, p| {
+                                mem_store(counters, global, local_mem, p, *ty, v.get(regs, l))
+                            });
+                        }
+                        Decoded::Mov(a, s) => self.mov(Src::Col(*a as usize * n), *s as usize * n),
+                        Decoded::MovC(c, s) => self.mov(Src::Const(*c), *s as usize * n),
+                        Decoded::PtrIdx {
+                            ptr,
+                            idx,
+                            size,
+                            conv,
+                            load,
+                            dst,
+                            ..
+                        } => {
+                            let dst = self.dst(dst);
+                            let at = (*ptr as usize * n, *idx as usize * n, *size, *conv);
+                            self.indexed(at, |regs, l, p| {
+                                match load {
+                                    Some(ty) => {
+                                        let out = &mut regs[dst + l];
+                                        load_into(out, counters, global, local_mem, p, *ty)?;
+                                    }
+                                    None => regs[dst + l] = Value::Ptr(p),
+                                }
+                                Ok(())
+                            });
+                        }
+                        Decoded::Cvt { src, to, dst, .. } => {
+                            let src = self.src(src);
+                            let dst = self.dst(dst);
+                            self.map(src, dst, |v, out| {
+                                cvt_into(out, v, *to);
+                                Ok(())
+                            });
+                        }
+                        Decoded::Plain(op) => match op {
+                            Op::Const(v) => {
+                                let dst = self.push();
+                                self.mov(Src::Const(*v), dst);
+                            }
+                            Op::LoadLocal(s) => {
+                                let dst = self.push();
+                                self.mov(Src::Col(*s as usize * n), dst);
+                            }
+                            Op::StoreLocal(s) => {
+                                let src = self.pop();
+                                self.mov(Src::Col(src), *s as usize * n);
+                            }
+                            Op::Pop => {
+                                self.pop();
+                            }
+                            Op::Un(un) => {
+                                let c = self.peek();
+                                self.map(Src::Col(c), c, |v, out| {
+                                    *out = value::unary(*un, v).map_err(eval_err)?;
+                                    Ok(())
+                                });
+                            }
+                            Op::Bin(bin) => {
+                                let (r, l) = (self.pop(), self.pop());
+                                self.sp += 1;
+                                self.bin(Src::Col(l), Src::Col(r), l, *bin);
+                            }
+                            Op::Cmp(cmp) => {
+                                let (r, l) = (self.pop(), self.pop());
+                                self.cmp(Src::Col(l), Src::Col(r), *cmp);
+                                self.cmp_use(CmpUse::Push);
+                            }
+                            Op::Convert(to) => {
+                                let c = self.peek();
+                                self.map(Src::Col(c), c, |v, out| {
+                                    cvt_into(out, v, *to);
+                                    Ok(())
+                                });
+                            }
+                            Op::ToBool => {
+                                let c = self.peek();
+                                self.map(Src::Col(c), c, |v, out| {
+                                    *out = Value::Bool(v.is_truthy());
+                                    Ok(())
+                                });
+                            }
+                            Op::Jump(t) => self.pc = *t,
+                            Op::JumpIfFalse(t) => self.branch_on_top(self.pc, *t),
+                            Op::JumpIfTrue(t) => self.branch_on_top(*t, self.pc),
+                            Op::Call { func, argc } => {
+                                self.call(functions, *func, *argc as usize);
+                                if self.act.m == 0 {
+                                    continue 'schedule;
+                                }
+                                continue 'frame;
+                            }
+                            Op::CallPure(b, argc) => {
+                                let argc = *argc as usize;
+                                if argc > 3 || argc > self.sp as usize {
+                                    let error = "builtin call without its arguments".into();
+                                    self.fault_at(0, RuntimeError::Internal(error));
+                                    continue 'schedule;
+                                }
+                                self.sp -= argc as u32;
+                                let c = self.push();
+                                let regs = &mut self.levels[self.d].regs;
+                                self.act.each_ok(|l| {
+                                    let mut args = [ZERO; 3];
+                                    for (a, arg) in args[..argc].iter_mut().enumerate() {
+                                        *arg = regs[c + a * n + l];
+                                    }
+                                    regs[c + l] = builtins::eval_pure(*b, &args[..argc]);
+                                });
+                            }
+                            Op::WorkItem(b) => self.work_item_query(*b),
+                            Op::Barrier { id } => {
+                                counters.barriers += m;
+                                self.flush();
+                                self.act.each_ok(|l| self.state[l] = Lane::Parked(*id));
+                                self.act.m = 0;
+                                continue 'schedule;
+                            }
+                            Op::Trap => {
+                                let c = self.pop();
+                                let first = self.act.idx[0] as usize;
+                                let code = self.levels[self.d].regs[c + first].as_i64() as i32;
+                                self.fault_at(0, RuntimeError::Trap { code });
+                            }
+                            Op::LoadMem(ty) => {
+                                let c = self.peek();
+                                let regs = &mut self.levels[self.d].regs;
+                                let result = self.act.each(|l| {
+                                    let p = expect_ptr(regs[c + l])?;
+                                    load_into(&mut regs[c + l], counters, global, local_mem, p, *ty)
+                                });
+                                self.check(result);
+                            }
+                            Op::StoreMem(ty) => {
+                                let (ptr, v) = (self.pop(), self.pop());
+                                self.store(Src::Col(v), ptr, *ty, (counters, global, local_mem));
+                            }
+                            Op::PtrOffset(size) => {
+                                let (count, ptr) = (self.pop(), self.pop());
+                                self.sp += 1;
+                                self.indexed((ptr, count, *size, false), |regs, l, p| {
+                                    regs[ptr + l] = Value::Ptr(p);
+                                    Ok(())
+                                });
+                            }
+                            Op::PtrDiff(size) => {
+                                let (r, l) = (self.pop(), self.pop());
+                                self.sp += 1;
+                                let regs = &mut self.levels[self.d].regs;
+                                let result = self.act.each(|i| {
+                                    let (a, b) =
+                                        (expect_ptr(regs[l + i])?, expect_ptr(regs[r + i])?);
+                                    if a.space != b.space || a.buffer != b.buffer {
+                                        return Err(RuntimeError::IncompatiblePointers);
+                                    }
+                                    let bytes = a.byte_offset - b.byte_offset;
+                                    regs[l + i] = Value::I64(bytes / *size as i64);
+                                    Ok(())
+                                });
+                                self.check(result);
+                            }
+                            Op::Return => {
+                                let value = self.pop();
+                                self.ret(functions, Some(value));
+                                continue 'schedule;
+                            }
+                            Op::ReturnVoid => {
+                                self.ret(functions, None);
+                                continue 'schedule;
+                            }
+                            Op::MissingReturn => {
+                                let function = functions[self.func as usize].name.clone();
+                                self.fault_at(0, RuntimeError::MissingReturn { function });
+                            }
+                        },
+                    }
+                    self.turn = self.turn.saturating_sub(1);
+                    if self.pc >= self.wait_pc || (self.turn == 0 && !self.waiters.is_empty()) {
+                        continue 'schedule;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A single work-item: the one-lane case of the group executor
+/// ([`WorkItem::run`], a strip of one lane), and the reference interpreter
+/// ([`WorkItem::run_reference`]) over the same entry frame.
 ///
 /// A `WorkItem` is reusable: [`WorkItem::arm`] (or [`WorkItem::reset`])
 /// rearms a finished (or faulted) item for a new launch geometry while
-/// recycling its frame, locals and operand-stack allocations — the executor
-/// keeps its items per host thread and rearms them per work-item instead of
-/// constructing fresh ones.
+/// recycling its entry frame and its lane's allocations.
 ///
 /// An item owns exactly one [`Program`] handle for as long as it stays on
 /// the same program. Neither rearming nor running touches the handle's
@@ -406,10 +1545,14 @@ impl EntryFrame {
 pub struct WorkItem {
     program: Program,
     geometry: ItemGeometry,
+    /// The entry frame until execution starts; from then on
+    /// [`WorkItem::run_reference`]'s call stack.
     frames: Vec<Frame>,
-    /// Retired frames kept for reuse: `Call` draws from this pool instead
-    /// of allocating locals/stack vectors per call.
-    free_frames: Vec<Frame>,
+    /// The lane [`WorkItem::run`] executes on, armed from the entry frame
+    /// by its first call.
+    lane: Strip,
+    lane_armed: bool,
+    stats: GroupStats,
     /// Cost counters accumulated so far.
     pub counters: CostCounters,
     /// Dispatch-loop iterations so far. Unlike [`CostCounters::ops`] (which
@@ -442,14 +1585,15 @@ impl WorkItem {
     }
 
     /// An item with no work: it reports [`WorkItem::is_finished`] until
-    /// [`WorkItem::arm`] or [`WorkItem::reset`] gives it some. Lets an
-    /// executor grow its item pool without a second arming path.
+    /// [`WorkItem::arm`] or [`WorkItem::reset`] gives it some.
     pub fn idle(program: &Program) -> Self {
         WorkItem {
             program: program.clone(),
             geometry: ItemGeometry::single(),
             frames: Vec::with_capacity(4),
-            free_frames: Vec::new(),
+            lane: Strip::default(),
+            lane_armed: false,
+            stats: GroupStats::default(),
             counters: CostCounters::default(),
             dispatches: 0,
             ops_budget: u64::MAX,
@@ -460,9 +1604,9 @@ impl WorkItem {
     /// Rearms this item for another work-item of a launch: new entry
     /// function, arguments and geometry; counters and budget reset. The
     /// program handle is compared by pointer and only replaced when the
-    /// item moves to a different program, and all frame/locals/stack
-    /// allocations are recycled, so a reset item executes without any
-    /// steady-state heap allocation or shared write.
+    /// item moves to a different program, and the entry frame's and the
+    /// lane's allocations are recycled, so a reset item executes without
+    /// any steady-state heap allocation or shared write.
     ///
     /// # Panics
     ///
@@ -476,8 +1620,7 @@ impl WorkItem {
             code.name
         );
         self.rearm(program, func, &code.local_init, geometry, u64::MAX);
-        let frame = self.frames.last_mut().expect("entry frame exists");
-        frame.locals[..args.len()].copy_from_slice(args);
+        self.frames[0].locals[..args.len()].copy_from_slice(args);
     }
 
     /// Rearms this item from a launch's prepared [`EntryFrame`] — what
@@ -510,16 +1653,24 @@ impl WorkItem {
         self.dispatches = 0;
         self.ops_budget = ops_budget;
         self.finished = false;
-        // A finished item has popped every frame; a faulted or suspended one
-        // may still hold some — recycle them all.
-        self.free_frames.append(&mut self.frames);
-        let mut frame = self.free_frames.pop().unwrap_or_else(Frame::blank);
-        frame.func = func;
-        frame.pc = 0;
+        self.lane_armed = false;
+        self.stats = GroupStats::default();
+        // A faulted or suspended reference run may have left callee frames
+        // (a finished one none at all): keep one, as the entry frame.
+        self.frames.truncate(1);
+        if self.frames.is_empty() {
+            self.frames.push(Frame {
+                func,
+                pc: 0,
+                locals: Vec::new(),
+                stack: Vec::new(),
+            });
+        }
+        let frame = &mut self.frames[0];
+        (frame.func, frame.pc) = (func, 0);
         frame.stack.clear();
         frame.locals.clear();
         frame.locals.extend_from_slice(locals);
-        self.frames.push(frame);
     }
 
     /// Overrides a local slot of the entry frame (used by the executor to
@@ -530,7 +1681,10 @@ impl WorkItem {
     /// Panics if called after execution started or the slot is out of range.
     pub fn bind_entry_slot(&mut self, slot: u16, v: Value) {
         let frame = self.frames.first_mut().expect("entry frame exists");
-        assert_eq!(frame.pc, 0, "cannot bind slots after execution started");
+        assert!(
+            frame.pc == 0 && !self.lane_armed,
+            "cannot bind slots after execution started"
+        );
         frame.locals[slot as usize] = v;
     }
 
@@ -549,21 +1703,15 @@ impl WorkItem {
         &self.geometry
     }
 
-    /// Runs until completion or the next barrier.
+    /// Runs until completion or the next barrier, as a [`WorkGroup`] of one
+    /// lane: the production dispatch loop, over the pre-decoded
+    /// superinstruction stream (`crate::decode`). It is observationally
+    /// identical to [`WorkItem::run_reference`] — same results, same
+    /// [`CostCounters`] — which the differential tests use as the semantic
+    /// baseline.
     ///
     /// `local_mem` is the work-group's shared local-memory arena; `global`
     /// is the device's global memory.
-    ///
-    /// This is the optimised dispatch loop: the current function's code
-    /// slice is re-derived only on frame transitions (call/return), each
-    /// instruction is fetched by reference instead of cloned, call frames
-    /// are drawn from the item's frame pool instead of cloning `local_init`
-    /// per call, and hot `LoadLocal`/`Const` + `Bin`/`Cmp` sequences run as
-    /// pre-decoded superinstructions ([`crate::decode`]) that charge
-    /// identical [`CostCounters`]. It is observationally identical to
-    /// [`WorkItem::run_reference`]
-    /// — same results, same [`CostCounters`] — which the differential tests
-    /// use as the semantic baseline.
     ///
     /// # Errors
     ///
@@ -579,347 +1727,29 @@ impl WorkItem {
         local_mem: &mut [u8],
     ) -> Result<Exit, RuntimeError> {
         assert!(!self.finished, "work-item already finished");
-        // Borrowing the `program` field leaves `frames`, `free_frames` and
-        // `counters` free for call/return, and — unlike cloning the handle —
-        // writes nothing the other host threads running this program read.
-        let program = &self.program;
-        let functions = program.functions();
-        'frame: loop {
-            // Call depth is constant between frame transitions, so the
-            // overflow check below needs no extra borrow of the stack.
-            let depth = self.frames.len();
-            let frame = self
-                .frames
-                .last_mut()
-                .expect("frame stack never empty while running");
-            let func = &functions[frame.func as usize];
-            let dec = program.decoded_fn(frame.func as usize);
-            loop {
-                let d = &dec[frame.pc];
-                self.dispatches += 1;
-                let op = match d {
-                    Decoded::Plain(op) => op,
-                    fused => {
-                        // A fused instruction covers `k` source ops: charge
-                        // all of them, and run out of budget iff the
-                        // reference would have inside the block.
-                        let k = fused.cost();
-                        if self.counters.ops + (k - 1) >= self.ops_budget {
-                            return Err(RuntimeError::OpLimitExceeded);
-                        }
-                        self.counters.ops += k;
-                        frame.pc += k as usize;
-                        match fused {
-                            Decoded::Bin { l, r, op, dst, .. } => {
-                                // The rhs is popped first when unfused.
-                                let rv = operand_value(frame, r)?;
-                                let lv = operand_value(frame, l)?;
-                                let v = vm_binary(*op, lv, rv)?;
-                                match dst {
-                                    Dst::Stack => frame.stack.push(v),
-                                    Dst::Local(s) => frame.locals[*s as usize] = v,
-                                }
-                            }
-                            Decoded::Cmp {
-                                l, r, op, along, ..
-                            } => {
-                                let rv = operand_value(frame, r)?;
-                                let lv = operand_value(frame, l)?;
-                                let b = vm_compare(*op, lv, rv)?;
-                                cmp_use(frame, *along, b);
-                            }
-                            Decoded::Chain(c) => {
-                                let rv = operand_value(frame, &c.r)?;
-                                let lv = operand_value(frame, &c.l)?;
-                                let mut acc = vm_binary(c.op, lv, rv)?;
-                                if let Some((l2, r2, op2, comb)) = &c.tree {
-                                    // Both producer results stay in
-                                    // registers; the unfused push/pop pair
-                                    // cancels out.
-                                    let rv2 = operand_value(frame, r2)?;
-                                    let lv2 = operand_value(frame, l2)?;
-                                    let acc2 = vm_binary(*op2, lv2, rv2)?;
-                                    acc = vm_binary(*comb, acc, acc2)?;
-                                }
-                                for (op, r) in &c.links {
-                                    // Link operands are fused loads, never
-                                    // stack pops; the accumulator is the lhs.
-                                    let rv = operand_value(frame, r)?;
-                                    acc = vm_binary(*op, acc, rv)?;
-                                }
-                                match &c.tail {
-                                    ChainTail::Push => frame.stack.push(acc),
-                                    ChainTail::Store(s) => frame.locals[*s as usize] = acc,
-                                    ChainTail::Cmp { op, r, along } => {
-                                        let rv = operand_value(frame, r)?;
-                                        let b = vm_compare(*op, acc, rv)?;
-                                        cmp_use(frame, *along, b);
-                                    }
-                                }
-                            }
-                            Decoded::StMem { v, ptr, ty, .. } => {
-                                // The pointer is popped (and checked) before
-                                // the value when unfused; keep that order.
-                                let p = match frame.locals[*ptr as usize] {
-                                    Value::Ptr(p) => p,
-                                    other => {
-                                        return Err(RuntimeError::Internal(format!(
-                                            "expected pointer, found {other}"
-                                        )))
-                                    }
-                                };
-                                let vv = operand_value(frame, v)?;
-                                mem_store(&mut self.counters, global, local_mem, p, *ty, vv)?;
-                            }
-                            Decoded::StIdx {
-                                v,
-                                ptr,
-                                idx,
-                                size,
-                                conv,
-                                ty,
-                                ..
-                            } => {
-                                let count = if *conv {
-                                    value::convert(frame.locals[*idx as usize], ScalarType::Long)
-                                        .as_i64()
-                                } else {
-                                    frame.locals[*idx as usize].as_i64()
-                                };
-                                let base = match frame.locals[*ptr as usize] {
-                                    Value::Ptr(p) => p,
-                                    other => {
-                                        return Err(RuntimeError::Internal(format!(
-                                            "expected pointer, found {other}"
-                                        )))
-                                    }
-                                };
-                                let p = Ptr {
-                                    byte_offset: base
-                                        .byte_offset
-                                        .wrapping_add(count.wrapping_mul(*size as i64)),
-                                    ..base
-                                };
-                                let vv = operand_value(frame, v)?;
-                                mem_store(&mut self.counters, global, local_mem, p, *ty, vv)?;
-                            }
-                            Decoded::Mov(a, s) => {
-                                frame.locals[*s as usize] = frame.locals[*a as usize];
-                            }
-                            Decoded::MovC(c, s) => {
-                                frame.locals[*s as usize] = *c;
-                            }
-                            Decoded::PtrIdx {
-                                ptr,
-                                idx,
-                                size,
-                                conv,
-                                load,
-                                dst,
-                                ..
-                            } => {
-                                // Conversion happens before the pointer
-                                // check when unfused; keep that order. When
-                                // the widening was hoisted (`conv` false)
-                                // the slot is read exactly as the bare
-                                // `PtrOffset` pops it.
-                                let count = if *conv {
-                                    value::convert(frame.locals[*idx as usize], ScalarType::Long)
-                                        .as_i64()
-                                } else {
-                                    frame.locals[*idx as usize].as_i64()
-                                };
-                                let base = match frame.locals[*ptr as usize] {
-                                    Value::Ptr(p) => p,
-                                    other => {
-                                        return Err(RuntimeError::Internal(format!(
-                                            "expected pointer, found {other}"
-                                        )))
-                                    }
-                                };
-                                let p = Ptr {
-                                    byte_offset: base
-                                        .byte_offset
-                                        .wrapping_add(count.wrapping_mul(*size as i64)),
-                                    ..base
-                                };
-                                let v = match load {
-                                    Some(ty) => {
-                                        mem_load(&mut self.counters, global, local_mem, p, *ty)?
-                                    }
-                                    None => Value::Ptr(p),
-                                };
-                                match dst {
-                                    Dst::Stack => frame.stack.push(v),
-                                    Dst::Local(s) => frame.locals[*s as usize] = v,
-                                }
-                            }
-                            Decoded::Cvt { src, to, dst, .. } => {
-                                let v = value::convert(operand_value(frame, src)?, *to);
-                                match dst {
-                                    Dst::Stack => frame.stack.push(v),
-                                    Dst::Local(s) => frame.locals[*s as usize] = v,
-                                }
-                            }
-                            Decoded::Plain(_) => unreachable!("matched above"),
-                        }
-                        continue;
-                    }
-                };
-                if self.counters.ops >= self.ops_budget {
-                    return Err(RuntimeError::OpLimitExceeded);
-                }
-                self.counters.ops += 1;
-                frame.pc += 1;
-
-                match op {
-                    Op::Const(v) => frame.stack.push(*v),
-                    Op::LoadLocal(s) => {
-                        let v = frame.locals[*s as usize];
-                        frame.stack.push(v);
-                    }
-                    Op::StoreLocal(s) => {
-                        let v = pop(frame)?;
-                        frame.locals[*s as usize] = v;
-                    }
-                    Op::Pop => {
-                        pop(frame)?;
-                    }
-                    Op::Un(un) => {
-                        let v = pop(frame)?;
-                        frame.stack.push(value::unary(*un, v).map_err(eval_err)?);
-                    }
-                    Op::Bin(bin) => {
-                        let r = pop(frame)?;
-                        let l = pop(frame)?;
-                        frame.stack.push(vm_binary(*bin, l, r)?);
-                    }
-                    Op::Cmp(cmp) => {
-                        let r = pop(frame)?;
-                        let l = pop(frame)?;
-                        frame.stack.push(Value::Bool(vm_compare(*cmp, l, r)?));
-                    }
-                    Op::Convert(to) => {
-                        let v = pop(frame)?;
-                        frame.stack.push(value::convert(v, *to));
-                    }
-                    Op::ToBool => {
-                        let v = pop(frame)?;
-                        frame.stack.push(Value::Bool(v.is_truthy()));
-                    }
-                    Op::Jump(t) => frame.pc = *t as usize,
-                    Op::JumpIfFalse(t) => {
-                        if !pop(frame)?.is_truthy() {
-                            frame.pc = *t as usize;
-                        }
-                    }
-                    Op::JumpIfTrue(t) => {
-                        if pop(frame)?.is_truthy() {
-                            frame.pc = *t as usize;
-                        }
-                    }
-                    Op::Call { func, argc } => {
-                        if depth >= MAX_CALL_DEPTH {
-                            return Err(RuntimeError::StackOverflow);
-                        }
-                        let callee = &functions[*func as usize];
-                        let mut callee_frame = self.free_frames.pop().unwrap_or_else(Frame::blank);
-                        callee_frame.func = *func;
-                        callee_frame.pc = 0;
-                        callee_frame.stack.clear();
-                        callee_frame.locals.clear();
-                        callee_frame.locals.extend_from_slice(&callee.local_init);
-                        for i in (0..*argc as usize).rev() {
-                            callee_frame.locals[i] = pop(frame)?;
-                        }
-                        self.frames.push(callee_frame);
-                        continue 'frame;
-                    }
-                    Op::CallPure(b, argc) => {
-                        let start = frame
-                            .stack
-                            .len()
-                            .checked_sub(*argc as usize)
-                            .ok_or_else(stack_underflow)?;
-                        let result = builtins::eval_pure(*b, &frame.stack[start..]);
-                        frame.stack.truncate(start);
-                        frame.stack.push(result);
-                    }
-                    Op::WorkItem(b) => {
-                        let v = work_item_query(&self.geometry, frame, *b)?;
-                        frame.stack.push(v);
-                    }
-                    Op::Barrier { id } => {
-                        self.counters.barriers += 1;
-                        return Ok(Exit::Barrier(*id));
-                    }
-                    Op::Trap => {
-                        let code = pop(frame)?;
-                        return Err(RuntimeError::Trap {
-                            code: code.as_i64() as i32,
-                        });
-                    }
-                    Op::LoadMem(ty) => {
-                        let p = pop_ptr(frame)?;
-                        let v = mem_load(&mut self.counters, global, local_mem, p, *ty)?;
-                        frame.stack.push(v);
-                    }
-                    Op::StoreMem(ty) => {
-                        let p = pop_ptr(frame)?;
-                        let v = pop(frame)?;
-                        mem_store(&mut self.counters, global, local_mem, p, *ty, v)?;
-                    }
-                    Op::PtrOffset(size) => {
-                        let count = pop(frame)?.as_i64();
-                        let p = pop_ptr(frame)?;
-                        frame.stack.push(Value::Ptr(Ptr {
-                            byte_offset: p
-                                .byte_offset
-                                .wrapping_add(count.wrapping_mul(*size as i64)),
-                            ..p
-                        }));
-                    }
-                    Op::PtrDiff(size) => {
-                        let r = pop_ptr(frame)?;
-                        let l = pop_ptr(frame)?;
-                        if l.space != r.space || l.buffer != r.buffer {
-                            return Err(RuntimeError::IncompatiblePointers);
-                        }
-                        frame
-                            .stack
-                            .push(Value::I64((l.byte_offset - r.byte_offset) / *size as i64));
-                    }
-                    Op::Return => {
-                        let v = pop(frame)?;
-                        let retired = self.frames.pop().expect("frame");
-                        self.free_frames.push(retired);
-                        match self.frames.last_mut() {
-                            Some(caller) => {
-                                caller.stack.push(v);
-                                continue 'frame;
-                            }
-                            None => {
-                                self.finished = true;
-                                return Ok(Exit::Done);
-                            }
-                        }
-                    }
-                    Op::ReturnVoid => {
-                        let retired = self.frames.pop().expect("frame");
-                        self.free_frames.push(retired);
-                        if self.frames.is_empty() {
-                            self.finished = true;
-                            return Ok(Exit::Done);
-                        }
-                        continue 'frame;
-                    }
-                    Op::MissingReturn => {
-                        return Err(RuntimeError::MissingReturn {
-                            function: func.name.clone(),
-                        });
-                    }
-                }
+        if !self.lane_armed {
+            let entry = &self.frames[0];
+            self.lane
+                .arm(entry.func, &entry.locals, self.geometry, 1, self.ops_budget);
+            self.lane_armed = true;
+        }
+        self.lane.budget = self.ops_budget;
+        // Borrowing the `program` field — unlike cloning the handle — writes
+        // nothing the other host threads running this program read.
+        let (program, stats) = (&self.program, &mut self.stats);
+        let mut site = None;
+        let round = self.lane.run(program, global, local_mem, &mut site, stats);
+        self.counters = self.stats.counters;
+        self.dispatches = self.stats.steps;
+        match round.and_then(|(_, finished)| verdict(site, finished)) {
+            Ok(exit) => {
+                self.finished = exit == Exit::Done;
+                Ok(exit)
             }
+            Err(GroupFault::Lane { error, .. }) => Err(error),
+            Err(GroupFault::BarrierDivergence) => Err(RuntimeError::Internal(
+                "a single lane diverged from itself".into(),
+            )),
         }
     }
 
@@ -1156,25 +1986,53 @@ fn mem_load(
     p: Ptr,
     ty: ScalarType,
 ) -> Result<Value, RuntimeError> {
-    if p.buffer == UNINIT_BUFFER && p.space == AddressSpace::Private {
-        return Err(RuntimeError::UninitializedPointer);
-    }
+    let mut v = ZERO;
+    load_into(&mut v, counters, global, local_mem, p, ty)?;
+    Ok(v)
+}
+
+/// [`mem_load`] into `out`. Local memory's common element types are read
+/// and built in place: a `Value` returned from a call is written field by
+/// field, and copying it on as one 16-byte unit right away stalls on those
+/// narrow stores.
+#[inline(always)]
+fn load_into(
+    out: &mut Value,
+    counters: &mut CostCounters,
+    global: &dyn GlobalMemory,
+    local_mem: &[u8],
+    p: Ptr,
+    ty: ScalarType,
+) -> Result<(), RuntimeError> {
     match p.space {
         AddressSpace::Global => {
             counters.global_loads += 1;
             counters.global_bytes += ty.size_bytes() as u64;
-            global
-                .load(p.buffer, p.byte_offset, ty)
-                .map_err(RuntimeError::OutOfBounds)
+            match global.load(p.buffer, p.byte_offset, ty) {
+                Ok(v) => *out = v,
+                Err(e) => return Err(RuntimeError::OutOfBounds(e)),
+            }
         }
         AddressSpace::Local => {
             counters.local_loads += 1;
             let off = check_range(local_mem.len(), p.byte_offset, ty, p.space, p.buffer)
                 .map_err(RuntimeError::OutOfBounds)?;
-            Ok(value::read_scalar(&local_mem[off..], ty))
+            match (ty, &local_mem[off..]) {
+                (ScalarType::UChar, [b, ..]) => *out = Value::U8(*b),
+                (ScalarType::Int, [a, b, c, d, ..]) => {
+                    *out = Value::I32(i32::from_le_bytes([*a, *b, *c, *d]));
+                }
+                (ScalarType::Float, [a, b, c, d, ..]) => {
+                    *out = Value::F32(f32::from_le_bytes([*a, *b, *c, *d]));
+                }
+                (_, bytes) => *out = value::read_scalar(bytes, ty),
+            }
         }
-        AddressSpace::Private => Err(RuntimeError::UninitializedPointer),
+        // An uninitialised pointer local (`UNINIT_BUFFER`), or any other
+        // private pointer: there is no private memory to address.
+        AddressSpace::Private => return Err(RuntimeError::UninitializedPointer),
     }
+    Ok(())
 }
 
 /// Typed store through `p`, charging `counters`. Free function so the
@@ -1213,98 +2071,180 @@ fn pop(frame: &mut Frame) -> Result<Value, RuntimeError> {
     frame.stack.pop().ok_or_else(stack_underflow)
 }
 
-/// Materialises one fused operand (see [`crate::decode`]). Callers evaluate
-/// the rhs before the lhs so stack pops happen in the unfused order.
-#[inline]
-fn operand_value(frame: &mut Frame, operand: &Operand) -> Result<Value, RuntimeError> {
-    match operand {
-        Operand::Stack => pop(frame),
-        Operand::Local(s) => Ok(frame.locals[*s as usize]),
-        Operand::Const(c) => Ok(*c),
+/// The scalar types whose arithmetic the lane loops do on the bare machine
+/// type: `float` and `int`, with the operations that cannot fault. The
+/// expressions are [`value::binary`]'s own, so results are bit-identical.
+trait Fast: Copy + PartialOrd {
+    fn of(v: Value) -> Option<Self>;
+    fn value(self) -> Value;
+    /// `None` for the operations left to [`value::binary`].
+    fn bin(op: BinOp, a: Self, b: Self) -> Option<Self>;
+}
+
+impl Fast for f32 {
+    #[inline(always)]
+    fn of(v: Value) -> Option<f32> {
+        match v {
+            Value::F32(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn value(self) -> Value {
+        Value::F32(self)
+    }
+
+    #[inline(always)]
+    fn bin(op: BinOp, a: f32, b: f32) -> Option<f32> {
+        Some(match op {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            BinOp::Div => a / b,
+            _ => return None,
+        })
     }
 }
 
-/// Arithmetic for the optimised dispatch loop: inlines the hot scalar
-/// cases — bit-identically to [`value::binary`], whose float and wrapping
-/// integer expressions these are — and falls back to it for every other
-/// type and for the fallible operations. The reference loop keeps calling
-/// [`value::binary`] so its machine code is untouched.
+impl Fast for i32 {
+    #[inline(always)]
+    fn of(v: Value) -> Option<i32> {
+        match v {
+            Value::I32(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    #[inline(always)]
+    fn value(self) -> Value {
+        Value::I32(self)
+    }
+
+    #[inline(always)]
+    fn bin(op: BinOp, a: i32, b: i32) -> Option<i32> {
+        Some(match op {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::BitAnd => a & b,
+            BinOp::BitOr => a | b,
+            BinOp::BitXor => a ^ b,
+            _ => return None,
+        })
+    }
+}
+
+/// A native comparison. On floats this is [`value::compare`]'s IEEE
+/// semantics: ordered comparisons with NaN are false, `!=` is true.
 #[inline(always)]
-fn vm_binary(op: BinOp, a: Value, b: Value) -> Result<Value, RuntimeError> {
+fn native_cmp<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
+    match op {
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+    }
+}
+
+/// `*out = a op b` for one lane: [`Fast`] where it applies — the scalar
+/// stays in a machine register and the result is built in place, which is
+/// what makes it fast (see [`load_into`]) — and [`value::binary`] for every
+/// other type and for the fallible operations.
+#[inline(always)]
+fn bin_into(out: &mut Value, op: BinOp, a: Value, b: Value) -> Result<(), RuntimeError> {
     match (a, b) {
-        (Value::F32(x), Value::F32(y)) => match op {
-            BinOp::Add => return Ok(Value::F32(x + y)),
-            BinOp::Sub => return Ok(Value::F32(x - y)),
-            BinOp::Mul => return Ok(Value::F32(x * y)),
-            BinOp::Div => return Ok(Value::F32(x / y)),
-            _ => {}
-        },
-        (Value::I32(x), Value::I32(y)) => match op {
-            BinOp::Add => return Ok(Value::I32(x.wrapping_add(y))),
-            BinOp::Sub => return Ok(Value::I32(x.wrapping_sub(y))),
-            BinOp::Mul => return Ok(Value::I32(x.wrapping_mul(y))),
-            BinOp::BitAnd => return Ok(Value::I32(x & y)),
-            BinOp::BitOr => return Ok(Value::I32(x | y)),
-            BinOp::BitXor => return Ok(Value::I32(x ^ y)),
-            _ => {}
-        },
+        (Value::F32(x), Value::F32(y)) => {
+            if let Some(z) = f32::bin(op, x, y) {
+                *out = Value::F32(z);
+                return Ok(());
+            }
+        }
+        (Value::I32(x), Value::I32(y)) => {
+            if let Some(z) = i32::bin(op, x, y) {
+                *out = Value::I32(z);
+                return Ok(());
+            }
+        }
         _ => {}
     }
-    value::binary(op, a, b).map_err(eval_err)
+    *out = value::binary(op, a, b).map_err(eval_err)?;
+    Ok(())
 }
 
-/// Routes a fused comparison's boolean (see [`CmpUse`]): pushed, or a
-/// branch with one or both successors resolved at decode time. The caller
-/// has already advanced `pc` past the fused block.
+/// One lane's comparison, natively on `float` and `int`.
 #[inline(always)]
-fn cmp_use(frame: &mut Frame, along: CmpUse, b: bool) {
-    match along {
-        CmpUse::Push => frame.stack.push(Value::Bool(b)),
-        CmpUse::BranchIfFalse(t) => {
-            if !b {
-                frame.pc = t as usize;
-            }
-        }
-        CmpUse::BranchIfTrue(t) => {
-            if b {
-                frame.pc = t as usize;
-            }
-        }
-        CmpUse::BranchBoth { if_true, if_false } => {
-            frame.pc = if b { if_true } else { if_false } as usize;
-        }
-    }
-}
-
-/// Comparison twin of [`vm_binary`]: native float operators implement the
-/// same IEEE semantics as the reference's `float_cmp` (ordered comparisons
-/// with NaN are false, `!=` is true), and integer operators match its
-/// `Ord`-based table.
-#[inline(always)]
-fn vm_compare(op: CmpOp, a: Value, b: Value) -> Result<bool, RuntimeError> {
+fn cmp1(op: CmpOp, a: Value, b: Value) -> Result<bool, RuntimeError> {
     match (a, b) {
-        (Value::F32(x), Value::F32(y)) => Ok(match op {
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-        }),
-        (Value::I32(x), Value::I32(y)) => Ok(match op {
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-        }),
+        (Value::F32(x), Value::F32(y)) => Ok(native_cmp(op, x, y)),
+        (Value::I32(x), Value::I32(y)) => Ok(native_cmp(op, x, y)),
         _ => value::compare(op, a, b).map_err(eval_err),
     }
 }
 
+/// `*out = (to)v` for one lane: the casts between `int`, `float` and
+/// `uchar` that image and index arithmetic is made of (and work-item ids
+/// to `int`), as
+/// [`value::convert`] computes them (a float saturates, an integer
+/// truncates), and [`value::convert`] itself for every other pair.
+#[inline(always)]
+fn cvt_into(out: &mut Value, v: Value, to: ScalarType) {
+    match (v, to) {
+        (Value::I32(x), ScalarType::Float) => *out = Value::F32(x as f32),
+        (Value::F32(x), ScalarType::Int) => *out = Value::I32(x as i32),
+        (Value::U8(x), ScalarType::Int) => *out = Value::I32(x as i32),
+        (Value::I32(x), ScalarType::UChar) => *out = Value::U8(x as u8),
+        (Value::I32(x), ScalarType::Long) => *out = Value::I64(x as i64),
+        (Value::U64(x), ScalarType::Int) => *out = Value::I32(x as i32),
+        _ => *out = value::convert(v, to),
+    }
+}
+
+/// A chain's resolved operands: first producer, second producer, links,
+/// the tail comparison's rhs and operation.
+type ChainSrcs<'a> = (
+    Src,
+    Src,
+    Option<(Src, Src, BinOp, BinOp)>,
+    &'a [Src],
+    Src,
+    Option<CmpOp>,
+);
+
+/// One lane of a chain whose operands all are `T`s, the accumulator in a
+/// machine register from the first operation to the tail: the accumulator
+/// and the tail comparison's flag. `None` — and nothing done — when an
+/// operand is something else or an operation is not one of [`Fast::bin`]'s.
+#[inline(always)]
+fn chain_lane<T: Fast>(
+    c: &Chain,
+    (l, r, tree, links, cmp_r, cmp): ChainSrcs,
+    regs: &[Value],
+    i: usize,
+) -> Option<(T, bool)> {
+    let get = |s: Src| T::of(s.get(regs, i));
+    let mut acc = T::bin(c.op, get(l)?, get(r)?)?;
+    if let Some((l2, r2, op2, comb)) = tree {
+        acc = T::bin(comb, acc, T::bin(op2, get(l2)?, get(r2)?)?)?;
+    }
+    for ((op, _), r) in c.links.iter().zip(links) {
+        acc = T::bin(*op, acc, get(*r)?)?;
+    }
+    let flag = match cmp {
+        Some(op) => native_cmp(op, acc, get(cmp_r)?),
+        None => false,
+    };
+    Some((acc, flag))
+}
+
 fn pop_ptr(frame: &mut Frame) -> Result<Ptr, RuntimeError> {
-    match pop(frame)? {
+    expect_ptr(pop(frame)?)
+}
+
+fn expect_ptr(v: Value) -> Result<Ptr, RuntimeError> {
+    match v {
         Value::Ptr(p) => Ok(p),
         other => Err(RuntimeError::Internal(format!(
             "expected pointer, found {other}"
@@ -1322,712 +2262,5 @@ fn eval_err(e: value::EvalError) -> RuntimeError {
         value::EvalError::TypeMismatch { context } => {
             RuntimeError::Internal(format!("type mismatch during {context}"))
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::compile;
-    use crate::value::Ptr;
-
-    fn program(src: &str) -> Program {
-        compile("test.cl", src).unwrap_or_else(|e| panic!("compile failed:\n{e}"))
-    }
-
-    fn gptr(buffer: u32) -> Value {
-        Value::Ptr(Ptr {
-            space: AddressSpace::Global,
-            buffer,
-            byte_offset: 0,
-        })
-    }
-
-    fn f32_buffer(vals: &[f32]) -> Vec<u8> {
-        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
-
-    fn read_f32s(bytes: &[u8]) -> Vec<f32> {
-        bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect()
-    }
-
-    /// Runs a 1-D kernel over `n` items sequentially (no barriers).
-    fn run_simple(p: &Program, kernel: &str, args: &[Value], n: u64) -> CostCounters {
-        let mem = HostMemory::new();
-        run_simple_mem(p, kernel, args, n, &mem)
-    }
-
-    fn run_simple_mem(
-        p: &Program,
-        kernel: &str,
-        args: &[Value],
-        n: u64,
-        mem: &dyn GlobalMemory,
-    ) -> CostCounters {
-        let k = p.kernel(kernel).expect("kernel exists");
-        let mut total = CostCounters::default();
-        let mut local = vec![0u8; k.static_local_bytes as usize];
-        for i in 0..n {
-            let geom = ItemGeometry {
-                work_dim: 1,
-                global_id: [i, 0, 0],
-                local_id: [i, 0, 0],
-                group_id: [0, 0, 0],
-                global_size: [n, 1, 1],
-                local_size: [n, 1, 1],
-                num_groups: [1, 1, 1],
-            };
-            let mut item = WorkItem::new(p, k.func, args, geom);
-            for b in &k.local_arrays {
-                item.bind_entry_slot(
-                    b.slot,
-                    Value::Ptr(Ptr {
-                        space: AddressSpace::Local,
-                        buffer: 0,
-                        byte_offset: b.byte_offset as i64,
-                    }),
-                );
-            }
-            let exit = item.run(mem, &mut local).expect("kernel ran");
-            assert_eq!(exit, Exit::Done);
-            total.merge(&item.counters);
-        }
-        total
-    }
-
-    #[test]
-    fn negation_map_kernel() {
-        let p = program(
-            "float func(float x){ return -x; }
-             __kernel void map_neg(__global const float* in, __global float* out, int n){
-                 int i = (int)get_global_id(0);
-                 if (i < n) out[i] = func(in[i]);
-             }",
-        );
-        let mut mem = HostMemory::new();
-        let input = mem.add_buffer(f32_buffer(&[1.0, -2.5, 0.0, 7.0]));
-        let output = mem.add_buffer(vec![0u8; 16]);
-        run_simple_mem(
-            &p,
-            "map_neg",
-            &[gptr(input), gptr(output), Value::I32(4)],
-            4,
-            &mem,
-        );
-        assert_eq!(read_f32s(&mem.bytes(output)), vec![-1.0, 2.5, 0.0, -7.0]);
-    }
-
-    #[test]
-    fn loop_and_accumulate() {
-        let p = program(
-            "__kernel void sum_to(__global int* out, int n){
-                 int s = 0;
-                 for (int i = 1; i <= n; ++i) s += i;
-                 out[get_global_id(0)] = s;
-             }",
-        );
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        run_simple_mem(&p, "sum_to", &[gptr(out), Value::I32(10)], 1, &mem);
-        assert_eq!(
-            i32::from_le_bytes(mem.bytes(out)[..4].try_into().unwrap()),
-            55
-        );
-    }
-
-    #[test]
-    fn break_continue_do_while() {
-        let p = program(
-            "__kernel void tricky(__global int* out){
-                 int s = 0;
-                 for (int i = 0; i < 100; ++i) {
-                     if (i == 5) continue;
-                     if (i == 8) break;
-                     s += i;
-                 }
-                 int j = 0;
-                 do { s += 1000; j++; } while (j < 2);
-                 out[0] = s;
-             }",
-        );
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        run_simple_mem(&p, "tricky", &[gptr(out)], 1, &mem);
-        // 0+1+2+3+4+6+7 = 23, plus 2000.
-        assert_eq!(
-            i32::from_le_bytes(mem.bytes(out)[..4].try_into().unwrap()),
-            2023
-        );
-    }
-
-    #[test]
-    fn mandelbrot_style_kernel() {
-        let p = program(
-            "__kernel void mandel(__global uchar* out, int width, float scale, int max_iter){
-                 int gid = (int)get_global_id(0);
-                 int px = gid % width;
-                 int py = gid / width;
-                 float cr = (float)px * scale - 2.0f;
-                 float ci = (float)py * scale - 1.0f;
-                 float zr = 0.0f; float zi = 0.0f;
-                 int it = 0;
-                 while (zr*zr + zi*zi <= 4.0f && it < max_iter) {
-                     float t = zr*zr - zi*zi + cr;
-                     zi = 2.0f*zr*zi + ci;
-                     zr = t;
-                     it++;
-                 }
-                 out[gid] = (uchar)(255 * it / max_iter);
-             }",
-        );
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 16]);
-        run_simple_mem(
-            &p,
-            "mandel",
-            &[gptr(out), Value::I32(4), Value::F32(0.5), Value::I32(32)],
-            16,
-            &mem,
-        );
-        let bytes = mem.bytes(out);
-        // Points inside the set reach max_iter -> 255; outside escape sooner.
-        assert!(bytes.contains(&255), "some pixel in the set: {bytes:?}");
-        assert!(
-            bytes.iter().any(|&b| b < 255),
-            "some pixel escapes: {bytes:?}"
-        );
-    }
-
-    #[test]
-    fn local_memory_and_barrier_lockstep() {
-        // Reverse within a work-group through local memory: requires a
-        // real barrier between the write and the read phase.
-        let p = program(
-            "__kernel void reverse(__global const int* in, __global int* out){
-                 __local int tile[8];
-                 int lid = (int)get_local_id(0);
-                 int n = (int)get_local_size(0);
-                 tile[lid] = in[lid];
-                 barrier(CLK_LOCAL_MEM_FENCE);
-                 out[lid] = tile[n - 1 - lid];
-             }",
-        );
-        let k = p.kernel("reverse").unwrap();
-        let mut mem = HostMemory::new();
-        let input = mem.add_buffer((0..8i32).flat_map(|v| v.to_le_bytes()).collect());
-        let out = mem.add_buffer(vec![0u8; 32]);
-        let args = [gptr(input), gptr(out)];
-
-        // Run the 8 items of one work-group in lockstep rounds.
-        let mut local = vec![0u8; k.static_local_bytes as usize];
-        let mut items: Vec<WorkItem> = (0..8u64)
-            .map(|i| {
-                let geom = ItemGeometry {
-                    work_dim: 1,
-                    global_id: [i, 0, 0],
-                    local_id: [i, 0, 0],
-                    group_id: [0, 0, 0],
-                    global_size: [8, 1, 1],
-                    local_size: [8, 1, 1],
-                    num_groups: [1, 1, 1],
-                };
-                let mut it = WorkItem::new(&p, k.func, &args, geom);
-                for b in &k.local_arrays {
-                    it.bind_entry_slot(
-                        b.slot,
-                        Value::Ptr(Ptr {
-                            space: AddressSpace::Local,
-                            buffer: 0,
-                            byte_offset: b.byte_offset as i64,
-                        }),
-                    );
-                }
-                it
-            })
-            .collect();
-
-        // Round 1: everyone reaches barrier 0.
-        for it in &mut items {
-            assert_eq!(it.run(&mem, &mut local).unwrap(), Exit::Barrier(0));
-        }
-        // Round 2: everyone finishes.
-        for it in &mut items {
-            assert_eq!(it.run(&mem, &mut local).unwrap(), Exit::Done);
-        }
-
-        let out_vals: Vec<i32> = mem
-            .bytes(out)
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(out_vals, vec![7, 6, 5, 4, 3, 2, 1, 0]);
-    }
-
-    #[test]
-    fn out_of_bounds_global_access_traps() {
-        let p = program("__kernel void oob(__global float* out){ out[100] = 1.0f; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 16]);
-        let k = p.kernel("oob").unwrap();
-        let mut item = WorkItem::new(&p, k.func, &[gptr(out)], ItemGeometry::single());
-        let err = item.run(&mem, &mut []).unwrap_err();
-        match err {
-            RuntimeError::OutOfBounds(e) => {
-                assert_eq!(e.byte_offset, 400);
-                assert_eq!(e.len, 16);
-            }
-            other => panic!("expected OutOfBounds, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn negative_index_traps() {
-        let p = program("__kernel void neg(__global float* out, int i){ out[i] = 1.0f; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 16]);
-        let k = p.kernel("neg").unwrap();
-        let mut item = WorkItem::new(
-            &p,
-            k.func,
-            &[gptr(out), Value::I32(-1)],
-            ItemGeometry::single(),
-        );
-        assert!(matches!(
-            item.run(&mem, &mut []).unwrap_err(),
-            RuntimeError::OutOfBounds(_)
-        ));
-    }
-
-    #[test]
-    fn division_by_zero_traps() {
-        let p = program("__kernel void div(__global int* out, int d){ out[0] = 10 / d; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let k = p.kernel("div").unwrap();
-        let mut item = WorkItem::new(
-            &p,
-            k.func,
-            &[gptr(out), Value::I32(0)],
-            ItemGeometry::single(),
-        );
-        assert_eq!(
-            item.run(&mem, &mut []).unwrap_err(),
-            RuntimeError::DivisionByZero
-        );
-    }
-
-    #[test]
-    fn uninitialized_pointer_traps() {
-        let p = program("__kernel void bad(__global float* out){ float* p; out[0] = p[0]; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let k = p.kernel("bad").unwrap();
-        let mut item = WorkItem::new(&p, k.func, &[gptr(out)], ItemGeometry::single());
-        assert_eq!(
-            item.run(&mem, &mut []).unwrap_err(),
-            RuntimeError::UninitializedPointer
-        );
-    }
-
-    #[test]
-    fn infinite_loop_hits_op_budget() {
-        let p = program("__kernel void spin(__global int* out){ while (true) { } out[0] = 1; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let k = p.kernel("spin").unwrap();
-        let mut item = WorkItem::new(&p, k.func, &[gptr(out)], ItemGeometry::single());
-        item.set_ops_budget(10_000);
-        assert_eq!(
-            item.run(&mem, &mut []).unwrap_err(),
-            RuntimeError::OpLimitExceeded
-        );
-    }
-
-    #[test]
-    fn trap_builtin_aborts() {
-        let p = program("__kernel void t(__global int* out){ __skelcl_trap(42); out[0] = 1; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let k = p.kernel("t").unwrap();
-        let mut item = WorkItem::new(&p, k.func, &[gptr(out)], ItemGeometry::single());
-        assert_eq!(
-            item.run(&mem, &mut []).unwrap_err(),
-            RuntimeError::Trap { code: 42 }
-        );
-    }
-
-    #[test]
-    fn missing_return_traps_at_runtime() {
-        let p = program(
-            "int f(int x){ if (x > 0) return 1; }
-             __kernel void k(__global int* out){ out[0] = f(-1); }",
-        );
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let k = p.kernel("k").unwrap();
-        let mut item = WorkItem::new(&p, k.func, &[gptr(out)], ItemGeometry::single());
-        assert_eq!(
-            item.run(&mem, &mut []).unwrap_err(),
-            RuntimeError::MissingReturn {
-                function: "f".into()
-            }
-        );
-    }
-
-    #[test]
-    fn counters_track_memory_traffic() {
-        let p = program(
-            "__kernel void copy(__global const float* in, __global float* out){
-                 int i = (int)get_global_id(0);
-                 out[i] = in[i];
-             }",
-        );
-        let mut mem = HostMemory::new();
-        let a = mem.add_buffer(f32_buffer(&[1.0; 10]));
-        let b = mem.add_buffer(vec![0u8; 40]);
-        let c = run_simple_mem(&p, "copy", &[gptr(a), gptr(b)], 10, &mem);
-        assert_eq!(c.global_loads, 10);
-        assert_eq!(c.global_stores, 10);
-        assert_eq!(c.global_bytes, 80);
-        assert!(c.ops > 0);
-        assert_eq!(c.barriers, 0);
-    }
-
-    #[test]
-    fn work_item_queries_2d() {
-        let p = program(
-            "__kernel void geom(__global ulong* out){
-                 out[0] = get_global_id(0);
-                 out[1] = get_global_id(1);
-                 out[2] = get_global_size(1);
-                 out[3] = get_num_groups(0);
-                 out[4] = get_global_id(7);   // out of range -> 0
-                 out[5] = get_global_size(7); // out of range -> 1
-                 out[6] = (ulong)get_work_dim();
-             }",
-        );
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 7 * 8]);
-        let k = p.kernel("geom").unwrap();
-        let geom = ItemGeometry {
-            work_dim: 2,
-            global_id: [3, 5, 0],
-            local_id: [3, 1, 0],
-            group_id: [0, 1, 0],
-            global_size: [8, 6, 1],
-            local_size: [8, 4, 1],
-            num_groups: [1, 2, 1],
-        };
-        let mut item = WorkItem::new(&p, k.func, &[gptr(out)], geom);
-        item.run(&mem, &mut []).unwrap();
-        let vals: Vec<u64> = mem
-            .bytes(out)
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(vals, vec![3, 5, 6, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn pointer_arithmetic_row_access() {
-        let p = program(
-            "float row_sum(const float* row, int d){
-                 float s = 0.0f;
-                 for (int k = 0; k < d; ++k) s += row[k];
-                 return s;
-             }
-             __kernel void sums(__global const float* m, __global float* out, int d){
-                 int i = (int)get_global_id(0);
-                 out[i] = row_sum(&m[i * d], d);
-             }",
-        );
-        let mut mem = HostMemory::new();
-        let m = mem.add_buffer(f32_buffer(&[1.0, 2.0, 3.0, 10.0, 20.0, 30.0]));
-        let out = mem.add_buffer(vec![0u8; 8]);
-        run_simple_mem(&p, "sums", &[gptr(m), gptr(out), Value::I32(3)], 2, &mem);
-        assert_eq!(read_f32s(&mem.bytes(out)), vec![6.0, 60.0]);
-    }
-
-    #[test]
-    fn optimized_and_reference_interpreters_agree() {
-        // A kernel exercising calls, loops, conversions and memory traffic;
-        // the optimized loop must match the reference loop bit-for-bit in
-        // output and exactly in counters.
-        let p = program(
-            "float poly(float x, int k){
-                 float acc = 0.0f;
-                 for (int i = 0; i < k; ++i) acc = acc * x + (float)i;
-                 return acc;
-             }
-             __kernel void stress(__global const float* in, __global float* out, int n){
-                 int i = (int)get_global_id(0);
-                 if (i < n) out[i] = poly(in[i], i + 3);
-             }",
-        );
-        let k = p.kernel("stress").unwrap();
-        let input = f32_buffer(&[0.5, -1.25, 3.0, 0.0, 9.5, -0.125]);
-        let n = 6u64;
-
-        let run_with = |reference: bool| -> (Vec<u8>, CostCounters) {
-            let mut mem = HostMemory::new();
-            let a = mem.add_buffer(input.clone());
-            let b = mem.add_buffer(vec![0u8; input.len()]);
-            let args = [gptr(a), gptr(b), Value::I32(n as i32)];
-            let mut total = CostCounters::default();
-            // One item reset per element also exercises WorkItem reuse.
-            let mut item = None;
-            for i in 0..n {
-                let geom = ItemGeometry {
-                    work_dim: 1,
-                    global_id: [i, 0, 0],
-                    local_id: [i, 0, 0],
-                    group_id: [0, 0, 0],
-                    global_size: [n, 1, 1],
-                    local_size: [n, 1, 1],
-                    num_groups: [1, 1, 1],
-                };
-                let it = match item.as_mut() {
-                    None => item.insert(WorkItem::new(&p, k.func, &args, geom)),
-                    Some(it) => {
-                        it.reset(&p, k.func, &args, geom);
-                        it
-                    }
-                };
-                let exit = if reference {
-                    it.run_reference(&mem, &mut []).expect("kernel ran")
-                } else {
-                    it.run(&mem, &mut []).expect("kernel ran")
-                };
-                assert_eq!(exit, Exit::Done);
-                total.merge(&it.counters);
-            }
-            (mem.bytes(b), total)
-        };
-
-        let (ref_bytes, ref_counters) = run_with(true);
-        let (fast_bytes, fast_counters) = run_with(false);
-        assert_eq!(ref_bytes, fast_bytes, "outputs must be bit-identical");
-        assert_eq!(ref_counters, fast_counters, "counters must not drift");
-    }
-
-    #[test]
-    fn reset_recycles_across_programs() {
-        let p1 = program("__kernel void a(__global int* out){ out[0] = 1; }");
-        let p2 = program("__kernel void b(__global int* out){ out[0] = 2; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let k1 = p1.kernel("a").unwrap();
-        let k2 = p2.kernel("b").unwrap();
-        let mut item = WorkItem::new(&p1, k1.func, &[gptr(out)], ItemGeometry::single());
-        assert_eq!(item.run(&mem, &mut []).unwrap(), Exit::Done);
-        // Reset onto a different program must rebind the handle.
-        item.reset(&p2, k2.func, &[gptr(out)], ItemGeometry::single());
-        assert_eq!(item.run(&mem, &mut []).unwrap(), Exit::Done);
-        assert_eq!(
-            i32::from_le_bytes(mem.bytes(out)[..4].try_into().unwrap()),
-            2
-        );
-        // Counters reflect only the latest run after a reset.
-        assert!(item.counters.ops > 0 && item.counters.ops < 10);
-    }
-
-    /// A [`GlobalMemory`] whose `load` records the program's handle count,
-    /// i.e. samples it while a kernel is mid-execution.
-    struct HandleProbe<'a> {
-        mem: HostMemory,
-        program: &'a Program,
-        seen: std::cell::RefCell<Vec<usize>>,
-    }
-
-    impl GlobalMemory for HandleProbe<'_> {
-        fn load(&self, buffer: u32, off: i64, ty: ScalarType) -> Result<Value, MemAccessError> {
-            self.seen.borrow_mut().push(self.program.handle_count());
-            self.mem.load(buffer, off, ty)
-        }
-
-        fn store(
-            &self,
-            buffer: u32,
-            off: i64,
-            ty: ScalarType,
-            v: Value,
-        ) -> Result<(), MemAccessError> {
-            self.mem.store(buffer, off, ty, v)
-        }
-    }
-
-    #[test]
-    fn running_an_item_holds_no_extra_program_handle() {
-        // The handle count is shared by every host thread executing the
-        // program: a clone per `run` entry serialises them. One group of 8
-        // items, rearmed from one prepared frame and run to completion in
-        // lockstep rounds, must never show more handles than were alive
-        // before the first round — on either interpreter, with and without
-        // a barrier (which re-enters `run` once per round).
-        let p = program(
-            "__kernel void copy(__global const int* in, __global int* out){
-                 int i = (int)get_global_id(0);
-                 out[i] = in[i] + in[7 - i];
-             }
-             __kernel void swap(__global const int* in, __global int* out){
-                 __local int tile[8];
-                 int lid = (int)get_local_id(0);
-                 tile[lid] = in[lid];
-                 barrier(CLK_LOCAL_MEM_FENCE);
-                 out[lid] = tile[7 - lid] + in[lid];
-             }",
-        );
-        for (kernel, rounds) in [("copy", 1), ("swap", 2)] {
-            for reference in [false, true] {
-                let k = p.kernel(kernel).unwrap();
-                let mut mem = HostMemory::new();
-                let input = mem.add_buffer((0..8i32).flat_map(|v| v.to_le_bytes()).collect());
-                let out = mem.add_buffer(vec![0u8; 32]);
-                let probe = HandleProbe {
-                    mem,
-                    program: &p,
-                    seen: Default::default(),
-                };
-                let entry = EntryFrame::new(&p, k, &[gptr(input), gptr(out)]);
-                let mut items: Vec<WorkItem> = (0..8).map(|_| WorkItem::idle(&p)).collect();
-                let before = p.handle_count(); // `p`, the frame, 8 items
-                assert_eq!(before, 10);
-
-                let mut local = vec![0u8; k.static_local_bytes as usize];
-                for (i, it) in items.iter_mut().enumerate() {
-                    let i = i as u64;
-                    let geom = ItemGeometry {
-                        global_id: [i, 0, 0],
-                        local_id: [i, 0, 0],
-                        global_size: [8, 1, 1],
-                        local_size: [8, 1, 1],
-                        ..ItemGeometry::single()
-                    };
-                    it.arm(&entry, geom, u64::MAX);
-                }
-                for round in 1..=rounds {
-                    for it in &mut items {
-                        let exit = if reference {
-                            it.run_reference(&probe, &mut local)
-                        } else {
-                            it.run(&probe, &mut local)
-                        };
-                        let expect = if round == rounds {
-                            Exit::Done
-                        } else {
-                            Exit::Barrier(0)
-                        };
-                        assert_eq!(exit.unwrap(), expect);
-                    }
-                }
-
-                let seen = probe.seen.into_inner();
-                assert_eq!(seen.len(), 16, "two global loads per item");
-                assert!(
-                    seen.iter().all(|&n| n == before),
-                    "{kernel} (reference: {reference}): {before} handles before the \
-                     run, {seen:?} during it"
-                );
-                assert_eq!(p.handle_count(), before, "arming rebinds no handle");
-            }
-        }
-    }
-
-    #[test]
-    fn arm_equals_reset_plus_budget_plus_local_bindings() {
-        let p = program(
-            "__kernel void reverse(__global const int* in, __global int* out, int bias){
-                 __local int tile[8];
-                 int lid = (int)get_local_id(0);
-                 tile[lid] = in[lid] + bias;
-                 barrier(CLK_LOCAL_MEM_FENCE);
-                 out[lid] = tile[7 - lid];
-             }",
-        );
-        let k = p.kernel("reverse").unwrap();
-        let run_group = |use_arm: bool| -> (Vec<u8>, CostCounters) {
-            let mut mem = HostMemory::new();
-            let input = mem.add_buffer((0..8i32).flat_map(|v| v.to_le_bytes()).collect());
-            let out = mem.add_buffer(vec![0u8; 32]);
-            let args = [gptr(input), gptr(out), Value::I32(5)];
-            let entry = EntryFrame::new(&p, k, &args);
-            let mut local = vec![0u8; k.static_local_bytes as usize];
-            let mut items: Vec<WorkItem> = (0..8u64)
-                .map(|i| {
-                    let geom = ItemGeometry {
-                        global_id: [i, 0, 0],
-                        local_id: [i, 0, 0],
-                        global_size: [8, 1, 1],
-                        local_size: [8, 1, 1],
-                        ..ItemGeometry::single()
-                    };
-                    let mut it = WorkItem::idle(&p);
-                    if use_arm {
-                        it.arm(&entry, geom, 1_000);
-                    } else {
-                        it.reset(&p, k.func, &args, geom);
-                        it.set_ops_budget(1_000);
-                        for b in &k.local_arrays {
-                            it.bind_entry_slot(
-                                b.slot,
-                                Value::Ptr(Ptr {
-                                    space: AddressSpace::Local,
-                                    buffer: 0,
-                                    byte_offset: b.byte_offset as i64,
-                                }),
-                            );
-                        }
-                    }
-                    it
-                })
-                .collect();
-            for expect in [Exit::Barrier(0), Exit::Done] {
-                for it in &mut items {
-                    assert_eq!(it.run(&mem, &mut local).unwrap(), expect);
-                }
-            }
-            let mut total = CostCounters::default();
-            items.iter().for_each(|it| total.merge(&it.counters));
-            (mem.bytes(out), total)
-        };
-        let (armed, armed_counters) = run_group(true);
-        assert_eq!((armed.clone(), armed_counters), run_group(false));
-        let vals: Vec<i32> = armed
-            .chunks_exact(4)
-            .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        assert_eq!(vals, vec![12, 11, 10, 9, 8, 7, 6, 5]);
-    }
-
-    #[test]
-    fn idle_item_is_finished_until_armed() {
-        let p = program("__kernel void one(__global int* out){ out[0] = 1; }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let mut item = WorkItem::idle(&p);
-        assert!(item.is_finished());
-        let entry = EntryFrame::new(&p, p.kernel("one").unwrap(), &[gptr(out)]);
-        item.arm(&entry, ItemGeometry::single(), 1_000);
-        assert!(!item.is_finished());
-        assert_eq!(item.run(&mem, &mut []).unwrap(), Exit::Done);
-        // The armed budget is live: one op cannot store and return.
-        item.arm(&entry, ItemGeometry::single(), 1);
-        assert_eq!(
-            item.run(&mem, &mut []).unwrap_err(),
-            RuntimeError::OpLimitExceeded
-        );
-    }
-
-    #[test]
-    fn run_simple_counts_total_ops() {
-        let p = program("__kernel void nop(__global int* out){ }");
-        let mut mem = HostMemory::new();
-        let out = mem.add_buffer(vec![0u8; 4]);
-        let c = run_simple_mem(&p, "nop", &[gptr(out)], 100, &mem);
-        assert_eq!(c.ops, 100); // one ReturnVoid per item
-        let _ = run_simple(&p, "nop", &[gptr(out)], 0);
     }
 }

@@ -13,7 +13,9 @@ use proptest::prelude::*;
 use skelcl_kernel::hir::{BinOp, UnOp};
 use skelcl_kernel::types::AddressSpace;
 use skelcl_kernel::value::{self, Ptr, Value};
-use skelcl_kernel::vm::{HostMemory, ItemGeometry, WorkItem};
+use skelcl_kernel::vm::{
+    CostCounters, EntryFrame, Exit, HostMemory, ItemGeometry, WorkGroup, WorkItem,
+};
 
 /// A host-side expression tree over `long` variables x, y, z.
 #[derive(Debug, Clone)]
@@ -195,6 +197,77 @@ fn run_with(expr: &Expr, vars: [i64; 3], cfg: &skelcl_kernel::OptConfig, referen
     i64::from_le_bytes(mem.bytes(out)[..8].try_into().unwrap())
 }
 
+/// Lanes of the group in [`run_lanes`]: two strips, the second a short one.
+const LANES: u64 = 70;
+
+/// Compiles `expr` under `cfg` as a kernel whose `x` differs per lane
+/// (`xs[gid]`) and runs one group of [`LANES`] items — on the group executor,
+/// or item by item on the reference interpreter — returning `out` and the
+/// summed counters.
+fn run_lanes(
+    expr: &Expr,
+    vars: [i64; 3],
+    cfg: &skelcl_kernel::OptConfig,
+    reference: bool,
+) -> (Vec<u8>, CostCounters) {
+    let source = format!(
+        "__kernel void eval(__global long* out, __global const long* xs, long y, long z) {{\n\
+             long x = xs[get_global_id(0)];\n\
+             out[get_global_id(0)] = {};\n\
+         }}",
+        expr.render()
+    );
+    let program = skelcl_kernel::compile_with_config("lanes.cl", &source, cfg)
+        .unwrap_or_else(|e| panic!("generated source failed to compile:\n{source}\n{e}"));
+    let kernel = program.kernel("eval").expect("kernel");
+    let mut mem = HostMemory::new();
+    let out = mem.add_buffer(vec![0u8; 8 * LANES as usize]);
+    // Small and huge, negative and positive, so ternaries and short-circuits
+    // send neighbouring lanes different ways.
+    let xs: Vec<i64> = (0..LANES as i64)
+        .map(|l| match l % 4 {
+            0 => l - 3,
+            1 => vars[0].wrapping_mul(2 * l + 1),
+            2 => (vars[0] >> (l % 63)).wrapping_neg(),
+            _ => vars[0] ^ l,
+        })
+        .collect();
+    let xs = mem.add_buffer(xs.iter().flat_map(|x| x.to_le_bytes()).collect());
+    let ptr = |buffer| {
+        Value::Ptr(Ptr {
+            space: AddressSpace::Global,
+            buffer,
+            byte_offset: 0,
+        })
+    };
+    let args = [ptr(out), ptr(xs), Value::I64(vars[1]), Value::I64(vars[2])];
+    let geometry = ItemGeometry {
+        global_size: [LANES, 1, 1],
+        local_size: [LANES, 1, 1],
+        ..ItemGeometry::single()
+    };
+    let mut counters = CostCounters::default();
+    if reference {
+        for lane in 0..LANES {
+            let geometry = ItemGeometry {
+                global_id: [lane, 0, 0],
+                local_id: [lane, 0, 0],
+                ..geometry
+            };
+            let mut item = WorkItem::new(&program, kernel.func, &args, geometry);
+            item.run_reference(&mem, &mut []).expect("kernel runs");
+            counters.merge(&item.counters);
+        }
+    } else {
+        let entry = EntryFrame::new(&program, kernel, &args);
+        let mut group = WorkGroup::default();
+        group.arm(geometry, u64::MAX);
+        assert_eq!(group.run(&entry, &mem, &mut []), Ok(Exit::Done));
+        counters = group.stats.counters;
+    }
+    (mem.bytes(out), counters)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -226,6 +299,31 @@ proptest! {
         let oracle = run_with(&expr, vars, &OptConfig::none(), true);
         let optimized = run_with(&expr, vars, &OptConfig::all(), false);
         prop_assert_eq!(optimized, oracle, "expr: {}", expr.render());
+    }
+
+    /// Lanes of one group that take different ways through the program
+    /// compute what each computes alone: under every optimization setting
+    /// the group executor's buffer and summed counters are the reference
+    /// interpreter's over the same program, and every buffer is the
+    /// pass-free program's.
+    #[test]
+    fn group_of_divergent_lanes_matches_per_lane_reference(
+        expr in arb_expr(),
+        x in any::<i64>(),
+        y in -1000i64..1000,
+        z in any::<i64>(),
+    ) {
+        use skelcl_kernel::OptConfig;
+        let vars = [x, y, z];
+        let (oracle, _) = run_lanes(&expr, vars, &OptConfig::none(), true);
+        for spec in ["none", "const-prop", "cse", "dce", "licm", "unroll", "1"] {
+            let (cfg, rejected) = OptConfig::parse(spec);
+            prop_assert!(rejected.is_empty());
+            let group = run_lanes(&expr, vars, &cfg, false);
+            let items = run_lanes(&expr, vars, &cfg, true);
+            prop_assert_eq!(&group.0, &oracle, "{}: expr: {}", spec, expr.render());
+            prop_assert_eq!(group, items, "{}: expr: {}", spec, expr.render());
+        }
     }
 
     /// The pretty-printer is a fixed point: parse(print(parse(src))) gives

@@ -57,6 +57,11 @@ pub const POOL_STEAL_BALANCE: &str = "pool.steal_balance";
 pub const POOL_THREADS: &str = "pool.threads";
 /// Per-device gauge: total work-groups executed by the device's pool.
 pub const POOL_GROUPS: &str = "pool.groups_executed";
+/// Per-device gauge: share of the group executor's lane slots that did
+/// work, `lane_ops / (group_steps × lanes)` over every launch so far. 1.0
+/// means no lane ever diverged; the shortfall is instructions a group ran
+/// for some of its lanes only — what a kernel's divergence costs the host.
+pub const POOL_LANE_UTILISATION: &str = "pool.lane_utilisation";
 /// Counter-track name for per-device queue depth samples (Chrome "C"
 /// events; see [`crate::Profiler::record_counter_sample`]).
 pub const QUEUE_DEPTH: &str = "queue.depth";

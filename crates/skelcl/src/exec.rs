@@ -242,10 +242,10 @@ pub(crate) fn run_launches(
     Ok(events)
 }
 
-/// Publishes the fast-path worker pools' execution telemetry — groups
-/// executed, thread count, and the steal-cursor balance (min/max groups a
-/// worker ran in the most recent pooled launch) — as per-device gauges.
-/// Inert when profiling is disabled.
+/// Publishes the worker pools' execution telemetry — groups executed,
+/// thread count, the steal-cursor balance (min/max groups a worker ran in
+/// the most recent launch) and the group executor's lane utilisation — as
+/// per-device gauges. Inert when profiling is disabled.
 pub(crate) fn publish_pool_gauges(ctx: &Context) {
     let profiler = ctx.profiler();
     if !profiler.is_enabled() {
@@ -260,6 +260,7 @@ pub(crate) fn publish_pool_gauges(ctx: &Context) {
         profiler.set_device_gauge(m::POOL_GROUPS, d, stats.pool_groups_executed as f64);
         profiler.set_device_gauge(m::POOL_THREADS, d, stats.pool_threads as f64);
         profiler.set_device_gauge(m::POOL_STEAL_BALANCE, d, stats.steal_balance());
+        profiler.set_device_gauge(m::POOL_LANE_UTILISATION, d, stats.lane_utilisation());
     }
 }
 

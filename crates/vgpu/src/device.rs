@@ -4,6 +4,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+use skelcl_kernel::vm::GroupStats;
+
 use crate::exec::default_host_threads;
 use crate::pool::WorkerPool;
 
@@ -135,8 +137,9 @@ impl Default for DeviceSpec {
 }
 
 /// Host-side execution statistics of one device (or a whole platform when
-/// aggregated): how many launches ran on the persistent worker pool and how
-/// its steal cursor dealt their work-groups.
+/// aggregated): how many launches ran on the persistent worker pool, how
+/// its steal cursor dealt their work-groups, and how full the group
+/// executor's lanes were.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Total kernel launches executed.
@@ -155,6 +158,15 @@ pub struct ExecStats {
     /// perfectly evenly; a zero `min` with a nonzero `max` means a worker
     /// starved.
     pub last_steal_min_groups: u64,
+    /// Instructions the group executor ran: one per decoded head per strip
+    /// of a work-group's lanes (up to 64 of them), however many it covered.
+    pub group_steps: u64,
+    /// Σ lanes active over `group_steps` — per-lane instruction executions.
+    pub lane_ops: u64,
+    /// Σ lanes *armed* over `group_steps`: what `lane_ops` would be had no
+    /// lane ever diverged (`group_steps × items_per_group` for groups of up
+    /// to a strip, summed over launches of different shapes).
+    pub lane_slots: u64,
 }
 
 impl ExecStats {
@@ -175,6 +187,21 @@ impl ExecStats {
         self.pool_threads += other.pool_threads;
         self.pool_groups_executed += other.pool_groups_executed;
         self.last_launch_workers += other.last_launch_workers;
+        self.group_steps += other.group_steps;
+        self.lane_ops += other.lane_ops;
+        self.lane_slots += other.lane_slots;
+    }
+
+    /// Share of lane slots that did work: `lane_ops / lane_slots`. 1.0
+    /// means no lane ever diverged; a kernel whose lanes leave a loop one
+    /// by one pays the difference as instructions run for a few lanes
+    /// only. 0.0 when no kernel ran.
+    pub fn lane_utilisation(&self) -> f64 {
+        if self.lane_slots == 0 {
+            0.0
+        } else {
+            self.lane_ops as f64 / self.lane_slots as f64
+        }
     }
 
     /// Steal balance of the last launch: `min/max` groups per worker (1.0 =
@@ -209,6 +236,9 @@ pub struct Device {
     last_workers: AtomicU64,
     steal_max: AtomicU64,
     steal_min: AtomicU64,
+    group_steps: AtomicU64,
+    lane_ops: AtomicU64,
+    lane_slots: AtomicU64,
 }
 
 impl Device {
@@ -226,6 +256,9 @@ impl Device {
             last_workers: AtomicU64::new(0),
             steal_max: AtomicU64::new(0),
             steal_min: AtomicU64::new(0),
+            group_steps: AtomicU64::new(0),
+            lane_ops: AtomicU64::new(0),
+            lane_slots: AtomicU64::new(0),
         }
     }
 
@@ -342,6 +375,15 @@ impl Device {
         self.steal_min.store(min, Ordering::Relaxed);
     }
 
+    /// Records a finished launch's lane statistics for
+    /// [`Device::exec_stats`].
+    pub(crate) fn note_lanes(&self, stats: &GroupStats) {
+        self.group_steps.fetch_add(stats.steps, Ordering::Relaxed);
+        self.lane_ops.fetch_add(stats.lane_steps, Ordering::Relaxed);
+        self.lane_slots
+            .fetch_add(stats.lane_slots, Ordering::Relaxed);
+    }
+
     /// A snapshot of this device's host-side execution statistics.
     pub fn exec_stats(&self) -> ExecStats {
         ExecStats {
@@ -351,6 +393,9 @@ impl Device {
             last_launch_workers: self.last_workers.load(Ordering::Relaxed),
             last_steal_max_groups: self.steal_max.load(Ordering::Relaxed),
             last_steal_min_groups: self.steal_min.load(Ordering::Relaxed),
+            group_steps: self.group_steps.load(Ordering::Relaxed),
+            lane_ops: self.lane_ops.load(Ordering::Relaxed),
+            lane_slots: self.lane_slots.load(Ordering::Relaxed),
         }
     }
 

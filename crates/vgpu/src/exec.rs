@@ -1,41 +1,51 @@
 //! The work-group execution engine.
 //!
 //! Work-groups are independent (as in OpenCL) and are executed in parallel
-//! on host threads. Within one group, work-items run in **lockstep rounds**:
-//! every item executes until it finishes or reaches a `barrier()`; the group
-//! only proceeds past a barrier once *all* items arrived at the *same*
-//! barrier site, which is checked and reported as
+//! on host threads. The work-group is also the unit of *execution*: a
+//! worker arms one reusable [`WorkGroup`] per group and the VM runs each
+//! decoded instruction once for a whole strip of the group's lanes
+//! (`skelcl_kernel::vm`), splitting the active set at divergent branches
+//! and parking lanes at `barrier()`. A group proceeds past a barrier once
+//! *all* its lanes wait at the *same* site; anything else is reported as
 //! [`Error::BarrierDivergence`] instead of OpenCL's undefined behaviour.
+//! There is one group runner, [`run_group`], for kernels with and without
+//! barriers.
 //!
 //! Launches run on the device's persistent [worker pool](crate::pool): a
-//! launch costs a queue push and starts no thread. Kernels whose
-//! [`KernelInfo::barrier_count`] is zero take the **barrier-free fast
-//! path**: one reusable [`WorkItem`] per pool thread is
-//! [armed](WorkItem::arm) per item and run to completion in a tight loop,
-//! skipping the lockstep-round machinery and all per-item allocation.
-//! Kernels *with* barriers run lockstep rounds on pooled, reusable items.
+//! launch costs a queue push and starts no thread, and a worker's group
+//! state and local-memory arena are recycled across groups and launches.
 //!
-//! Both paths iterate the items of a group in the same (row-major local-id)
-//! order as the tests' single-threaded reference launcher
-//! (`tests/support`, built on [`WorkItem::run_reference`]), so even racy
-//! barrier-free kernels produce bit-identical buffers within a group and
-//! identical [`CostCounters`] — simulated-time results cannot drift with
-//! the engine.
+//! **What is guaranteed.** A launch's buffers, [`CostCounters`] and errors
+//! are those of the tests' single-threaded reference launcher
+//! (`tests/support`, built on `WorkItem::run_reference`): counters are
+//! bit-identical — simulated-time results cannot drift with the engine —
+//! and a failing group reports its first event in row-major item order.
+//! Buffers are bit-identical for kernels free of data races *within a
+//! group between two barriers*. A kernel that does race there still gets a
+//! result that is a function of program and launch only — independent of
+//! `host_threads`, of the device count and of the run — because the lanes
+//! of a group execute in a fixed order: strip after strip, within a strip
+//! instruction by instruction, lanes ascending within one instruction. It
+//! just need not be the result of running the items one after another.
+//! (Races *between* groups are the kernel's own, as on real hardware.)
 //!
-//! **Hot-path rule.** Nothing a pool thread executes per work-item or per
-//! barrier round writes memory another pool thread touches. Everything a
-//! launch shares is prepared once in [`LaunchState::new`] and only read
-//! afterwards; the one shared write on the way, the group cursor, happens
-//! once per work-*group* on a cache line of its own; counters, failures and
-//! steal telemetry are merged once per worker per launch. DESIGN.md §5g
-//! tabulates every piece of shared state against this rule.
+//! **Hot-path rule.** Nothing a pool thread executes per instruction, per
+//! work-item or per barrier round writes memory another pool thread
+//! touches. Everything a launch shares is prepared once in
+//! [`LaunchState::new`] and only read afterwards; the one shared write on
+//! the way, the group cursor, happens once per work-*group* on a cache line
+//! of its own; counters, lane statistics, failures and steal telemetry are
+//! merged once per worker per launch. DESIGN.md §5g tabulates every piece
+//! of shared state against this rule.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use skelcl_kernel::program::{KernelInfo, Program};
 use skelcl_kernel::value::Value;
-use skelcl_kernel::vm::{CostCounters, EntryFrame, Exit, ItemGeometry, RuntimeError, WorkItem};
+use skelcl_kernel::vm::{
+    CostCounters, EntryFrame, Exit, GroupFault, GroupStats, ItemGeometry, WorkGroup,
+};
 
 use crate::cost::Toolchain;
 use crate::device::Device;
@@ -122,18 +132,15 @@ struct GroupCursor(AtomicUsize);
 /// program, argument and buffer handles (pool threads outlive the launch
 /// call frame).
 pub(crate) struct LaunchState {
-    /// Program handle, arguments and `__local` bindings, ready to copy
-    /// into an item.
+    /// Program handle, arguments and `__local` bindings: what every lane of
+    /// every group starts from.
     entry: EntryFrame,
     kernel_name: String,
     buffers: BufferTable,
-    /// The launch-wide half of every item's geometry (the ids are zero).
+    /// The launch-wide half of every group's geometry (the ids are zero).
     geometry: ItemGeometry,
-    items_per_group: usize,
     local_bytes: usize,
     ops_budget: u64,
-    /// Whether groups take the barrier-free fast path.
-    fast: bool,
     total_groups: usize,
     abort: AtomicBool,
     /// Deliberate fault to inject (tests only).
@@ -142,7 +149,9 @@ pub(crate) struct LaunchState {
     /// can release its payload reference *before* arriving.
     latch: Arc<Latch>,
     failure: Mutex<Option<Error>>,
-    totals: Mutex<CostCounters>,
+    /// What the workers' groups add up to: the cost counters the simulated
+    /// clock is computed from, and how well the lanes were used.
+    totals: Mutex<GroupStats>,
     /// Work-groups each participating worker executed (one entry per
     /// worker that finished its share) — the steal-cursor telemetry the
     /// device aggregates after the launch.
@@ -220,16 +229,14 @@ impl LaunchState {
                 local_size: range.local.map(|n| n as u64),
                 num_groups: range.group_counts().map(|n| n as u64),
             },
-            items_per_group: range.items_per_group(),
             local_bytes,
             ops_budget: config.ops_budget_per_item,
-            fast: kernel.barrier_count == 0,
             total_groups: range.total_groups(),
             abort: AtomicBool::new(false),
             fault: config.fault_injection,
             latch: Arc::new(Latch::default()),
             failure: Mutex::new(None),
-            totals: Mutex::new(CostCounters::default()),
+            totals: Mutex::new(GroupStats::default()),
             worker_groups: Mutex::new(Vec::new()),
             next_group: GroupCursor::default(),
         }
@@ -276,8 +283,8 @@ impl LaunchState {
         self.latch.wait();
     }
 
-    /// The launch outcome: the first failure, or the merged counters.
-    fn outcome(&self) -> Result<CostCounters> {
+    /// The launch outcome: the first failure, or the merged totals.
+    fn outcome(&self) -> Result<GroupStats> {
         if let Some(e) = self
             .failure
             .lock()
@@ -294,56 +301,16 @@ impl LaunchState {
         let g = g as u64;
         [g % nx, (g / nx) % ny, g / (nx * ny)]
     }
-
-    /// The local ids of one work-group in execution (row-major) order.
-    fn local_ids(&self) -> impl Iterator<Item = [u64; 3]> {
-        let [lx, ly, lz] = self.geometry.local_size;
-        (0..lz).flat_map(move |z| (0..ly).flat_map(move |y| (0..lx).map(move |x| [x, y, z])))
-    }
-
-    /// Arms `items[idx]` (growing the pool by one idle item on first use)
-    /// for the work-item at `local_id` of group `group_id`: one copy of the
-    /// prepared entry frame plus the item's three ids. The only place items
-    /// are armed, for both paths.
-    fn arm_item<'a>(
-        &self,
-        items: &'a mut Vec<WorkItem>,
-        idx: usize,
-        group_id: [u64; 3],
-        local_id: [u64; 3],
-    ) -> &'a mut WorkItem {
-        if idx == items.len() {
-            items.push(WorkItem::idle(self.entry.program()));
-        }
-        let local_size = self.geometry.local_size;
-        let geometry = ItemGeometry {
-            global_id: [0, 1, 2].map(|d| group_id[d] * local_size[d] + local_id[d]),
-            local_id,
-            group_id,
-            ..self.geometry
-        };
-        let item = &mut items[idx];
-        item.arm(&self.entry, geometry, self.ops_budget);
-        item
-    }
-
-    fn launch_error(&self, item: &WorkItem, error: RuntimeError) -> Error {
-        Error::Launch {
-            kernel: self.kernel_name.clone(),
-            global_id: item.geometry().global_id,
-            error,
-        }
-    }
 }
 
 /// Per-worker reusable execution state. Owned by a pool thread and kept
-/// across launches, so in steady state a launch performs no `WorkItem` or
+/// across launches, so in steady state a launch performs no group-state or
 /// local-memory allocation at all.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
-    /// Reusable items: one per work-item of the largest group seen so far
-    /// (the barrier-free fast path only ever uses the first).
-    items: Vec<WorkItem>,
+    /// The group executor: its strips' register files, sized by the
+    /// largest kernel seen so far.
+    group: WorkGroup,
     /// The work-group's local-memory arena.
     local_mem: Vec<u8>,
 }
@@ -356,7 +323,7 @@ pub(crate) fn run_worker(state: &LaunchState, scratch: &mut WorkerScratch) {
     if state.fault == Some(FaultInjection::PanicInKernel) {
         panic!("vgpu: injected fault (FaultInjection::PanicInKernel)");
     }
-    let mut local_counters = CostCounters::default();
+    let mut totals = GroupStats::default();
     let mut groups_executed = 0u64;
     loop {
         if state.abort.load(Ordering::Relaxed) {
@@ -366,24 +333,14 @@ pub(crate) fn run_worker(state: &LaunchState, scratch: &mut WorkerScratch) {
         if g >= state.total_groups {
             break;
         }
-        let group_id = state.group_id(g);
         scratch.local_mem.clear();
         scratch.local_mem.resize(state.local_bytes, 0);
-        let result = if state.fast {
-            run_group_fast(state, scratch, group_id)
-        } else {
-            run_group_lockstep(state, scratch, group_id)
-        };
-        match result {
-            Ok(c) => {
-                local_counters.merge(&c);
-                groups_executed += 1;
-            }
-            Err(e) => {
-                state.fail(e);
-                break;
-            }
+        if let Err(e) = run_group(state, scratch, state.group_id(g)) {
+            state.fail(e);
+            break;
         }
+        totals.merge(&scratch.group.stats);
+        groups_executed += 1;
     }
     state
         .worker_groups
@@ -394,82 +351,38 @@ pub(crate) fn run_worker(state: &LaunchState, scratch: &mut WorkerScratch) {
         .totals
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
-        .merge(&local_counters);
+        .merge(&totals);
 }
 
-/// Barrier-free fast path: each item runs start-to-finish on one reusable
-/// `WorkItem`, in the same row-major order the lockstep path would use.
-fn run_group_fast(
-    state: &LaunchState,
-    scratch: &mut WorkerScratch,
-    group_id: [u64; 3],
-) -> Result<CostCounters> {
-    let mut counters = CostCounters::default();
-    for local_id in state.local_ids() {
-        let item = state.arm_item(&mut scratch.items, 0, group_id, local_id);
-        match item.run(&state.buffers, &mut scratch.local_mem) {
-            Ok(Exit::Done) => counters.merge(&item.counters),
-            // barrier_count == 0 guaranteed no barrier sites.
-            Ok(Exit::Barrier(_)) => {
-                let error =
-                    RuntimeError::Internal("barrier reached on the barrier-free fast path".into());
-                return Err(state.launch_error(item, error));
-            }
-            Err(error) => return Err(state.launch_error(item, error)),
-        }
-    }
-    Ok(counters)
-}
-
-/// Rounds in lockstep for one work-group: every item runs to its next barrier
-/// (or its end), and the group proceeds only when all arrived at the same
-/// one, on reusable `WorkItem`s.
-fn run_group_lockstep(
-    state: &LaunchState,
-    scratch: &mut WorkerScratch,
-    group_id: [u64; 3],
-) -> Result<CostCounters> {
-    for (idx, local_id) in state.local_ids().enumerate() {
-        state.arm_item(&mut scratch.items, idx, group_id, local_id);
-    }
-    let items = &mut scratch.items[..state.items_per_group];
-    let divergence = || Error::BarrierDivergence {
-        kernel: state.kernel_name.clone(),
+/// Runs one work-group to completion on the worker's group state: started
+/// from the launch's entry frame, resumed past every barrier all its lanes
+/// reached together.
+fn run_group(state: &LaunchState, scratch: &mut WorkerScratch, group_id: [u64; 3]) -> Result<()> {
+    let group = &mut scratch.group;
+    let geometry = ItemGeometry {
         group_id,
+        ..state.geometry
     };
-
+    group.arm(geometry, state.ops_budget);
     loop {
-        let mut barrier: Option<u32> = None;
-        let mut any_done = false;
-        for item in items.iter_mut() {
-            if item.is_finished() {
-                any_done = true;
-                continue;
+        match group.run(&state.entry, &state.buffers, &mut scratch.local_mem) {
+            Ok(Exit::Done) => return Ok(()),
+            Ok(Exit::Barrier(_)) => {}
+            Err(GroupFault::Lane { lane, error }) => {
+                return Err(Error::Launch {
+                    kernel: state.kernel_name.clone(),
+                    global_id: group.global_id(lane),
+                    error,
+                })
             }
-            let exit = item.run(&state.buffers, &mut scratch.local_mem);
-            match exit.map_err(|error| state.launch_error(item, error))? {
-                Exit::Done => any_done = true,
-                Exit::Barrier(id) => match barrier {
-                    None => barrier = Some(id),
-                    Some(prev) if prev == id => {}
-                    Some(_) => return Err(divergence()),
-                },
+            Err(GroupFault::BarrierDivergence) => {
+                return Err(Error::BarrierDivergence {
+                    kernel: state.kernel_name.clone(),
+                    group_id,
+                })
             }
         }
-        match barrier {
-            None => break, // every item finished
-            // Some items finished while others wait at a barrier: the
-            // barrier can never be satisfied.
-            Some(_) if any_done => return Err(divergence()),
-            Some(_) => {} // all at the same barrier: next round resumes them
-        }
     }
-
-    let mut counters = CostCounters::default();
-    for item in items.iter() {
-        counters.merge(&item.counters);
-    }
-    Ok(counters)
 }
 
 /// Executes a launch on `device` and returns the aggregated counters.
@@ -506,5 +419,7 @@ pub(crate) fn execute_launch(
     device.note_launch();
     pool.run(&state, threads);
     device.note_pool_groups(&state.worker_group_counts());
-    state.outcome()
+    let totals = state.outcome()?;
+    device.note_lanes(&totals);
+    Ok(totals.counters)
 }

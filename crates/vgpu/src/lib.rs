@@ -12,7 +12,8 @@
 //!   [`Event`] with wait-list dependencies and OpenCL-style profiling;
 //! * an execution engine running compiled SkelCL C kernels
 //!   (`skelcl-kernel`) over ND-ranges: work-groups in parallel on host
-//!   threads, work-items of a group in lockstep rounds across `barrier()`s;
+//!   threads, the lanes of a group together on the VM's group executor,
+//!   parked at `barrier()` until the whole group has arrived;
 //! * a deterministic [cost model](cost) turning execution counters into
 //!   simulated nanoseconds, reproducing the paper's first-order effects
 //!   (local vs global memory, CUDA-vs-OpenCL toolchain factor, PCIe

@@ -3,9 +3,13 @@
 //!
 //! Buffer bytes are stored as `AtomicU8` so that concurrently executing
 //! work-groups (scheduled on different host threads) can access shared
-//! buffers without undefined behaviour. Racy kernels observe unspecified
-//! byte values — the same guarantee real GPUs give — but never corrupt the
-//! simulator.
+//! buffers without undefined behaviour. Kernels that race *between* groups
+//! observe unspecified byte values — the same guarantee real GPUs give —
+//! but never corrupt the simulator. Races *inside* a group are ordered by
+//! the engine: a group's lanes run on one host thread in an order fixed by
+//! the program and the launch (`exec`'s module docs spell it out), so such a
+//! kernel's result, while not the one of running its items one after
+//! another, is the same for every `host_threads`, device count and run.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;

@@ -1,21 +1,25 @@
 //! The execution engine against the reference launcher.
 //!
-//! The pooled engine — barrier-free fast path and lockstep rounds, on
-//! reused items and the optimised interpreter — must be observationally
+//! The pooled engine — one reusable group executor per worker, lanes in
+//! strips, the pre-decoded instruction stream — must be observationally
 //! identical to the single-threaded reference launcher in `support/`
-//! (fresh items, `WorkItem::run_reference`): bit-identical buffers and
-//! identical [`CostCounters`], otherwise simulated-time results would drift
-//! with the optimisation; and the same faults.
+//! (fresh items run one after another, `WorkItem::run_reference`):
+//! bit-identical buffers and identical [`CostCounters`], otherwise
+//! simulated-time results would drift with the optimisation; and the same
+//! faults, in item order. Where it may differ — the order of racing
+//! accesses inside a group — it must still be a function of the launch.
 
 mod support;
+
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use skelcl_kernel::compile;
 use skelcl_kernel::program::Program;
 use skelcl_kernel::value::Value;
-use skelcl_kernel::vm::CostCounters;
-use support::{Arg, Fault};
+use skelcl_kernel::vm::{CostCounters, RuntimeError};
+use support::{Arg, Fault, Outcome};
 use vgpu::{DeviceSpec, Error, KernelArg, LaunchConfig, NdRange, Platform};
 
 /// Launches `kernel` on device `device` of a fresh `devices`-GPU platform
@@ -26,9 +30,9 @@ fn run_engine(
     kernel: &str,
     args: &[Arg],
     range: NdRange,
-    devices: usize,
-    device: usize,
-) -> vgpu::Result<support::Outcome> {
+    (devices, device): (usize, usize),
+    config: &LaunchConfig,
+) -> vgpu::Result<Outcome> {
     let platform = Platform::new(devices, DeviceSpec::tesla_t10());
     let queue = platform.queue(device);
     let mut buffers = Vec::new();
@@ -45,22 +49,27 @@ fn run_engine(
             Arg::Local(bytes) => KernelArg::Local(*bytes),
         });
     }
-    let event = queue.launch_kernel(
-        program,
-        kernel,
-        &kernel_args,
-        range,
-        &LaunchConfig::default(),
-    )?;
+    let event = queue.launch_kernel(program, kernel, &kernel_args, range, config)?;
     let mut out = Vec::new();
     for (buffer, len) in buffers {
         let mut bytes = vec![0u8; len];
         queue.enqueue_read(&buffer, 0, &mut bytes)?;
         out.push(bytes);
     }
-    Ok(support::Outcome {
+    Ok(Outcome {
         buffers: out,
         counters: event.counters().expect("kernel events carry counters"),
+    })
+}
+
+/// The engine's verdict in the reference launcher's terms.
+fn as_reference(result: vgpu::Result<Outcome>) -> Result<Outcome, Fault> {
+    result.map_err(|e| match e {
+        Error::Launch {
+            global_id, error, ..
+        } => Fault::Item { global_id, error },
+        Error::BarrierDivergence { group_id, .. } => Fault::BarrierDivergence { group_id },
+        other => panic!("not a kernel fault: {other}"),
     })
 }
 
@@ -73,15 +82,18 @@ fn assert_matches_reference(
     range: NdRange,
     devices: usize,
 ) -> CostCounters {
-    let engine = run_engine(program, kernel, args, range, devices, devices - 1).unwrap();
-    let reference = support::launch(program, kernel, args, &range).unwrap();
+    let config = LaunchConfig::default();
+    let on = (devices, devices - 1);
+    let engine = run_engine(program, kernel, args, range, on, &config).unwrap();
+    let budget = config.ops_budget_per_item;
+    let reference = support::launch(program, kernel, args, &range, budget).unwrap();
     assert_eq!(
         engine.buffers, reference.buffers,
-        "buffers must be bit-identical"
+        "{kernel}: buffers must be bit-identical"
     );
     assert_eq!(
         engine.counters, reference.counters,
-        "counters must be identical"
+        "{kernel}: counters must be identical"
     );
     engine.counters
 }
@@ -94,10 +106,62 @@ fn i32s(vals: &[i32]) -> Vec<u8> {
     vals.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
+/// Kernels whose lanes part ways, each for a 256-item 1-D group with `in`,
+/// `out` and a dynamic `__local int*` of one `int` per item.
+const DIVERGENT_KERNELS: &str = "
+    int early(int x, int n) {
+        if (x % 3 == 0) return -x;
+        int s = 0;
+        for (int i = 0; i < n; ++i) { if (i == 7) continue; if (s > 40) break; s += i ^ x; }
+        return s;
+    }
+    // Tree reduce: fewer lanes work every round, all meet at the barrier.
+    __kernel void tree(__global const int* in, __global int* out, __local int* scratch) {
+        int lid = (int)get_local_id(0);
+        int n = (int)get_local_size(0);
+        scratch[lid] = in[get_global_id(0)];
+        barrier(CLK_LOCAL_MEM_FENCE);
+        for (int s = n / 2; s > 0; s >>= 1) {
+            if (lid < s) scratch[lid] += scratch[lid + s];
+            barrier(CLK_LOCAL_MEM_FENCE);
+        }
+        out[get_global_id(0)] = scratch[0] + lid;
+    }
+    // Data-dependent trip counts before and after a barrier, static and
+    // dynamic local memory side by side.
+    __kernel void trips(__global const int* in, __global int* out, __local int* scratch) {
+        __local int tile[256];
+        int lid = (int)get_local_id(0);
+        int n = (int)get_local_size(0);
+        int x = in[get_global_id(0)];
+        int acc = 0;
+        for (int i = 0; i < (x & 15); ++i) acc += i * x;
+        tile[lid] = acc;
+        scratch[n - 1 - lid] = x;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        int j = 0;
+        while (j < (scratch[lid] & 7)) { acc ^= tile[(lid + j) % n]; j++; }
+        out[get_global_id(0)] = acc;
+    }
+    // A call in a divergent branch whose callee returns early, `break` and
+    // `continue`, short-circuit conditions, and a barrier-free tail after
+    // the lanes left the loop at different iterations.
+    __kernel void paths(__global const int* in, __global int* out, __local int* scratch) {
+        int gid = (int)get_global_id(0);
+        int x = in[gid];
+        int r = x;
+        if ((x & 1) && x > -1000 || x % 5 == 0) r = early(x, (x & 31) + 1);
+        int it = 0;
+        while (it < 40 && (r + it * it) % 11 != 0) it++;
+        int tail = r * 3 + it;
+        if (tail % 2 == 0 || it > 20 && x < 0) tail -= early(it, 9);
+        out[gid] = tail;
+    }";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Barrier-free kernels (the fast path), across 1–4 devices.
+    /// Barrier-free kernels, across 1–4 devices.
     #[test]
     fn barrier_free_kernels_match_reference(
         data in proptest::collection::vec(any::<f32>(), 1..400),
@@ -121,9 +185,7 @@ proptest! {
         assert_matches_reference(&program, "ew", &args, NdRange::linear_default(n), devices);
     }
 
-    /// Kernels with barriers (lockstep rounds on reused items): success
-    /// here is also the routing proof, since the barrier-free path faults
-    /// on a barrier.
+    /// Kernels with barriers: lanes park and resume on reused group state.
     #[test]
     fn barrier_kernels_match_reference(
         data in proptest::collection::vec(any::<i32>(), 1..6),
@@ -154,43 +216,149 @@ proptest! {
         ];
         assert_matches_reference(&program, "rev", &args, NdRange::linear(n, 64), devices);
     }
+
+    /// The lanes of a group part ways and meet again: 256-item groups (four
+    /// strips) of kernels that diverge around barriers, calls and loops.
+    #[test]
+    fn divergent_kernels_match_reference(
+        data in proptest::collection::vec(any::<i32>(), 1..4),
+        devices in 1usize..=4,
+    ) {
+        let program = compile("divergent.cl", DIVERGENT_KERNELS).unwrap();
+        let n = data.len() * 256;
+        let values: Vec<i32> = (0..n).map(|i| {
+            data[i / 256].wrapping_mul(2_654_435_761u32 as i32).wrapping_add(i as i32 * 97) >> 8
+        }).collect();
+        let args = [
+            Arg::Buffer(i32s(&values)),
+            Arg::Buffer(vec![0u8; n * 4]),
+            Arg::Local(256 * 4),
+        ];
+        for kernel in ["tree", "trips", "paths"] {
+            assert_matches_reference(&program, kernel, &args, NdRange::linear(n, 256), devices);
+        }
+    }
+
+    /// 2-D and 3-D groups: local ids, the row-major lane order and a
+    /// barrier between a transposing write and the read.
+    #[test]
+    fn multi_dimensional_groups_match_reference(
+        seed in any::<i32>(),
+        devices in 1usize..=4,
+    ) {
+        let program = compile(
+            "dims.cl",
+            "__kernel void flip(__global const int* in, __global int* out) {
+                 __local int tile[256];
+                 int lx = (int)get_local_id(0);
+                 int ly = (int)get_local_id(1);
+                 int lz = (int)get_local_id(2);
+                 int sx = (int)get_local_size(0);
+                 int sy = (int)get_local_size(1);
+                 int sz = (int)get_local_size(2);
+                 int gx = (int)get_global_id(0);
+                 int gy = (int)get_global_id(1);
+                 int gz = (int)get_global_id(2);
+                 int w = (int)get_global_size(0);
+                 int h = (int)get_global_size(1);
+                 int g = (gz * h + gy) * w + gx;
+                 int v = in[g];
+                 if ((v & 3) == (int)get_work_dim()) v = -v;
+                 tile[(lz * sy + ly) * sx + lx] = v;
+                 barrier(CLK_LOCAL_MEM_FENCE);
+                 out[g] = tile[((sz - 1 - lz) * sy + (sy - 1 - ly)) * sx + (sx - 1 - lx)]
+                     + (int)get_group_id(0) + 10 * (int)get_group_id(1) + 100 * (int)get_group_id(2);
+             }",
+        ).unwrap();
+        let ranges = [
+            NdRange::grid([48, 32], [16, 16]),
+            NdRange { dims: 3, global: [8, 4, 12], local: [4, 4, 4] },
+        ];
+        for range in ranges {
+            let n = range.total_items();
+            let values: Vec<i32> = (0..n as i32).map(|i| seed.wrapping_add(i * 13)).collect();
+            let args = [Arg::Buffer(i32s(&values)), Arg::Buffer(vec![0u8; n * 4])];
+            assert_matches_reference(&program, "flip", &args, range, devices);
+        }
+    }
 }
 
-/// A 2-D launch with divergent control flow and helper calls: every
-/// counter matches the reference (no double-counting in the optimised
-/// dispatch loop), on a kernel that actually executes work.
-#[test]
-fn counters_match_reference_on_divergent_2d_kernel() {
-    let program = compile(
-        "mix.cl",
-        "int collatz_steps(int x){
-             int steps = 0;
-             while (x > 1 && steps < 200) {
-                 x = (x % 2 == 0) ? x / 2 : 3 * x + 1;
-                 steps++;
-             }
-             return steps;
-         }
-         __kernel void mix(__global const int* in, __global int* out, int w, int h){
-             int x = (int)get_global_id(0);
-             int y = (int)get_global_id(1);
-             if (x < w && y < h) out[y * w + x] = collatz_steps(in[y * w + x] % 1000 + 1);
-         }",
-    )
-    .unwrap();
-    let (w, h) = (75usize, 40usize);
-    let values: Vec<i32> = (0..(w * h) as i32).map(|i| i * 7 + 1).collect();
-    let args = [
+const MIX: &str = "
+    int collatz_steps(int x){
+        int steps = 0;
+        while (x > 1 && steps < 200) {
+            x = (x % 2 == 0) ? x / 2 : 3 * x + 1;
+            steps++;
+        }
+        return steps;
+    }
+    __kernel void mix(__global const int* in, __global int* out, int w, int h){
+        int x = (int)get_global_id(0);
+        int y = (int)get_global_id(1);
+        if (x < w && y < h) out[y * w + x] = collatz_steps(in[y * w + x] % 1000 + 1);
+    }";
+
+fn mix_args(w: usize, h: usize, value: impl Fn(i32) -> i32) -> [Arg; 4] {
+    let values: Vec<i32> = (0..(w * h) as i32).map(value).collect();
+    [
         Arg::Buffer(i32s(&values)),
         Arg::Buffer(vec![0u8; w * h * 4]),
         Arg::Scalar(Value::I32(w as i32)),
         Arg::Scalar(Value::I32(h as i32)),
-    ];
-    let counters =
-        assert_matches_reference(&program, "mix", &args, NdRange::grid_default([w, h]), 1);
+    ]
+}
+
+/// A 2-D launch with divergent control flow and helper calls: every
+/// counter matches the reference (no double-counting in the lane loops),
+/// on a kernel that actually executes work.
+#[test]
+fn counters_match_reference_on_divergent_2d_kernel() {
+    let program = compile("mix.cl", MIX).unwrap();
+    let (w, h) = (75usize, 40usize);
+    let range = NdRange::grid_default([w, h]);
+    let args = mix_args(w, h, |i| i * 7 + 1);
+    let counters = assert_matches_reference(&program, "mix", &args, range, 1);
     assert!(
         counters.ops > (w * h) as u64,
         "kernel actually executed work"
+    );
+}
+
+/// Budget parity: with every budget from 1 to 400 ops per item the engine
+/// and the reference agree on `Ok`/`Err`, on the item that ran out, and —
+/// on success — on counters and buffers. A fused head must run out of
+/// budget iff the reference would inside the block, per lane, with the
+/// lanes of a group at different op counts.
+#[test]
+fn budget_sweep_matches_reference_on_divergent_2d_kernel() {
+    let program = compile("mix.cl", MIX).unwrap();
+    let (w, h) = (20usize, 9usize);
+    // Collatz of 1..=5: between 0 and 7 steps, all affordable at 400.
+    let (args, range) = (mix_args(w, h, |i| i % 5), NdRange::grid_default([w, h]));
+    let (mut ok, mut exceeded) = (0, 0);
+    for budget in 1..=400 {
+        // One host thread runs the groups in order, so the engine's first
+        // failing group is the reference's.
+        let config = LaunchConfig {
+            ops_budget_per_item: budget,
+            host_threads: Some(1),
+            ..LaunchConfig::default()
+        };
+        let engine = as_reference(run_engine(&program, "mix", &args, range, (1, 0), &config));
+        let reference = support::launch(&program, "mix", &args, &range, budget);
+        assert_eq!(engine, reference, "budget {budget}");
+        match engine {
+            Ok(_) => ok += 1,
+            Err(Fault::Item { error, .. }) => {
+                assert_eq!(error, RuntimeError::OpLimitExceeded, "budget {budget}");
+                exceeded += 1;
+            }
+            Err(other) => panic!("budget {budget}: {other:?}"),
+        }
+    }
+    assert!(
+        ok > 50 && exceeded > 50,
+        "the sweep crosses the kernel's need: {ok} ok, {exceeded} exceeded"
     );
 }
 
@@ -224,8 +392,9 @@ fn faults_match_reference_and_pool_survives() {
         panic!("the engine must report the out-of-bounds store");
     };
     let reference_args = [Arg::Buffer(vec![0u8; 8 * 4]), Arg::Scalar(Value::I32(4))];
+    let budget = config.ops_budget_per_item;
     assert_eq!(
-        support::launch(&program, "oob", &reference_args, &range),
+        support::launch(&program, "oob", &reference_args, &range, budget),
         Err(Fault::Item { global_id, error })
     );
 
@@ -235,9 +404,91 @@ fn faults_match_reference_and_pool_survives() {
         .unwrap();
 }
 
+/// The first fault in item order wins, whatever the order the lanes reach
+/// theirs in — and lanes above a faulted one are retired at once: the
+/// reference never runs them, and a spinning lane must not hold the launch
+/// for its whole budget.
+#[test]
+fn first_fault_in_item_order_wins_and_later_lanes_do_not_hold_the_launch() {
+    let program = compile(
+        "order.cl",
+        "__kernel void late_spinners(__global int* out) {
+             int i = (int)get_global_id(0);
+             if (i == 3) out[i + 100] = 1;
+             while (i > 3) { }
+             out[i] = i;
+         }
+         // The spinners sit in a branch the others skip: wherever the code
+         // generator puts it, lane 3 must get to its store.
+         __kernel void spinners_in_a_branch(__global int* out) {
+             int i = (int)get_global_id(0);
+             if (i > 3) { while (1) { } }
+             if (i == 3) out[i + 100] = 1;
+             out[i] = i;
+         }
+         __kernel void early_spinner(__global int* out) {
+             int i = (int)get_global_id(0);
+             if (i == 5) out[i + 100] = 1;
+             while (i == 1) { }
+             out[i] = i;
+         }",
+    )
+    .unwrap();
+    let args = [Arg::Buffer(vec![0u8; 8 * 4])];
+    let range = NdRange::linear(8, 8);
+
+    // Lane 3 stores out of bounds, lanes 4–7 never terminate.
+    let config = LaunchConfig::default();
+    for kernel in ["late_spinners", "spinners_in_a_branch"] {
+        let start = Instant::now();
+        let engine = as_reference(run_engine(&program, kernel, &args, range, (1, 0), &config));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{kernel}: retired lanes must not spin: {:?}",
+            start.elapsed()
+        );
+        let Err(Fault::Item { global_id, error }) = &engine else {
+            panic!("{kernel}: lane 3 must fault: {engine:?}");
+        };
+        assert_eq!(*global_id, [3, 0, 0], "{kernel}");
+        assert!(matches!(error, RuntimeError::OutOfBounds(_)), "{error}");
+        let budget = config.ops_budget_per_item;
+        let reference = support::launch(&program, kernel, &args, &range, budget);
+        assert_eq!(engine, reference, "{kernel}");
+    }
+
+    // The mirror case: lane 1 spins (under a small budget), lane 5 faults
+    // long before lane 1 runs out — lane 1 is still the first in order.
+    let budget = 5_000;
+    let config = LaunchConfig {
+        ops_budget_per_item: budget,
+        ..LaunchConfig::default()
+    };
+    let on = (1, 0);
+    let engine = as_reference(run_engine(
+        &program,
+        "early_spinner",
+        &args,
+        range,
+        on,
+        &config,
+    ));
+    assert_eq!(
+        engine,
+        Err(Fault::Item {
+            global_id: [1, 0, 0],
+            error: RuntimeError::OpLimitExceeded
+        })
+    );
+    let reference = support::launch(&program, "early_spinner", &args, &range, budget);
+    assert_eq!(engine, reference);
+}
+
 /// Both ways a group can diverge — items at different barriers, and items
 /// finished while others wait — are reported for the same group by the
-/// engine and the reference.
+/// engine and the reference; and when a group has both a fault and a
+/// divergence, the earlier item's wins. Groups of 128 put the events in
+/// different strips.
 #[test]
 fn barrier_divergence_matches_reference() {
     let program = compile(
@@ -251,22 +502,126 @@ fn barrier_divergence_matches_reference() {
              if (get_group_id(0) == 1 && get_local_id(0) == 3) return;
              barrier(CLK_LOCAL_MEM_FENCE);
              out[get_global_id(0)] = 1;
+         }
+         // Item `a` takes another barrier, item `b` returns early, item
+         // `c` stores out of bounds; negative: nobody does.
+         __kernel void events(__global int* out, int a, int b, int c) {
+             int i = (int)get_global_id(0);
+             if (i == c) out[i + 4096] = 1;
+             if (i == b) return;
+             if (i == a) barrier(CLK_LOCAL_MEM_FENCE);
+             else barrier(CLK_LOCAL_MEM_FENCE);
+             out[i] = 1;
          }",
     )
     .unwrap();
+    let config = LaunchConfig::default();
+    let budget = config.ops_budget_per_item;
     let args = [Arg::Buffer(vec![0u8; 8 * 4])];
     let range = NdRange::linear(8, 4);
     for (kernel, group) in [("sites", 0), ("early", 1)] {
-        let Err(Error::BarrierDivergence { group_id, .. }) =
-            run_engine(&program, kernel, &args, range, 1, 0)
-        else {
-            panic!("{kernel}: the engine must report divergence");
-        };
-        assert_eq!(group_id, [group, 0, 0], "{kernel}");
+        let engine = as_reference(run_engine(&program, kernel, &args, range, (1, 0), &config));
         assert_eq!(
-            support::launch(&program, kernel, &args, &range),
-            Err(Fault::BarrierDivergence { group_id }),
+            engine,
+            Err(Fault::BarrierDivergence {
+                group_id: [group, 0, 0]
+            }),
             "{kernel}"
         );
+        let reference = support::launch(&program, kernel, &args, &range, budget);
+        assert_eq!(engine, reference, "{kernel}");
     }
+
+    let range = NdRange::linear(128, 128);
+    for (a, b, c) in [
+        (70, -1, -1),
+        (-1, 70, -1),
+        (-1, -1, 70),
+        (70, -1, 100),
+        (100, -1, 70),
+        (-1, 3, 70),
+        (-1, 70, 3),
+        (3, 70, 100),
+        (-1, 127, 0),
+        (-1, -1, -1),
+    ] {
+        let args = [
+            Arg::Buffer(vec![0u8; 128 * 4]),
+            Arg::Scalar(Value::I32(a)),
+            Arg::Scalar(Value::I32(b)),
+            Arg::Scalar(Value::I32(c)),
+        ];
+        let engine = as_reference(run_engine(
+            &program,
+            "events",
+            &args,
+            range,
+            (1, 0),
+            &config,
+        ));
+        let reference = support::launch(&program, "events", &args, &range, budget);
+        assert_eq!(engine, reference, "events({a}, {b}, {c})");
+        assert_eq!(engine.is_ok(), (a, b, c) == (-1, -1, -1));
+    }
+}
+
+/// What holds for a kernel that races *inside* a group: every lane
+/// read-modify-writes `out[0]` and its neighbour's slot with no barrier in
+/// between. The result need not be the item-major one, but it is a function
+/// of program and launch only — the same bytes with one host thread or all
+/// of them, on a device of a 1- or a 4-GPU platform, and run after run.
+#[test]
+fn racy_kernel_is_deterministic() {
+    let program = compile(
+        "racy.cl",
+        "__kernel void racy(__global int* out, int n) {
+             int g = (int)get_group_id(0) * n;
+             int lid = (int)get_local_id(0);
+             for (int round = 0; round < 3; ++round) {
+                 out[g] = out[g] * 3 + lid + round;
+                 out[g + (lid + 1) % n] += out[g + lid] ^ round;
+             }
+         }",
+    )
+    .unwrap();
+    // Groups own disjoint slices, so only lanes of one group race.
+    let (groups, n) = (12usize, 128usize);
+    let args = [
+        Arg::Buffer(i32s(&(0..(groups * n) as i32).collect::<Vec<_>>())),
+        Arg::Scalar(Value::I32(n as i32)),
+    ];
+    let range = NdRange::linear(groups * n, n);
+    let run = |on: (usize, usize), host_threads: Option<usize>| {
+        let config = LaunchConfig {
+            host_threads,
+            ..LaunchConfig::default()
+        };
+        run_engine(&program, "racy", &args, range, on, &config).unwrap()
+    };
+    let first = run((1, 0), Some(1));
+    for _ in 0..10 {
+        assert_eq!(run((1, 0), None), first, "all host threads, again");
+    }
+    assert_eq!(run((1, 0), Some(1)), first, "one host thread, again");
+    assert_eq!(run((4, 3), None), first, "a device of a 4-GPU platform");
+
+    // Four devices' worth of groups: groups do not race each other, so the
+    // first twelve come out as before.
+    let more = [
+        Arg::Buffer(i32s(&(0..(4 * groups * n) as i32).collect::<Vec<_>>())),
+        Arg::Scalar(Value::I32(n as i32)),
+    ];
+    let range = NdRange::linear(4 * groups * n, n);
+    let config = LaunchConfig::default();
+    let all = run_engine(&program, "racy", &more, range, (1, 0), &config).unwrap();
+    assert_eq!(all.buffers[0][..groups * n * 4], first.buffers[0][..]);
+    let item_major = support::launch(
+        &program,
+        "racy",
+        &args,
+        &NdRange::linear(groups * n, n),
+        config.ops_budget_per_item,
+    )
+    .unwrap();
+    assert_eq!(first.counters, item_major.counters, "counters never race");
 }

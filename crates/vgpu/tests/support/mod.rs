@@ -12,7 +12,7 @@ use skelcl_kernel::program::{KernelParamKind, Program};
 use skelcl_kernel::types::AddressSpace;
 use skelcl_kernel::value::{self, Ptr, Value};
 use skelcl_kernel::vm::{CostCounters, Exit, HostMemory, ItemGeometry, RuntimeError, WorkItem};
-use vgpu::{LaunchConfig, NdRange};
+use vgpu::NdRange;
 
 /// A launch argument: what `vgpu::KernelArg` is, with host bytes for the
 /// buffer.
@@ -52,7 +52,8 @@ fn local_ptr(byte_offset: usize) -> Value {
     })
 }
 
-/// Runs `kernel` of `program` over `range`.
+/// Runs `kernel` of `program` over `range`, every item with `ops_budget`
+/// instructions to spend.
 ///
 /// # Panics
 ///
@@ -64,6 +65,7 @@ pub fn launch(
     kernel: &str,
     args: &[Arg],
     range: &NdRange,
+    ops_budget: u64,
 ) -> Result<Outcome, Fault> {
     let info = program.kernel(kernel).expect("kernel exists");
     assert_eq!(args.len(), info.params.len(), "argument count");
@@ -97,7 +99,6 @@ pub fn launch(
     let size = |v: [usize; 3]| v.map(|n| n as u64);
     let (global_size, local_size) = (size(range.global), size(range.local));
     let num_groups = [0, 1, 2].map(|d| global_size[d] / local_size[d]);
-    let ops_budget = LaunchConfig::default().ops_budget_per_item;
     let mut counters = CostCounters::default();
 
     for group_id in ids(num_groups) {

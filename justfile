@@ -9,10 +9,13 @@ build:
     cargo build --release --workspace
 
 # Tier-1 tests (root package, as the roadmap's verify command) plus the
-# whole workspace.
+# whole workspace, then the VM and the engine once more in release: the lane
+# loops are where a release-only difference (overflow checks off, different
+# inlining) would first show.
 test:
     cargo test -q
     cargo test -q --workspace
+    cargo test --release -q -p vgpu -p skelcl-kernel
 
 # Lint with warnings denied.
 clippy:
@@ -83,6 +86,35 @@ bench-baseline:
 bench-e2e-quick:
     cargo test --release --offline --manifest-path bench/e2e/Cargo.toml
     cargo run --release --offline --manifest-path bench/e2e/Cargo.toml -- quick
+
+# A/B of this tree against another checkout of the repository (say, the
+# parent commit cloned into a scratch directory): builds bench/e2e in both,
+# runs `pairs` alternating 15 s pairs per workload and seed — the parent
+# first, then this tree — and prints `compare` per seed. All six workloads
+# unless some are named: `just bench-ab ../parent sobel dot`. Records go to
+# target/bench-ab/{a,b}-<seed>.jsonl (a = the other checkout).
+bench-ab parent *workloads:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    pairs="${PAIRS:-10}"; seconds="${SECONDS_PER_RUN:-15}"; out=target/bench-ab
+    workloads="{{workloads}}"
+    [ -n "$workloads" ] || workloads="mandelbrot sobel dot stream_pipeline small_calls compile_cold"
+    cargo build --release --offline --manifest-path "{{parent}}/bench/e2e/Cargo.toml"
+    cargo build --release --offline --manifest-path bench/e2e/Cargo.toml
+    rm -rf "$out" && mkdir -p "$out"
+    cp "{{parent}}/bench/e2e/target/release/skelcl-e2e" "$out/a"
+    cp bench/e2e/target/release/skelcl-e2e "$out/b"
+    for seed in 20130901 777; do
+      for workload in $workloads; do
+        for pair in $(seq "$pairs"); do
+          for side in a b; do
+            "$out/$side" run --workload "$workload" --seed "$seed" --seconds "$seconds" \
+              --trace 0 --out "$out/$side-$seed.jsonl" > /dev/null
+          done
+        done
+      done
+      "$out/b" compare "$out/a-$seed.jsonl" "$out/b-$seed.jsonl"
+    done
 
 # Quickstart with profiling: prints the metrics summary and writes
 # trace.json for chrome://tracing.
