@@ -32,8 +32,9 @@ use vgpu::{CommandClass, CommandQueue, QueueNotice, QueuePhase};
 use crate::metrics;
 use crate::Profiler;
 
-/// What a [`FlightEvent`] records. The `a`/`b` payload fields are
-/// kind-specific (documented per variant).
+/// What a [`FlightEvent`] records. The `a`/`b` (and, for
+/// [`FlightKind::StreamShare`], `more`) payload fields are kind-specific
+/// (documented per variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// A kernel command was enqueued towards the execution engine
@@ -64,6 +65,11 @@ pub enum FlightKind {
     /// slot became reusable (`a` = chunk sequence number, `b` = ring
     /// occupancy after the retire).
     ChunkRetire,
+    /// A region streamed: one record per device share, when the region is
+    /// planned (`a` = the device budget in bytes, `b` = bytes the region
+    /// keeps resident outside the staging ring, `more` = units per chunk,
+    /// chunks, ring depth).
+    StreamShare,
 }
 
 impl FlightKind {
@@ -80,6 +86,7 @@ impl FlightKind {
             FlightKind::ChunkAcquire => "chunk_acquire",
             FlightKind::ChunkSubmit => "chunk_submit",
             FlightKind::ChunkRetire => "chunk_retire",
+            FlightKind::StreamShare => "stream_share",
         }
     }
 }
@@ -105,6 +112,9 @@ pub struct FlightEvent {
     pub a: u64,
     /// Kind-specific payload (see [`FlightKind`]).
     pub b: u64,
+    /// Further kind-specific payload (see [`FlightKind`]); zero for kinds
+    /// that document only `a` and `b`.
+    pub more: [u64; 3],
 }
 
 /// Device index used for host-side events.
@@ -185,7 +195,21 @@ impl FlightRecorder {
         a: u64,
         b: u64,
     ) {
+        self.record_payload(kind, device, label, t_dev_ns, [a, b, 0, 0, 0]);
+    }
+
+    /// Records one event whose payload is `a`, `b` and `more`, in that
+    /// order (no-op when disabled).
+    pub fn record_payload(
+        &self,
+        kind: FlightKind,
+        device: usize,
+        label: &'static str,
+        t_dev_ns: u64,
+        payload: [u64; 5],
+    ) {
         let Some(inner) = &self.inner else { return };
+        let [a, b, more @ ..] = payload;
         let event = FlightEvent {
             seq: inner.seq.fetch_add(1, Ordering::Relaxed),
             t_host_ns: inner.epoch.elapsed().as_nanos() as u64,
@@ -195,6 +219,7 @@ impl FlightRecorder {
             label,
             a,
             b,
+            more,
         };
         let mut ring = inner.ring.lock();
         if ring.slots.len() < inner.capacity {
@@ -255,7 +280,7 @@ impl FlightRecorder {
             } else {
                 format!("{}", e.device)
             };
-            let _ = writeln!(
+            let _ = write!(
                 out,
                 "  {:>6} {:>12} {:>12} {:>6} {:<14} {:<12} {:>12} {:>6}",
                 e.seq,
@@ -267,6 +292,10 @@ impl FlightRecorder {
                 e.a,
                 e.b
             );
+            if e.more != [0; 3] {
+                let _ = write!(out, " {:?}", e.more);
+            }
+            out.push('\n');
         }
         Some(out)
     }
@@ -407,10 +436,21 @@ mod tests {
         let f = FlightRecorder::with_capacity(8);
         f.record(FlightKind::LaunchBegin, 1, "kernel", 500_000, 2, 0);
         f.record(FlightKind::Failure, 1, "kernel", 600_000, 0, 1);
+        f.record_payload(
+            FlightKind::StreamShare,
+            0,
+            "stream",
+            0,
+            [8192, 64, 256, 5, 2],
+        );
         let dump = f.dump().unwrap();
         assert!(dump.contains("capacity 8"));
         assert!(dump.contains("launch_begin"));
         assert!(dump.contains("failure"));
+        // Only a record with a `more` payload prints it.
+        assert_eq!(dump.matches('[').count(), 1);
+        assert!(dump.contains("stream_share") && dump.contains("[256, 5, 2]"));
+        assert_eq!(f.events()[2].more, [256, 5, 2]);
         // dump_once fires exactly once.
         assert!(f.dump_once("test crash"));
         assert!(!f.dump_once("test crash"));

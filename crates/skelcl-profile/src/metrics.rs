@@ -72,6 +72,10 @@ pub const STREAM_REGIONS: &str = "stream.regions";
 pub const STREAM_CHUNKS: &str = "stream.chunks";
 /// Streaming executor: input bytes staged host→device across all chunks.
 pub const STREAM_BYTES_STAGED: &str = "stream.bytes_staged";
+/// Streaming executor: global work-items launched by the chunk kernels,
+/// summed per chunk — what the chunks cost in lanes, against the elements
+/// they hold.
+pub const STREAM_LAUNCHED_ITEMS: &str = "stream.launched_items";
 /// Per-device gauge: bytes resident in the streaming executor's staging
 /// ring (plus fixed per-share buffers) during the last streamed region.
 pub const STREAM_RESIDENT_BYTES: &str = "stream.resident_bytes";

@@ -135,6 +135,16 @@ impl LaunchPlan {
         self.nodes.is_empty()
     }
 
+    /// Global work-items of the kernel nodes from index `first` on.
+    pub fn kernel_items_since(&self, first: usize) -> u64 {
+        let ops = self.nodes[first..].iter().map(|n| &n.op);
+        ops.map(|op| match op {
+            PlanOp::Kernel { range, .. } => range.total_items() as u64,
+            _ => 0,
+        })
+        .sum()
+    }
+
     /// Switches scheduler feedback from one aggregate sample per device to
     /// one sample per kernel node with non-zero `units`. Chunked
     /// (streaming) plans use this so the adaptive scheduler's EWMA keeps

@@ -161,7 +161,10 @@ impl<T: KernelScalar> Reduce<T> {
         })
     }
 
-    /// Reduces a vector to a scalar.
+    /// Reduces a vector to a scalar. A vector whose share exceeds the
+    /// device budget streams through the welded reduction over a plain
+    /// source, which applies the operator exactly as the resident path
+    /// does — the results are bit-identical.
     ///
     /// # Errors
     ///
@@ -170,7 +173,17 @@ impl<T: KernelScalar> Reduce<T> {
     pub fn call(&self, input: &Vector<T>) -> Result<Scalar<T>> {
         let _span = self.core.begin("Reduce.call");
         let mut events = Vec::new();
-        let value = self.reduce_resident(&*input.data, &mut events)?;
+        let data: &dyn ElementwiseInput = &*input.data;
+        self.core.check_ctx(data.input_ctx())?;
+        let dist = reduction_distribution(data.input_distribution(Distribution::Block));
+        let value = match self.stream_shares(data.input_len(), dist, T::SCALAR.size_bytes()) {
+            Some(shares) => {
+                let source = Expr::from(input);
+                let p = FusedPlan::build(source.node())?;
+                self.reduce_streamed(&p, &shares, &mut events)?
+            }
+            None => self.reduce_resident(data, &mut events)?,
+        };
         Ok(self.finish(value, events))
     }
 
@@ -352,22 +365,7 @@ impl<T: KernelScalar> Reduce<T> {
 
         let dist = reduction_distribution(p.sources[0].input_distribution(Distribution::Block));
         let bytes_per_unit: usize = p.input_types.iter().map(|t| t.size_bytes()).sum();
-        if let Some(shares) = crate::stream::plan_stream(
-            &self.core.ctx,
-            p.len,
-            1,
-            dist,
-            bytes_per_unit,
-            &|n: usize| {
-                // Resident outside the staging ring: the grid-sized lane
-                // accumulator, the per-group partials buffer, and the
-                // partial chain's intermediates (bounded by another
-                // `groups` elements — pass outputs shrink geometrically).
-                let groups = n.div_ceil(WG).min(MAX_GROUPS);
-                (groups * WG + 2 * groups) * std::mem::size_of::<T>()
-            },
-            0,
-        ) {
+        if let Some(shares) = self.stream_shares(p.len, dist, bytes_per_unit) {
             return self.reduce_streamed(&p, &shares, events);
         }
         let chunk_sets = materialize(&p.sources, dist)?;
@@ -418,15 +416,47 @@ impl<T: KernelScalar> Reduce<T> {
         self.combine_partials(&values, chunk_sets[0][0].plan.device, events)
     }
 
+    /// Decides whether a reduction of `len` elements under `dist` streams
+    /// (see [`crate::stream::plan_stream`]), staging `bytes_per_unit` per
+    /// element.
+    fn stream_shares(
+        &self,
+        len: usize,
+        dist: Distribution,
+        bytes_per_unit: usize,
+    ) -> Option<Vec<StreamShare>> {
+        crate::stream::plan_stream(
+            &self.core.ctx,
+            len,
+            1,
+            dist,
+            bytes_per_unit,
+            &|n: usize| {
+                // Resident outside the staging ring: the grid-sized lane
+                // accumulator, the per-group partials buffer, and the
+                // partial chain's intermediates (bounded by another
+                // `groups` elements — pass outputs shrink geometrically).
+                let groups = n.div_ceil(WG).min(MAX_GROUPS);
+                (groups * WG + 2 * groups) * std::mem::size_of::<T>()
+            },
+            0,
+        )
+    }
+
     /// The out-of-core streamed reduction (`SKELCL_STREAM`): each device
-    /// keeps a persistent grid-sized lane accumulator and folds its share
-    /// chunk-by-chunk from a staging ring; a finish kernel then
-    /// tree-combines the lanes into the same per-group partials the
-    /// oracle's one-shot first pass produces. Every lane seeds with the
-    /// same element and folds the same elements in the same order as the
-    /// one-shot grid-stride kernel (a lane is live exactly when its index
-    /// is below the elements consumed so far), so results stay
-    /// bit-identical to the non-streamed path.
+    /// keeps a persistent lane accumulator the size of the one-shot grid
+    /// (`gsize` lanes) and folds its share chunk by chunk from a staging
+    /// ring; a finish kernel then tree-combines the lanes into the same
+    /// per-group partials the oracle's one-shot first pass produces.
+    ///
+    /// A chunk `[cs, ce)` (share-relative) launches one work-item per
+    /// element, at most `gsize` of them: work-item `k` folds elements
+    /// `cs + k, cs + k + gsize, …` into lane `(cs + k) % gsize`, so a
+    /// chunk costs what its elements cost, not what the grid costs. A lane
+    /// is live (already seeded) exactly when its index is below `cs`, so
+    /// every lane seeds with the same element and folds the same elements
+    /// in the same order as the one-shot grid-stride kernel, and results
+    /// stay bit-identical to the non-streamed path.
     fn reduce_streamed(
         &self,
         p: &FusedPlan,
@@ -446,19 +476,18 @@ impl<T: KernelScalar> Reduce<T> {
         let source = format!(
             "{prologue}\
              __kernel void skelcl_reduce_stream({in_params}__global {t}* skelcl_acc,\n\
-             \x20       int skelcl_cs, int skelcl_ce) {{\n\
-             \x20   int g = (int)get_global_id(0);\n\
-             \x20   int gsize = (int)get_global_size(0);\n\
-             \x20   int i0 = g;\n\
-             \x20   if (i0 < skelcl_cs) i0 += ((skelcl_cs - g + gsize - 1) / gsize) * gsize;\n\
-             \x20   int have = g < skelcl_cs;\n\
+             \x20       int skelcl_cs, int skelcl_ce, int skelcl_gsize) {{\n\
+             \x20   int i0 = skelcl_cs + (int)get_global_id(0);\n\
+             \x20   if (i0 >= skelcl_ce) return;\n\
+             \x20   int lane = i0 % skelcl_gsize;\n\
+             \x20   int have = lane < skelcl_cs;\n\
              \x20   {t} acc = ({t})0;\n\
-             \x20   if (have) acc = skelcl_acc[g];\n\
-             \x20   for (int i = i0; i < skelcl_ce; i += gsize) {{\n\
+             \x20   if (have) acc = skelcl_acc[lane];\n\
+             \x20   for (int i = i0; i < skelcl_ce; i += skelcl_gsize) {{\n\
              \x20       {t} x = skelcl_fused_load({in_args}, i - skelcl_cs);\n\
              \x20       if (have) {{ acc = {f}(acc, x); }} else {{ acc = x; have = 1; }}\n\
              \x20   }}\n\
-             \x20   if (have) skelcl_acc[g] = acc;\n\
+             \x20   skelcl_acc[lane] = acc;\n\
              }}\n\
              {finish}",
             prologue = self.fused_prologue(p),
@@ -494,6 +523,7 @@ impl<T: KernelScalar> Reduce<T> {
                 args.push(KernelArg::Buffer(acc.clone()));
                 args.push(KernelArg::Scalar(Value::I32((core.start - base) as i32)));
                 args.push(KernelArg::Scalar(Value::I32((core.end - base) as i32)));
+                args.push(KernelArg::Scalar(Value::I32(gsize as i32)));
                 let mut deps = chunk.writes.to_vec();
                 // The lane accumulator chains chunk to chunk (a RAW edge);
                 // ring recycling already gates the uploads.
@@ -503,7 +533,7 @@ impl<T: KernelScalar> Reduce<T> {
                     &program,
                     "skelcl_reduce_stream",
                     args,
-                    NdRange::linear(gsize, WG),
+                    NdRange::linear(core.len().min(gsize), WG),
                     core.len(),
                     &deps,
                 );

@@ -5,7 +5,8 @@
 //! `SKELCL_DEVICE_BUDGET` in bytes, defaulting to each device's real
 //! [`vgpu::Device::available_bytes`]), [`crate::exec::run_map_region`] —
 //! every eager map-like call and every lowered plan region — and the
-//! welded reduction do not materialise whole containers on the devices.
+//! reduction (welded, or eager over a vector) do not materialise whole
+//! containers on the devices.
 //! Instead every device's share of the distribution axis is split into
 //! chunks driven through one [`LaunchPlan`] as a software pipeline:
 //!
@@ -122,6 +123,10 @@ pub(crate) struct StreamShare {
     /// Staging-ring slots on this device: the configured depth, or fewer
     /// when the share has fewer chunks.
     pub depth: usize,
+    /// The device budget the chunking was sized to, in bytes.
+    pub budget: usize,
+    /// Bytes the region keeps resident outside the ring on this device.
+    pub fixed_bytes: usize,
 }
 
 /// Decides whether a region of `units` distribution units of `unit_elems`
@@ -136,7 +141,8 @@ pub(crate) struct StreamShare {
 /// Returns `None` — run the ordinary non-streamed path — when streaming
 /// is disabled, the distribution is not chunkable along one axis
 /// (`Copy` replicates everything), or every share already fits its
-/// device's budget.
+/// device's budget. A region that streams leaves one
+/// [`FlightKind::StreamShare`] record per share in the flight recorder.
 pub(crate) fn plan_stream(
     ctx: &Context,
     units: usize,
@@ -182,9 +188,23 @@ pub(crate) fn plan_stream(
             chunk_units,
             chunks,
             depth: cfg.depth.clamp(1, chunks),
+            budget,
+            fixed_bytes: fixed,
         });
     }
-    engaged.then_some(shares)
+    if !engaged {
+        return None;
+    }
+    for s in &shares {
+        ctx.flight().record_payload(
+            FlightKind::StreamShare,
+            s.plan.device,
+            "stream",
+            0,
+            [s.budget, s.fixed_bytes, s.chunk_units, s.chunks, s.depth].map(|v| v as u64),
+        );
+    }
+    Some(shares)
 }
 
 /// A chunk's plan nodes that bound its ring-slot tenancy, used to emit
@@ -229,6 +249,7 @@ pub(crate) struct StreamedRegion<'a> {
     units: usize,
     lifecycles: Vec<ChunkLifecycle>,
     bytes_staged: u64,
+    launched_items: u64,
 }
 
 impl<'a> StreamedRegion<'a> {
@@ -251,6 +272,7 @@ impl<'a> StreamedRegion<'a> {
             units: sources[0].input_units(),
             lifecycles: Vec::new(),
             bytes_staged: 0,
+            launched_items: 0,
         }
     }
 
@@ -313,7 +335,9 @@ impl<'a> StreamedRegion<'a> {
                 bufs: &slots[slot],
                 writes: &writes,
             };
+            let first = self.plan.len();
             let (consumer, retire) = emit(&mut self.plan, &chunk);
+            self.launched_items += self.plan.kernel_items_since(first);
             consumers[slot] = Some(consumer);
             self.ctx.flight().record(
                 FlightKind::ChunkSubmit,
@@ -340,6 +364,7 @@ impl<'a> StreamedRegion<'a> {
         let profiler = self.ctx.profiler();
         profiler.add(m::STREAM_CHUNKS, self.lifecycles.len() as u64);
         profiler.add(m::STREAM_BYTES_STAGED, self.bytes_staged);
+        profiler.add(m::STREAM_LAUNCHED_ITEMS, self.launched_items);
         run_plan(self.ctx, self.plan, reads, &self.lifecycles, events)
     }
 }

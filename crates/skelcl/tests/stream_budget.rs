@@ -1,5 +1,6 @@
 //! Acceptance tests for the out-of-core streaming executor: a 4-GPU fused
-//! map → stencil → reduce, and each eager map-like skeleton call, whose
+//! map → stencil → reduce, and each eager map-like skeleton call and eager
+//! `Reduce::call`, whose
 //! working set exceeds the per-device budget must actually engage
 //! streaming (chunked regions, staged bytes), stay within the budget for
 //! peak resident device bytes, and produce a result bit-identical to the
@@ -131,6 +132,8 @@ fn run_eager(shape: &str, device_budget: Option<usize>) -> (Vec<u8>, Context) {
     .unwrap();
     let sobel: MapOverlap<u8, u8> =
         MapOverlap::new(&ctx, SOBEL, 1, BoundaryHandling::Nearest).unwrap();
+    let sum: Reduce<f32> =
+        Reduce::new(&ctx, "float sum(float x, float y){ return x + y; }").unwrap();
     for d in 0..DEVICES {
         ctx.platform().device(d).reset_peak();
     }
@@ -143,6 +146,7 @@ fn run_eager(shape: &str, device_budget: Option<usize>) -> (Vec<u8>, Context) {
         "Zip" => floats(mult.call(&v, &w).unwrap()),
         "MapOverlapVec" => floats(blur.call(&v).unwrap()),
         "MapOverlap" => sobel.call(&image).unwrap().to_vec().unwrap(),
+        "Reduce" => sum.call(&v).unwrap().value().to_le_bytes().to_vec(),
         other => unreachable!("unknown shape {other}"),
     };
     (bytes, ctx)
@@ -158,6 +162,7 @@ fn eager_calls_stream_within_budget_and_match_unbudgeted() {
         ("Zip", BUDGET),
         ("MapOverlapVec", BUDGET),
         ("MapOverlap", BUDGET / 4),
+        ("Reduce", BUDGET),
     ] {
         let (resident, resident_ctx) = run_eager(shape, None);
         assert_eq!(

@@ -89,9 +89,11 @@ bench-e2e-quick:
 
 # A/B of this tree against another checkout of the repository (say, the
 # parent commit cloned into a scratch directory): builds bench/e2e in both,
-# runs `pairs` alternating 15 s pairs per workload and seed — the parent
-# first, then this tree — and prints `compare` per seed. All six workloads
-# unless some are named: `just bench-ab ../parent sobel dot`. Records go to
+# runs `pairs` 15 s pairs per workload and seed — the parent first in odd
+# pairs, this tree first in even ones — and prints per seed `compare` and,
+# per workload, how many pairs this tree won on `iter_ms_p50` (pair i is
+# the i-th record of the workload in each file). All six workloads unless
+# some are named: `just bench-ab ../parent sobel dot`. Records go to
 # target/bench-ab/{a,b}-<seed>.jsonl (a = the other checkout).
 bench-ab parent *workloads:
     #!/usr/bin/env bash
@@ -107,13 +109,26 @@ bench-ab parent *workloads:
     for seed in 20130901 777; do
       for workload in $workloads; do
         for pair in $(seq "$pairs"); do
-          for side in a b; do
+          if [ $((pair % 2)) -eq 1 ]; then order="a b"; else order="b a"; fi
+          for side in $order; do
             "$out/$side" run --workload "$workload" --seed "$seed" --seconds "$seconds" \
               --trace 0 --out "$out/$side-$seed.jsonl" > /dev/null
           done
         done
       done
       "$out/b" compare "$out/a-$seed.jsonl" "$out/b-$seed.jsonl"
+      awk -v seed="$seed" '
+        match($0, /"workload":"[^"]*"/) { w = substr($0, RSTART + 12, RLENGTH - 13) }
+        match($0, /"iter_ms_p50":[{]"value":[^,}]*/) { v = substr($0, RSTART + 23, RLENGTH - 23) + 0 }
+        FILENAME == ARGV[1] { a[w, na[w]++] = v; next }
+        { b[w, nb[w]++] = v }
+        END {
+          for (w in na) {
+            n = na[w] < nb[w] ? na[w] : nb[w]; won = 0
+            for (i = 0; i < n; i++) won += b[w, i] < a[w, i]
+            printf "seed %s %-16s this tree won %d/%d pairs on iter_ms_p50\n", seed, w, won, n
+          }
+        }' "$out/a-$seed.jsonl" "$out/b-$seed.jsonl"
     done
 
 # Quickstart with profiling: prints the metrics summary and writes
