@@ -82,9 +82,10 @@ pub mod value;
 pub mod vm;
 
 use std::fmt;
+use std::time::{Duration, Instant};
 
-pub use passes::{MirDump, OptConfig};
-pub use program::Program;
+pub use passes::{MirDump, OptConfig, PASS_NAMES};
+pub use program::{CompileStats, MirSize, Program};
 pub use source::SourceFile;
 
 /// A failed compilation: the diagnostics plus their rendered build log.
@@ -140,17 +141,32 @@ pub fn compile_with_config(
     source: &str,
     cfg: &OptConfig,
 ) -> Result<Program, CompileError> {
-    let mut unit = check(name, source)?;
-    inline::inline_unit(&mut unit);
-    let mut mir = mir::lower_unit(&unit);
+    let mut stats = CompileStats::default();
+    let file = SourceFile::new(name, source);
+    let mut diags = diag::Diagnostics::new();
+    let tu = timed(&mut stats.parse, || parser::parse(&file, &mut diags));
+    let mut unit = timed(&mut stats.sema, || check_parsed(&file, &tu, &mut diags))?;
+    timed(&mut stats.inline, || inline::inline_unit(&mut unit));
+    let mut mir = timed(&mut stats.mir_lower, || mir::lower_unit(&unit));
+    stats.mir_in = MirSize::of(&mir);
     if cfg.dump == Some(MirDump::Lowered) {
         eprintln!("{}", pretty::mir_unit_to_string(&mir));
     }
-    passes::run(&mut mir, cfg);
+    stats.pass = timed(&mut stats.passes, || passes::run_timed(&mut mir, cfg));
+    stats.mir_out = MirSize::of(&mir);
     if cfg.dump == Some(MirDump::Optimized) {
         eprintln!("{}", pretty::mir_unit_to_string(&mir));
     }
-    Ok(lower::emit_unit(&mir, &unit, name))
+    let program = timed(&mut stats.emit, || lower::emit_unit(&mir, &unit, name));
+    Ok(program.with_stats(stats))
+}
+
+/// Runs `f`, storing its host time in `slot`.
+fn timed<R>(slot: &mut Duration, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let result = f();
+    *slot = start.elapsed();
+    result
 }
 
 /// Parses and type-checks `source` without generating code — used by SkelCL
@@ -164,15 +180,31 @@ pub fn check(name: &str, source: &str) -> Result<hir::Unit, CompileError> {
     let file = SourceFile::new(name, source);
     let mut diags = diag::Diagnostics::new();
     let tu = parser::parse(&file, &mut diags);
+    check_parsed(&file, &tu, &mut diags)
+}
+
+/// Type-checks a unit already parsed from `file`, whose parse left its
+/// diagnostics in `diags`: the second half of [`check`], for callers that
+/// keep the syntax tree.
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] rendering every diagnostic in `diags` when the
+/// parse had errors or the unit does not type-check.
+pub fn check_parsed(
+    file: &SourceFile,
+    tu: &ast::TranslationUnit,
+    diags: &mut diag::Diagnostics,
+) -> Result<hir::Unit, CompileError> {
     let unit = if diags.has_errors() {
         None
     } else {
-        sema::analyze(&tu, &mut diags)
+        sema::analyze(tu, diags)
     };
     unit.ok_or_else(|| {
-        let log = diags.render(&file);
+        let log = diags.render(file);
         CompileError {
-            diagnostics: diags.into_vec(),
+            diagnostics: std::mem::take(diags).into_vec(),
             log,
         }
     })

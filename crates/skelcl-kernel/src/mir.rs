@@ -364,15 +364,19 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// The successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(t) => vec![*t],
+    /// The successor blocks of this terminator (`then` before `else`),
+    /// without allocating.
+    pub fn successors(&self) -> impl DoubleEndedIterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Terminator::Jump(t) => (Some(t), None),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return(_) | Terminator::MissingReturn | Terminator::Trap { .. } => vec![],
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            Terminator::Return(_) | Terminator::MissingReturn | Terminator::Trap { .. } => {
+                (None, None)
+            }
+        };
+        first.into_iter().chain(second)
     }
 
     /// Calls `f` with a mutable reference to every successor block id.
@@ -460,6 +464,77 @@ impl MirFunction {
     pub fn inst_count(&self) -> usize {
         self.blocks.iter().map(|b| b.insts.len() + 1).sum()
     }
+}
+
+/// Checks the invariants every pass must preserve: there is an entry
+/// block, every successor and local slot is in range, every vreg is below
+/// `vreg_count` and defined at most once, and every use — terminators
+/// included — reads a defined vreg whose def dominates it (earlier in the
+/// same block, or in a dominating block). Uses in unreachable blocks need
+/// a def but no dominance. The pipeline runs it after every pass in debug
+/// builds.
+///
+/// # Errors
+///
+/// The first violation found, naming the block and register.
+pub fn verify(f: &MirFunction) -> Result<(), String> {
+    if f.blocks.is_empty() {
+        return Err("no entry block".into());
+    }
+    let mut def_at: Vec<Option<(usize, usize)>> = vec![None; f.vreg_count as usize];
+    for (b, block) in f.blocks.iter().enumerate() {
+        for (i, inst) in block.insts.iter().enumerate() {
+            if let Inst::GetLocal { slot, .. } | Inst::SetLocal { slot, .. } = inst {
+                if *slot as usize >= f.local_init.len() {
+                    return Err(format!("bb{b}: local slot {slot} out of range"));
+                }
+            }
+            let Some(d) = inst.dst() else { continue };
+            match def_at.get_mut(d.0 as usize) {
+                None => return Err(format!("bb{b}: v{} is beyond vreg_count", d.0)),
+                Some(Some((first, _))) => {
+                    return Err(format!("v{} defined twice (bb{first} and bb{b})", d.0))
+                }
+                Some(slot) => *slot = Some((b, i)),
+            }
+        }
+        if let Some(s) = block.term.successors().find(|s| s.idx() >= f.blocks.len()) {
+            return Err(format!("bb{b}: successor bb{} out of range", s.0));
+        }
+    }
+    let idom = crate::cfg::dominators(f);
+    let check = |b: usize, at: usize, v: VReg| -> Result<(), String> {
+        let Some(&Some((db, di))) = def_at.get(v.0 as usize) else {
+            return Err(format!("bb{b}: use of undefined v{}", v.0));
+        };
+        let dominated = idom[b].is_none()
+            || if db == b {
+                di < at
+            } else {
+                crate::cfg::dominates(&idom, BlockId(db as u32), BlockId(b as u32))
+            };
+        if dominated {
+            Ok(())
+        } else {
+            Err(format!(
+                "bb{b}: use of v{} not dominated by its def in bb{db}",
+                v.0
+            ))
+        }
+    };
+    let mut first_error = None;
+    let mut visit = |b: usize, at: usize, v: VReg| {
+        if first_error.is_none() {
+            first_error = check(b, at, v).err();
+        }
+    };
+    for (b, block) in f.blocks.iter().enumerate() {
+        for (i, inst) in block.insts.iter().enumerate() {
+            inst.for_each_use(|u| visit(b, i, u));
+        }
+        block.term.for_each_use(|u| visit(b, block.insts.len(), u));
+    }
+    first_error.map_or(Ok(()), Err)
 }
 
 /// A whole translation unit in MIR form.
@@ -1159,7 +1234,6 @@ mod tests {
         let has_backedge = f.blocks.iter().enumerate().any(|(i, b)| {
             b.term
                 .successors()
-                .iter()
                 .any(|s| s.idx() <= i && matches!(b.term, Terminator::Jump(_)))
         });
         assert!(has_backedge);
@@ -1184,6 +1258,159 @@ mod tests {
         assert_eq!(ids.len(), 2);
         assert_ne!(ids[0], ids[1]);
         assert_eq!(u.barrier_count, 2);
+    }
+
+    /// A hand-built function over one `int` slot.
+    fn hand(blocks: Vec<Block>, vreg_count: u32) -> MirFunction {
+        MirFunction {
+            name: "t".into(),
+            is_kernel: false,
+            param_count: 0,
+            local_init: vec![Value::I32(0)],
+            blocks,
+            vreg_count,
+            returns_void: false,
+        }
+    }
+
+    fn block(insts: Vec<Inst>, term: Terminator) -> Block {
+        Block { insts, term }
+    }
+
+    fn konst(dst: u32) -> Inst {
+        Inst::Const {
+            dst: VReg(dst),
+            value: Value::I32(1),
+        }
+    }
+
+    fn add(dst: u32, lhs: u32, rhs: u32) -> Inst {
+        Inst::Bin {
+            dst: VReg(dst),
+            op: BinOp::Add,
+            lhs: VReg(lhs),
+            rhs: VReg(rhs),
+        }
+    }
+
+    fn rejected(f: &MirFunction, needle: &str) {
+        let err = verify(f).expect_err("the verifier rejects a broken function");
+        assert!(err.contains(needle), "{needle:?} not in {err:?}");
+    }
+
+    #[test]
+    fn verify_accepts_lowered_and_optimized_mir() {
+        let src = "int coef(int d){ return d < 0 ? -d : d; }
+            int f(int n, int x){
+                int s = 0;
+                for (int i = 0; i < 4; i++) s += coef(x) * i;
+                for (int j = 0; j < n && s > 2; j++) { if (j == 3) break; s = s ^ j; }
+                do { s--; } while (s > 100);
+                return s;
+            }";
+        let mut u = lower(src);
+        for f in &u.functions {
+            verify(f).unwrap_or_else(|e| panic!("lowered {}: {e}", f.name));
+        }
+        crate::passes::run(&mut u, &crate::passes::OptConfig::all());
+        for f in &u.functions {
+            verify(f).unwrap_or_else(|e| panic!("optimized {}: {e}", f.name));
+        }
+    }
+
+    #[test]
+    fn verify_rejects_dangling_successor_left_by_simplify() {
+        let f = hand(vec![block(vec![], Terminator::Jump(BlockId(3)))], 0);
+        rejected(&f, "successor bb3 out of range");
+    }
+
+    #[test]
+    fn verify_rejects_second_def_left_by_const_prop() {
+        let f = hand(
+            vec![block(
+                vec![konst(0), konst(0)],
+                Terminator::Return(Some(VReg(0))),
+            )],
+            1,
+        );
+        rejected(&f, "v0 defined twice");
+    }
+
+    #[test]
+    fn verify_rejects_use_of_a_def_cse_dropped() {
+        let f = hand(
+            vec![block(vec![add(1, 0, 0)], Terminator::Return(Some(VReg(1))))],
+            2,
+        );
+        rejected(&f, "use of undefined v0");
+    }
+
+    #[test]
+    fn verify_rejects_licm_hoist_out_of_dominance_order() {
+        // A preheader filled in block-id order from a loop whose block 1
+        // uses what its block 2 defines: the use now precedes the def.
+        let f = hand(
+            vec![
+                block(vec![add(1, 0, 0), konst(0)], Terminator::Jump(BlockId(1))),
+                block(vec![], Terminator::Return(Some(VReg(1)))),
+            ],
+            2,
+        );
+        rejected(&f, "use of v0 not dominated");
+    }
+
+    #[test]
+    fn verify_rejects_unroll_clone_reading_the_other_arm() {
+        // bb1's def does not dominate the join bb3.
+        let f = hand(
+            vec![
+                block(
+                    vec![konst(0)],
+                    Terminator::Branch {
+                        cond: VReg(0),
+                        then_bb: BlockId(1),
+                        else_bb: BlockId(2),
+                    },
+                ),
+                block(vec![konst(1)], Terminator::Jump(BlockId(3))),
+                block(vec![], Terminator::Jump(BlockId(3))),
+                block(vec![], Terminator::Return(Some(VReg(1)))),
+            ],
+            2,
+        );
+        rejected(&f, "bb3: use of v1 not dominated by its def in bb1");
+    }
+
+    #[test]
+    fn verify_rejects_terminator_reading_a_def_dce_removed() {
+        let f = hand(
+            vec![block(
+                vec![Inst::SetLocal {
+                    slot: 0,
+                    src: VReg(0),
+                }],
+                Terminator::Trap { code: VReg(0) },
+            )],
+            1,
+        );
+        rejected(&f, "use of undefined v0");
+    }
+
+    #[test]
+    fn verify_rejects_out_of_range_registers_and_slots() {
+        let f = hand(vec![block(vec![konst(4)], Terminator::Return(None))], 2);
+        rejected(&f, "v4 is beyond vreg_count");
+        let f = hand(
+            vec![block(
+                vec![Inst::GetLocal {
+                    dst: VReg(0),
+                    slot: 7,
+                }],
+                Terminator::Return(None),
+            )],
+            1,
+        );
+        rejected(&f, "local slot 7 out of range");
     }
 
     #[test]

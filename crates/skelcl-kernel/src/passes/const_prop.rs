@@ -15,64 +15,54 @@
 //! stencil coefficient table evaluates away entirely once unrolling makes
 //! its arguments constant.
 
-use std::collections::HashMap;
-
 use crate::builtins;
-use crate::cfg;
 use crate::mir::{BlockId, Inst, MirFunction, Terminator, VReg};
 use crate::value::{self, Value};
 
-use super::{values_identical, UnitInfo};
+use super::{values_identical, ConstMap, UnitInfo, Workspace};
 
 /// Runs the pass to a fixed point.
-pub fn run(f: &mut MirFunction, info: &UnitInfo) {
+pub(crate) fn run(f: &mut MirFunction, info: &UnitInfo, ws: &mut Workspace) {
+    ws.consts.fill(f);
     loop {
-        let mut changed = fold_registers(f, info);
-        changed |= propagate_locals(f);
-        changed |= fold_branches(f);
+        ws.cfg.update(f);
+        fold_registers(f, info, ws);
+        // Folding reached its fixpoint above, so another round can only
+        // find work if a slot or a branch became constant.
+        let mut changed = propagate_locals(f, ws);
+        if fold_branches(f, &ws.consts) {
+            ws.cfg.invalidate();
+            changed = true;
+        }
         if !changed {
             break;
         }
     }
 }
 
-/// Folds instructions whose operands are all constants. Returns whether
-/// anything changed.
-fn fold_registers(f: &mut MirFunction, info: &UnitInfo) -> bool {
-    let mut consts: HashMap<VReg, Value> = super::const_defs(f);
-    let mut changed = false;
-    // Iterate locally: one linear scan may expose operands for the next.
-    loop {
-        let mut round = false;
-        for b in &mut f.blocks {
-            for inst in &mut b.insts {
-                if matches!(inst, Inst::Const { .. }) {
-                    continue;
-                }
-                let Some(dst) = inst.dst() else { continue };
-                if consts.contains_key(&dst) {
-                    continue;
-                }
-                let folded = try_fold(inst, &consts, info);
-                if let Some(v) = folded {
-                    *inst = Inst::Const { dst, value: v };
-                    consts.insert(dst, v);
-                    round = true;
-                }
+/// Folds instructions whose operands are all constants. One sweep in
+/// reverse post-order suffices: every use is dominated by its def, so
+/// operands are final before their users are visited (unreachable blocks
+/// are left to `simplify`).
+fn fold_registers(f: &mut MirFunction, info: &UnitInfo, ws: &mut Workspace) {
+    for &bb in ws.cfg.rpo() {
+        for inst in &mut f.blocks[bb.idx()].insts {
+            if matches!(inst, Inst::Const { .. }) {
+                continue;
+            }
+            let Some(dst) = inst.dst() else { continue };
+            if let Some(v) = try_fold(inst, &ws.consts, info) {
+                *inst = Inst::Const { dst, value: v };
+                ws.consts.insert(dst, v);
             }
         }
-        changed |= round;
-        if !round {
-            break;
-        }
     }
-    changed
 }
 
 /// Attempts to evaluate one instruction over known constants. Returns
 /// `None` for effectful, unfoldable or faulting instructions.
-fn try_fold(inst: &Inst, consts: &HashMap<VReg, Value>, info: &UnitInfo) -> Option<Value> {
-    let c = |v: &VReg| consts.get(v).copied();
+fn try_fold(inst: &Inst, consts: &ConstMap, info: &UnitInfo) -> Option<Value> {
+    let c = |v: &VReg| consts.get(*v);
     match inst {
         Inst::Un { op, src, .. } => value::unary(*op, c(src)?).ok(),
         Inst::Bin { op, lhs, rhs, .. } => {
@@ -220,50 +210,75 @@ fn meet(a: Lattice, b: Lattice) -> Lattice {
     }
 }
 
+/// The dataflow tables of [`propagate_locals`]: one lattice row per block.
+#[derive(Debug, Default)]
+pub(crate) struct Tables {
+    /// Column of each tracked slot, or `u32::MAX`.
+    column: Vec<u32>,
+    in_state: Vec<Lattice>,
+    state: Vec<Lattice>,
+    rewritten: Vec<(VReg, Value)>,
+}
+
 /// Forward dataflow over local slots: replaces `GetLocal` of a
 /// known-constant slot with a `Const`. Returns whether anything changed.
-fn propagate_locals(f: &mut MirFunction) -> bool {
-    let consts = super::const_defs(f);
-    let nslots = f.local_init.len();
-    let nblocks = f.blocks.len();
+fn propagate_locals(f: &mut MirFunction, ws: &mut Workspace) -> bool {
+    let (consts, t) = (&mut ws.consts, &mut ws.lattice);
+    // Only a slot some `SetLocal` fills with a constant can ever read as
+    // one; the others stay varying and need no column.
+    t.column.clear();
+    t.column.resize(f.local_init.len(), u32::MAX);
+    let mut ns = 0;
+    for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+        if let Inst::SetLocal { slot, src } = inst {
+            if consts.get(*src).is_some() && t.column[*slot as usize] == u32::MAX {
+                t.column[*slot as usize] = ns as u32;
+                ns += 1;
+            }
+        }
+    }
+    if ns == 0 {
+        return false;
+    }
     // Entry state: every slot varying (parameters and `__local` arrays are
     // bound by the caller; other locals could use their init value, but
     // treating them as varying keeps the pass independent of binding
     // rules).
-    let mut in_state: Vec<Vec<Lattice>> = vec![vec![Lattice::Unknown; nslots]; nblocks];
-    in_state[0] = vec![Lattice::Varying; nslots];
+    t.in_state.clear();
+    t.in_state.resize(f.blocks.len() * ns, Lattice::Unknown);
+    t.in_state[..ns].fill(Lattice::Varying);
 
-    let transfer = |state: &mut Vec<Lattice>, inst: &Inst| {
+    let column = &t.column;
+    let transfer = |state: &mut [Lattice], inst: &Inst, consts: &ConstMap| {
         if let Inst::SetLocal { slot, src } = inst {
-            state[*slot as usize] = match consts.get(src) {
-                Some(v) => Lattice::Const(*v),
-                None => Lattice::Varying,
-            };
+            if let Some(c) = state.get_mut(column[*slot as usize] as usize) {
+                *c = match consts.get(*src) {
+                    Some(v) => Lattice::Const(v),
+                    None => Lattice::Varying,
+                };
+            }
         }
     };
 
-    // Iterate to fixpoint.
-    let rpo = cfg::reverse_post_order(f);
+    // Iterate to fixpoint, meeting into each successor's row in place.
+    let rpo = ws.cfg.rpo();
     loop {
         let mut changed = false;
-        for &bb in &rpo {
-            let mut state = in_state[bb.idx()].clone();
+        for &bb in rpo {
+            t.state.clear();
+            t.state
+                .extend_from_slice(&t.in_state[bb.idx() * ns..][..ns]);
             for inst in &f.blocks[bb.idx()].insts {
-                transfer(&mut state, inst);
+                transfer(&mut t.state, inst, consts);
             }
             for succ in f.blocks[bb.idx()].term.successors() {
-                let merged: Vec<Lattice> = in_state[succ.idx()]
-                    .iter()
-                    .zip(&state)
-                    .map(|(&a, &b)| meet(a, b))
-                    .collect();
-                let same = merged
-                    .iter()
-                    .zip(&in_state[succ.idx()])
-                    .all(|(&m, &o)| lattice_eq(m, o));
-                if !same {
-                    in_state[succ.idx()] = merged;
-                    changed = true;
+                let row = &mut t.in_state[succ.idx() * ns..][..ns];
+                for (old, &new) in row.iter_mut().zip(&t.state) {
+                    let merged = meet(*old, new);
+                    if !lattice_eq(merged, *old) {
+                        *old = merged;
+                        changed = true;
+                    }
                 }
             }
         }
@@ -272,26 +287,31 @@ fn propagate_locals(f: &mut MirFunction) -> bool {
         }
     }
 
-    // Rewrite GetLocal of known-constant slots.
-    let mut rewrote = false;
-    for &bb in &rpo {
-        let mut state = in_state[bb.idx()].clone();
+    // Rewrite GetLocal of known-constant slots. The new constants join the
+    // map only afterwards, as the dataflow above did not know them.
+    t.rewritten.clear();
+    for &bb in rpo {
+        t.state.clear();
+        t.state
+            .extend_from_slice(&t.in_state[bb.idx() * ns..][..ns]);
         for inst in &mut f.blocks[bb.idx()].insts {
             if let Inst::GetLocal { dst, slot } = *inst {
-                if let Lattice::Const(v) = state[slot as usize] {
-                    *inst = Inst::Const { dst, value: v };
-                    rewrote = true;
+                if let Some(Lattice::Const(v)) = t.state.get(column[slot as usize] as usize) {
+                    *inst = Inst::Const { dst, value: *v };
+                    t.rewritten.push((dst, *v));
                 }
             }
-            transfer(&mut state, inst);
+            transfer(&mut t.state, inst, consts);
         }
     }
-    rewrote
+    for &(dst, v) in &t.rewritten {
+        consts.insert(dst, v);
+    }
+    !t.rewritten.is_empty()
 }
 
 /// Rewrites branches on constant conditions to unconditional jumps.
-fn fold_branches(f: &mut MirFunction) -> bool {
-    let consts = super::const_defs(f);
+fn fold_branches(f: &mut MirFunction, consts: &ConstMap) -> bool {
     let mut changed = false;
     for b in &mut f.blocks {
         if let Terminator::Branch {
@@ -300,7 +320,7 @@ fn fold_branches(f: &mut MirFunction) -> bool {
             else_bb,
         } = b.term
         {
-            if let Some(v) = consts.get(&cond) {
+            if let Some(v) = consts.get(cond) {
                 b.term = Terminator::Jump(if v.is_truthy() { then_bb } else { else_bb });
                 changed = true;
             }
@@ -312,6 +332,7 @@ fn fold_branches(f: &mut MirFunction) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cfg;
     use crate::mir::lower_unit;
 
     fn lowered(src: &str) -> MirFunction {
@@ -323,7 +344,13 @@ mod tests {
     }
 
     fn run(f: &mut MirFunction) {
-        super::run(f, &UnitInfo::opaque());
+        super::run(f, &UnitInfo::opaque(), &mut Workspace::default());
+    }
+
+    fn consts(f: &MirFunction) -> ConstMap {
+        let mut consts = ConstMap::default();
+        consts.fill(f);
+        consts
     }
 
     fn count_insts(f: &MirFunction, pred: impl Fn(&Inst) -> bool) -> usize {
@@ -348,11 +375,10 @@ mod tests {
         cfg::simplify(&mut f);
         assert_eq!(count_insts(&f, |i| matches!(i, Inst::Bin { .. })), 0);
         // The final return reads a constant.
-        let consts = super::super::const_defs(&f);
         let Terminator::Return(Some(v)) = f.blocks.last().unwrap().term else {
             panic!("expected return");
         };
-        assert!(values_identical(consts[&v], Value::I32(15)));
+        assert!(values_identical(consts(&f).get(v).unwrap(), Value::I32(15)));
     }
 
     #[test]
@@ -404,18 +430,20 @@ mod tests {
         assert!(info.is_pure(0), "coef is strictly pure");
         let callee = m.functions.remove(1);
         let mut callee = callee;
-        super::run(&mut callee, &info);
+        super::run(&mut callee, &info, &mut Workspace::default());
         cfg::simplify(&mut callee);
         assert_eq!(
             count_insts(&callee, |i| matches!(i, Inst::Call { .. })),
             0,
             "both calls folded"
         );
-        let consts = super::super::const_defs(&callee);
         let Terminator::Return(Some(v)) = callee.blocks[0].term else {
             panic!("expected straight-line return");
         };
-        assert!(values_identical(consts[&v], Value::I32(1 + 4)));
+        assert!(values_identical(
+            consts(&callee).get(v).unwrap(),
+            Value::I32(1 + 4)
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! Memory loads are never value-numbered: a store or barrier in between may
 //! change the loaded value.
 
-use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::builtins::Builtin;
 use crate::hir::{BinOp, CmpOp, UnOp};
@@ -42,8 +42,8 @@ fn value_key(v: Value) -> ValueKey {
     }
 }
 
-/// Value number of one pure computation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Value number of one pure computation; calls add their argument list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
     Const(ValueKey),
     Un(UnOp, VReg),
@@ -51,104 +51,175 @@ enum Key {
     Cmp(CmpOp, VReg, VReg),
     Convert(ScalarType, VReg),
     ToBool(VReg),
-    CallPure(Builtin, Vec<VReg>),
+    CallPure(Builtin),
     /// Call of a strictly pure user function (see [`UnitInfo`]).
-    Call(u16, Vec<VReg>),
+    Call(u16),
     WorkItem(Builtin, Option<VReg>),
     PtrOffset(u32, VReg, VReg),
     PtrDiff(u32, VReg, VReg),
 }
 
-/// Runs the pass over every block of `f`.
-pub fn run(f: &mut MirFunction, info: &UnitInfo) {
-    // dst -> surviving equivalent register, applied transitively.
-    let mut replace: HashMap<VReg, VReg> = HashMap::new();
-    let resolve = |replace: &HashMap<VReg, VReg>, mut v: VReg| {
-        while let Some(&r) = replace.get(&v) {
-            v = r;
-        }
-        v
+/// The value number of `inst` with its call arguments, or `None` for what
+/// is never value-numbered: loads, stores, impure calls, barriers, locals.
+fn key<'a>(inst: &'a Inst, info: &UnitInfo) -> Option<(Key, &'a [VReg])> {
+    let key = match inst {
+        Inst::Const { value, .. } => Key::Const(value_key(*value)),
+        Inst::Un { op, src, .. } => Key::Un(*op, *src),
+        Inst::Bin { op, lhs, rhs, .. } => Key::Bin(*op, *lhs, *rhs),
+        Inst::Cmp { op, lhs, rhs, .. } => Key::Cmp(*op, *lhs, *rhs),
+        Inst::Convert { to, src, .. } => Key::Convert(*to, *src),
+        Inst::ToBool { src, .. } => Key::ToBool(*src),
+        Inst::CallPure { builtin, args, .. } => return Some((Key::CallPure(*builtin), args)),
+        Inst::Call {
+            dst: Some(_),
+            func,
+            args,
+            ..
+        } if info.is_pure(*func) => return Some((Key::Call(*func), args)),
+        Inst::WorkItem { builtin, dim, .. } => Key::WorkItem(*builtin, *dim),
+        Inst::PtrOffset {
+            size, ptr, count, ..
+        } => Key::PtrOffset(*size, *ptr, *count),
+        Inst::PtrDiff { size, lhs, rhs, .. } => Key::PtrDiff(*size, *lhs, *rhs),
+        _ => return None,
     };
+    Some((key, &[]))
+}
 
-    for b in &mut f.blocks {
-        let mut table: HashMap<Key, VReg> = HashMap::new();
-        let mut cur_local: HashMap<u16, VReg> = HashMap::new();
-        let mut kept: Vec<Inst> = Vec::with_capacity(b.insts.len());
+/// The rustc "Fx" hash: one rotate, xor and multiply per word. Keys are a
+/// few small integers, for which it is many times faster than SipHash.
+#[derive(Default)]
+struct FxHasher(u64);
 
-        for mut inst in b.insts.drain(..) {
-            inst.for_each_use_mut(|u| *u = resolve(&replace, *u));
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
 
-            match &inst {
-                Inst::GetLocal { dst, slot } => {
-                    if let Some(&v) = cur_local.get(slot) {
-                        replace.insert(*dst, v);
-                        continue; // drop the redundant read
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b.into()));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Marks a register with no replacement.
+const NONE: u32 = u32::MAX;
+
+/// The pass's tables, reused across runs.
+#[derive(Debug, Default)]
+pub(crate) struct Tables {
+    /// `replace[v]`: the surviving equivalent of a dropped def, or `NONE`.
+    replace: Vec<u32>,
+    /// `local[slot]`: (block stamp, register the slot holds in it).
+    local: Vec<(u32, VReg)>,
+    /// Open-addressing table of (hash, 1 + index of the kept instruction).
+    table: Vec<(u64, u32)>,
+}
+
+fn resolve(replace: &[u32], mut v: VReg) -> VReg {
+    while replace[v.0 as usize] != NONE {
+        v = VReg(replace[v.0 as usize]);
+    }
+    v
+}
+
+/// Runs the pass over every block of `f`.
+pub(crate) fn run(f: &mut MirFunction, info: &UnitInfo, t: &mut Tables) {
+    t.replace.clear();
+    t.replace.resize(f.vreg_count as usize, NONE);
+    t.local.clear();
+    t.local.resize(f.local_init.len(), (0, VReg(0)));
+    let mut replaced = false;
+    for (stamp, b) in (1..).zip(&mut f.blocks) {
+        let cap = (2 * b.insts.len()).next_power_of_two().max(8);
+        t.table.clear();
+        t.table.resize(cap, (0, 0));
+        // Compact the kept instructions in place: `w` trails `r`.
+        let mut w = 0;
+        for r in 0..b.insts.len() {
+            let mut inst = std::mem::replace(&mut b.insts[r], Inst::Barrier { id: 0 });
+            inst.for_each_use_mut(|u| *u = resolve(&t.replace, *u));
+            match inst {
+                Inst::GetLocal { dst, slot } => match t.local[slot as usize] {
+                    // Drop the redundant read.
+                    (s, v) if s == stamp => {
+                        t.replace[dst.0 as usize] = v.0;
+                        replaced = true;
+                        continue;
                     }
-                    cur_local.insert(*slot, *dst);
-                    kept.push(inst);
-                    continue;
-                }
+                    _ => t.local[slot as usize] = (stamp, dst),
+                },
                 Inst::SetLocal { slot, src } => {
-                    if cur_local.get(slot) == Some(src) {
+                    if t.local[slot as usize] == (stamp, src) {
                         continue; // re-storing the value the slot holds
                     }
-                    cur_local.insert(*slot, *src);
-                    kept.push(inst);
-                    continue;
+                    t.local[slot as usize] = (stamp, src);
                 }
-                _ => {}
-            }
-
-            let key = match &inst {
-                Inst::Const { value, .. } => Some(Key::Const(value_key(*value))),
-                Inst::Un { op, src, .. } => Some(Key::Un(*op, *src)),
-                Inst::Bin { op, lhs, rhs, .. } => Some(Key::Bin(*op, *lhs, *rhs)),
-                Inst::Cmp { op, lhs, rhs, .. } => Some(Key::Cmp(*op, *lhs, *rhs)),
-                Inst::Convert { to, src, .. } => Some(Key::Convert(*to, *src)),
-                Inst::ToBool { src, .. } => Some(Key::ToBool(*src)),
-                Inst::CallPure { builtin, args, .. } => Some(Key::CallPure(*builtin, args.clone())),
-                Inst::Call {
-                    dst: Some(_),
-                    func,
-                    args,
-                    ..
-                } if info.is_pure(*func) => Some(Key::Call(*func, args.clone())),
-                Inst::WorkItem { builtin, dim, .. } => Some(Key::WorkItem(*builtin, *dim)),
-                Inst::PtrOffset {
-                    size, ptr, count, ..
-                } => Some(Key::PtrOffset(*size, *ptr, *count)),
-                Inst::PtrDiff { size, lhs, rhs, .. } => Some(Key::PtrDiff(*size, *lhs, *rhs)),
-                // Loads, stores, impure calls and barriers are not
-                // value-numbered.
-                _ => None,
-            };
-
-            match (key, inst.dst()) {
-                (Some(k), Some(dst)) => match table.get(&k) {
-                    Some(&prev) => {
-                        replace.insert(dst, prev);
-                        // drop the duplicate computation
+                _ => {
+                    if let (Some((k, args)), Some(dst)) = (key(&inst, info), inst.dst()) {
+                        let mut h = FxHasher::default();
+                        (k, args).hash(&mut h);
+                        let hash = h.finish();
+                        let mask = cap - 1;
+                        let mut i = (hash >> 40) as usize & mask;
+                        loop {
+                            match t.table[i] {
+                                (_, 0) => {
+                                    t.table[i] = (hash, w as u32 + 1);
+                                    break;
+                                }
+                                (th, j)
+                                    if th == hash
+                                        && key(&b.insts[j as usize - 1], info)
+                                            == Some((k, args)) =>
+                                {
+                                    // Drop the duplicate computation.
+                                    let prev = b.insts[j as usize - 1].dst().expect("numbered");
+                                    t.replace[dst.0 as usize] = prev.0;
+                                    replaced = true;
+                                    break;
+                                }
+                                _ => i = (i + 1) & mask,
+                            }
+                        }
+                        if t.replace[dst.0 as usize] != NONE {
+                            continue;
+                        }
                     }
-                    None => {
-                        table.insert(k, dst);
-                        kept.push(inst);
-                    }
-                },
-                _ => kept.push(inst),
+                }
             }
+            b.insts[w] = inst;
+            w += 1;
         }
-        b.insts = kept;
+        b.insts.truncate(w);
     }
 
     // Rewrite any remaining uses (later blocks reference registers whose
     // defs were dropped above; the surviving def is earlier in the same
     // block, so it dominates every rewritten use).
-    if !replace.is_empty() {
+    if replaced {
         for b in &mut f.blocks {
             for inst in &mut b.insts {
-                inst.for_each_use_mut(|u| *u = resolve(&replace, *u));
+                inst.for_each_use_mut(|u| *u = resolve(&t.replace, *u));
             }
-            b.term.for_each_use_mut(|u| *u = resolve(&replace, *u));
+            b.term.for_each_use_mut(|u| *u = resolve(&t.replace, *u));
         }
     }
 }
@@ -169,7 +240,7 @@ mod tests {
     }
 
     fn run(f: &mut MirFunction) {
-        super::run(f, &UnitInfo::opaque());
+        super::run(f, &UnitInfo::opaque(), &mut Tables::default());
     }
 
     fn count(f: &MirFunction, pred: impl Fn(&Inst) -> bool) -> usize {
@@ -234,7 +305,7 @@ mod tests {
         let mut f = m.functions.remove(1);
         crate::cfg::simplify(&mut f);
         assert_eq!(count(&f, |i| matches!(i, Inst::Call { .. })), 2);
-        super::run(&mut f, &info);
+        super::run(&mut f, &info, &mut Tables::default());
         assert_eq!(
             count(&f, |i| matches!(i, Inst::Call { .. })),
             1,

@@ -10,133 +10,104 @@
 //! (locals cannot alias memory), and work-item queries are invariant
 //! because launch geometry is fixed for a work-item's lifetime.
 
-use std::collections::HashSet;
-
 use crate::cfg::{self, NaturalLoop};
-use crate::mir::{BlockId, Inst, MirFunction, VReg};
+use crate::mir::{BlockId, Inst, MirFunction};
 
-use super::UnitInfo;
+use super::{ConstMap, UnitInfo, Workspace};
 
 /// Runs the pass over every natural loop of `f`, innermost first.
-pub fn run(f: &mut MirFunction, info: &UnitInfo) {
-    let mut processed: HashSet<Vec<BlockId>> = HashSet::new();
-    loop {
-        let loops = cfg::natural_loops(f);
-        let Some(l) = loops
-            .into_iter()
-            .find(|l| l.header != BlockId(0) && !processed.contains(&loop_key(l)))
-        else {
-            break;
-        };
-        processed.insert(loop_key(&l));
-        hoist_loop(f, &l, info);
-    }
+pub(crate) fn run(f: &mut MirFunction, info: &UnitInfo, ws: &mut Workspace) {
+    // Hoisting moves instructions but defines no new constants.
+    super::walk_loops(f, ws, |f, l, ws| {
+        hoist_loop(f, l, info, &ws.consts, ws.cfg.rpo())
+    });
 }
 
-/// Identity of a loop across recomputations (header + sorted latches).
-fn loop_key(l: &NaturalLoop) -> Vec<BlockId> {
-    let mut k = vec![l.header];
-    let mut latches = l.latches.clone();
-    latches.sort();
-    k.extend(latches);
-    k
+/// Per-register state while hoisting one loop.
+#[derive(Clone, Copy, PartialEq)]
+enum Def {
+    Outside,
+    InLoop,
+    Invariant,
 }
 
-fn hoist_loop(f: &mut MirFunction, l: &NaturalLoop, info: &UnitInfo) {
-    let consts = super::const_defs(f);
-
-    // Slots written anywhere in the loop: their reads are not invariant.
-    let mut written_slots: HashSet<u16> = HashSet::new();
+/// Hoists `l`'s invariant instructions into a fresh preheader; returns
+/// whether it did (and so changed the CFG). `rpo` is the function's
+/// reverse post-order.
+fn hoist_loop(
+    f: &mut MirFunction,
+    l: &NaturalLoop,
+    info: &UnitInfo,
+    consts: &ConstMap,
+    rpo: &[BlockId],
+) -> bool {
+    // Loop membership, slots written anywhere in the loop (their reads are
+    // not invariant), and the registers the loop defines.
+    let mut in_loop = vec![false; f.blocks.len()];
+    let mut written_slots = vec![false; f.local_init.len()];
+    let mut def = vec![Def::Outside; f.vreg_count as usize];
     for bb in &l.blocks {
+        in_loop[bb.idx()] = true;
         for inst in &f.blocks[bb.idx()].insts {
             if let Inst::SetLocal { slot, .. } = inst {
-                written_slots.insert(*slot);
+                written_slots[*slot as usize] = true;
             }
-        }
-    }
-
-    // Registers defined inside the loop.
-    let mut defined_in_loop: HashSet<VReg> = HashSet::new();
-    for bb in &l.blocks {
-        for inst in &f.blocks[bb.idx()].insts {
             if let Some(d) = inst.dst() {
-                defined_in_loop.insert(d);
+                def[d.0 as usize] = Def::InLoop;
             }
         }
     }
 
-    // Grow the invariant set to a fixed point. Order of discovery follows
-    // block order, which preserves def-before-use among hoisted
-    // instructions.
-    let mut invariant: HashSet<VReg> = HashSet::new();
-    loop {
-        let mut changed = false;
-        for bb in &l.blocks {
-            for inst in &f.blocks[bb.idx()].insts {
-                let Some(dst) = inst.dst() else { continue };
-                if invariant.contains(&dst) {
+    // Find the invariant set in one sweep: in reverse post-order every
+    // in-loop operand's def (which dominates its use) is decided first.
+    let mut any = false;
+    for bb in rpo.iter().filter(|b| in_loop[b.idx()]) {
+        for inst in &f.blocks[bb.idx()].insts {
+            let Some(dst) = inst.dst() else { continue };
+            // A strictly pure call is hoistable like arithmetic: no
+            // effects, and purity already excludes anything that can
+            // fault, so executing it when the body would not have run is
+            // unobservable.
+            let pure_call = matches!(inst, Inst::Call { func, .. } if info.is_pure(*func));
+            if !pure_call
+                && (inst.has_side_effects() || inst.can_fault(|rhs| consts.div_is_safe(rhs)))
+            {
+                continue;
+            }
+            if let Inst::GetLocal { slot, .. } = inst {
+                if written_slots[*slot as usize] {
                     continue;
                 }
-                // A strictly pure call is hoistable like arithmetic: no
-                // effects, and purity already excludes anything that can
-                // fault, so executing it when the body would not have run
-                // is unobservable.
-                let pure_call = matches!(inst, Inst::Call { func, .. } if info.is_pure(*func));
-                if !pure_call {
-                    if inst.has_side_effects() {
-                        continue;
-                    }
-                    if inst.can_fault(|rhs| super::div_is_safe(&consts, rhs)) {
-                        continue;
-                    }
-                }
-                if let Inst::GetLocal { slot, .. } = inst {
-                    if written_slots.contains(slot) {
-                        continue;
-                    }
-                }
-                let mut ok = true;
-                inst.for_each_use(|u| {
-                    if defined_in_loop.contains(&u) && !invariant.contains(&u) {
-                        ok = false;
-                    }
-                });
-                if ok {
-                    invariant.insert(dst);
-                    changed = true;
-                }
+            }
+            let mut ok = true;
+            inst.for_each_use(|u| ok &= def[u.0 as usize] != Def::InLoop);
+            if ok {
+                def[dst.0 as usize] = Def::Invariant;
+                any = true;
             }
         }
-        if !changed {
-            break;
-        }
     }
-    if invariant.is_empty() {
-        return;
+    if !any {
+        return false;
     }
 
-    // Move the invariant instructions (in block/program order) into a
-    // preheader.
+    // Move the invariant instructions, in block-id then program order,
+    // into a preheader.
     let pre = cfg::insert_preheader(f, l.header, &l.blocks);
     let mut hoisted: Vec<Inst> = Vec::new();
     for bb in &l.blocks {
-        let block = &mut f.blocks[bb.idx()];
-        let mut kept = Vec::with_capacity(block.insts.len());
-        for inst in block.insts.drain(..) {
-            match inst.dst() {
-                Some(d) if invariant.contains(&d) => hoisted.push(inst),
-                _ => kept.push(inst),
-            }
-        }
-        block.insts = kept;
+        let invariant = |i: &mut Inst| i.dst().is_some_and(|d| def[d.0 as usize] == Def::Invariant);
+        hoisted.extend(f.blocks[bb.idx()].insts.extract_if(.., invariant));
     }
     f.blocks[pre.idx()].insts = hoisted;
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mir::lower_unit;
+    use std::collections::HashSet;
 
     fn lowered(src: &str) -> MirFunction {
         let f = crate::SourceFile::new("t.cl", src);
@@ -149,7 +120,7 @@ mod tests {
     }
 
     fn run(f: &mut MirFunction) {
-        super::run(f, &UnitInfo::opaque());
+        super::run(f, &UnitInfo::opaque(), &mut Workspace::default());
     }
 
     /// Instruction count inside loop bodies (blocks that belong to a
@@ -242,7 +213,7 @@ mod tests {
         let mut f = m.functions.into_iter().nth(1).unwrap();
         crate::cfg::simplify(&mut f);
         assert!(loop_insts(&f, |i| matches!(i, Inst::Call { .. })) > 0);
-        super::run(&mut f, &info);
+        super::run(&mut f, &info, &mut Workspace::default());
         assert_eq!(
             loop_insts(&f, |i| matches!(i, Inst::Call { .. })),
             0,

@@ -19,9 +19,9 @@ mod dce;
 mod licm;
 mod unroll;
 
-use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
-use crate::cfg;
+use crate::cfg::{CfgInfo, NaturalLoop};
 use crate::mir::{BlockId, Inst, MirFunction, MirUnit, Terminator, VReg};
 use crate::value::Value;
 
@@ -169,47 +169,124 @@ impl OptConfig {
     }
 }
 
-/// Runs the configured passes over every function of `unit`.
-pub fn run(unit: &mut MirUnit, cfg: &OptConfig) {
-    let info = UnitInfo::analyze(unit);
-    for f in &mut unit.functions {
-        run_function(f, cfg, &info);
-    }
+/// The pipeline's steps, naming the entries of [`crate::CompileStats::pass`]:
+/// CFG clean-up (run between the others), then the passes as
+/// `SKELCL_KERNEL_OPT` names them.
+pub const PASS_NAMES: [&str; 6] = ["simplify", "const-prop", "cse", "licm", "unroll", "dce"];
+
+/// One step of the pipeline, indexing [`PASS_NAMES`].
+#[derive(Clone, Copy)]
+enum Pass {
+    Simplify,
+    ConstProp,
+    Cse,
+    Licm,
+    Unroll,
+    Dce,
 }
 
-fn run_function(f: &mut MirFunction, cfg: &OptConfig, info: &UnitInfo) {
-    cfg::simplify(f);
+/// Runs the configured passes over every function of `unit`.
+pub fn run(unit: &mut MirUnit, cfg: &OptConfig) {
+    run_timed(unit, cfg);
+}
+
+/// [`run`], returning the host time spent in each pass (indexed like
+/// [`PASS_NAMES`]).
+pub fn run_timed(unit: &mut MirUnit, cfg: &OptConfig) -> [Duration; PASS_NAMES.len()] {
+    let info = UnitInfo::analyze(unit);
+    let mut times = [Duration::ZERO; PASS_NAMES.len()];
+    let mut ws = WORKSPACE.take();
+    for f in &mut unit.functions {
+        ws.cfg.invalidate();
+        run_function(f, cfg, &info, &mut ws, &mut times);
+    }
+    WORKSPACE.set(ws);
+    times
+}
+
+thread_local! {
+    /// The calling thread's [`Workspace`], kept between compiles.
+    static WORKSPACE: std::cell::Cell<Workspace> = std::cell::Cell::default();
+}
+
+/// What the passes reuse across passes, functions and compiles on one
+/// thread: the CFG analysis bundle, the dense constant map and each pass's
+/// tables. Every pass refills what it reads, so a compile allocates only
+/// when a table must grow.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    cfg: CfgInfo,
+    consts: ConstMap,
+    lattice: const_prop::Tables,
+    cse: cse::Tables,
+    dce: dce::Tables,
+}
+
+fn run_function(
+    f: &mut MirFunction,
+    cfg: &OptConfig,
+    info: &UnitInfo,
+    ws: &mut Workspace,
+    times: &mut [Duration; PASS_NAMES.len()],
+) {
+    // One clock read per step: each step ends where the next one starts.
+    let mut start = Instant::now();
+    let mut step = |pass: Pass, f: &mut MirFunction| {
+        match pass {
+            Pass::Simplify => {
+                ws.cfg.simplify(f);
+            }
+            Pass::ConstProp => const_prop::run(f, info, ws),
+            Pass::Cse => cse::run(f, info, &mut ws.cse),
+            Pass::Licm => licm::run(f, info, ws),
+            Pass::Unroll => unroll::run(f, ws),
+            Pass::Dce => dce::run(f, info, ws),
+        }
+        let end = Instant::now();
+        times[pass as usize] += end - start;
+        start = end;
+        if cfg!(debug_assertions) {
+            if let Err(e) = crate::mir::verify(f) {
+                panic!(
+                    "MIR of `{}` invalid after {}: {e}",
+                    f.name, PASS_NAMES[pass as usize]
+                );
+            }
+            start = Instant::now();
+        }
+    };
+    step(Pass::Simplify, f);
     if cfg.const_prop {
-        const_prop::run(f, info);
-        cfg::simplify(f);
+        step(Pass::ConstProp, f);
+        step(Pass::Simplify, f);
     }
     if cfg.cse {
-        cse::run(f, info);
+        step(Pass::Cse, f);
     }
     if cfg.licm {
-        licm::run(f, info);
-        cfg::simplify(f);
+        step(Pass::Licm, f);
+        step(Pass::Simplify, f);
     }
     if cfg.unroll {
-        unroll::run(f);
-        cfg::simplify(f);
+        step(Pass::Unroll, f);
+        step(Pass::Simplify, f);
         // Clean up the per-iteration copies the unroller leaves behind.
         if cfg.const_prop {
-            const_prop::run(f, info);
-            cfg::simplify(f);
+            step(Pass::ConstProp, f);
+            step(Pass::Simplify, f);
         }
         if cfg.cse {
-            cse::run(f, info);
+            step(Pass::Cse, f);
         }
     }
     if cfg.dce {
-        dce::run(f, info);
-        cfg::simplify(f);
+        step(Pass::Dce, f);
+        step(Pass::Simplify, f);
     }
 }
 
 /// Unit-wide context shared by the passes: which user functions are
-/// strictly pure, plus a pre-pass snapshot of every body so constant
+/// strictly pure, plus a pre-pass snapshot of every pure body so constant
 /// propagation can evaluate pure calls on constant arguments.
 pub(crate) struct UnitInfo {
     /// `pure[f]` — every instruction reachable in `f`'s body is free of
@@ -219,10 +296,10 @@ pub(crate) struct UnitInfo {
     /// effects, no traps — so it may be folded, merged, hoisted or
     /// deleted like one.
     pure: Vec<bool>,
-    /// Function bodies as lowered, before any pass mutates them (callee
-    /// results are identical either way; the snapshot sidesteps borrowing
-    /// the unit while one of its functions is being rewritten).
-    snapshot: Vec<MirFunction>,
+    /// Pure function bodies as lowered, before any pass mutates them
+    /// (callee results are identical either way; the snapshot sidesteps
+    /// borrowing the unit while one of its functions is being rewritten).
+    snapshot: Vec<Option<MirFunction>>,
 }
 
 impl UnitInfo {
@@ -230,12 +307,13 @@ impl UnitInfo {
     pub(crate) fn analyze(unit: &MirUnit) -> Self {
         let n = unit.functions.len();
         let mut pure = vec![false; n];
+        let mut consts = ConstMap::default();
         // Sema rejects recursion, so call chains are acyclic and this
         // fixpoint converges in at most `n` rounds.
         loop {
             let mut changed = false;
             for (i, f) in unit.functions.iter().enumerate() {
-                if !pure[i] && !f.is_kernel && function_is_pure(f, &pure) {
+                if !pure[i] && !f.is_kernel && function_is_pure(f, &pure, &mut consts) {
                     pure[i] = true;
                     changed = true;
                 }
@@ -244,10 +322,13 @@ impl UnitInfo {
                 break;
             }
         }
-        UnitInfo {
-            pure,
-            snapshot: unit.functions.clone(),
-        }
+        let snapshot = unit
+            .functions
+            .iter()
+            .zip(&pure)
+            .map(|(f, &p)| p.then(|| f.clone()))
+            .collect();
+        UnitInfo { pure, snapshot }
     }
 
     /// A context with no known functions (every call treated as opaque).
@@ -266,11 +347,7 @@ impl UnitInfo {
 
     /// The pre-pass body of pure function `func`.
     pub(crate) fn pure_body(&self, func: u16) -> Option<&MirFunction> {
-        if self.is_pure(func) {
-            self.snapshot.get(func as usize)
-        } else {
-            None
-        }
+        self.snapshot.get(func as usize)?.as_ref()
     }
 }
 
@@ -280,8 +357,8 @@ impl UnitInfo {
 /// call), work-item queries are allowed (launch geometry is fixed for a
 /// work-item's lifetime); reachable `MissingReturn`/`Trap` terminators,
 /// memory access, barriers and possibly-faulting arithmetic are not.
-fn function_is_pure(f: &MirFunction, pure: &[bool]) -> bool {
-    let consts = const_defs(f);
+fn function_is_pure(f: &MirFunction, pure: &[bool], consts: &mut ConstMap) -> bool {
+    consts.fill(f);
     let mut seen = vec![false; f.blocks.len()];
     let mut stack = vec![BlockId(0)];
     seen[0] = true;
@@ -292,21 +369,18 @@ fn function_is_pure(f: &MirFunction, pure: &[bool]) -> bool {
                 Inst::SetLocal { .. } => true,
                 Inst::Call { func, .. } => pure.get(*func as usize).copied().unwrap_or(false),
                 Inst::Barrier { .. } | Inst::StoreMem { .. } => false,
-                _ => !inst.can_fault(|rhs| div_is_safe(&consts, rhs)),
+                _ => !inst.can_fault(|rhs| consts.div_is_safe(rhs)),
             };
             if !ok {
                 return false;
             }
         }
-        match &b.term {
-            Terminator::MissingReturn | Terminator::Trap { .. } => return false,
-            t => {
-                for s in t.successors() {
-                    if !seen[s.idx()] {
-                        seen[s.idx()] = true;
-                        stack.push(s);
-                    }
-                }
+        if let Terminator::MissingReturn | Terminator::Trap { .. } = b.term {
+            return false;
+        }
+        for s in b.term.successors() {
+            if !std::mem::replace(&mut seen[s.idx()], true) {
+                stack.push(s);
             }
         }
     }
@@ -314,6 +388,34 @@ fn function_is_pure(f: &MirFunction, pure: &[bool]) -> bool {
 }
 
 // ----- shared pass helpers --------------------------------------------------
+
+/// Calls `visit` once for each natural loop of `f` not headed by the entry,
+/// innermost first, with `ws.consts` filled. `visit` returns whether it
+/// changed the CFG; only then is the loop list recomputed, and loops are
+/// matched across recomputations by header and latches.
+fn walk_loops(
+    f: &mut MirFunction,
+    ws: &mut Workspace,
+    mut visit: impl FnMut(&mut MirFunction, &NaturalLoop, &mut Workspace) -> bool,
+) {
+    if ws.cfg.loops(f).iter().all(|l| l.header.0 == 0) {
+        return;
+    }
+    ws.consts.fill(f);
+    let mut processed: Vec<NaturalLoop> = Vec::new();
+    while let Some(l) = ws
+        .cfg
+        .loops(f)
+        .iter()
+        .find(|l| l.header.0 != 0 && !processed.iter().any(|p| p.same_as(l)))
+        .cloned()
+    {
+        if visit(f, &l, ws) {
+            ws.cfg.invalidate();
+        }
+        processed.push(l);
+    }
+}
 
 /// Bit-exact value identity: unlike `PartialEq`, distinguishes `-0.0` from
 /// `0.0` and compares NaNs by representation, so replacing one value by an
@@ -327,27 +429,45 @@ pub(crate) fn values_identical(a: Value, b: Value) -> bool {
     }
 }
 
-/// Map from every register defined by a `Const` instruction to its value.
-/// Registers are single-def, so the map is flow-insensitive.
-pub(crate) fn const_defs(f: &MirFunction) -> HashMap<VReg, Value> {
-    let mut map = HashMap::new();
-    for b in &f.blocks {
-        for i in &b.insts {
-            if let Inst::Const { dst, value } = i {
-                map.insert(*dst, *value);
+/// Dense map from every register defined by a `Const` instruction to its
+/// value, indexed by register. Registers are single-def, so the map is
+/// flow-insensitive, and it only grows while a pass turns instructions
+/// into constants.
+#[derive(Debug, Default)]
+pub(crate) struct ConstMap(Vec<Option<Value>>);
+
+impl ConstMap {
+    /// Refills the map from `f`'s `Const` instructions.
+    pub(crate) fn fill(&mut self, f: &MirFunction) {
+        self.0.clear();
+        self.0.resize(f.vreg_count as usize, None);
+        for b in &f.blocks {
+            for i in &b.insts {
+                if let Inst::Const { dst, value } = i {
+                    self.0[dst.0 as usize] = Some(*value);
+                }
             }
         }
     }
-    map
-}
 
-/// Whether dividing by `rhs` can fault, given the known constant defs: a
-/// non-zero integer constant or any float constant cannot.
-pub(crate) fn div_is_safe(consts: &HashMap<VReg, Value>, rhs: VReg) -> bool {
-    match consts.get(&rhs) {
-        Some(Value::F32(_) | Value::F64(_)) => true,
-        Some(v) => v.as_i64() != 0 && !matches!(v, Value::Ptr(_)),
-        None => false,
+    /// The constant `v` holds, if it is defined by a `Const`.
+    pub(crate) fn get(&self, v: VReg) -> Option<Value> {
+        self.0.get(v.0 as usize).copied().flatten()
+    }
+
+    /// Records that `v` is now defined by `Const(value)`.
+    pub(crate) fn insert(&mut self, v: VReg, value: Value) {
+        self.0[v.0 as usize] = Some(value);
+    }
+
+    /// Whether dividing by `rhs` cannot fault: a non-zero integer constant
+    /// or any float constant.
+    pub(crate) fn div_is_safe(&self, rhs: VReg) -> bool {
+        match self.get(rhs) {
+            Some(Value::F32(_) | Value::F64(_)) => true,
+            Some(v) => v.as_i64() != 0 && !matches!(v, Value::Ptr(_)),
+            None => false,
+        }
     }
 }
 

@@ -20,44 +20,29 @@
 //! per-iteration header tests are constant-foldable; the pipeline re-runs
 //! constant propagation after unrolling to evaporate them.
 
-use std::collections::{HashMap, HashSet};
-
-use crate::cfg;
+use crate::cfg::{self, CfgInfo};
 use crate::hir::BinOp;
 use crate::mir::{BlockId, Inst, MirFunction, Terminator, VReg};
 use crate::value::{self, Value};
+
+use super::{ConstMap, Workspace};
 
 /// Maximum trip count considered for unrolling.
 const MAX_TRIP: u64 = 16;
 /// Maximum `trip × loop-instruction-count` growth budget.
 const MAX_GROWTH: usize = 512;
 
-/// Runs the pass: repeatedly recomputes natural loops (innermost first)
-/// and unrolls each eligible one until none are left.
-pub fn run(f: &mut MirFunction) {
-    let mut processed: HashSet<Vec<BlockId>> = HashSet::new();
-    loop {
-        let loops = cfg::natural_loops(f);
-        let Some(l) = loops
-            .into_iter()
-            .find(|l| l.header != BlockId(0) && !processed.contains(&loop_key(l)))
-        else {
-            break;
-        };
-        processed.insert(loop_key(&l));
-        try_unroll(f, &l);
-        // Whether or not it unrolled, move on; unrolling leaves the
-        // original blocks unreachable, so the processed set never grows
-        // past the function's loop count.
-    }
-}
-
-fn loop_key(l: &cfg::NaturalLoop) -> Vec<BlockId> {
-    let mut k = vec![l.header];
-    let mut latches = l.latches.clone();
-    latches.sort();
-    k.extend(latches);
-    k
+/// Runs the pass: walks the natural loops innermost first and unrolls each
+/// eligible one. Unrolling leaves the original loop blocks unreachable, so
+/// the walk ends after at most the function's loop count.
+pub(crate) fn run(f: &mut MirFunction, ws: &mut Workspace) {
+    super::walk_loops(f, ws, |f, l, ws| {
+        let unrolled = try_unroll(f, l, &ws.cfg, &ws.consts);
+        if unrolled {
+            ws.consts.fill(f);
+        }
+        unrolled
+    });
 }
 
 /// The recognized counted-loop shape.
@@ -78,13 +63,21 @@ struct Counted {
     exit: BlockId,
 }
 
-fn try_unroll(f: &mut MirFunction, l: &cfg::NaturalLoop) {
-    let Some(shape) = recognize(f, l) else { return };
+/// Unrolls `l` if it has the counted shape; returns whether it did.
+fn try_unroll(
+    f: &mut MirFunction,
+    l: &cfg::NaturalLoop,
+    info: &CfgInfo,
+    consts: &ConstMap,
+) -> bool {
+    let Some(shape) = recognize(f, l, info, consts) else {
+        return false;
+    };
     let Some(trip) = simulate_trip(&shape) else {
-        return;
+        return false;
     };
     if trip == 0 {
-        return;
+        return false;
     }
     let loop_size: usize = l
         .blocks
@@ -92,19 +85,24 @@ fn try_unroll(f: &mut MirFunction, l: &cfg::NaturalLoop) {
         .map(|bb| f.blocks[bb.idx()].insts.len() + 1)
         .sum();
     if trip as usize * loop_size > MAX_GROWTH {
-        return;
+        return false;
     }
     clone_iterations(f, l, &shape, trip as usize);
+    true
 }
 
 /// Matches the loop against the counted shape, or returns `None`.
-fn recognize(f: &MirFunction, l: &cfg::NaturalLoop) -> Option<Counted> {
+fn recognize(
+    f: &MirFunction,
+    l: &cfg::NaturalLoop,
+    info: &CfgInfo,
+    consts: &ConstMap,
+) -> Option<Counted> {
     if l.latches.len() != 1 {
         return None;
     }
     let latch = l.latches[0];
-    let in_loop: HashSet<BlockId> = l.blocks.iter().copied().collect();
-    let consts = super::const_defs(f);
+    let in_loop = |b: &BlockId| l.blocks.binary_search(b).is_ok();
 
     // No barriers anywhere in the loop: every barrier site carries a
     // unique id and cloning would duplicate it.
@@ -154,15 +152,15 @@ fn recognize(f: &MirFunction, l: &cfg::NaturalLoop) -> Option<Counted> {
     if cond != cmp_dst {
         return None;
     }
-    let exit = match (in_loop.contains(&then_bb), in_loop.contains(&else_bb)) {
+    let exit = match (in_loop(&then_bb), in_loop(&else_bb)) {
         (true, false) => else_bb,
         (false, true) => then_bb,
         _ => return None,
     };
     let (var_on_left, cmp_const) = if cmp_lhs == ind_vreg {
-        (true, *consts.get(&cmp_rhs)?)
+        (true, consts.get(cmp_rhs)?)
     } else if cmp_rhs == ind_vreg {
-        (false, *consts.get(&cmp_lhs)?)
+        (false, consts.get(cmp_lhs)?)
     } else {
         return None;
     };
@@ -196,7 +194,7 @@ fn recognize(f: &MirFunction, l: &cfg::NaturalLoop) -> Option<Counted> {
                 if !matches!(op, BinOp::Add | BinOp::Sub) {
                     return None;
                 }
-                let step = *consts.get(rhs)?;
+                let step = consts.get(*rhs)?;
                 // `lhs` must be a read of the induction slot inside the
                 // loop.
                 let lhs_is_read = l.blocks.iter().any(|b2| {
@@ -217,20 +215,15 @@ fn recognize(f: &MirFunction, l: &cfg::NaturalLoop) -> Option<Counted> {
 
     // Exactly one predecessor of the header from outside the loop, whose
     // last write of the slot is a known constant.
-    let preds = cfg::predecessors(f);
-    let outside: Vec<BlockId> = preds[l.header.idx()]
-        .iter()
-        .copied()
-        .filter(|p| !in_loop.contains(p))
-        .collect();
-    let [entry_pred] = outside[..] else {
+    let mut outside = info.preds(l.header).iter().filter(|p| !in_loop(p));
+    let (Some(&entry_pred), None) = (outside.next(), outside.next()) else {
         return None;
     };
     let mut init: Option<Value> = None;
     for inst in &f.blocks[entry_pred.idx()].insts {
         if let Inst::SetLocal { slot: s, src } = inst {
             if *s == slot {
-                init = consts.get(src).copied();
+                init = consts.get(*src);
                 init?;
             }
         }
@@ -282,63 +275,59 @@ fn clone_iterations(f: &mut MirFunction, l: &cfg::NaturalLoop, c: &Counted, trip
     // own header and must be re-aimed at the next copy (or the exit).
     let mut prev: Option<(BlockId, BlockId)> = None;
 
+    // `bpos[b]`: position of block `b` in the loop; `vmap[v]`: the current
+    // copy's register for loop def `v` (both `u32::MAX` outside the loop).
+    let mut bpos = vec![u32::MAX; f.blocks.len()];
+    for (i, &bb) in l.blocks.iter().enumerate() {
+        bpos[bb.idx()] = i as u32;
+    }
+    let mut vmap = vec![u32::MAX; f.vreg_count as usize];
     for _ in 0..trip {
         // Pre-assign fresh block ids and fresh registers for every in-loop
         // def, so uses can be remapped regardless of block order.
         let base = f.blocks.len() as u32;
-        let mut bmap: HashMap<BlockId, BlockId> = HashMap::new();
-        for (i, &bb) in l.blocks.iter().enumerate() {
-            bmap.insert(bb, BlockId(base + i as u32));
-        }
-        let mut defs: Vec<VReg> = Vec::new();
+        let bmap = |b: BlockId| match bpos.get(b.idx()) {
+            Some(&i) if i != u32::MAX => Some(BlockId(base + i)),
+            _ => None,
+        };
         for &bb in &l.blocks {
-            for inst in &f.blocks[bb.idx()].insts {
-                if let Some(d) = inst.dst() {
-                    defs.push(d);
+            for i in 0..f.blocks[bb.idx()].insts.len() {
+                if let Some(d) = f.blocks[bb.idx()].insts[i].dst() {
+                    vmap[d.0 as usize] = f.new_vreg().0;
                 }
             }
         }
-        let mut vmap: HashMap<VReg, VReg> = HashMap::new();
-        for d in defs {
-            let fresh = f.new_vreg();
-            vmap.insert(d, fresh);
-        }
+        let remap = |u: &mut VReg| match vmap.get(u.0 as usize) {
+            Some(&nu) if nu != u32::MAX => *u = VReg(nu),
+            _ => {}
+        };
 
         for &bb in &l.blocks {
             let mut block = f.blocks[bb.idx()].clone();
             for inst in &mut block.insts {
                 if let Some(d) = inst.dst() {
-                    if let Some(&nd) = vmap.get(&d) {
-                        inst.set_dst(nd);
-                    }
+                    inst.set_dst(VReg(vmap[d.0 as usize]));
                 }
-                inst.for_each_use_mut(|u| {
-                    if let Some(&nu) = vmap.get(u) {
-                        *u = nu;
-                    }
-                });
+                inst.for_each_use_mut(remap);
             }
-            block.term.for_each_use_mut(|u| {
-                if let Some(&nu) = vmap.get(u) {
-                    *u = nu;
-                }
-            });
-            block.term.for_each_succ_mut(|s| {
-                if let Some(&ns) = bmap.get(s) {
-                    *s = ns;
-                }
-            });
+            block.term.for_each_use_mut(remap);
+            block
+                .term
+                .for_each_succ_mut(|s| *s = bmap(*s).unwrap_or(*s));
             f.blocks.push(block);
         }
 
-        let this_header = bmap[&header];
+        let this_header = bmap(header).expect("the header is in the loop");
         if let Some((latch, own_header)) = prev {
             redirect(f, latch, own_header, this_header);
         }
         if first_header.is_none() {
             first_header = Some(this_header);
         }
-        prev = Some((bmap[&l.latches[0]], this_header));
+        prev = Some((
+            bmap(l.latches[0]).expect("the latch is in the loop"),
+            this_header,
+        ));
     }
 
     // Final copy's back edge exits the loop: the simulated trip count

@@ -2,9 +2,91 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::ir::FuncCode;
+use crate::mir::MirUnit;
+use crate::passes::PASS_NAMES;
 use crate::types::ScalarType;
+
+/// Where one [`crate::compile_with_config`] call spent its host time, and
+/// how large the MIR was on either side of the pass pipeline. Every compile
+/// fills one in (a few clock reads, no allocation); the `skelcl` runtime
+/// attaches it to its `compile` span when profiling is on.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CompileStats {
+    /// Lexing and parsing.
+    pub parse: Duration,
+    /// Type checking (HIR construction).
+    pub sema: Duration,
+    /// HIR inlining.
+    pub inline: Duration,
+    /// HIR → MIR lowering.
+    pub mir_lower: Duration,
+    /// The whole pass pipeline.
+    pub passes: Duration,
+    /// Time per pass, summed over functions and repeated runs, indexed like
+    /// [`PASS_NAMES`].
+    pub pass: [Duration; PASS_NAMES.len()],
+    /// Bytecode emission and decoding.
+    pub emit: Duration,
+    /// MIR size as lowered.
+    pub mir_in: MirSize,
+    /// MIR size after the passes.
+    pub mir_out: MirSize,
+}
+
+impl CompileStats {
+    /// The stages in pipeline order, each with its `kernel.<stage>_us`
+    /// metric name.
+    pub fn stages(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("kernel.parse_us", self.parse),
+            ("kernel.sema_us", self.sema),
+            ("kernel.inline_us", self.inline),
+            ("kernel.mir_lower_us", self.mir_lower),
+            ("kernel.passes_us", self.passes),
+            ("kernel.emit_us", self.emit),
+        ]
+    }
+
+    /// Σ of the stages.
+    pub fn total(&self) -> Duration {
+        self.stages().iter().map(|(_, d)| *d).sum()
+    }
+}
+
+/// Size of a MIR unit: what the passes' cost scales with.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MirSize {
+    /// Functions.
+    pub functions: u32,
+    /// Basic blocks.
+    pub blocks: u32,
+    /// Instructions, terminators included.
+    pub insts: u32,
+    /// Local slots.
+    pub slots: u32,
+    /// Virtual registers allocated.
+    pub vregs: u32,
+}
+
+impl MirSize {
+    /// Measures `unit`.
+    pub fn of(unit: &MirUnit) -> Self {
+        let mut size = MirSize {
+            functions: unit.functions.len() as u32,
+            ..MirSize::default()
+        };
+        for f in &unit.functions {
+            size.blocks += f.blocks.len() as u32;
+            size.insts += f.inst_count() as u32;
+            size.slots += f.local_init.len() as u32;
+            size.vregs += f.vreg_count;
+        }
+        size
+    }
+}
 
 /// The kind of one kernel parameter, as seen by the host when binding
 /// arguments (mirrors `clSetKernelArg` usage).
@@ -82,6 +164,7 @@ struct ProgramInner {
     kernels: Vec<KernelInfo>,
     kernel_index: HashMap<String, usize>,
     source_name: String,
+    stats: CompileStats,
 }
 
 impl Program {
@@ -108,8 +191,24 @@ impl Program {
                 kernels,
                 kernel_index,
                 source_name: source_name.into(),
+                stats: CompileStats::default(),
             }),
         }
+    }
+
+    /// Attaches the compile's [`CompileStats`] to a freshly assembled
+    /// program.
+    pub(crate) fn with_stats(mut self, stats: CompileStats) -> Self {
+        Arc::get_mut(&mut self.inner)
+            .expect("a freshly assembled program has one handle")
+            .stats = stats;
+        self
+    }
+
+    /// Where compiling this program spent its time (all zero for a
+    /// program assembled with [`Program::from_parts`]).
+    pub fn compile_stats(&self) -> &CompileStats {
+        &self.inner.stats
     }
 
     /// The pre-decoded superinstruction stream of function `func` (same

@@ -237,6 +237,35 @@ impl Profiler {
         }
     }
 
+    /// Records where one kernel compile spent its time: every stage into
+    /// its `kernel.<stage>_us` histogram (plus [`metrics::HIST_COMPILE_US`]
+    /// for the sum), and stages, passes and MIR sizes as args of the
+    /// compile's `span`. No-op, and allocation-free, when disabled.
+    pub fn record_compile(&self, span: &mut SpanGuard, stats: &skelcl_kernel::CompileStats) {
+        let Some(inner) = &self.inner else { return };
+        let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
+        for (name, d) in stats.stages() {
+            inner.metrics.record(name, d.as_micros() as u64);
+            span.attach(name, format!("{:.1}", us(d)));
+        }
+        inner
+            .metrics
+            .record(metrics::HIST_COMPILE_US, stats.total().as_micros() as u64);
+        for (pass, d) in skelcl_kernel::PASS_NAMES.iter().zip(stats.pass) {
+            span.attach(format!("kernel.pass.{pass}_us"), format!("{:.1}", us(d)));
+        }
+        let (a, b) = (stats.mir_in, stats.mir_out);
+        for (key, before, after) in [
+            ("mir.functions", a.functions, b.functions),
+            ("mir.blocks", a.blocks, b.blocks),
+            ("mir.insts", a.insts, b.insts),
+            ("mir.slots", a.slots, b.slots),
+            ("mir.vregs", a.vregs, b.vregs),
+        ] {
+            span.attach(key, format!("{before} -> {after}"));
+        }
+    }
+
     /// Sets per-device gauge `name` to `value` (no-op when disabled).
     pub fn set_device_gauge(&self, name: &'static str, device: usize, value: f64) {
         if let Some(inner) = &self.inner {

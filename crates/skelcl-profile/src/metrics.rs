@@ -84,6 +84,10 @@ pub const STREAM_RESIDENT_BYTES: &str = "stream.resident_bytes";
 pub const HIST_TRANSFER_BYTES: &str = "transfer.bytes";
 /// Histogram of individual kernel durations (simulated ns).
 pub const HIST_KERNEL_NS: &str = "kernel.duration_ns";
+/// Histogram of whole kernel compiles (host µs, Σ of the stages); each
+/// stage has its own `kernel.<stage>_us` histogram
+/// (`skelcl_kernel::CompileStats::stages`).
+pub const HIST_COMPILE_US: &str = "kernel.compile_us";
 
 /// Simulated time one device spent occupied, split by work type.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -119,3 +119,73 @@ fn enabled_profiler_does_record() {
     }
     assert_eq!(profiler.spans().len(), 2);
 }
+
+#[test]
+fn disabled_compile_telemetry_never_allocates() {
+    // Compiling allocates; only the telemetry around it is measured.
+    let program = skelcl_kernel::compile("neg.cl", "float neg(float x){ return -x; }").unwrap();
+    let stats = *program.compile_stats();
+    assert!(
+        stats.passes > std::time::Duration::ZERO,
+        "the compile was timed"
+    );
+    let profiler = Profiler::disabled();
+
+    let before = allocations();
+    for _ in 0..100 {
+        let mut span = profiler.host_span(SpanKind::Compile, "neg.cl");
+        profiler.record_compile(&mut span, &stats);
+        drop(span);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "disabled compile telemetry allocated"
+    );
+
+    let enabled = Profiler::enabled();
+    let mut span = enabled.host_span(SpanKind::Compile, "neg.cl");
+    enabled.record_compile(&mut span, &stats);
+    drop(span);
+    assert!(
+        enabled.spans()[0].extras.len() > 6,
+        "enabled telemetry records"
+    );
+}
+
+/// Allocations made while building a `Map` whose customizing function no
+/// context has compiled before.
+fn never_seen_map(profiler: Profiler, name: &str) -> u64 {
+    let ctx = skelcl::Context::init_with_profiler(
+        vgpu::Platform::new(1, vgpu::DeviceSpec::tesla_t10()),
+        skelcl::DeviceSelection::All,
+        profiler,
+    );
+    let source = format!("float {name}(float x){{ return x * 2.0f + 1.0f; }}");
+    let before = allocations();
+    let map = skelcl::Map::<f32, f32>::new(&ctx, &source).unwrap();
+    let after = allocations();
+    drop((map, ctx));
+    after - before
+}
+
+#[test]
+fn never_seen_skeleton_with_profiling_off_allocates_only_to_compile() {
+    // Two never-seen functions of one shape: with profiling off, building
+    // either allocates exactly what welding and compiling need — nothing
+    // per compile accumulates on the side — while the same build with
+    // profiling on pays for its spans, args and histograms.
+    // The first build on a thread grows the compiler's reusable tables.
+    never_seen_map(Profiler::disabled(), "twice_w");
+    let off_a = never_seen_map(Profiler::disabled(), "twice_a");
+    let off_b = never_seen_map(Profiler::disabled(), "twice_b");
+    let on = never_seen_map(Profiler::enabled(), "twice_c");
+    assert_eq!(
+        off_a, off_b,
+        "a disabled build allocates the same every time"
+    );
+    assert!(
+        on > off_a,
+        "telemetry allocates only when enabled ({on} vs {off_a})"
+    );
+}

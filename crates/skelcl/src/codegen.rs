@@ -59,8 +59,7 @@ pub(crate) fn parse_user_function(skeleton: &'static str, source: &str) -> Resul
         });
     }
     if skeleton != "MapOverlap" {
-        if let Err(e) = skelcl_kernel::check(&format!("<{skeleton} customizing function>"), source)
-        {
+        if let Err(e) = skelcl_kernel::check_parsed(&file, &unit, &mut diags) {
             return Err(Error::InvalidCustomizingFunction {
                 skeleton,
                 reason: format!("type error:\n{}", e.log),
@@ -571,8 +570,9 @@ pub(crate) fn compile_cached(
         return Ok(program);
     }
     profiler.add(skelcl_profile::metrics::COMPILE_CACHE_MISS, 1);
-    let _span = profiler.host_span(skelcl_profile::SpanKind::Compile, name);
+    let mut span = profiler.host_span(skelcl_profile::SpanKind::Compile, name);
     let program = compile_generated(name, source, &ctx.config().kernel)?;
+    profiler.record_compile(&mut span, program.compile_stats());
     ctx.store_program(hash, program.clone());
     Ok(program)
 }
@@ -610,6 +610,30 @@ mod tests {
         assert!(err.to_string().contains("no function definition"));
         let err = parse_user_function("Map", "__kernel void k(__global int* p){ }").unwrap_err();
         assert!(err.to_string().contains("must not be `__kernel`"));
+    }
+
+    #[test]
+    fn type_error_log_renders_parse_and_sema_diagnostics() {
+        // The function is parsed once and type-checked on that tree; the
+        // log is the one a separate lex/parse/sema run renders, warnings
+        // included.
+        let err = parse_user_function("Map", "float func(float x){ return x + y; }").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid customizing function for Map: type error:\n\
+             <Map customizing function>:1:33: error: use of undeclared identifier `y`\n  \
+             float func(float x){ return x + y; }\n                                  ^\n\
+             <Map customizing function>:1:7: warning: control may reach the end of non-void \
+             function `func`\n  float func(float x){ return x + y; }\n        ^~~~"
+        );
+        let err = parse_user_function("Map", "float func(float x){ int* p = x; return 1.0f; }")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid customizing function for Map: type error:\n\
+             <Map customizing function>:1:27: error: cannot convert `float` to `int*`\n  \
+             float func(float x){ int* p = x; return 1.0f; }\n                            ^~~~~"
+        );
     }
 
     #[test]

@@ -127,6 +127,54 @@ fn metrics_cover_transfers_compile_cache_and_busy_ns() {
     assert!(m.load_imbalance() >= 1.0);
 }
 
+#[test]
+fn compile_span_carries_stage_times_passes_and_mir_sizes() {
+    let ctx = two_gpu_profiled();
+    let _neg: Map<f32, f32> = Map::new(&ctx, "float neg_once(float x){ return -x; }").unwrap();
+    let spans = ctx.profiler().spans();
+    let compiles: Vec<_> = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Compile)
+        .collect();
+    assert_eq!(compiles.len(), 1, "one cache miss, one compile span");
+    let arg = |key: &str| {
+        compiles[0]
+            .extras
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("compile span lacks {key}: {:?}", compiles[0].extras))
+    };
+    for key in [
+        "kernel.parse_us",
+        "kernel.sema_us",
+        "kernel.inline_us",
+        "kernel.mir_lower_us",
+        "kernel.passes_us",
+        "kernel.emit_us",
+        "kernel.pass.simplify_us",
+        "kernel.pass.const-prop_us",
+        "kernel.pass.dce_us",
+    ] {
+        assert!(arg(key).parse::<f64>().is_ok(), "{key} is a number of µs");
+    }
+    let insts = arg("mir.insts");
+    let (before, after) = insts.split_once(" -> ").expect("`lowered -> optimized`");
+    assert!(after.parse::<u32>().unwrap() <= before.parse::<u32>().unwrap());
+
+    let m = ctx.profiler().metrics_snapshot().expect("profiler enabled");
+    for name in [
+        "kernel.parse_us",
+        "kernel.passes_us",
+        metrics::HIST_COMPILE_US,
+    ] {
+        assert_eq!(
+            m.histograms[name].count, 1,
+            "{name}: one sample per compile"
+        );
+    }
+}
+
 /// Names of the skeleton-kind host spans closed so far, in closing order.
 fn skeleton_spans(ctx: &Context) -> Vec<String> {
     let spans = ctx.profiler().spans().into_iter();

@@ -38,6 +38,13 @@ loc:
     @for d in crates/* tests src examples; do printf '%8d  %s\n' "$(find "$d" -name '*.rs' -print0 | xargs -0 cat | wc -l)" "$d"; done
     @printf '%8d  total\n' "$(find crates tests src examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
+# Per-layer ledger of the kernel compiler over
+# crates/skelcl-kernel/tests/corpus (the seven welded skeleton kernels and
+# the six raw benchmark kernels): median µs per set for every compile stage
+# and every MIR pass, and the MIR sizes the passes work on.
+compile-prof reps="300":
+    cargo run --release -p skelcl-kernel --example compile_prof -- {{reps}}
+
 # Regenerate the paper's figures and their BENCH_*.json reports.
 figures:
     cargo run --release -p skelcl-bench --bin fig4_mandelbrot
