@@ -15,9 +15,9 @@
 //!   fresh reports against the committed baselines in `bench/baselines/`.
 //!
 //! Binaries (see `src/bin/`): `fig4_mandelbrot`, `fig5_sobel`, `loc_table`
-//! and `scaling` regenerate the paper's figures; `bench_gate` diffs their
-//! reports against committed baselines; criterion benches under `benches/`
-//! measure the same workloads.
+//! and `scaling` regenerate the paper's figures; `interp` reports the
+//! compiler and VM counters; `bench_gate` diffs their reports against
+//! committed baselines. Host wall-clock is measured by `bench/e2e`.
 
 #![warn(missing_docs)]
 
