@@ -7,16 +7,24 @@
 //!
 //! The distribution unit is an *element* for vectors and a *row* for
 //! matrices (`unit_elems` elements per unit, paper Fig. 2).
+//!
+//! Coherence is one record and one planner: the host alone is current, or
+//! a device part's [`Fresh`] says which copies are. Every entry point states
+//! the ranges current copies hold (`have`) and the ranges it must fill
+//! (`want`), issues what [`plan_transfers`] makes of them through
+//! [`DistributedData::run_moves`], and updates the record.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use skelcl_profile::{flight, metrics, FlightKind};
 use vgpu::DeviceBuffer;
 
 use crate::container::InteropChunk;
 use crate::context::Context;
 use crate::distribution::{ChunkPlan, Distribution};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::types::{from_bytes, to_bytes, KernelScalar};
 
 /// One device's materialised chunk.
@@ -28,20 +36,92 @@ pub(crate) struct DeviceChunk {
     pub buffer: DeviceBuffer,
 }
 
+/// Which copies of a container with a device part are current.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fresh {
+    /// Only the host copy; the stale chunks still report their distribution.
+    Host,
+    /// Only the device chunks.
+    Device,
+    /// Both copies.
+    Both,
+}
+
 #[derive(Debug)]
 struct DevicePart {
     dist: Distribution,
     chunks: Vec<DeviceChunk>,
-    /// Whether the device copy is up to date.
-    valid: bool,
+    fresh: Fresh,
+}
+
+impl DevicePart {
+    /// The unit ranges the chunks hold authoritatively: the cores, which
+    /// disjointly cover `0..units` (halos may be stale after a kernel wrote
+    /// the cores) — except under `Copy`, where the first chunk is read.
+    fn authoritative(&self) -> Vec<Site<'_>> {
+        let copy = self.dist == Distribution::Copy;
+        let n = if copy { 1 } else { self.chunks.len() };
+        sites(&self.chunks[..n], |p| p.core.clone())
+    }
+}
+
+/// The unit ranges `chunks` store, halos included: where new data lands.
+fn stored(chunks: &[DeviceChunk]) -> Vec<Site<'_>> {
+    sites(chunks, |p| p.stored.clone())
+}
+
+/// Each chunk with the unit range `r` takes from its plan.
+fn sites(chunks: &[DeviceChunk], r: fn(&ChunkPlan) -> Range<usize>) -> Vec<Site<'_>> {
+    chunks.iter().map(|c| (Loc::Chunk(c), r(&c.plan))).collect()
+}
+
+/// A copy of some units: the host, or a device chunk.
+#[derive(Debug, Clone, Copy)]
+enum Loc<'a> {
+    Host,
+    Chunk(&'a DeviceChunk),
+}
+
+/// A copy and a unit range it holds or needs.
+type Site<'a> = (Loc<'a>, Range<usize>);
+
+/// One planned transfer of unit range `units` from `from` to `to`.
+#[derive(Debug)]
+struct Move<'a> {
+    from: Loc<'a>,
+    to: Loc<'a>,
+    units: Range<usize>,
+}
+
+/// Plans the moves that fill every `want` range from the disjoint `have`
+/// ranges: one per non-empty intersection, in `want` and then `have`
+/// order, which is the order their commands are enqueued in.
+fn plan_transfers<'a>(have: &[Site<'a>], want: &[Site<'a>]) -> Vec<Move<'a>> {
+    let pairs = want.iter().flat_map(|w| have.iter().map(move |h| (h, w)));
+    pairs
+        .map(|((from, h), (to, w))| Move {
+            from: *from,
+            to: *to,
+            units: w.start.max(h.start)..w.end.min(h.end),
+        })
+        .filter(|m| !m.units.is_empty())
+        .collect()
 }
 
 #[derive(Debug)]
 struct State<T> {
     host: Vec<T>,
-    host_valid: bool,
     device: Option<DevicePart>,
     preferred_dist: Option<Distribution>,
+}
+
+impl<T> State<T> {
+    /// Declares which copies are current (no device part: the host stays).
+    fn set_fresh(&mut self, fresh: Fresh) {
+        if let Some(part) = &mut self.device {
+            part.fresh = fresh;
+        }
+    }
 }
 
 /// Distributed storage of `units × unit_elems` elements of `T`.
@@ -65,16 +145,16 @@ impl<T: KernelScalar> DistributedData<T> {
             units * unit_elems,
             "host data does not match shape"
         );
+        let state = Mutex::new(State {
+            host,
+            device: None,
+            preferred_dist: None,
+        });
         DistributedData {
             ctx,
             units,
             unit_elems,
-            state: Mutex::new(State {
-                host,
-                host_valid: true,
-                device: None,
-                preferred_dist: None,
-            }),
+            state,
         }
     }
 
@@ -96,6 +176,20 @@ impl<T: KernelScalar> DistributedData<T> {
     /// Total number of elements.
     pub fn len(&self) -> usize {
         self.units * self.unit_elems
+    }
+
+    fn unit_bytes(&self) -> usize {
+        self.unit_elems * std::mem::size_of::<T>()
+    }
+
+    /// Allocates one uninitialised buffer per plan's stored range.
+    fn alloc_chunks(&self, plans: Vec<ChunkPlan>) -> Result<Vec<DeviceChunk>> {
+        let alloc = |plan: ChunkPlan| {
+            let bytes = plan.stored_len() * self.unit_bytes();
+            let buffer = self.ctx.queue(plan.device).create_buffer(bytes)?;
+            Ok(DeviceChunk { plan, buffer })
+        };
+        plans.into_iter().map(alloc).collect()
     }
 
     /// The distribution the container currently has on the devices, if any.
@@ -120,17 +214,8 @@ impl<T: KernelScalar> DistributedData<T> {
         let mut st = self.state.lock();
         st.preferred_dist = Some(dist);
         if st.device.as_ref().is_some_and(|d| d.dist != dist) {
-            self.ctx
-                .profiler()
-                .add(skelcl_profile::metrics::REDISTRIBUTIONS, 1);
-            self.ctx.flight().record(
-                skelcl_profile::FlightKind::Redistribution,
-                skelcl_profile::flight::HOST_DEVICE,
-                "gather",
-                0,
-                self.units as u64,
-                0,
-            );
+            self.ctx.profiler().add(metrics::REDISTRIBUTIONS, 1);
+            self.flight("gather", self.units, 0);
             self.download_locked(&mut st)?;
             st.device = None;
         }
@@ -140,168 +225,51 @@ impl<T: KernelScalar> DistributedData<T> {
     /// Makes the data available on the devices under `dist`, uploading if
     /// necessary, and returns the chunks.
     ///
-    /// When the data is already valid on the devices under the same
-    /// distribution *kind* but the scheduler has shifted the block
-    /// boundaries, only the units that changed owner move — device to
-    /// device — instead of gathering everything through the host (see
-    /// [`DistributedData::delta_redistribute_locked`]).
+    /// When the data is current on the devices under the same distribution
+    /// but the scheduler has shifted the block boundaries, each new chunk
+    /// is assembled from the old cores device to device, instead of
+    /// gathering everything through the host.
     pub fn ensure_device(&self, dist: Distribution) -> Result<Vec<DeviceChunk>> {
         let profiler = self.ctx.profiler();
-        let mut st = self.state.lock();
+        let st = &mut *self.state.lock();
         let plans = self.ctx.plan_units(self.units, dist);
-        if let Some(part) = &st.device {
-            if part.dist == dist && part.valid {
-                let same_plans = part.chunks.len() == plans.len()
-                    && part.chunks.iter().zip(&plans).all(|(c, p)| c.plan == *p);
-                if same_plans {
-                    profiler.add(skelcl_profile::metrics::TRANSFER_CACHE_HIT, 1);
-                    return Ok(part.chunks.clone());
-                }
-                // Only Block/Overlap plans can shift with scheduler
-                // weights; their old cores disjointly cover `0..units`, so
-                // every new chunk can be assembled from device-resident
-                // data without touching the host.
-                if matches!(dist, Distribution::Block | Distribution::Overlap { .. }) {
-                    return self.delta_redistribute_locked(&mut st, plans);
-                }
+        let current = st
+            .device
+            .as_mut()
+            .filter(|p| p.dist == dist && p.fresh != Fresh::Host);
+        if let Some(part) = current {
+            if part.chunks.iter().map(|c| &c.plan).eq(&plans) {
+                profiler.add(metrics::TRANSFER_CACHE_HIT, 1);
+                return Ok(part.chunks.clone());
+            }
+            // Only Block/Overlap plans shift with scheduler weights.
+            if matches!(dist, Distribution::Block | Distribution::Overlap { .. }) {
+                let chunks = self.alloc_chunks(plans)?;
+                let moves = plan_transfers(&part.authoritative(), &stored(&chunks));
+                let moved = self.run_moves(&moves, &mut st.host)?;
+                profiler.add(metrics::SCHED_REBALANCES, 1);
+                profiler.add(metrics::SCHED_DELTA_BYTES, moved);
+                self.flight("delta", self.units, moved);
+                part.chunks = chunks.clone();
+                return Ok(chunks);
             }
         }
-        // Gather the freshest copy to the host first, then (re)distribute.
-        // If the devices held the only valid copy this is the full
-        // round-trip the delta path exists to avoid — account its cost.
-        let full_round_trip = !st.host_valid && st.device.as_ref().is_some_and(|p| p.valid);
-        profiler.add(skelcl_profile::metrics::TRANSFER_FORCED, 1);
-        self.download_locked(&mut st)?;
-        let elem = std::mem::size_of::<T>();
-        let mut uploaded = 0u64;
-        let mut chunks = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let queue = self.ctx.queue(plan.device);
-            let byte_len = plan.stored_len() * self.unit_elems * elem;
-            let buffer = queue.create_buffer(byte_len)?;
-            let start = plan.stored.start * self.unit_elems;
-            let end = plan.stored.end * self.unit_elems;
-            let bytes = to_bytes(&st.host[start..end]);
-            // Asynchronous upload: the queue is in-order, so kernels
-            // enqueued later on this device see the data; the span is
-            // recorded when the transfer retires on the queue worker.
-            let event = queue.enqueue_write_async(&buffer, 0, bytes, &[])?;
-            let p = profiler.clone();
-            event.on_complete(move |e| {
-                if e.error().is_none() {
-                    p.record_event(e);
-                }
-            });
-            uploaded += byte_len as u64;
-            chunks.push(DeviceChunk { plan, buffer });
+        // Gather the current copy to the host first, then (re)distribute.
+        // If the devices held the only current copy this is the full
+        // round trip the delta path exists to avoid — account its cost.
+        profiler.add(metrics::TRANSFER_FORCED, 1);
+        let downloaded = self.download_locked(st)?;
+        let chunks = self.alloc_chunks(plans)?;
+        let moves = plan_transfers(&[(Loc::Host, 0..self.units)], &stored(&chunks));
+        let uploaded = self.run_moves(&moves, &mut st.host)?;
+        if downloaded > 0 {
+            profiler.add(metrics::SCHED_FULL_BYTES, downloaded + uploaded);
         }
-        if full_round_trip {
-            let downloaded = (self.len() * elem) as u64;
-            profiler.add(
-                skelcl_profile::metrics::SCHED_FULL_BYTES,
-                downloaded + uploaded,
-            );
-        }
-        self.ctx.flight().record(
-            skelcl_profile::FlightKind::Redistribution,
-            skelcl_profile::flight::HOST_DEVICE,
-            "scatter",
-            0,
-            self.units as u64,
-            uploaded,
-        );
+        self.flight("scatter", self.units, uploaded);
         st.device = Some(DevicePart {
             dist,
             chunks: chunks.clone(),
-            valid: true,
-        });
-        Ok(chunks)
-    }
-
-    /// Re-chunks valid device data under shifted Block/Overlap boundaries
-    /// by copying unit subranges between devices, bypassing the host.
-    ///
-    /// Each new chunk's *stored* range is assembled from the old chunks'
-    /// *core* ranges — the cores disjointly cover `0..units` and are the
-    /// authoritative copy after kernel writes (halos may be stale).
-    /// Same-device spans use an on-device copy; cross-device spans stage
-    /// through the interconnect via [`vgpu::CommandQueue::enqueue_copy_to`].
-    fn delta_redistribute_locked(
-        &self,
-        st: &mut State<T>,
-        plans: Vec<ChunkPlan>,
-    ) -> Result<Vec<DeviceChunk>> {
-        let profiler = self.ctx.profiler();
-        let old = st
-            .device
-            .take()
-            .expect("delta redistribution requires a device part");
-        let bytes_per_unit = self.unit_elems * std::mem::size_of::<T>();
-        let mut delta_bytes = 0u64;
-        let mut chunks = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let dst_queue = self.ctx.queue(plan.device);
-            let buffer = dst_queue.create_buffer(plan.stored_len() * bytes_per_unit)?;
-            for oc in &old.chunks {
-                let lo = plan.stored.start.max(oc.plan.core.start);
-                let hi = plan.stored.end.min(oc.plan.core.end);
-                if lo >= hi {
-                    continue;
-                }
-                let src_off = (lo - oc.plan.stored.start) * bytes_per_unit;
-                let dst_off = (lo - plan.stored.start) * bytes_per_unit;
-                let len = (hi - lo) * bytes_per_unit;
-                // Asynchronous like the uploads; the cross-device variant
-                // chains its write onto the read through an event wait.
-                let record = |event: &vgpu::Event| {
-                    let p = profiler.clone();
-                    event.on_complete(move |e| {
-                        if e.error().is_none() {
-                            p.record_event(e);
-                        }
-                    });
-                };
-                if oc.plan.device == plan.device {
-                    let event = self.ctx.queue(oc.plan.device).enqueue_copy_async(
-                        &oc.buffer,
-                        src_off,
-                        &buffer,
-                        dst_off,
-                        len,
-                        &[],
-                    )?;
-                    record(&event);
-                } else {
-                    let (read, write) = self.ctx.queue(oc.plan.device).enqueue_copy_to_async(
-                        &oc.buffer,
-                        src_off,
-                        dst_queue,
-                        &buffer,
-                        dst_off,
-                        len,
-                        &[],
-                    )?;
-                    record(&read);
-                    record(&write);
-                }
-                delta_bytes += len as u64;
-            }
-            chunks.push(DeviceChunk { plan, buffer });
-        }
-        profiler.add(skelcl_profile::metrics::SCHED_REBALANCES, 1);
-        profiler.add(skelcl_profile::metrics::SCHED_DELTA_BYTES, delta_bytes);
-        self.ctx.flight().record(
-            skelcl_profile::FlightKind::Redistribution,
-            skelcl_profile::flight::HOST_DEVICE,
-            "delta",
-            0,
-            self.units as u64,
-            delta_bytes,
-        );
-        st.device = Some(DevicePart {
-            dist: old.dist,
-            chunks: chunks.clone(),
-            valid: true,
+            fresh: Fresh::Both,
         });
         Ok(chunks)
     }
@@ -314,29 +282,15 @@ impl<T: KernelScalar> DistributedData<T> {
         unit_elems: usize,
         dist: Distribution,
     ) -> Result<(Arc<Self>, Vec<DeviceChunk>)> {
-        let elem = std::mem::size_of::<T>();
         let plans = ctx.plan_units(units, dist);
-        let mut chunks = Vec::with_capacity(plans.len());
-        for plan in plans {
-            let queue = ctx.queue(plan.device);
-            let buffer = queue.create_buffer(plan.stored_len() * unit_elems * elem)?;
-            chunks.push(DeviceChunk { plan, buffer });
-        }
-        let data = DistributedData {
-            ctx,
-            units,
-            unit_elems,
-            state: Mutex::new(State {
-                host: vec![T::default(); units * unit_elems],
-                host_valid: units == 0,
-                device: Some(DevicePart {
-                    dist,
-                    chunks: chunks.clone(),
-                    valid: true,
-                }),
-                preferred_dist: None,
-            }),
-        };
+        let host = vec![T::default(); units * unit_elems];
+        let data = Self::from_host(ctx, units, unit_elems, host);
+        let chunks = data.alloc_chunks(plans)?;
+        data.state.lock().device = Some(DevicePart {
+            dist,
+            chunks: chunks.clone(),
+            fresh: Fresh::Device,
+        });
         Ok((Arc::new(data), chunks))
     }
 
@@ -357,11 +311,7 @@ impl<T: KernelScalar> DistributedData<T> {
     /// Marks the device copy as freshly written by a kernel (host copy
     /// becomes stale).
     pub fn mark_device_written(&self) {
-        let mut st = self.state.lock();
-        if let Some(part) = &mut st.device {
-            part.valid = true;
-            st.host_valid = false;
-        }
+        self.state.lock().set_fresh(Fresh::Device);
     }
 
     /// Runs `f` over the up-to-date host data (downloading first if
@@ -376,9 +326,7 @@ impl<T: KernelScalar> DistributedData<T> {
     pub fn with_host_mut<R>(&self, f: impl FnOnce(&mut [T]) -> R) -> Result<R> {
         let mut st = self.state.lock();
         self.download_locked(&mut st)?;
-        if let Some(part) = &mut st.device {
-            part.valid = false;
-        }
+        st.set_fresh(Fresh::Host);
         Ok(f(&mut st.host))
     }
 
@@ -395,197 +343,140 @@ impl<T: KernelScalar> DistributedData<T> {
             "replacement size mismatch"
         );
         st.host = data;
-        st.host_valid = true;
-        if let Some(part) = &mut st.device {
-            part.valid = false;
-        }
+        st.set_fresh(Fresh::Host);
     }
 
-    /// Returns the elements of unit range `units`, downloading only the
-    /// device chunks whose cores intersect it when the host copy is stale.
-    ///
-    /// This is the ranged sibling of the full gather in
-    /// [`DistributedData::download_locked`]: it reuses the delta
-    /// redistribution path's intersection arithmetic to move exactly the
-    /// bytes the caller asked for instead of round-tripping whole buffers.
-    /// The host copy's validity is unchanged — only the requested range is
-    /// freshened in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the container's units.
-    pub fn read_host_range(&self, units: std::ops::Range<usize>) -> Result<Vec<T>> {
-        assert!(
-            units.start <= units.end && units.end <= self.units,
-            "unit range {units:?} out of bounds for {} units",
-            self.units
-        );
-        let mut st = self.state.lock();
-        if !st.host_valid {
-            let part = st
-                .device
-                .as_ref()
-                .expect("host invalid implies a device copy exists");
-            assert!(part.valid, "neither host nor device copy is valid");
-            let elem = std::mem::size_of::<T>();
-            // For `copy` distribution the first chunk's core covers
-            // everything; for block/overlap the cores disjointly cover
-            // `0..units` and are authoritative after kernel writes.
-            let chunks: &[DeviceChunk] = if part.dist == Distribution::Copy {
-                &part.chunks[..1.min(part.chunks.len())]
-            } else {
-                &part.chunks
-            };
-            let mut pending = Vec::new();
-            for chunk in chunks {
-                let lo = units.start.max(chunk.plan.core.start);
-                let hi = units.end.min(chunk.plan.core.end);
-                if lo >= hi {
-                    continue;
-                }
-                let offset = (lo - chunk.plan.stored.start) * self.unit_elems * elem;
-                let len = (hi - lo) * self.unit_elems * elem;
-                let queue = self.ctx.queue(chunk.plan.device);
-                // The in-order queue drains pending writes/kernels before
-                // the read executes, so waiting on it synchronises the
-                // intersection.
-                let read = queue.enqueue_read_async(&chunk.buffer, offset, len, &[])?;
-                let p = self.ctx.profiler().clone();
-                read.event().on_complete(move |e| {
-                    if e.error().is_none() {
-                        p.record_event(e);
-                    }
-                });
-                pending.push((lo, read));
-            }
-            let mut moved = 0u64;
-            for (lo, read) in pending {
-                let (_event, bytes) = read.wait()?;
-                moved += bytes.len() as u64;
-                let host_start = lo * self.unit_elems;
-                st.host[host_start..host_start + bytes.len() / elem]
-                    .copy_from_slice(&from_bytes::<T>(&bytes));
-            }
-            self.ctx.flight().record(
-                skelcl_profile::FlightKind::Redistribution,
-                skelcl_profile::flight::HOST_DEVICE,
-                "partial_read",
-                0,
-                (units.end - units.start) as u64,
-                moved,
-            );
-        }
-        let start = units.start * self.unit_elems;
-        let end = units.end * self.unit_elems;
-        Ok(st.host[start..end].to_vec())
-    }
-
-    /// Overwrites unit range `units` with `data`, patching every valid
-    /// copy in place: the host range (when the host copy is valid) and the
-    /// intersecting stored ranges of valid device chunks via ranged
-    /// uploads. Unlike [`DistributedData::with_host_mut`], a valid device
-    /// part *stays* valid — a boundary-sized change moves boundary-sized
-    /// bytes instead of invalidating the device copy and forcing a full
-    /// re-upload at the next use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the container's units or `data` does not
-    /// match the range's element count.
-    pub fn write_host_range(&self, units: std::ops::Range<usize>, data: &[T]) -> Result<()> {
-        assert!(
-            units.start <= units.end && units.end <= self.units,
-            "unit range {units:?} out of bounds for {} units",
-            self.units
-        );
-        assert_eq!(
-            data.len(),
-            (units.end - units.start) * self.unit_elems,
-            "replacement size mismatch"
-        );
-        let mut st = self.state.lock();
-        if st.host_valid {
-            let start = units.start * self.unit_elems;
-            st.host[start..start + data.len()].copy_from_slice(data);
-        }
-        let elem = std::mem::size_of::<T>();
-        let mut moved = 0u64;
-        if let Some(part) = &st.device {
-            if part.valid {
-                // Patch *stored* ranges (cores plus halos) so overlap
-                // halos stay coherent with the new contents.
-                for chunk in &part.chunks {
-                    let lo = units.start.max(chunk.plan.stored.start);
-                    let hi = units.end.min(chunk.plan.stored.end);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let src_start = (lo - units.start) * self.unit_elems;
-                    let src_end = (hi - units.start) * self.unit_elems;
-                    let bytes = to_bytes(&data[src_start..src_end]);
-                    let offset = (lo - chunk.plan.stored.start) * self.unit_elems * elem;
-                    let queue = self.ctx.queue(chunk.plan.device);
-                    let event = queue.enqueue_write_async(&chunk.buffer, offset, bytes, &[])?;
-                    let p = self.ctx.profiler().clone();
-                    event.on_complete(move |e| {
-                        if e.error().is_none() {
-                            p.record_event(e);
-                        }
-                    });
-                    moved += ((hi - lo) * self.unit_elems * elem) as u64;
-                }
-            }
-        }
-        self.ctx.flight().record(
-            skelcl_profile::FlightKind::Redistribution,
-            skelcl_profile::flight::HOST_DEVICE,
-            "partial_write",
-            0,
-            (units.end - units.start) as u64,
-            moved,
-        );
-        Ok(())
-    }
-
-    /// Gathers the freshest data to the host if the host copy is stale.
-    fn download_locked(&self, st: &mut State<T>) -> Result<()> {
-        if st.host_valid {
-            return Ok(());
-        }
-        let part = st
-            .device
-            .as_ref()
-            .expect("host invalid implies a device copy exists");
-        assert!(part.valid, "neither host nor device copy is valid");
-        let elem = std::mem::size_of::<T>();
-        // For `copy` distribution every chunk owns everything; reading the
-        // first suffices. For block/overlap each chunk's core is gathered.
-        let chunks: &[DeviceChunk] = if part.dist == Distribution::Copy {
-            &part.chunks[..1.min(part.chunks.len())]
+    /// Checks that unit range `units` lies within the container and, when
+    /// `elems` is given, that it holds exactly that many elements.
+    fn check_range(&self, units: &Range<usize>, elems: Option<usize>) -> Result<()> {
+        let (n, want) = (self.units, units.len() * self.unit_elems);
+        let reason = if units.start > units.end || units.end > n {
+            format!("unit range {units:?} out of bounds for {n} units")
+        } else if let Some(got) = elems.filter(|&got| got != want) {
+            format!("{got} elements for unit range {units:?} of {want} elements")
         } else {
-            &part.chunks
+            return Ok(());
         };
-        for chunk in chunks {
-            let queue = self.ctx.queue(chunk.plan.device);
-            let core_units = chunk.plan.core_len();
-            let len = core_units * self.unit_elems * elem;
-            let offset = chunk.plan.core_offset() * self.unit_elems * elem;
-            // The in-order queue drains every pending write/kernel before
-            // this read executes, so waiting on it synchronises the chunk.
-            let read = queue.enqueue_read_async(&chunk.buffer, offset, len, &[])?;
-            let p = self.ctx.profiler().clone();
-            read.event().on_complete(move |e| {
-                if e.error().is_none() {
-                    p.record_event(e);
-                }
-            });
-            let (_event, bytes) = read.wait()?;
-            let host_start = chunk.plan.core.start * self.unit_elems;
-            let host_end = chunk.plan.core.end * self.unit_elems;
-            st.host[host_start..host_end].copy_from_slice(&from_bytes::<T>(&bytes));
+        Err(Error::ShapeMismatch { reason })
+    }
+
+    /// Returns the elements of unit range `units`. A stale host copy gets
+    /// only the intersecting authoritative ranges, and stays stale.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ShapeMismatch`] if the range exceeds the container's units.
+    pub fn read_host_range(&self, units: Range<usize>) -> Result<Vec<T>> {
+        self.check_range(&units, None)?;
+        let st = &mut *self.state.lock();
+        if let Some(part) = st.device.as_ref().filter(|p| p.fresh == Fresh::Device) {
+            let moves = plan_transfers(&part.authoritative(), &[(Loc::Host, units.clone())]);
+            let moved = self.run_moves(&moves, &mut st.host)?;
+            self.flight("partial_read", units.len(), moved);
         }
-        st.host_valid = true;
+        let span = units.start * self.unit_elems..units.end * self.unit_elems;
+        Ok(st.host[span].to_vec())
+    }
+
+    /// Overwrites unit range `units` with `data` in the host copy and, by
+    /// ranged uploads, in the stored ranges (halos included) of current
+    /// device chunks, which *stay* current — unlike with
+    /// [`DistributedData::with_host_mut`], a boundary-sized change moves
+    /// boundary-sized bytes instead of forcing a full re-upload.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ShapeMismatch`] if the range exceeds the container's units
+    /// or `data` does not hold exactly the range's elements.
+    pub fn write_host_range(&self, units: Range<usize>, data: &[T]) -> Result<()> {
+        self.check_range(&units, Some(data.len()))?;
+        let st = &mut *self.state.lock();
+        // A stale host range is patched too: the next download overwrites
+        // it from the device chunks, which receive the same data.
+        let start = units.start * self.unit_elems;
+        st.host[start..start + data.len()].copy_from_slice(data);
+        let current = st.device.as_ref().filter(|p| p.fresh != Fresh::Host);
+        let want = current.map(|p| stored(&p.chunks)).unwrap_or_default();
+        let moves = plan_transfers(&[(Loc::Host, units.clone())], &want);
+        let moved = self.run_moves(&moves, &mut st.host)?;
+        self.flight("partial_write", units.len(), moved);
         Ok(())
+    }
+
+    /// Gathers the device copy to the host if it is the only current one,
+    /// returning the bytes downloaded.
+    fn download_locked(&self, st: &mut State<T>) -> Result<u64> {
+        let mut moved = 0;
+        if let Some(part) = st.device.as_mut().filter(|p| p.fresh == Fresh::Device) {
+            let moves = plan_transfers(&part.authoritative(), &[(Loc::Host, 0..self.units)]);
+            moved = self.run_moves(&moves, &mut st.host)?;
+            part.fresh = Fresh::Both;
+        }
+        Ok(moved)
+    }
+
+    /// Issues `moves` and returns the bytes they carried: a write, a read,
+    /// an on-device copy, or across devices a read chained into a write.
+    /// Every read is enqueued before the first wait; an in-order queue runs
+    /// its pending writes and kernels first, so the wait synchronises the
+    /// range.
+    fn run_moves(&self, moves: &[Move], host: &mut [T]) -> Result<u64> {
+        let (ue, unit_bytes) = (self.unit_elems, self.unit_bytes());
+        let queue = |c: &DeviceChunk| self.ctx.queue(c.plan.device);
+        let mut reads = Vec::new();
+        let mut moved = 0u64;
+        for Move { from, to, units } in moves {
+            let len = units.len() * unit_bytes;
+            let at = |c: &DeviceChunk| (units.start - c.plan.stored.start) * unit_bytes;
+            match (*from, *to) {
+                // The host already holds its own ranges.
+                (Loc::Host, Loc::Host) => continue,
+                (Loc::Host, Loc::Chunk(c)) => {
+                    let bytes = to_bytes(&host[units.start * ue..units.end * ue]);
+                    self.record(&queue(c).enqueue_write_async(&c.buffer, at(c), bytes, &[])?);
+                }
+                (Loc::Chunk(c), Loc::Host) => {
+                    let read = queue(c).enqueue_read_async(&c.buffer, at(c), len, &[])?;
+                    self.record(read.event());
+                    reads.push((units.start * ue, read));
+                }
+                (Loc::Chunk(s), Loc::Chunk(d)) => {
+                    let (sb, so, db, dof) = (&s.buffer, at(s), &d.buffer, at(d));
+                    if s.plan.device == d.plan.device {
+                        let copy = queue(s).enqueue_copy_async(sb, so, db, dof, len, &[])?;
+                        self.record(&copy);
+                    } else {
+                        let (read, write) =
+                            queue(s).enqueue_copy_to_async(sb, so, queue(d), db, dof, len, &[])?;
+                        self.record(&read);
+                        self.record(&write);
+                    }
+                }
+            }
+            moved += len as u64;
+        }
+        for (start, read) in reads {
+            let (_event, bytes) = read.wait()?;
+            let values = from_bytes::<T>(&bytes);
+            host[start..start + values.len()].copy_from_slice(&values);
+        }
+        Ok(moved)
+    }
+
+    /// Records `event`'s span once it retires on its queue worker.
+    fn record(&self, event: &vgpu::Event) {
+        let profiler = self.ctx.profiler().clone();
+        event.on_complete(move |e| {
+            if e.error().is_none() {
+                profiler.record_event(e);
+            }
+        });
+    }
+
+    /// Leaves a redistribution record over `units` units that moved `bytes`.
+    fn flight(&self, what: &'static str, units: usize, bytes: u64) {
+        let kind = FlightKind::Redistribution;
+        (self.ctx.flight()).record(kind, flight::HOST_DEVICE, what, 0, units as u64, bytes);
     }
 }
 
@@ -618,7 +509,7 @@ impl<T: KernelScalar> crate::exec::ElementwiseInput for DistributedData<T> {
         self.mark_device_written();
     }
 
-    fn input_host_units(&self, units: std::ops::Range<usize>) -> Result<Vec<u8>> {
+    fn input_host_units(&self, units: Range<usize>) -> Result<Vec<u8>> {
         Ok(to_bytes(&self.read_host_range(units)?))
     }
 
@@ -875,6 +766,29 @@ mod tests {
             d.with_host(|h| h.to_vec()).unwrap(),
             vec![0, 1, 2, 3, 40, 50, 6, 7, 8, 9]
         );
+    }
+
+    #[test]
+    fn planner_fills_each_want_from_intersecting_haves_in_order() {
+        let (d, chunks) =
+            DistributedData::<i32>::alloc_device(ctx(2), 10, 1, Distribution::Overlap { size: 1 })
+                .unwrap();
+        let st = d.state.lock();
+        let part = st.device.as_ref().unwrap();
+        let is =
+            |loc: Loc, i: usize| matches!(loc, Loc::Chunk(c) if std::ptr::eq(c, &part.chunks[i]));
+        // Cores 0..5 and 5..10 fill a host range that straddles them.
+        let reads = plan_transfers(&part.authoritative(), &[(Loc::Host, 3..8)]);
+        assert_eq!(reads.len(), 2);
+        assert!(is(reads[0].from, 0) && reads[0].units == (3..5));
+        assert!(is(reads[1].from, 1) && reads[1].units == (5..8));
+        // Stored ranges 0..6 and 4..10 both receive the shared halo units.
+        let writes = plan_transfers(&[(Loc::Host, 4..6)], &stored(&part.chunks));
+        assert!(is(writes[0].to, 0) && writes[0].units == (4..6));
+        assert!(is(writes[1].to, 1) && writes[1].units == (4..6));
+        // Empty intersections plan nothing.
+        assert!(plan_transfers(&part.authoritative(), &[(Loc::Host, 5..5)]).is_empty());
+        assert_eq!(chunks.len(), 2);
     }
 
     #[test]

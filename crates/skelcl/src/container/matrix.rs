@@ -7,7 +7,7 @@ use crate::container::data::DistributedData;
 use crate::container::InteropChunk;
 use crate::context::Context;
 use crate::distribution::Distribution;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::types::KernelScalar;
 
 /// A two-dimensional parallel container (row-major).
@@ -120,17 +120,14 @@ impl<T: KernelScalar> Matrix<T> {
     ///
     /// # Errors
     ///
-    /// Propagates transfer failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
+    /// [`Error::ShapeMismatch`] if out of bounds; propagates transfer
+    /// failures.
     pub fn get(&self, row: usize, col: usize) -> Result<T> {
-        assert!(
-            row < self.rows() && col < self.cols(),
-            "matrix index out of bounds"
-        );
-        let cols = self.cols();
+        let (rows, cols) = (self.rows(), self.cols());
+        if row >= rows || col >= cols {
+            let reason = format!("index ({row}, {col}) out of bounds for a {rows}x{cols} matrix");
+            return Err(Error::ShapeMismatch { reason });
+        }
         self.data.with_host(|h| h[row * cols + col])
     }
 
@@ -159,11 +156,8 @@ impl<T: KernelScalar> Matrix<T> {
     ///
     /// # Errors
     ///
-    /// Propagates transfer failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
+    /// [`Error::ShapeMismatch`] if the range is out of bounds; propagates
+    /// transfer failures.
     pub fn read_rows(&self, rows: std::ops::Range<usize>) -> Result<Vec<T>> {
         self.data.read_host_range(rows)
     }
@@ -174,12 +168,9 @@ impl<T: KernelScalar> Matrix<T> {
     ///
     /// # Errors
     ///
-    /// Propagates transfer failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or `data` does not hold
-    /// exactly the range's elements.
+    /// [`Error::ShapeMismatch`], leaving the matrix unchanged, if the range
+    /// is out of bounds or `data` does not hold exactly the range's
+    /// elements; propagates transfer failures.
     pub fn write_rows(&self, rows: std::ops::Range<usize>, data: &[T]) -> Result<()> {
         self.data.write_host_range(rows, data)
     }
@@ -259,11 +250,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
     fn get_bounds_checked() {
         let ctx = ctx(1);
-        let m = Matrix::<i32>::zeros(&ctx, 2, 2);
-        let _ = m.get(2, 0);
+        let m = Matrix::<i32>::zeros(&ctx, 2, 3);
+        for (row, col) in [(2, 0), (0, 3), (1, 3)] {
+            assert!(
+                matches!(m.get(row, col), Err(Error::ShapeMismatch { .. })),
+                "({row}, {col})"
+            );
+        }
+        assert_eq!(m.get(1, 2).unwrap(), 0);
+    }
+
+    #[test]
+    fn row_range_errors_leave_the_matrix_unchanged() {
+        let ctx = ctx(2);
+        let m = Matrix::from_fn(&ctx, 4, 2, |r, c| (r * 2 + c) as i32);
+        m.prefetch(Distribution::Block).unwrap();
+        m.mark_device_modified();
+        let shape_err = |r: Result<()>| matches!(r, Err(Error::ShapeMismatch { .. }));
+        assert!(shape_err(m.read_rows(3..5).map(|_| ())));
+        assert!(shape_err(m.write_rows(3..5, &[0; 4])));
+        assert!(shape_err(m.write_rows(1..2, &[0; 3])));
+        assert_eq!(m.to_vec().unwrap(), (0..8).collect::<Vec<i32>>());
     }
 
     #[test]

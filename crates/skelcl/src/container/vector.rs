@@ -7,7 +7,7 @@ use crate::container::data::DistributedData;
 use crate::container::InteropChunk;
 use crate::context::Context;
 use crate::distribution::Distribution;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::types::KernelScalar;
 
 /// A one-dimensional parallel container.
@@ -98,12 +98,14 @@ impl<T: KernelScalar> Vector<T> {
     ///
     /// # Errors
     ///
-    /// Propagates transfer failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
+    /// [`Error::ShapeMismatch`] if `i` is out of bounds; propagates
+    /// transfer failures.
     pub fn get(&self, i: usize) -> Result<T> {
+        let len = self.len();
+        if i >= len {
+            let reason = format!("index {i} out of bounds for {len} elements");
+            return Err(Error::ShapeMismatch { reason });
+        }
         self.data.with_host(|h| h[i])
     }
 
@@ -142,11 +144,8 @@ impl<T: KernelScalar> Vector<T> {
     ///
     /// # Errors
     ///
-    /// Propagates transfer failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
+    /// [`Error::ShapeMismatch`] if the range is out of bounds; propagates
+    /// transfer failures.
     pub fn read_range(&self, range: std::ops::Range<usize>) -> Result<Vec<T>> {
         self.data.read_host_range(range)
     }
@@ -159,12 +158,9 @@ impl<T: KernelScalar> Vector<T> {
     ///
     /// # Errors
     ///
-    /// Propagates transfer failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or `data` has a different
-    /// length.
+    /// [`Error::ShapeMismatch`], leaving the vector unchanged, if the range
+    /// is out of bounds or `data` has a different length; propagates
+    /// transfer failures.
     pub fn write_range(&self, range: std::ops::Range<usize>, data: &[T]) -> Result<()> {
         self.data.write_host_range(range, data)
     }
@@ -275,6 +271,25 @@ mod tests {
     fn from_iterator_collects() {
         let v: Vector<i32> = (0..5).collect();
         assert_eq!(v.to_vec().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn index_and_range_errors_leave_the_vector_unchanged() {
+        let ctx = ctx(2);
+        let v = Vector::from_fn(&ctx, 6, |i| i as i32);
+        v.prefetch(Distribution::Block).unwrap();
+        v.mark_device_modified();
+        let shape_err = |r: Result<()>| matches!(r, Err(Error::ShapeMismatch { .. }));
+        assert!(shape_err(v.get(6).map(|_| ())));
+        assert!(shape_err(v.read_range(4..7).map(|_| ())));
+        #[allow(clippy::reversed_empty_ranges)]
+        let backwards = 4..2;
+        assert!(shape_err(v.read_range(backwards).map(|_| ())));
+        assert!(shape_err(v.write_range(5..7, &[9, 9])));
+        assert!(shape_err(v.write_range(1..3, &[9])));
+        assert!(shape_err(v.write_range(1..3, &[9, 9, 9])));
+        assert_eq!(v.to_vec().unwrap(), (0..6).collect::<Vec<i32>>());
+        assert_eq!(v.read_range(6..6).unwrap(), Vec::<i32>::new());
     }
 
     #[test]
