@@ -62,8 +62,9 @@ bench-interp:
 # EXT-SCALE with the EXT-PLAN (`results.plan`: staged oracle vs rewrite
 # rules, launches and intermediate bytes) and EXT-STREAM (`results.stream`:
 # streamed under a 256 KiB device budget vs the non-streamed oracle, peak
-# residency, hidden transfers, bit-identity) sections. Writes
-# BENCH_scaling.json.
+# residency, hidden transfers, bit-identity) and EXT-REDIST
+# (`results.redist`: redistribution round trips and a cold vs warm `Map`,
+# with their transfer counters) sections. Writes BENCH_scaling.json.
 bench-scaling:
     cargo run --release -p skelcl-bench --bin scaling
 
