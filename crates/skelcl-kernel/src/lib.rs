@@ -110,18 +110,17 @@ impl std::error::Error for CompileError {}
 /// `name` is the file name used in diagnostics (kernels are generated
 /// in-memory, so this is typically a synthetic name like `"map.cl"`).
 ///
-/// The optimization passes are selected by the `SKELCL_KERNEL_OPT`
-/// environment variable and `SKELCL_KERNEL_DUMP=mir|mir-opt` prints the
-/// mid-level IR before/after optimization to stderr (see
-/// [`OptConfig::from_env`]); use [`compile_with_config`] to pick both
-/// programmatically.
+/// Runs every optimization pass ([`OptConfig::default`]) and reads no
+/// environment; use [`compile_with_config`] to pick the passes or a MIR
+/// dump, and [`OptConfig::from_env`] to take them from
+/// `SKELCL_KERNEL_OPT`/`SKELCL_KERNEL_DUMP`.
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] with a rendered build log when the source has
 /// lexical, syntactic or semantic errors.
 pub fn compile(name: &str, source: &str) -> Result<Program, CompileError> {
-    compile_with_config(name, source, &OptConfig::from_env())
+    compile_with_config(name, source, &OptConfig::default())
 }
 
 /// Compiles with an explicit configuration; reads no environment.

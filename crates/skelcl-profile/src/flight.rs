@@ -1,7 +1,7 @@
 //! The flight recorder: an always-cheap, bounded ring buffer of compact
 //! structured events for postmortem debugging.
 //!
-//! Where the [`Profiler`](crate::Profiler) records *everything* (and is
+//! Where the [`Profiler`] records *everything* (and is
 //! therefore off by default), the flight recorder keeps only the last `N`
 //! events — launch begin/end, transfers, redistributions, plan-node
 //! completions, pool dispatches — in a fixed-size ring that never grows.

@@ -28,7 +28,7 @@ pub const COMPILE_CACHE_MISS: &str = "compile.cache_miss";
 /// Skeleton invocations.
 pub const SKELETON_CALLS: &str = "skeleton.calls";
 /// Plan rewrite-rule firings (chain fusion, reduce welding, stencil
-/// fusion, scan-offset folding) across all pipeline lowerings.
+/// fusion) across all pipeline lowerings.
 pub const PLAN_RULES_FIRED: &str = "plan.rules_fired";
 /// Plan nodes eliminated by fusion (each firing welds one or more
 /// producer nodes into its consumer's kernel instead of staging them).

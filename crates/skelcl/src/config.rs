@@ -27,9 +27,9 @@ pub struct Config {
     /// Kernel compiler passes and MIR dump (`SKELCL_KERNEL_OPT`,
     /// `SKELCL_KERNEL_DUMP`).
     pub kernel: OptConfig,
-    /// Plan rewrite rules (`SKELCL_PLAN`).
+    /// Plan rewrite rules on, or the staged oracle (`SKELCL_PLAN`).
     pub plan: PlanConfig,
-    /// Streaming gate and ring depth (`SKELCL_STREAM`).
+    /// Streaming gate (`SKELCL_STREAM`).
     pub stream: StreamConfig,
     /// Per-device memory budget in bytes the streaming executor plans
     /// against (`SKELCL_DEVICE_BUDGET`); `None`: each device's real
@@ -76,13 +76,13 @@ impl Config {
             plan: checked(
                 "SKELCL_PLAN",
                 var("SKELCL_PLAN"),
-                "0, off, 1, on or a list of chain, reduce-weld, stencil, scan-offset",
+                "0, off, 1, on",
                 PlanConfig::parse,
             ),
             stream: checked(
                 "SKELCL_STREAM",
                 var("SKELCL_STREAM"),
-                "0, off, on or a ring depth >= 1",
+                "0, off, 1, on",
                 StreamConfig::parse,
             ),
             device_budget: number("SKELCL_DEVICE_BUDGET")
@@ -155,7 +155,7 @@ mod tests {
             ("SKELCL_KERNEL_OPT", "cse,dce"),
             ("SKELCL_KERNEL_DUMP", "mir-opt"),
             ("SKELCL_PLAN", "0"),
-            ("SKELCL_STREAM", "3"),
+            ("SKELCL_STREAM", "off"),
             ("SKELCL_DEVICE_BUDGET", "98304"),
             ("SKELCL_SCHEDULE", "adaptive"),
             ("SKELCL_PROFILE", "1"),
@@ -175,10 +175,7 @@ mod tests {
             Config {
                 kernel,
                 plan: PlanConfig::oracle(),
-                stream: StreamConfig {
-                    enabled: true,
-                    depth: 3
-                },
+                stream: StreamConfig::off(),
                 device_budget: Some(98304),
                 schedule: SchedulePolicy::Adaptive,
                 profile: true,
@@ -211,11 +208,17 @@ mod tests {
             ("SKELCL_FLIGHT", "many"),
         ]);
         assert_eq!(config.kernel, OptConfig::none());
-        assert_eq!(config.plan, PlanConfig::parse(Some("chian")).0);
-        assert!(!config.plan.chain && !config.plan.staged);
+        assert_eq!(config.plan, PlanConfig::all());
         assert_eq!(config.schedule, SchedulePolicy::Even);
         assert_eq!(config.stream, StreamConfig::on());
         assert_eq!(config.device_budget, None);
         assert_eq!(config.flight_capacity, 0);
+        // A plan rule list and a ring depth are not settings: both keep the
+        // default and are reported.
+        let config = from_pairs(&[("SKELCL_PLAN", "chain"), ("SKELCL_STREAM", "3")]);
+        assert_eq!(config.plan, PlanConfig::all());
+        assert_eq!(config.stream, StreamConfig::on());
+        assert_eq!(PlanConfig::parse(Some("chain")).1, ["chain"]);
+        assert_eq!(StreamConfig::parse(Some("3")).1, ["3"]);
     }
 }

@@ -331,19 +331,14 @@ impl<T: KernelScalar> DistributedData<T> {
     }
 
     /// Replaces the whole host contents (device copies invalidated).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs.
-    pub fn replace_host(&self, data: Vec<T>) {
+    /// Fails with [`Error::ShapeMismatch`], changing nothing, if the length
+    /// differs.
+    pub fn replace_host(&self, data: Vec<T>) -> Result<()> {
+        self.check_range(&(0..self.units), Some(data.len()))?;
         let mut st = self.state.lock();
-        assert_eq!(
-            data.len(),
-            self.units * self.unit_elems,
-            "replacement size mismatch"
-        );
         st.host = data;
         st.set_fresh(Fresh::Host);
+        Ok(())
     }
 
     /// Checks that unit range `units` lies within the container and, when
@@ -503,10 +498,6 @@ impl<T: KernelScalar> crate::exec::ElementwiseInput for DistributedData<T> {
 
     fn input_chunks(&self, dist: Distribution) -> Result<Vec<DeviceChunk>> {
         self.ensure_device(dist)
-    }
-
-    fn input_mark_device_written(&self) {
-        self.mark_device_written();
     }
 
     fn input_host_units(&self, units: Range<usize>) -> Result<Vec<u8>> {

@@ -130,11 +130,12 @@ impl<T: KernelScalar> Vector<T> {
 
     /// Replaces the contents with `data` of the same length.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the length differs.
-    pub fn assign(&self, data: Vec<T>) {
-        self.data.replace_host(data);
+    /// Returns [`Error::ShapeMismatch`](crate::Error::ShapeMismatch) and
+    /// leaves the vector unchanged if the length differs.
+    pub fn assign(&self, data: Vec<T>) -> Result<()> {
+        self.data.replace_host(data)
     }
 
     /// Copies element range `range` to the host, downloading only the
@@ -290,6 +291,21 @@ mod tests {
         assert!(shape_err(v.write_range(1..3, &[9, 9, 9])));
         assert_eq!(v.to_vec().unwrap(), (0..6).collect::<Vec<i32>>());
         assert_eq!(v.read_range(6..6).unwrap(), Vec::<i32>::new());
+    }
+
+    #[test]
+    fn assign_checks_the_length() {
+        let ctx = ctx(2);
+        let v = Vector::from_fn(&ctx, 6, |i| i as i32);
+        v.prefetch(Distribution::Block).unwrap();
+        v.mark_device_modified();
+        for wrong in [vec![7; 5], vec![7; 7], Vec::new()] {
+            let err = v.assign(wrong);
+            assert!(matches!(err, Err(Error::ShapeMismatch { .. })));
+        }
+        assert_eq!(v.to_vec().unwrap(), (0..6).collect::<Vec<i32>>());
+        v.assign(vec![7; 6]).unwrap();
+        assert_eq!(v.to_vec().unwrap(), vec![7; 6]);
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! complete kernel").
 //!
 //! Every skeleton call is the same sequence: open the profiler span and
-//! validate the extra arguments ([`SkeletonCore`]), pick a distribution,
+//! validate the extra arguments (`SkeletonCore`), pick a distribution,
 //! materialise the inputs, launch the welded kernel once per device chunk
 //! and record the events. For the map-like skeletons — `Map`, `Zip`,
 //! `MapOverlapVec`, matrix `MapOverlap` and the plan layer's fused and
 //! staged regions — everything after the span is one function,
-//! [`run_map_region`]: the caller describes the region ([`MapRegion`]) and
-//! supplies the kernel's argument list for one [`ChunkView`]; the executor
+//! `run_map_region`: the caller describes the region (`MapRegion`) and
+//! supplies the kernel's argument list for one `ChunkView`; the executor
 //! chooses the resident or the streamed side from the device budget and
 //! calls the same closure for a device's whole share or for a ring chunk.
 //! `Reduce`, `Scan` and `Allpairs` build their own [`LaunchPlan`]s and
-//! share [`run_plan`].
+//! share `run_plan`.
 
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ use crate::types::{from_bytes, KernelScalar};
 use skelcl_kernel::types::{ScalarType, Type};
 use skelcl_kernel::value::Value;
 
-/// Work-group size of the 1-D stencil and scan-offset launches.
+/// Work-group size of the 1-D stencil launches.
 pub(crate) const WG: usize = 256;
 
 /// Common behaviour of every skeleton: identification, the owning context,
@@ -167,7 +167,7 @@ impl SkeletonCore {
     ) -> Result<Arc<DistributedData<O>>> {
         self.run_region(
             &MapRegion::elementwise(&self.ctx, sources, &self.program, kernel),
-            &|view| elementwise_args(view, Vec::new(), extra),
+            &|view| elementwise_args(view, extra),
         )
     }
 }
@@ -352,9 +352,6 @@ pub(crate) trait ElementwiseInput: std::fmt::Debug + Send + Sync {
     fn input_distribution(&self, default: Distribution) -> Distribution;
     /// Materialises the container under `dist` and returns its chunks.
     fn input_chunks(&self, dist: Distribution) -> Result<Vec<DeviceChunk>>;
-    /// Marks device buffers as freshly written (plan lowering writes to
-    /// them behind the container's back).
-    fn input_mark_device_written(&self);
     /// Reads unit range `units` as raw bytes from the freshest copy,
     /// staging only intersecting device chunks when the host copy is
     /// stale (the streaming executor's partial-range source reads).
@@ -377,13 +374,6 @@ pub(crate) fn materialize(
     inputs.iter().map(|i| i.input_chunks(dist)).collect()
 }
 
-/// Hook of a [`MapRegion`] whose sources carry cross-chunk state: runs
-/// once before the first kernel is enqueued, with the materialised input
-/// chunks (per source) on the resident side and `None` on the streamed
-/// side, where ring chunks never line up with anything recorded earlier.
-pub(crate) type BeforeLaunch<'a> =
-    &'a dyn Fn(Option<&[Vec<DeviceChunk>]>, &mut Vec<Event>) -> Result<()>;
-
 /// A span-less, type-erased description of one map-like region: one
 /// output unit per input unit, every kernel instance reading its units
 /// (± `halo`) of every source.
@@ -403,8 +393,6 @@ pub(crate) struct MapRegion<'a> {
     pub program: &'a skelcl_kernel::Program,
     /// Kernel entry point within `program`.
     pub kernel: &'a str,
-    /// See [`BeforeLaunch`].
-    pub before_launch: Option<BeforeLaunch<'a>>,
 }
 
 impl<'a> MapRegion<'a> {
@@ -426,7 +414,6 @@ impl<'a> MapRegion<'a> {
             out_dist: dist,
             program,
             kernel,
-            before_launch: None,
         }
     }
 
@@ -448,7 +435,6 @@ impl<'a> MapRegion<'a> {
             out_dist,
             program,
             kernel,
-            before_launch: None,
         }
     }
 }
@@ -491,16 +477,11 @@ pub(crate) fn extra_args(extra: &[Value]) -> impl Iterator<Item = KernelArg> + '
     extra.iter().map(|v| KernelArg::Scalar(*v))
 }
 
-/// ABI of the welded elementwise kernels: `ins…, [scan pairs], out, n,
-/// extras…` over a default linear range.
-pub(crate) fn elementwise_args(
-    view: &ChunkView<'_>,
-    scan_pairs: Vec<KernelArg>,
-    extra: &[Value],
-) -> (Vec<KernelArg>, NdRange) {
+/// ABI of the welded elementwise kernels: `ins…, out, n, extras…` over a
+/// default linear range.
+pub(crate) fn elementwise_args(view: &ChunkView<'_>, extra: &[Value]) -> (Vec<KernelArg>, NdRange) {
     let n = view.plan.core_len() * view.unit_elems;
     let mut args = view.input_args();
-    args.extend(scan_pairs);
     args.extend(view.output_args([n]));
     args.extend(extra_args(extra));
     (args, NdRange::linear_default(n))
@@ -552,9 +533,6 @@ pub(crate) fn run_map_region<O: KernelScalar>(
         &|_| 0,
         region.halo,
     ) {
-        if let Some(hook) = region.before_launch {
-            hook(None, events)?;
-        }
         let bytes = stream_map_like(region, &shares, out_unit_bytes, build, events)?;
         let host = from_bytes(&bytes);
         return Ok(Arc::new(DistributedData::from_host(
@@ -565,9 +543,6 @@ pub(crate) fn run_map_region<O: KernelScalar>(
         )));
     }
     let in_chunks = materialize(region.sources, region.in_dist)?;
-    if let Some(hook) = region.before_launch {
-        hook(Some(&in_chunks), events)?;
-    }
     let (output, out_chunks) =
         DistributedData::alloc_device(ctx.clone(), units, unit_elems, region.out_dist)?;
     let launches = out_chunks

@@ -1,12 +1,13 @@
 //! Lazy skeleton expressions lowered through the plan layer.
 //!
-//! [`crate::Map::lazy`], [`crate::Zip::lazy`], [`crate::MapOverlap::lazy`]
-//! and [`crate::Scan::lazy`] defer their stage into an [`Expr`] instead of
-//! executing it. Chained stages form a logical plan DAG (see
+//! [`crate::Map::lazy`], [`crate::Zip::lazy`] and
+//! [`crate::MapOverlapVec::lazy`] defer their stage into an [`Expr`]
+//! instead of executing it. Chained stages form a logical plan DAG (see
 //! [`crate::plan`]) whose leaves are containers; [`Expr::eval`] lowers the
 //! DAG through the rewrite-rule engine — by default welding every
-//! elementwise region into **one** kernel, fusing stencils with their
-//! producers and folding pending scan-offset passes into downstream loads.
+//! elementwise region into **one** kernel and fusing stencils with their
+//! producers. An eager result joins a pipeline as a leaf:
+//! `scan.call(&v)?.expr()`.
 //! Each stage's customizing function (with its helpers) is renamed with a
 //! content-derived suffix so every stage coexists in a single translation
 //! unit, and the per-element value is computed by a nested call expression
@@ -16,8 +17,8 @@
 //! (§3.3, zip-mult then reduce-add) runs as a single pass over the two
 //! input vectors.
 //!
-//! The `SKELCL_PLAN` environment variable selects which rewrite rules
-//! apply ([`crate::plan::PlanConfig`]); `SKELCL_PLAN=0` stages every node
+//! The `SKELCL_PLAN` environment variable switches the rewrite rules
+//! ([`crate::plan::PlanConfig`]); `SKELCL_PLAN=0` stages every node
 //! through an intermediate vector, which is the bit-identical oracle the
 //! fused paths are validated against.
 
@@ -38,7 +39,7 @@ use crate::types::KernelScalar;
 ///
 /// Built from containers ([`Vector::expr`] or `Expr::from(&vector)`) and
 /// composed through [`crate::Map::lazy`] / [`crate::Zip::lazy`] /
-/// [`crate::MapOverlap::lazy`] / [`crate::Scan::lazy`]; executed by
+/// [`crate::MapOverlapVec::lazy`]; executed by
 /// [`Expr::eval`] (lowered through the plan rewrite rules) or
 /// [`crate::Reduce::call_fused`] (fused into the reduction's first pass).
 ///

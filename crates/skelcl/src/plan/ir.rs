@@ -1,6 +1,6 @@
 //! Logical plan nodes for lazy skeleton pipelines.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use skelcl_kernel::types::ScalarType;
 use skelcl_kernel::value::Value;
@@ -8,7 +8,6 @@ use skelcl_kernel::Program;
 
 use crate::codegen::StageSpec;
 use crate::context::Context;
-use crate::distribution::{ChunkPlan, Distribution};
 use crate::exec::ElementwiseInput;
 
 /// One node of the logical skeleton DAG.
@@ -47,14 +46,6 @@ pub(crate) enum PlanNode {
         /// Producer subtree.
         arg: Arc<PlanNode>,
     },
-    /// A scan whose cross-device offset pass is still pending
-    /// (`Scan::lazy` on a multi-chunk distribution).
-    ScanOffset {
-        /// Context the scan ran in.
-        ctx: Context,
-        /// Shared pending-offset state (applied at most once).
-        state: Arc<ScanOffsetState>,
-    },
 }
 
 impl std::fmt::Debug for PlanNode {
@@ -73,10 +64,6 @@ impl std::fmt::Debug for PlanNode {
                 .field("func", &spec.func)
                 .field("d", &spec.d)
                 .finish(),
-            PlanNode::ScanOffset { state, .. } => f
-                .debug_struct("ScanOffset")
-                .field("applied", &state.is_applied())
-                .finish(),
         }
     }
 }
@@ -87,8 +74,7 @@ impl PlanNode {
         match self {
             PlanNode::Source { ctx, .. }
             | PlanNode::Apply { ctx, .. }
-            | PlanNode::Stencil { ctx, .. }
-            | PlanNode::ScanOffset { ctx, .. } => ctx,
+            | PlanNode::Stencil { ctx, .. } => ctx,
         }
     }
 
@@ -98,7 +84,6 @@ impl PlanNode {
             PlanNode::Source { input, .. } => input.input_scalar(),
             PlanNode::Apply { stage, .. } => stage.ret,
             PlanNode::Stencil { spec, .. } => spec.out_scalar,
-            PlanNode::ScanOffset { state, .. } => state.scalar,
         }
     }
 }
@@ -125,49 +110,4 @@ pub(crate) struct StencilSpec {
     /// Pre-built standalone program (`skelcl_mapoverlap_vec`), used by the
     /// staged path so PLAN=0 matches the eager skeleton byte-for-byte.
     pub(crate) standalone: Program,
-}
-
-/// Pending cross-device scan-offset application.
-///
-/// `Scan::lazy` runs phase 1 (per-chunk inclusive scans) eagerly and, on
-/// multi-chunk distributions, parks phase 2 (adding each predecessor
-/// chunk's total) here. The offset is either folded into a consuming
-/// fused kernel's load expression (the `scan-offset` rule) or applied by
-/// [`super::lower::apply_offsets`] as a standalone pass — whichever
-/// happens first wins; `applied` makes the pass idempotent.
-pub(crate) struct ScanOffsetState {
-    /// The scan skeleton's program (contains `skelcl_scan_offset`).
-    pub(crate) program: Program,
-    /// Suffixed scan operator stage (for fused loads / ranged fallback).
-    pub(crate) stage: StageSpec,
-    /// Element type.
-    pub(crate) scalar: ScalarType,
-    /// `T::default()` — the "no offset" placeholder argument.
-    pub(crate) zero: Value,
-    /// The vector holding phase-1 per-chunk scan results.
-    pub(crate) vector: Arc<dyn ElementwiseInput>,
-    /// Distribution the phase-1 scan ran under.
-    pub(crate) dist: Distribution,
-    /// `offsets[j - 1]` is the exclusive prefix total for chunk `j >= 1`.
-    pub(crate) offsets: Vec<Value>,
-    /// Chunk plans recorded at phase-1 time (offsets index against these).
-    pub(crate) plans: Vec<ChunkPlan>,
-    /// Set once the offsets have been added to the buffers.
-    pub(crate) applied: Mutex<bool>,
-}
-
-impl ScanOffsetState {
-    /// Whether the offset pass already ran.
-    pub(crate) fn is_applied(&self) -> bool {
-        *self.applied.lock().unwrap()
-    }
-}
-
-impl std::fmt::Debug for ScanOffsetState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScanOffsetState")
-            .field("chunks", &self.plans.len())
-            .field("applied", &self.is_applied())
-            .finish()
-    }
 }

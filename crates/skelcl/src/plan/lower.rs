@@ -1,35 +1,32 @@
-//! Physical lowering of plan DAGs: rewrite rules, region execution and the
-//! scan-offset pass.
+//! Physical lowering of plan DAGs: rewrite rules and region execution.
 //!
-//! [`Lowering`] walks a [`PlanNode`] tree bottom-up, applying whichever
-//! rewrite rules the [`PlanConfig`] enables. Elementwise regions that stay
-//! fused compile to one `skelcl_fused` kernel (byte-identical to the PR 4
-//! expression layer when no scan leaf participates); everything else is
-//! *staged* — materialised into a fresh intermediate vector and re-entered
-//! as a `Source` leaf, which is exactly what `SKELCL_PLAN=0` does for
-//! every stage.
+//! [`Lowering`] walks a [`PlanNode`] tree bottom-up, applying the rewrite
+//! rules unless the [`PlanConfig`] asks for the staged oracle. Elementwise
+//! regions that stay fused compile to one `skelcl_fused` kernel; everything
+//! else is *staged* — materialised into a fresh intermediate vector and
+//! re-entered as a `Source` leaf, which is exactly what `SKELCL_PLAN=0`
+//! does for every stage.
 
 use std::sync::Arc;
 
 use skelcl_kernel::types::ScalarType;
 use skelcl_kernel::value::Value;
-use vgpu::{Event, KernelArg, NdRange};
+use vgpu::Event;
 
 use crate::codegen::{c_literal, compile_cached};
-use crate::container::data::{DeviceChunk, DistributedData};
+use crate::container::data::DistributedData;
 use crate::container::Vector;
 use crate::context::Context;
-use crate::distribution::ChunkPlan;
 use crate::error::{Error, Result};
 use crate::exec::{
-    elementwise_args, input_id, run_launches, run_map_region, skeleton_span, stencil_args,
-    DeviceLaunch, ElementwiseInput, MapRegion, WG,
+    elementwise_args, input_id, run_map_region, skeleton_span, stencil_args, ElementwiseInput,
+    MapRegion, WG,
 };
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
 use super::cost::should_fuse_stencil;
-use super::ir::{PlanNode, ScanOffsetState, StencilSpec};
+use super::ir::{PlanNode, StencilSpec};
 use super::PlanConfig;
 
 /// Dispatches a call generic over [`KernelScalar`] on a runtime
@@ -55,15 +52,6 @@ macro_rules! dispatch_scalar {
     };
 }
 
-/// A scan whose offset pass is folded into this region's loads: source
-/// `idx` is read through `f(offset, x)` guarded by a `has_offset` flag.
-pub(crate) struct ScanLeaf {
-    /// Index into [`FusedPlan::sources`] of the scan's phase-1 vector.
-    pub idx: usize,
-    /// The pending-offset state.
-    pub state: Arc<ScanOffsetState>,
-}
-
 /// Everything needed to weld and launch a fused region: the deduped
 /// sources and stage translation units, plus the per-element load
 /// expression in terms of `skelcl_inN[skelcl_i]`.
@@ -72,8 +60,6 @@ pub(crate) struct FusedPlan<'a> {
     pub sources: Vec<&'a dyn ElementwiseInput>,
     /// Element types of `sources`.
     pub input_types: Vec<ScalarType>,
-    /// Scans folded into this region's loads.
-    pub scan_leaves: Vec<ScanLeaf>,
     /// Whether the tree contains a stencil node. Such a plan supports
     /// length/stats queries but cannot be launched as one region.
     pub has_stencil: bool,
@@ -102,7 +88,6 @@ impl<'a> FusedPlan<'a> {
             source_ids: Vec<usize>,
             sources: Vec<&'a dyn ElementwiseInput>,
             input_types: Vec<ScalarType>,
-            scan_leaves: Vec<ScanLeaf>,
             has_stencil: bool,
             unit_sources: Vec<&'a str>,
             ctx: Option<&'a Context>,
@@ -168,32 +153,6 @@ impl<'a> FusedPlan<'a> {
                         call_args.extend(extras.iter().map(|v| c_literal(*v)));
                         format!("{}({})", stage.name, call_args.join(", "))
                     }
-                    PlanNode::ScanOffset { ctx, state } => {
-                        self.check_ctx(ctx);
-                        let idx = self.source_index(state.vector.as_ref());
-                        if state.is_applied() {
-                            // The offsets already landed in the buffers:
-                            // behaves as a plain source.
-                            return format!("skelcl_in{idx}[skelcl_i]");
-                        }
-                        self.add_unit(&state.stage.source);
-                        let k = self
-                            .scan_leaves
-                            .iter()
-                            .position(|l| Arc::ptr_eq(&l.state, state))
-                            .unwrap_or_else(|| {
-                                self.scan_leaves.push(ScanLeaf {
-                                    idx,
-                                    state: state.clone(),
-                                });
-                                self.scan_leaves.len() - 1
-                            });
-                        let f = &state.stage.name;
-                        format!(
-                            "(skelcl_has_off{k} ? {f}(skelcl_off{k}, skelcl_in{idx}[skelcl_i]) \
-                             : skelcl_in{idx}[skelcl_i])"
-                        )
-                    }
                     PlanNode::Stencil { ctx, spec, arg } => {
                         self.check_ctx(ctx);
                         self.stages += 1;
@@ -212,7 +171,6 @@ impl<'a> FusedPlan<'a> {
             source_ids: Vec::new(),
             sources: Vec::new(),
             input_types: Vec::new(),
-            scan_leaves: Vec::new(),
             has_stencil: false,
             unit_sources: Vec::new(),
             ctx: None,
@@ -245,7 +203,6 @@ impl<'a> FusedPlan<'a> {
         Ok(FusedPlan {
             sources: b.sources,
             input_types: b.input_types,
-            scan_leaves: b.scan_leaves,
             has_stencil: b.has_stencil,
             units: b.unit_sources.join("\n"),
             load_expr,
@@ -257,182 +214,23 @@ impl<'a> FusedPlan<'a> {
     }
 
     /// The `__global const T* skelcl_inN, ` parameter list prefix shared
-    /// by the fused kernels, followed by an `int skelcl_has_offK, T
-    /// skelcl_offK, ` pair per folded scan.
+    /// by the fused kernels.
     pub fn input_params(&self) -> String {
-        let mut params: String = self
-            .input_types
+        self.input_types
             .iter()
             .enumerate()
             .map(|(i, t)| format!("__global const {t}* skelcl_in{i}, "))
-            .collect();
-        for (k, leaf) in self.scan_leaves.iter().enumerate() {
-            params.push_str(&format!(
-                "int skelcl_has_off{k}, {t} skelcl_off{k}, ",
-                t = leaf.state.scalar
-            ));
-        }
-        params
+            .collect()
     }
 
     /// The `skelcl_in0, skelcl_in1, …` forwarding list for calls to a
-    /// generated device helper taking the input pointers (and scan-offset
-    /// pairs).
+    /// generated device helper taking the input pointers.
     pub fn input_args(&self) -> String {
-        let mut parts: Vec<String> = (0..self.input_types.len())
+        let args: Vec<String> = (0..self.input_types.len())
             .map(|i| format!("skelcl_in{i}"))
             .collect();
-        for k in 0..self.scan_leaves.len() {
-            parts.push(format!("skelcl_has_off{k}"));
-            parts.push(format!("skelcl_off{k}"));
-        }
-        parts.join(", ")
+        args.join(", ")
     }
-
-    /// Ensures every folded scan can be fed by per-chunk offset arguments
-    /// ([`crate::exec::BeforeLaunch`]): when the consumer's chunks do not
-    /// line up with the chunks the scan recorded — always so on the
-    /// streamed side (`chunk_sets` is `None`) — the offsets are applied as
-    /// a standalone (ranged) pass first, after which
-    /// [`FusedPlan::scan_args`] degenerates to "no offset".
-    pub fn prepare_scan(
-        &self,
-        chunk_sets: Option<&[Vec<DeviceChunk>]>,
-        events: &mut Vec<Event>,
-    ) -> Result<()> {
-        for leaf in &self.scan_leaves {
-            let chunks = chunk_sets.map(|sets| sets[leaf.idx].as_slice());
-            let aligned = chunks.is_some_and(|chunks| {
-                chunks.len() == leaf.state.plans.len()
-                    && chunks
-                        .iter()
-                        .all(|c| c.plan.stored == c.plan.core && leaf.state.plans.contains(&c.plan))
-            });
-            if !aligned {
-                apply_offsets(&leaf.state, &self.ctx, events, chunks)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The `(has_offset, offset)` scalar argument pairs for the chunk
-    /// `plan`, in scan-leaf order. Call [`FusedPlan::prepare_scan`] first.
-    pub fn scan_args(&self, plan: &ChunkPlan) -> Vec<KernelArg> {
-        let mut args = Vec::with_capacity(self.scan_leaves.len() * 2);
-        for leaf in &self.scan_leaves {
-            let state = &leaf.state;
-            let pair = if state.is_applied() {
-                (0, state.zero)
-            } else {
-                let k = state.plans.iter().position(|pl| pl == plan);
-                match k.expect("prepare_scan aligned the chunks") {
-                    0 => (0, state.zero),
-                    k => (1, state.offsets[k - 1]),
-                }
-            };
-            args.push(KernelArg::Scalar(Value::I32(pair.0)));
-            args.push(KernelArg::Scalar(pair.1));
-        }
-        args
-    }
-}
-
-/// Applies a pending scan-offset pass to the scan's vector, idempotently.
-///
-/// When the vector's current chunks line up with the chunks the scan
-/// recorded (and carry no halo), this is the exact offset pass
-/// `Scan::call` phase 2 would have run: one whole-chunk
-/// `skelcl_scan_offset` launch per non-first chunk. Otherwise each
-/// recorded core range is intersected with every current stored range and
-/// patched by a generated ranged kernel — correct under any
-/// redistribution, including `Copy` replicas.
-pub(crate) fn apply_offsets(
-    state: &ScanOffsetState,
-    ctx: &Context,
-    events: &mut Vec<Event>,
-    current_chunks: Option<&[DeviceChunk]>,
-) -> Result<()> {
-    let mut applied = state.applied.lock().unwrap();
-    if *applied {
-        return Ok(());
-    }
-    let owned;
-    let chunks: &[DeviceChunk] = match current_chunks {
-        Some(c) => c,
-        None => {
-            owned = state.vector.input_chunks(state.dist)?;
-            &owned
-        }
-    };
-    let aligned = chunks.len() == state.plans.len()
-        && (chunks.iter().zip(&state.plans)).all(|(c, pl)| c.plan == *pl && pl.stored == pl.core);
-    if aligned {
-        let mut launches = Vec::new();
-        for (j, c) in chunks.iter().enumerate().skip(1) {
-            let n = c.plan.core_len();
-            launches.push(DeviceLaunch {
-                device: c.plan.device,
-                args: vec![
-                    KernelArg::Buffer(c.buffer.clone()),
-                    KernelArg::Scalar(state.offsets[j - 1]),
-                    KernelArg::Scalar(Value::I32(n as i32)),
-                ],
-                range: NdRange::linear(n, WG),
-                units: 0,
-            });
-        }
-        events.extend(run_launches(
-            ctx,
-            &state.program,
-            "skelcl_scan_offset",
-            launches,
-        )?);
-    } else {
-        let source = format!(
-            "{unit}\n\
-             __kernel void skelcl_scan_offset_at(__global {t}* skelcl_data, {t} skelcl_off,\n\
-             \x20       int skelcl_n, int skelcl_start) {{\n\
-             \x20   int gid = (int)get_global_id(0);\n\
-             \x20   if (gid < skelcl_n)\n\
-             \x20       skelcl_data[skelcl_start + gid] = {f}(skelcl_off, skelcl_data[skelcl_start + gid]);\n\
-             }}\n",
-            unit = state.stage.source,
-            t = state.scalar,
-            f = state.stage.name,
-        );
-        let program = compile_cached(ctx, "skelcl_plan_scan_offset.cl", &source)?;
-        let mut launches = Vec::new();
-        for (k, pl) in state.plans.iter().enumerate().skip(1) {
-            let off = state.offsets[k - 1];
-            for c in chunks {
-                let start = pl.core.start.max(c.plan.stored.start);
-                let end = pl.core.end.min(c.plan.stored.end);
-                if start >= end {
-                    continue;
-                }
-                launches.push(DeviceLaunch {
-                    device: c.plan.device,
-                    args: vec![
-                        KernelArg::Buffer(c.buffer.clone()),
-                        KernelArg::Scalar(off),
-                        KernelArg::Scalar(Value::I32((end - start) as i32)),
-                        KernelArg::Scalar(Value::I32((start - c.plan.stored.start) as i32)),
-                    ],
-                    range: NdRange::linear(end - start, WG),
-                    units: 0,
-                });
-            }
-        }
-        events.extend(run_launches(
-            ctx,
-            &program,
-            "skelcl_scan_offset_at",
-            launches,
-        )?);
-    }
-    state.vector.input_mark_device_written();
-    *applied = true;
-    Ok(())
 }
 
 /// The host span of a staged intermediate: a skeleton-kind span that does
@@ -467,14 +265,11 @@ impl Lowering {
         self.rules_fired.push(rule);
     }
 
-    /// Collapses a subtree to a launchable form: a `Source` leaf, an
-    /// elementwise `Apply` tree over sources/scan leaves, or a bare
-    /// `ScanOffset` leaf. Stencils are always executed here; whether an
-    /// `Apply` child stays welded to its parent (the `chain` rule), a scan
-    /// leaf survives (`scan-offset`), or everything stages is decided per
-    /// edge. `allow_scan` is false inside stencil producers, where a
-    /// folded offset would use the wrong chunk's offset for halo elements.
-    fn collapse_arg(&mut self, node: &Arc<PlanNode>, allow_scan: bool) -> Result<Arc<PlanNode>> {
+    /// Collapses a subtree to a launchable form: a `Source` leaf or an
+    /// elementwise `Apply` tree over sources. Stencils are always executed
+    /// here; whether an `Apply` child stays welded to its parent (the
+    /// `chain` rule) or stages is decided per edge.
+    fn collapse_arg(&mut self, node: &Arc<PlanNode>) -> Result<Arc<PlanNode>> {
         match node.as_ref() {
             PlanNode::Source { .. } => Ok(node.clone()),
             PlanNode::Apply {
@@ -485,9 +280,9 @@ impl Lowering {
             } => {
                 let mut new_args = Vec::with_capacity(args.len());
                 for a in args {
-                    let mut c = self.collapse_arg(a, allow_scan)?;
+                    let mut c = self.collapse_arg(a)?;
                     if matches!(c.as_ref(), PlanNode::Apply { .. }) {
-                        if self.cfg.chain && !self.cfg.staged {
+                        if !self.cfg.staged {
                             self.fire("chain");
                             self.nodes_fused += 1;
                         } else {
@@ -502,20 +297,6 @@ impl Lowering {
                     extras: extras.clone(),
                     args: new_args,
                 }))
-            }
-            PlanNode::ScanOffset { ctx, state } => {
-                if self.cfg.scan_offset && !self.cfg.staged && allow_scan && !state.is_applied() {
-                    self.fire("scan-offset");
-                    self.nodes_fused += 1;
-                    Ok(node.clone())
-                } else {
-                    apply_offsets(state, ctx, &mut self.events, None)?;
-                    Ok(Arc::new(PlanNode::Source {
-                        ctx: ctx.clone(),
-                        input: state.vector.clone(),
-                        fresh: false,
-                    }))
-                }
             }
             PlanNode::Stencil { ctx, spec, arg } => self.eval_stencil(ctx, spec, arg),
         }
@@ -575,13 +356,9 @@ impl Lowering {
             expr = p.load_expr,
         );
         let program = compile_cached(&p.ctx, "skelcl_fused.cl", &source)?;
-        let region = MapRegion {
-            before_launch: Some(&|chunk_sets, events| p.prepare_scan(chunk_sets, events)),
-            ..MapRegion::elementwise(&p.ctx, &p.sources, &program, "skelcl_fused")
-        };
         run_map_region(
-            &region,
-            &|view| elementwise_args(view, p.scan_args(view.plan), &[]),
+            &MapRegion::elementwise(&p.ctx, &p.sources, &program, "skelcl_fused"),
+            &|view| elementwise_args(view, &[]),
             &mut self.events,
         )
     }
@@ -596,10 +373,9 @@ impl Lowering {
         spec: &StencilSpec,
         arg: &Arc<PlanNode>,
     ) -> Result<Arc<PlanNode>> {
-        let a = self.collapse_arg(arg, false)?;
-        let mut fuse =
-            self.cfg.stencil && !self.cfg.staged && matches!(a.as_ref(), PlanNode::Apply { .. });
-        if fuse && self.cfg.cost_model {
+        let a = self.collapse_arg(arg)?;
+        let mut fuse = !self.cfg.staged && matches!(a.as_ref(), PlanNode::Apply { .. });
+        if fuse {
             let p = FusedPlan::build(&a)?;
             fuse = should_fuse_stencil(ctx, p.stages, spec.d, p.len);
         }
@@ -664,10 +440,6 @@ impl Lowering {
     ) -> Result<Arc<PlanNode>> {
         let _span = stage_span(ctx);
         let p = FusedPlan::build(producer)?;
-        debug_assert!(
-            p.scan_leaves.is_empty(),
-            "scan folding is disabled inside stencil producers"
-        );
         self.nodes_fused += p.stages as u64 + 1;
         let in_params = p.input_params();
         let in_args = p.input_args();
@@ -756,7 +528,7 @@ impl Lowering {
     }
 }
 
-/// Lowers a plan DAG rooted in an elementwise/scan term to a vector —
+/// Lowers a plan DAG rooted in an elementwise term to a vector —
 /// [`crate::Expr::eval`]'s engine.
 pub(crate) fn eval_vector<O: KernelScalar>(
     node: &Arc<PlanNode>,
@@ -768,7 +540,7 @@ pub(crate) fn eval_vector<O: KernelScalar>(
     let mut span = ctx
         .profiler()
         .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");
-    let collapsed = lo.collapse_arg(node, true)?;
+    let collapsed = lo.collapse_arg(node)?;
     let result: Vector<O> = match collapsed.as_ref() {
         PlanNode::Source {
             input, fresh: true, ..
@@ -805,7 +577,7 @@ pub(crate) fn eval_vector<O: KernelScalar>(
 /// What [`crate::Reduce::call_fused`] should reduce after lowering.
 pub(crate) enum ReduceInput {
     /// The collapsed tree welds into the reduction's load prologue
-    /// (`Source`, `Apply` over sources/scan leaves, or a bare scan leaf).
+    /// (`Source`, or `Apply` over sources).
     Welded(Arc<PlanNode>),
     /// Everything was staged; reduce the materialised `Source` plainly.
     Staged(Arc<PlanNode>),
@@ -821,18 +593,15 @@ pub(crate) fn prepare_reduce(node: &Arc<PlanNode>) -> Result<(ReduceInput, Vec<E
     let mut span = ctx
         .profiler()
         .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");
-    let collapsed = lo.collapse_arg(node, true)?;
-    let input = if cfg.staged || !cfg.weld {
+    let collapsed = lo.collapse_arg(node)?;
+    let input = if cfg.staged {
         let collapsed = match collapsed.as_ref() {
             PlanNode::Source { .. } => collapsed,
             _ => lo.run_region_erased(&collapsed)?,
         };
         ReduceInput::Staged(collapsed)
     } else {
-        if matches!(
-            collapsed.as_ref(),
-            PlanNode::Apply { .. } | PlanNode::ScanOffset { .. }
-        ) {
+        if matches!(collapsed.as_ref(), PlanNode::Apply { .. }) {
             lo.fire("reduce-weld");
             lo.nodes_fused += 1;
         }

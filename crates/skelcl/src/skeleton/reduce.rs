@@ -340,7 +340,7 @@ impl<T: KernelScalar> Reduce<T> {
         )
     }
 
-    /// Welds a collapsed elementwise/scan region into the reduction's
+    /// Welds a collapsed elementwise region into the reduction's
     /// first pass: a tree reduction that loads through the prologue.
     fn reduce_welded(&self, collapsed: &PlanNode, events: &mut Vec<Event>) -> Result<T> {
         let p = FusedPlan::build(collapsed)?;
@@ -369,7 +369,6 @@ impl<T: KernelScalar> Reduce<T> {
             return self.reduce_streamed(&p, &shares, events);
         }
         let chunk_sets = materialize(&p.sources, dist)?;
-        p.prepare_scan(Some(&chunk_sets), events)?;
         let elem = std::mem::size_of::<T>();
 
         // Phase 1: per device, one fused pass (sources → per-group
@@ -389,7 +388,6 @@ impl<T: KernelScalar> Reduce<T> {
                     KernelArg::Buffer(chunks[j].buffer.clone())
                 })
                 .collect();
-            args.extend(p.scan_args(&chunk.plan));
             args.push(KernelArg::Buffer(partials.clone()));
             args.push(KernelArg::Scalar(Value::I32(n as i32)));
             let first = plan.kernel(
@@ -465,10 +463,6 @@ impl<T: KernelScalar> Reduce<T> {
     ) -> Result<T> {
         let ctx = &self.core.ctx;
         let mut stream = StreamedRegion::new(ctx, &p.sources, 0);
-        // Streamed chunks never line up with the chunks a folded scan
-        // recorded: land the offsets in the source first (the kernel's
-        // `(has_offset, offset)` pairs degenerate to "no offset").
-        p.prepare_scan(None, events)?;
         let in_params = p.input_params();
         let in_args = p.input_args();
         let t = T::SCALAR;
@@ -519,7 +513,6 @@ impl<T: KernelScalar> Reduce<T> {
                     .iter()
                     .map(|b| KernelArg::Buffer(b.clone()))
                     .collect();
-                args.extend(p.scan_args(&chunk.plan));
                 args.push(KernelArg::Buffer(acc.clone()));
                 args.push(KernelArg::Scalar(Value::I32((core.start - base) as i32)));
                 args.push(KernelArg::Scalar(Value::I32((core.end - base) as i32)));

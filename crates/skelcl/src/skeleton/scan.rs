@@ -8,23 +8,20 @@
 //! scanned on the first device and applied as per-device offsets.
 
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
 
 use skelcl_kernel::value::Value;
-use vgpu::{DeviceBuffer, Event, KernelArg, NdRange};
+use vgpu::{DeviceBuffer, KernelArg, NdRange};
 
-use crate::codegen::{
-    compile_cached, expect_return, expect_scalar_param, parse_user_function, stage_spec, StageSpec,
-};
-use crate::container::data::{DeviceChunk, DistributedData};
+use crate::codegen::{compile_cached, expect_return, expect_scalar_param, parse_user_function};
+use crate::container::data::DistributedData;
 use crate::container::Vector;
 use crate::context::Context;
 use crate::distribution::Distribution;
 use crate::engine::{LaunchPlan, NodeId};
 use crate::error::{Error, Result};
-use crate::exec::{impl_skeleton, reduction_distribution, run_plan, SkeletonCore};
-use crate::expr::Expr;
-use crate::plan::{apply_offsets, PlanNode, ScanOffsetState};
+use crate::exec::{
+    impl_skeleton, reduction_distribution, run_launches, run_plan, DeviceLaunch, SkeletonCore,
+};
 use crate::types::{from_bytes, to_bytes, KernelScalar};
 
 /// Work-group (and scan block) size.
@@ -47,18 +44,7 @@ const WG: usize = 256;
 #[derive(Debug)]
 pub struct Scan<T: KernelScalar> {
     core: SkeletonCore,
-    stage: StageSpec,
     _types: PhantomData<fn(T, T) -> T>,
-}
-
-/// Result of the eager part of a scan: per-chunk inclusive scans plus the
-/// scanned chunk totals (empty on a single chunk).
-struct ScanPhase1<T: KernelScalar> {
-    output: Vector<T>,
-    out_chunks: Vec<DeviceChunk>,
-    dist: Distribution,
-    prefixes: Vec<T>,
-    events: Vec<Event>,
 }
 
 impl<T: KernelScalar> Scan<T> {
@@ -120,10 +106,8 @@ impl<T: KernelScalar> Scan<T> {
             wg = WG,
         );
         let program = compile_cached(ctx, "skelcl_scan.cl", &kernel_source)?;
-        let stage = stage_spec(&f, T::SCALAR);
         Ok(Scan {
             core: SkeletonCore::new(ctx, "Scan", program, Vec::new()),
-            stage,
             _types: PhantomData,
         })
     }
@@ -139,67 +123,6 @@ impl<T: KernelScalar> Scan<T> {
         if input.is_empty() {
             return Ok(Vector::from_vec(&self.core.ctx, Vec::new()));
         }
-        let mut p1 = self.run_phase1(input)?;
-        // Phase 2b: one offset kernel per remaining chunk.
-        if !p1.prefixes.is_empty() {
-            let state = self.pending_offsets(&p1);
-            let chunks = Some(p1.out_chunks.as_slice());
-            apply_offsets(&state, &self.core.ctx, &mut p1.events, chunks)?;
-        }
-        self.core.events.record(p1.events);
-        p1.output.data.mark_device_written();
-        Ok(p1.output)
-    }
-
-    /// Computes the inclusive prefix lazily: per-chunk scans run now, but
-    /// on multiple devices the cross-chunk offset pass is parked as a
-    /// [`PlanNode::ScanOffset`] leaf. The plan layer either folds the
-    /// offset into a downstream fused load (the `scan-offset` rewrite
-    /// rule) or applies it standalone — bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Scan::call`].
-    pub fn lazy(&self, input: &Vector<T>) -> Result<Expr<T>> {
-        let _span = self.core.begin("Scan.lazy");
-        self.core.check_ctx(input.context())?;
-        if input.is_empty() {
-            return Ok(Expr::from(&Vector::from_vec(&self.core.ctx, Vec::new())));
-        }
-        let p1 = self.run_phase1(input)?;
-        p1.output.data.mark_device_written();
-        let expr = if p1.prefixes.is_empty() {
-            Expr::from(&p1.output)
-        } else {
-            Expr::from_node(Arc::new(PlanNode::ScanOffset {
-                ctx: self.core.ctx.clone(),
-                state: Arc::new(self.pending_offsets(&p1)),
-            }))
-        };
-        self.core.events.record(p1.events);
-        Ok(expr)
-    }
-
-    /// Phase 2b — adding each predecessor chunk's total — as pending
-    /// state over phase 1's output.
-    fn pending_offsets(&self, p1: &ScanPhase1<T>) -> ScanOffsetState {
-        ScanOffsetState {
-            program: self.core.program.clone(),
-            stage: self.stage.clone(),
-            scalar: T::SCALAR,
-            zero: T::default().to_value(),
-            vector: p1.output.data.clone(),
-            dist: p1.dist,
-            offsets: p1.prefixes.iter().map(|v| v.to_value()).collect(),
-            plans: p1.out_chunks.iter().map(|c| c.plan.clone()).collect(),
-            applied: Mutex::new(false),
-        }
-    }
-
-    /// Phase 1 (per-chunk inclusive scans) plus phase 2a (scan of the
-    /// chunk totals on the first device). `prefixes` stays empty on a
-    /// single chunk, where the scan is already complete.
-    fn run_phase1(&self, input: &Vector<T>) -> Result<ScanPhase1<T>> {
         let dist = reduction_distribution(input.data.effective_distribution(Distribution::Block));
         let in_chunks = input.data.ensure_device(dist)?;
         let (output, out_chunks) =
@@ -242,7 +165,7 @@ impl<T: KernelScalar> Scan<T> {
 
         // Phase 2a: scan the chunk totals on the first device to get the
         // per-chunk offsets.
-        let mut prefixes = Vec::new();
+        let mut prefixes: Vec<T> = Vec::new();
         if multi {
             let first = out_chunks[0].plan.device;
             let queue = self.core.ctx.queue(first);
@@ -256,13 +179,35 @@ impl<T: KernelScalar> Scan<T> {
             prefixes = from_bytes(&run_plan(&self.core.ctx, plan, &[read], &[], &mut events)?[0]);
         }
 
-        Ok(ScanPhase1 {
-            output: Vector { data: output },
-            out_chunks,
-            dist,
-            prefixes,
-            events,
-        })
+        // Phase 2b: add each predecessor chunk's total, one offset kernel
+        // per remaining chunk.
+        let launches = (out_chunks.iter().skip(1).zip(&prefixes))
+            .map(|(c, offset)| {
+                let n = c.plan.core_len();
+                DeviceLaunch {
+                    device: c.plan.device,
+                    args: vec![
+                        KernelArg::Buffer(c.buffer.clone()),
+                        KernelArg::Scalar(offset.to_value()),
+                        KernelArg::Scalar(Value::I32(n as i32)),
+                    ],
+                    range: NdRange::linear(n, WG),
+                    units: 0,
+                }
+            })
+            .collect::<Vec<_>>();
+        if !launches.is_empty() {
+            let program = &self.core.program;
+            events.extend(run_launches(
+                &self.core.ctx,
+                program,
+                "skelcl_scan_offset",
+                launches,
+            )?);
+        }
+        self.core.events.record(events);
+        output.mark_device_written();
+        Ok(Vector { data: output })
     }
 
     /// Appends the recursive multi-block scan of `n` elements of `input`

@@ -3,27 +3,26 @@
 //! When a region's per-device working set exceeds a memory budget
 //! ([`Config::device_budget`](crate::Config::device_budget), from
 //! `SKELCL_DEVICE_BUDGET` in bytes, defaulting to each device's real
-//! [`vgpu::Device::available_bytes`]), [`crate::exec::run_map_region`] —
-//! every eager map-like call and every lowered plan region — and the
+//! [`vgpu::Device::available_bytes`]), every eager map-like call, every
+//! lowered plan region and the
 //! reduction (welded, or eager over a vector) do not materialise whole
 //! containers on the devices.
 //! Instead every device's share of the distribution axis is split into
 //! chunks driven through one [`LaunchPlan`] as a software pipeline:
 //!
-//! * each device owns a **staging ring** of `depth` reusable slots
-//!   (`SKELCL_STREAM=<depth>`, default 2 — double buffering); a chunk
-//!   leases a slot, stages its input range host→device, runs the region's
-//!   kernel over it, and (for map-like regions) reads the output back;
+//! * each device owns a **staging ring** of two reusable slots (double
+//!   buffering); a chunk leases a slot, stages its input range
+//!   host→device, runs the region's kernel over it, and (for map-like
+//!   regions) reads the output back;
 //! * **ring recycling** is expressed as explicit cross-chunk wait-list
-//!   edges: chunk *k*'s uploads depend on chunk *k − depth*'s kernel (the
+//!   edges: chunk *k*'s uploads depend on chunk *k − 2*'s kernel (the
 //!   slot's previous consumer) and its kernel depends on chunk
-//!   *k − depth*'s readback — so peak device residency stays bounded by
+//!   *k − 2*'s readback — so peak device residency stays bounded by
 //!   the ring while chunk *N*'s kernels execute concurrently with chunk
 //!   *N + 1*'s uploads and chunk *N − 1*'s readbacks on *other* devices;
 //! * chunking is **halo-aware**: a stencil chunk stages `range ± d`
-//!   clamped to the container, and scan's cross-chunk offset state is
-//!   applied to the source before staging, so streamed results stay
-//!   bit-identical to the non-streamed oracle.
+//!   clamped to the container, so streamed results stay bit-identical to
+//!   the non-streamed oracle.
 //!
 //! The non-streamed path is untouched: with `SKELCL_STREAM=0`, with no
 //! budget pressure, or for distributions the chunker does not handle
@@ -49,13 +48,14 @@ use crate::exec::{run_plan, BuildArgs, ChunkView, ElementwiseInput, MapRegion};
 /// hide. Budgets too small to honour it are exceeded best-effort.
 pub(crate) const MIN_CHUNK_ELEMS: usize = 256;
 
+/// Staging-ring slots per device: classic double buffering.
+pub(crate) const RING_DEPTH: usize = 2;
+
 /// The streaming gate parsed from `SKELCL_STREAM`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Whether streaming may engage at all.
     pub enabled: bool,
-    /// Staging-ring depth per device (2 = classic double buffering).
-    pub depth: usize,
 }
 
 impl Default for StreamConfig {
@@ -65,39 +65,25 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// The default: enabled, double-buffered.
+    /// The default: enabled.
     pub fn on() -> Self {
-        StreamConfig {
-            enabled: true,
-            depth: 2,
-        }
+        StreamConfig { enabled: true }
     }
 
     /// Streaming disabled — every region runs the non-streamed oracle.
     pub fn off() -> Self {
-        StreamConfig {
-            enabled: false,
-            depth: 0,
-        }
+        StreamConfig { enabled: false }
     }
 
     /// Parses a `SKELCL_STREAM` value (`None` means unset → default on):
-    /// `0`/`off` disable, `1`/`on`/empty give the default depth 2, any
-    /// larger integer sets the ring depth. Anything else falls back to the
-    /// default and is returned as rejected.
+    /// `0`/`off` disable, `1`/`on`/empty enable. Anything else falls back
+    /// to the default and is returned as rejected.
     pub fn parse(spec: Option<&str>) -> (Self, Vec<&str>) {
-        let cfg = match spec.map_or("", str::trim) {
-            "" | "1" | "on" => Self::on(),
-            "0" | "off" => Self::off(),
-            other => match other.parse::<usize>() {
-                Ok(depth) if depth >= 1 => StreamConfig {
-                    enabled: true,
-                    depth,
-                },
-                _ => return (Self::on(), vec![other]),
-            },
-        };
-        (cfg, Vec::new())
+        match spec.map_or("", str::trim) {
+            "" | "1" | "on" => (Self::on(), Vec::new()),
+            "0" | "off" => (Self::off(), Vec::new()),
+            other => (Self::on(), vec![other]),
+        }
     }
 }
 
@@ -120,8 +106,8 @@ pub(crate) struct StreamShare {
     pub chunk_units: usize,
     /// Number of chunks the share splits into.
     pub chunks: usize,
-    /// Staging-ring slots on this device: the configured depth, or fewer
-    /// when the share has fewer chunks.
+    /// Staging-ring slots on this device: [`RING_DEPTH`], or fewer when
+    /// the share has fewer chunks.
     pub depth: usize,
     /// The device budget the chunking was sized to, in bytes.
     pub budget: usize,
@@ -174,7 +160,7 @@ pub(crate) fn plan_stream(
             .saturating_mul(bytes_per_unit)
             .saturating_add(2 * halo * bytes_per_unit)
             .saturating_add(fixed);
-        let per_slot = budget.saturating_sub(fixed) / cfg.depth.max(1);
+        let per_slot = budget.saturating_sub(fixed) / RING_DEPTH;
         let chunk_units = (per_slot / bytes_per_unit)
             .saturating_sub(2 * halo)
             .max(min_chunk)
@@ -187,7 +173,7 @@ pub(crate) fn plan_stream(
             plan,
             chunk_units,
             chunks,
-            depth: cfg.depth.clamp(1, chunks),
+            depth: RING_DEPTH.min(chunks),
             budget,
             fixed_bytes: fixed,
         });
@@ -470,14 +456,13 @@ mod tests {
         assert_eq!(StreamConfig::parse(Some("on")), clean(StreamConfig::on()));
         assert_eq!(StreamConfig::parse(Some("0")), clean(StreamConfig::off()));
         assert_eq!(StreamConfig::parse(Some("off")), clean(StreamConfig::off()));
-        let depth_4 = StreamConfig {
-            enabled: true,
-            depth: 4,
-        };
-        assert_eq!(StreamConfig::parse(Some(" 4 ")), clean(depth_4));
-        // What is not a gate word or a depth falls back to the default and
-        // is handed back.
-        for bad in ["bogus", "-1", "2.5"] {
+        assert_eq!(
+            StreamConfig::parse(Some(" off ")),
+            clean(StreamConfig::off())
+        );
+        // What is not a gate word — a ring depth included — falls back to
+        // the default and is handed back.
+        for bad in ["bogus", "-1", "2.5", "3"] {
             assert_eq!(
                 StreamConfig::parse(Some(bad)),
                 (StreamConfig::on(), vec![bad])

@@ -364,7 +364,8 @@ impl Run {
             }
             (Container::Vec(v), Assign) => {
                 let len = v.len();
-                v.assign((0..len).rev().map(|i| i as f32).collect());
+                v.assign((0..len).rev().map(|i| i as f32).collect())
+                    .unwrap();
             }
             (Container::Vec(v), MapCall) => {
                 let out = self.map.call(v).unwrap();

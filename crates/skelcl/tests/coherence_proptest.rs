@@ -90,7 +90,7 @@ fn run(n: usize, devices: usize, budget: Option<usize>, ops: &[(u8, usize, usize
             }
             4 => {
                 let data: Vec<f32> = (0..n).map(|i| (n - i + step) as f32).collect();
-                v.assign(data.clone());
+                v.assign(data.clone()).unwrap();
                 model = data;
             }
             5 => {

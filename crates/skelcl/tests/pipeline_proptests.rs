@@ -1,14 +1,15 @@
 //! Property tests for the plan layer and the streaming executor: six
-//! pipeline shapes — one per rewrite rule (chain, reduce-weld, stencil,
-//! scan-offset), all rules at once, and scan into a welded reduce — plus
-//! the four eager map-like calls (`Map`, `Zip`, `MapOverlapVec`, matrix
-//! `MapOverlap`), which share the streaming executor, over random data and
-//! 1–4 devices must produce bit-identical results
+//! pipeline shapes — one per rewrite rule (chain, reduce-weld, stencil),
+//! all rules at once, and an eager scan's output feeding a map and a
+//! welded reduce — plus the four eager map-like calls (`Map`, `Zip`,
+//! `MapOverlapVec`, matrix `MapOverlap`), which share the streaming
+//! executor, over random data and 1–4 devices must produce bit-identical
+//! results
 //!
 //! * with the rewrite rules enabled ([`PlanConfig::all`]) and fully staged
 //!   ([`PlanConfig::oracle`]);
-//! * streamed (a ring of `depth` slots under a tiny device budget, so each
-//!   shape exercises its rule's streamed lowering) and with streaming off
+//! * streamed (under a tiny device budget, so each shape exercises its
+//!   rule's streamed lowering) and with streaming off
 //!   ([`StreamConfig::off`]).
 
 use proptest::prelude::*;
@@ -65,18 +66,22 @@ fn run(shape: u8, data: &[f32], devices: usize, config: Config) -> Vec<u32> {
                 .eval()
                 .unwrap(),
         ),
-        // Scan offsets folded into a downstream map (scan-offset rule) →
-        // streaming pre-applies the cross-chunk offset state.
-        3 => bits(sq.lazy(&scan.lazy(&v).unwrap()).unwrap().eval().unwrap()),
+        // An eager scan's output feeding a map.
+        3 => bits(
+            sq.lazy(&scan.call(&v).unwrap().expr())
+                .unwrap()
+                .eval()
+                .unwrap(),
+        ),
         // All rules at once: map → stencil → reduce.
         4 => vec![sum
             .call_fused(&blur.lazy(&sq.lazy(&v.expr()).unwrap()).unwrap())
             .unwrap()
             .value()
             .to_bits()],
-        // Scan offsets folded into the reduce weld prologue.
+        // An eager scan's output as the reduce weld's source.
         5 => vec![sum
-            .call_fused(&scan.lazy(&v).unwrap())
+            .call_fused(&scan.call(&v).unwrap().expr())
             .unwrap()
             .value()
             .to_bits()],
@@ -129,7 +134,6 @@ proptest! {
         data in proptest::collection::vec(any::<f32>(), 1..2500),
         devices in 1usize..=4,
         shape in 0u8..10,
-        depth in 2usize..=4,
     ) {
         // A budget far below the shares' working sets, so every region
         // large enough to chunk (≥ the 256-unit floor) streams.
@@ -138,14 +142,7 @@ proptest! {
             run(shape, &data, devices, config)
         };
         let oracle = under(StreamConfig::off());
-        let streamed = under(StreamConfig { enabled: true, depth });
-        prop_assert_eq!(
-            streamed,
-            oracle,
-            "shape {} on {} device(s), depth {}",
-            shape,
-            devices,
-            depth
-        );
+        let streamed = under(StreamConfig::on());
+        prop_assert_eq!(streamed, oracle, "shape {} on {} device(s)", shape, devices);
     }
 }

@@ -230,7 +230,6 @@ fn foreign_context_containers_are_shape_mismatches() {
                 reduce.call_matrix(&mat(&away)).map(drop),
             ),
             ("Scan::call", scan.call(&vec(&away)).map(drop)),
-            ("Scan::lazy", scan.lazy(&vec(&away)).map(drop)),
             ("MapOverlap::call", stencil.call(&mat(&away)).map(drop)),
             (
                 "MapOverlapVec::call",

@@ -1,8 +1,8 @@
 //! The streamed reduction on shares wider than the one-shot grid (64 groups
 //! × 256 lanes = 16 384 accumulator lanes), where a lane holds more than one
 //! element: chunks narrower than the grid that revisit lanes chunk after
-//! chunk, chunks wider than the grid, two and three devices, ring depths
-//! 1–4, through eager `Reduce::call` and a welded `Reduce::call_fused`.
+//! chunk, chunks wider than the grid, two and three devices, through eager
+//! `Reduce::call` and a welded `Reduce::call_fused`.
 //! Every result must be bit-identical to the non-streamed run
 //! ([`StreamConfig::off`]), and no device may exceed the budget.
 //!
@@ -10,8 +10,6 @@
 //! record per device with the chunking, and `stream.launched_items` — the
 //! chunk kernels' work-items — within the chunks' elements rounded up to
 //! whole work-groups.
-
-use std::collections::HashMap;
 
 use skelcl::profile::{metrics, FlightKind};
 use skelcl::{Config, Context, DeviceSelection, Map, Reduce, StreamConfig, Vector};
@@ -97,66 +95,55 @@ fn chunk_items(ctx: &Context) -> (u64, u64) {
 
 #[test]
 fn wide_shares_stream_bit_identical_and_launch_what_their_chunks_hold() {
-    // (devices, elements, budget, ring depths, chunks wider than the grid)
-    let cases: [(usize, usize, usize, &[usize], bool); 4] = [
-        // 100 000 elements in 2 994-element chunks at depth 2: every lane
-        // is revisited by later chunks.
-        (1, 100_000, 90_000, &[1, 2, 3, 4], false),
-        // 19 994-element chunks at depth 2: one chunk covers the grid and
-        // wraps onto its own lanes.
-        (1, 100_000, 226_000, &[1, 2], true),
-        (2, 70_001, 90_000, &[3], false),
-        (3, 200_003, 226_000, &[2], true),
+    // (devices, elements, budget, chunks wider than the grid)
+    let cases: [(usize, usize, usize, bool); 4] = [
+        // 100 000 elements in 2 994-element chunks: every lane is revisited
+        // by later chunks.
+        (1, 100_000, 90_000, false),
+        // 19 994-element chunks: one chunk covers the grid and wraps onto
+        // its own lanes.
+        (1, 100_000, 226_000, true),
+        (2, 70_001, 90_000, false),
+        (3, 200_003, 226_000, true),
     ];
-    let mut oracles = HashMap::new();
-    for (devices, n, budget, depths, wider) in cases {
+    for (devices, n, budget, wider) in cases {
         for fused in [false, true] {
-            let oracle = *oracles.entry((devices, n, fused)).or_insert_with(|| {
-                let (bits, ctx) = run(devices, n, budget, StreamConfig::off(), fused);
-                assert_eq!(ctx.profiler().counter(metrics::STREAM_REGIONS), 0);
-                bits
-            });
-            for &depth in depths {
-                let what =
-                    format!("{n} on {devices}, budget {budget}, depth {depth}, fused {fused}");
-                let stream = StreamConfig {
-                    enabled: true,
-                    depth,
-                };
-                let (bits, ctx) = run(devices, n, budget, stream, fused);
-                assert_eq!(bits, oracle, "{what}: streamed must be bit-identical");
+            let (oracle, ctx) = run(devices, n, budget, StreamConfig::off(), fused);
+            assert_eq!(ctx.profiler().counter(metrics::STREAM_REGIONS), 0);
+            let what = format!("{n} on {devices}, budget {budget}, fused {fused}");
+            let (bits, ctx) = run(devices, n, budget, StreamConfig::on(), fused);
+            assert_eq!(bits, oracle, "{what}: streamed must be bit-identical");
 
-                let p = ctx.profiler();
-                assert_eq!(p.counter(metrics::STREAM_REGIONS), 1, "{what}");
-                let shares = shares(&ctx);
-                assert_eq!(shares.len(), devices, "{what}: one record per device");
-                let chunks: u64 = shares.iter().map(|s| s.chunks).sum();
-                assert_eq!(p.counter(metrics::STREAM_CHUNKS), chunks, "{what}");
-                for s in &shares {
-                    assert_eq!(s.budget, budget as u64, "{what}");
-                    assert_eq!(s.depth, (depth as u64).min(s.chunks), "{what}");
-                    assert!(s.chunks > 1, "{what}: the share must chunk");
-                    assert_eq!(s.chunk_units > GRID, wider, "{what}");
-                }
-                match (devices, budget, depth) {
-                    (1, 90_000, 2) => assert_eq!(chunks, 34, "{what}"),
-                    (1, 226_000, 2) => assert_eq!(chunks, 6, "{what}"),
-                    _ => {}
-                }
-
-                for d in 0..devices {
-                    let peak = ctx.platform().device(d).peak_allocated_bytes();
-                    assert!(peak <= budget, "{what}: device {d} peaked at {peak} B");
-                }
-
-                let launched = p.counter(metrics::STREAM_LAUNCHED_ITEMS);
-                let (bound, expected) = chunk_items(&ctx);
-                assert!(
-                    launched <= bound,
-                    "{what}: {launched} work-items launched for chunks worth {bound}"
-                );
-                assert_eq!(launched, expected, "{what}");
+            let p = ctx.profiler();
+            assert_eq!(p.counter(metrics::STREAM_REGIONS), 1, "{what}");
+            let shares = shares(&ctx);
+            assert_eq!(shares.len(), devices, "{what}: one record per device");
+            let chunks: u64 = shares.iter().map(|s| s.chunks).sum();
+            assert_eq!(p.counter(metrics::STREAM_CHUNKS), chunks, "{what}");
+            for s in &shares {
+                assert_eq!(s.budget, budget as u64, "{what}");
+                assert_eq!(s.depth, 2u64.min(s.chunks), "{what}");
+                assert!(s.chunks > 1, "{what}: the share must chunk");
+                assert_eq!(s.chunk_units > GRID, wider, "{what}");
             }
+            match (devices, budget) {
+                (1, 90_000) => assert_eq!(chunks, 34, "{what}"),
+                (1, 226_000) => assert_eq!(chunks, 6, "{what}"),
+                _ => {}
+            }
+
+            for d in 0..devices {
+                let peak = ctx.platform().device(d).peak_allocated_bytes();
+                assert!(peak <= budget, "{what}: device {d} peaked at {peak} B");
+            }
+
+            let launched = p.counter(metrics::STREAM_LAUNCHED_ITEMS);
+            let (bound, expected) = chunk_items(&ctx);
+            assert!(
+                launched <= bound,
+                "{what}: {launched} work-items launched for chunks worth {bound}"
+            );
+            assert_eq!(launched, expected, "{what}");
         }
     }
 }

@@ -21,8 +21,11 @@ test:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Alias for clippy (matches the CI step name).
+# Clippy, then rustdoc with warnings denied over the workspace's own
+# packages (matches the CI step name). Not `--workspace`: the vendored
+# crates' docs are not ours to fix.
 lint: clippy
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p skelcl -p skelcl-kernel -p vgpu -p skelcl-profile -p skelcl-bench -p skelcl-repro
 
 # Formatting check (non-mutating).
 fmt-check:

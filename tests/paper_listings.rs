@@ -198,7 +198,7 @@ fn section_3_2_runtime_redistribution() {
             let r = inc.call(&v).unwrap();
             expected.iter_mut().for_each(|x| *x += 1);
             assert_eq!(r.to_vec().unwrap(), expected, "after {dist}");
-            v.assign(r.to_vec().unwrap());
+            v.assign(r.to_vec().unwrap()).unwrap();
         }
         expected
     });
