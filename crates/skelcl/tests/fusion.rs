@@ -214,3 +214,163 @@ fn fusion_validates_contexts_and_lengths() {
     let e = add.lazy(&a.expr(), &short.expr()).unwrap();
     assert!(e.eval().is_err(), "length mismatch must fail");
 }
+
+/// Every `Reduce` entry point on 1, 2 and 4 devices, with the plan rules
+/// on and under the staged oracle, resident and under a device budget
+/// that makes the reduction stream. Each case renders, per device, the
+/// kernels it launched in order (runs of one name folded into `name×k`),
+/// the launch count, the kernels' summed executed ops and the transfer
+/// commands, followed by the result's bits. The text is compared against
+/// `tests/reduce_launches.golden`; after an intended change to what a
+/// reduction launches, regenerate it with
+/// `cargo test -p skelcl --test fusion -- --ignored`.
+///
+/// `call_matrix` runs resident only here: its streamed behaviour is
+/// checked against the budget in `stream_budget.rs`.
+fn render_reduce_launches() -> String {
+    use skelcl::{BoundaryHandling, MapOverlapVec, Matrix, PlanConfig};
+    use std::fmt::Write;
+
+    const N: usize = 1 << 16;
+    const BUDGET: usize = 96 * 1024;
+    let mut out = String::new();
+    for devices in [1usize, 2, 4] {
+        for (plan_name, plan) in [
+            ("rules", PlanConfig::all()),
+            ("oracle", PlanConfig::oracle()),
+        ] {
+            for (mode, budget) in [("resident", None), ("streamed", Some(BUDGET))] {
+                for case in ["call", "call_matrix", "zip", "expr", "stencil"] {
+                    if case == "call_matrix" && budget.is_some() {
+                        continue;
+                    }
+                    let ctx = Context::init_with_config(
+                        Platform::new(devices, DeviceSpec::tesla_t10()),
+                        DeviceSelection::All,
+                        Config {
+                            plan,
+                            device_budget: budget,
+                            ..Config::default()
+                        },
+                    );
+                    // Magnitudes over several decades, so a change in the
+                    // order of the additions shows in the bits.
+                    let value = |i: usize| ((i * 7919) % 10_007) as f32 * 1e-3 + (i % 13) as f32;
+                    let (mult, sum) = dot_skeletons(&ctx);
+                    let v = Vector::from_fn(&ctx, N, value);
+                    let w = Vector::from_fn(&ctx, N, |i| ((i * 11) % 257) as f32 * 0.25);
+                    let result = match case {
+                        "call" => sum.call(&v),
+                        "call_matrix" => {
+                            sum.call_matrix(&Matrix::from_fn(&ctx, 256, N / 256, |r, c| {
+                                value(r * (N / 256) + c)
+                            }))
+                        }
+                        "zip" => sum.call_fused(&mult.lazy(&v.expr(), &w.expr()).unwrap()),
+                        "expr" => sum.call_fused(&v.expr()),
+                        "stencil" => {
+                            let sq: Map<f32, f32> =
+                                Map::new(&ctx, "float sq(float x){ return x * x; }").unwrap();
+                            let blur: MapOverlapVec<f32, f32> = MapOverlapVec::new(
+                                &ctx,
+                                "float blur(const float* v){ return (get(v,-1) + get(v,0) + get(v,1)) / 3.0f; }",
+                                1,
+                                BoundaryHandling::Neutral(0.0),
+                            )
+                            .unwrap();
+                            sum.call_fused(&blur.lazy(&sq.lazy(&v.expr()).unwrap()).unwrap())
+                        }
+                        other => unreachable!("unknown case {other}"),
+                    };
+                    let bits = result.unwrap().value().to_bits();
+                    writeln!(
+                        out,
+                        "{case} {plan_name} {devices}dev {mode}: bits {bits:#010x}"
+                    )
+                    .unwrap();
+                    let events = sum.events().last_events();
+                    for d in 0..devices {
+                        let mine: Vec<_> = events.iter().filter(|e| e.device().0 == d).collect();
+                        let mut runs: Vec<(String, usize)> = Vec::new();
+                        let (mut launches, mut ops) = (0, 0);
+                        let (mut writes, mut reads, mut bytes) = (0, 0, 0);
+                        for e in &mine {
+                            match e.kind() {
+                                CommandKind::Kernel { name } => {
+                                    launches += 1;
+                                    ops += e.counters().map_or(0, |c| c.ops);
+                                    match runs.last_mut() {
+                                        Some((last, k)) if last == name => *k += 1,
+                                        _ => runs.push((name.clone(), 1)),
+                                    }
+                                }
+                                CommandKind::WriteBuffer { bytes: b } => {
+                                    writes += 1;
+                                    bytes += b;
+                                }
+                                CommandKind::ReadBuffer { bytes: b } => {
+                                    reads += 1;
+                                    bytes += b;
+                                }
+                                _ => {}
+                            }
+                        }
+                        let kernels: Vec<String> = runs
+                            .iter()
+                            .map(|(name, k)| {
+                                if *k == 1 {
+                                    name.clone()
+                                } else {
+                                    format!("{name}×{k}")
+                                }
+                            })
+                            .collect();
+                        writeln!(
+                            out,
+                            "  d{d}: {launches} launches, {ops} ops, {writes} writes, {reads} reads, {bytes} B: {}",
+                            kernels.join(" ")
+                        )
+                        .unwrap();
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+fn reduce_launches_golden() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/reduce_launches.golden")
+}
+
+/// What every `Reduce` entry point launches is pinned per device, on
+/// every configuration, so a refactor of the reducer cannot move a kernel,
+/// a transfer or a result bit unnoticed.
+#[test]
+fn reduce_launches_match_golden() {
+    let got = render_reduce_launches();
+    let want = std::fs::read_to_string(reduce_launches_golden())
+        .expect("tests/reduce_launches.golden exists");
+    if got == want {
+        return;
+    }
+    let (line, (g, w)) = got
+        .lines()
+        .chain(std::iter::repeat("<end of output>"))
+        .zip(want.lines().chain(std::iter::repeat("<end of golden>")))
+        .enumerate()
+        .find(|(_, (g, w))| g != w)
+        .expect("texts differ somewhere");
+    panic!(
+        "reduce_launches.golden line {}:\n  golden: {w}\n  got:    {g}",
+        line + 1
+    );
+}
+
+/// Rewrites `tests/reduce_launches.golden` from the current reducer.
+#[test]
+#[ignore = "regenerates the golden; run only after an intended change"]
+fn regenerate_reduce_launches_golden() {
+    std::fs::write(reduce_launches_golden(), render_reduce_launches())
+        .expect("writable tests directory");
+}
