@@ -52,11 +52,6 @@ pub fn random_f32_vector(len: usize, seed: u64) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
 }
 
-/// A random row-major `f32` matrix in `[-1, 1)`.
-pub fn random_f32_matrix(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
-    random_f32_vector(rows * cols, seed)
-}
-
 /// Host reference Sobel edge detection with clamped (nearest) boundaries,
 /// matching the paper's kernels (used to verify every implementation).
 pub fn sobel_reference(img: &[u8], width: usize, height: usize) -> Vec<u8> {

@@ -146,27 +146,6 @@ impl OptConfig {
         let (opt, dump) = (var("SKELCL_KERNEL_OPT"), var("SKELCL_KERNEL_DUMP"));
         OptConfig::from_vars(opt.as_deref(), dump.as_deref()).0
     }
-
-    /// The list of enabled pass names, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if self.const_prop {
-            out.push("const-prop");
-        }
-        if self.cse {
-            out.push("cse");
-        }
-        if self.dce {
-            out.push("dce");
-        }
-        if self.licm {
-            out.push("licm");
-        }
-        if self.unroll {
-            out.push("unroll");
-        }
-        out
-    }
 }
 
 /// The pipeline's steps, naming the entries of [`crate::CompileStats::pass`]:

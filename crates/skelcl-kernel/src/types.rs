@@ -223,12 +223,6 @@ impl Type {
     pub fn is_pointer(self) -> bool {
         matches!(self, Type::Pointer { .. })
     }
-
-    /// Whether the type is usable in arithmetic (any scalar, incl. `bool`
-    /// which promotes to `int`).
-    pub fn is_arithmetic(self) -> bool {
-        matches!(self, Type::Scalar(_))
-    }
 }
 
 impl fmt::Display for Type {

@@ -4,7 +4,6 @@
 //! test suite parses them back; both directions live here so the workspace
 //! needs no external JSON dependency.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -172,13 +171,6 @@ impl<K: ToString, V: Into<Json>> FromIterator<(K, V)> for Json {
                 .collect(),
         )
     }
-}
-
-/// Builds an object from a sorted map (handy for metric dictionaries).
-pub fn from_map<V: Into<Json> + Clone>(map: &BTreeMap<String, V>) -> Json {
-    map.iter()
-        .map(|(k, v)| (k.clone(), v.clone().into()))
-        .collect()
 }
 
 fn write_num(n: f64, out: &mut String) {

@@ -22,7 +22,6 @@
 pub mod chrome;
 pub mod flight;
 pub mod json;
-pub mod live;
 pub mod metrics;
 pub mod report;
 pub mod span;
@@ -35,7 +34,6 @@ use parking_lot::Mutex;
 
 pub use flight::{FlightEvent, FlightKind, FlightRecorder};
 pub use json::Json;
-pub use live::StatsReporter;
 pub use metrics::{DeviceBusy, Histogram, Metrics, MetricsSnapshot};
 pub use span::{CounterSample, FlowEdge, Lane, SpanKind, SpanRecord};
 

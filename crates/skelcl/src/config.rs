@@ -12,7 +12,6 @@
 //! instead of mutating the environment.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use skelcl_kernel::OptConfig;
 
@@ -45,11 +44,6 @@ pub struct Config {
     pub trace: Option<PathBuf>,
     /// Flight-recorder ring capacity, 0 = off (`SKELCL_FLIGHT`).
     pub flight_capacity: usize,
-    /// Live stats reporting period, zero = off
-    /// (`SKELCL_STATS_INTERVAL_MS`).
-    pub stats_interval: Duration,
-    /// Live stats output file; `None`: stderr (`SKELCL_STATS_FILE`).
-    pub stats_file: Option<PathBuf>,
 }
 
 impl Config {
@@ -97,8 +91,6 @@ impl Config {
             profile: non_empty("SKELCL_PROFILE").is_some_and(|v| v != "0"),
             trace: non_empty("SKELCL_TRACE").map(PathBuf::from),
             flight_capacity: number("SKELCL_FLIGHT").unwrap_or(0) as usize,
-            stats_interval: Duration::from_millis(number("SKELCL_STATS_INTERVAL_MS").unwrap_or(0)),
-            stats_file: var("SKELCL_STATS_FILE").map(PathBuf::from),
         }
     }
 
@@ -161,8 +153,6 @@ mod tests {
             ("SKELCL_PROFILE", "1"),
             ("SKELCL_TRACE", "out/trace.json"),
             ("SKELCL_FLIGHT", "256"),
-            ("SKELCL_STATS_INTERVAL_MS", "50"),
-            ("SKELCL_STATS_FILE", "stats.jsonl"),
         ]);
         let kernel = OptConfig {
             cse: true,
@@ -181,8 +171,6 @@ mod tests {
                 profile: true,
                 trace: Some("out/trace.json".into()),
                 flight_capacity: 256,
-                stats_interval: Duration::from_millis(50),
-                stats_file: Some("stats.jsonl".into()),
             }
         );
     }

@@ -6,15 +6,14 @@
 //!
 //! The context also carries the session's [`Config`] — every `SKELCL_*`
 //! setting, resolved once at init — the observability handles built from
-//! it (the [`Profiler`], the [`FlightRecorder`] and the live
-//! [`StatsReporter`]), and a cache of compiled skeleton programs keyed by
+//! it (the [`Profiler`] and the [`FlightRecorder`]), and a cache of compiled skeleton programs keyed by
 //! source hash.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use skelcl_profile::{FlightRecorder, Profiler, StatsReporter};
+use skelcl_profile::{FlightRecorder, Profiler};
 use vgpu::{CommandQueue, DeviceSpec, LaunchConfig, Platform};
 
 use crate::config::Config;
@@ -39,7 +38,6 @@ struct ContextInner {
     launch_config: LaunchConfig,
     profiler: Profiler,
     flight: FlightRecorder,
-    stats: Mutex<StatsReporter>,
     scheduler: Scheduler,
     /// Compiled skeleton programs, keyed by a 128-bit hash of the
     /// generated source (wide enough that two distinct sources can never
@@ -54,9 +52,6 @@ impl Drop for ContextInner {
         for queue in &self.queues {
             let _ = queue.finish();
         }
-        // Stop the live reporter before exporting: its final snapshot line
-        // then covers the fully drained session.
-        self.stats.lock().stop();
         // `SKELCL_TRACE=<path>` dumps the Chrome trace of the session when
         // it ends, so any example can produce a trace with no code changes.
         if let Some(path) = &self.config.trace {
@@ -140,8 +135,7 @@ impl Context {
     }
 
     /// Assembles the session: installs the queue telemetry observers on
-    /// every selected device queue and starts the live stats reporter if
-    /// the configuration asks for one. The stored configuration describes
+    /// every selected device queue. The stored configuration describes
     /// the handles actually in use.
     fn build(
         platform: Platform,
@@ -167,8 +161,6 @@ impl Context {
         }
         config.profile = profiler.is_enabled();
         config.flight_capacity = flight.capacity();
-        let stats =
-            StatsReporter::spawn(&profiler, config.stats_interval, config.stats_file.clone());
         Context {
             inner: Arc::new(ContextInner {
                 platform,
@@ -176,7 +168,6 @@ impl Context {
                 launch_config: LaunchConfig::default(),
                 profiler,
                 flight,
-                stats: Mutex::new(stats),
                 scheduler: Scheduler::new(config.schedule, DEFAULT_EWMA_ALPHA),
                 config,
                 program_cache: Mutex::new(HashMap::new()),

@@ -191,13 +191,6 @@ impl<O: KernelScalar> Expr<O> {
 impl<T: KernelScalar> From<&Vector<T>> for Expr<T> {
     /// Wraps a vector as a fusion source leaf.
     fn from(v: &Vector<T>) -> Self {
-        Expr {
-            node: Arc::new(PlanNode::Source {
-                ctx: v.context().clone(),
-                input: v.data.clone(),
-                fresh: false,
-            }),
-            _t: PhantomData,
-        }
+        Expr::from_node(PlanNode::source(v.data.clone()))
     }
 }

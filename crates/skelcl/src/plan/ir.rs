@@ -69,6 +69,15 @@ impl std::fmt::Debug for PlanNode {
 }
 
 impl PlanNode {
+    /// A leaf over a user's container.
+    pub(crate) fn source(input: Arc<dyn ElementwiseInput>) -> Arc<Self> {
+        Arc::new(PlanNode::Source {
+            ctx: input.input_ctx().clone(),
+            input,
+            fresh: false,
+        })
+    }
+
     /// The context this subtree belongs to.
     pub(crate) fn ctx(&self) -> &Context {
         match self {

@@ -512,7 +512,9 @@ impl Lowering {
         profiler.add(m::PLAN_INTERMEDIATE_BYTES, self.intermediate_bytes);
     }
 
-    fn attach(&self, span: &mut skelcl_profile::SpanGuard) {
+    /// Ends a lowering: names its rules and decision on the root's span,
+    /// publishes its telemetry and hands back its events.
+    fn finish(self, span: &mut skelcl_profile::SpanGuard, ctx: &Context) -> Vec<Event> {
         span.attach(
             "plan.rules",
             if self.rules_fired.is_empty() {
@@ -525,7 +527,23 @@ impl Lowering {
             "plan.decision",
             if self.cfg.staged { "staged" } else { "fused" },
         );
+        self.publish(ctx);
+        self.events
     }
+}
+
+/// Opens the root's `plan.lower` span and collapses `node` under the
+/// session's plan config — the prologue of every lowering entry.
+fn lower_root(
+    node: &Arc<PlanNode>,
+) -> Result<(Lowering, skelcl_profile::SpanGuard, Arc<PlanNode>)> {
+    let ctx = node.ctx();
+    let mut lo = Lowering::new(ctx.config().plan);
+    let span = ctx
+        .profiler()
+        .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");
+    let collapsed = lo.collapse_arg(node)?;
+    Ok((lo, span, collapsed))
 }
 
 /// Lowers a plan DAG rooted in an elementwise term to a vector —
@@ -534,13 +552,7 @@ pub(crate) fn eval_vector<O: KernelScalar>(
     node: &Arc<PlanNode>,
     log: Option<&EventLog>,
 ) -> Result<Vector<O>> {
-    let ctx = node.ctx().clone();
-    let cfg = ctx.config().plan;
-    let mut lo = Lowering::new(cfg);
-    let mut span = ctx
-        .profiler()
-        .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");
-    let collapsed = lo.collapse_arg(node)?;
+    let (mut lo, mut span, collapsed) = lower_root(node)?;
     let result: Vector<O> = match collapsed.as_ref() {
         PlanNode::Source {
             input, fresh: true, ..
@@ -566,48 +578,32 @@ pub(crate) fn eval_vector<O: KernelScalar>(
             }
         }
     };
-    lo.attach(&mut span);
+    let events = lo.finish(&mut span, node.ctx());
     if let Some(log) = log {
-        log.record(lo.events.clone());
+        log.record(events);
     }
-    lo.publish(&ctx);
     Ok(result)
 }
 
-/// What [`crate::Reduce::call_fused`] should reduce after lowering.
-pub(crate) enum ReduceInput {
-    /// The collapsed tree welds into the reduction's load prologue
-    /// (`Source`, or `Apply` over sources).
-    Welded(Arc<PlanNode>),
-    /// Everything was staged; reduce the materialised `Source` plainly.
-    Staged(Arc<PlanNode>),
-}
-
 /// Lowers a reduction's input DAG, applying every enabled rule except the
-/// final weld, which the caller performs. Returns the lowering's events
-/// for the caller to merge into its event log.
-pub(crate) fn prepare_reduce(node: &Arc<PlanNode>) -> Result<(ReduceInput, Vec<Event>)> {
-    let ctx = node.ctx().clone();
-    let cfg = ctx.config().plan;
-    let mut lo = Lowering::new(cfg);
-    let mut span = ctx
-        .profiler()
-        .host_span(skelcl_profile::SpanKind::Skeleton, "plan.lower");
-    let collapsed = lo.collapse_arg(node)?;
-    let input = if cfg.staged {
-        let collapsed = match collapsed.as_ref() {
-            PlanNode::Source { .. } => collapsed,
-            _ => lo.run_region_erased(&collapsed)?,
-        };
-        ReduceInput::Staged(collapsed)
-    } else {
-        if matches!(collapsed.as_ref(), PlanNode::Apply { .. }) {
+/// final weld, which [`crate::Reduce::call_fused`] performs, and appends
+/// the lowering's events to `events`. Returns the collapsed node: a
+/// `Source`, or (rules on) an elementwise `Apply` tree over sources that
+/// welds into the reduction's load prologue.
+pub(crate) fn prepare_reduce(
+    node: &Arc<PlanNode>,
+    events: &mut Vec<Event>,
+) -> Result<Arc<PlanNode>> {
+    let (mut lo, mut span, collapsed) = lower_root(node)?;
+    let collapsed = match collapsed.as_ref() {
+        PlanNode::Source { .. } => collapsed,
+        _ if lo.cfg.staged => lo.run_region_erased(&collapsed)?,
+        _ => {
             lo.fire("reduce-weld");
             lo.nodes_fused += 1;
+            collapsed
         }
-        ReduceInput::Welded(collapsed)
     };
-    lo.attach(&mut span);
-    lo.publish(&ctx);
-    Ok((input, lo.events))
+    events.extend(lo.finish(&mut span, node.ctx()));
+    Ok(collapsed)
 }

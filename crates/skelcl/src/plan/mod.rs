@@ -34,7 +34,7 @@ pub(crate) mod ir;
 pub(crate) mod lower;
 
 pub(crate) use ir::{PlanNode, StencilSpec};
-pub(crate) use lower::{eval_vector, prepare_reduce, FusedPlan, ReduceInput};
+pub(crate) use lower::{eval_vector, prepare_reduce, FusedPlan};
 
 /// Whether lowering applies the rewrite rules (parsed from `SKELCL_PLAN`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,6 +1,6 @@
 //! Acceptance tests for the out-of-core streaming executor: a 4-GPU fused
 //! map → stencil → reduce, and each eager map-like skeleton call and eager
-//! `Reduce::call`, whose
+//! `Reduce::call` and `Reduce::call_matrix`, whose
 //! working set exceeds the per-device budget must actually engage
 //! streaming (chunked regions, staged bytes), stay within the budget for
 //! peak resident device bytes, and produce a result bit-identical to the
@@ -120,6 +120,9 @@ fn run_eager(shape: &str, device_budget: Option<usize>) -> (Vec<u8>, Context) {
     let w = Vector::from_fn(&ctx, N, |i| ((i * 11) % 257) as f32 - 100.0);
     let (rows, cols) = (1024, 256);
     let image = Matrix::from_fn(&ctx, rows, cols, |r, c| ((r * 7 + c * 13) % 251) as u8);
+    let grid = Matrix::from_fn(&ctx, rows, cols, |r, c| {
+        ((r * cols + c) * 37 % 1999) as f32 * 0.5
+    });
     let sq: Map<f32, f32> = Map::new(&ctx, "float sq(float x){ return x * x; }").unwrap();
     let mult: Zip<f32, f32, f32> =
         Zip::new(&ctx, "float mult(float x, float y){ return x * y; }").unwrap();
@@ -147,6 +150,12 @@ fn run_eager(shape: &str, device_budget: Option<usize>) -> (Vec<u8>, Context) {
         "MapOverlapVec" => floats(blur.call(&v).unwrap()),
         "MapOverlap" => sobel.call(&image).unwrap().to_vec().unwrap(),
         "Reduce" => sum.call(&v).unwrap().value().to_le_bytes().to_vec(),
+        "Reduce::call_matrix" => sum
+            .call_matrix(&grid)
+            .unwrap()
+            .value()
+            .to_le_bytes()
+            .to_vec(),
         other => unreachable!("unknown shape {other}"),
     };
     (bytes, ctx)
@@ -156,13 +165,15 @@ fn run_eager(shape: &str, device_budget: Option<usize>) -> (Vec<u8>, Context) {
 fn eager_calls_stream_within_budget_and_match_unbudgeted() {
     // The Sobel image is a quarter of the vectors' bytes, so is its budget;
     // its distribution unit is a 256-pixel row, which the element-based
-    // chunk floor lets a 64 KiB ring hold.
+    // chunk floor lets a 64 KiB ring hold. The float matrix holds as many
+    // bytes as a vector, and streams whole rows.
     for (shape, budget) in [
         ("Map", BUDGET),
         ("Zip", BUDGET),
         ("MapOverlapVec", BUDGET),
         ("MapOverlap", BUDGET / 4),
         ("Reduce", BUDGET),
+        ("Reduce::call_matrix", BUDGET),
     ] {
         let (resident, resident_ctx) = run_eager(shape, None);
         assert_eq!(

@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use skelcl_kernel::program::{KernelParamKind, Program};
-use skelcl_kernel::types::{AddressSpace, Type};
+use skelcl_kernel::types::AddressSpace;
 use skelcl_kernel::value::{self, Ptr, Value};
 use skelcl_kernel::vm::CostCounters;
 
@@ -579,10 +579,6 @@ impl CommandQueue {
         self.submit(CommandKind::Marker, waits, CommandOp::Marker)
     }
 
-    /// Hands any buffered commands to the worker (`clFlush`). Submission is
-    /// already immediate here, so this is a no-op kept for API fidelity.
-    pub fn flush(&self) {}
-
     /// Blocks until every command enqueued so far has completed
     /// (`clFinish`). Individual command failures do *not* fail `finish`;
     /// they are reported by their own events.
@@ -863,19 +859,5 @@ fn execute_op(
             let now = device.now_ns();
             Ok((now, now, now, None))
         }
-    }
-}
-
-/// Helper: the declared element type of a kernel's global-buffer parameter,
-/// for host-side size computations.
-pub fn param_elem_type(kind: &KernelParamKind) -> Option<Type> {
-    match kind {
-        KernelParamKind::GlobalBuffer { elem, is_const } => Some(Type::Pointer {
-            pointee: *elem,
-            space: AddressSpace::Global,
-            is_const: *is_const,
-        }),
-        KernelParamKind::LocalBuffer { elem } => Some(Type::local_ptr(*elem)),
-        KernelParamKind::Scalar(s) => Some(Type::Scalar(*s)),
     }
 }

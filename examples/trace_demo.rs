@@ -32,9 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     default_env("SKELCL_FLIGHT", "1024");
 
     // Context::init resolves every SKELCL_* variable, once, into the
-    // session's Config: the profiler, the flight recorder and (if
-    // SKELCL_STATS_INTERVAL_MS is set) the live stats reporter all attach
-    // here.
+    // session's Config: the profiler and the flight recorder attach here.
     let ctx = Context::init(
         Platform::new(2, DeviceSpec::tesla_t10()),
         DeviceSelection::All,

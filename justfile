@@ -103,9 +103,12 @@ bench-e2e-quick:
 # runs `pairs` 15 s pairs per workload and seed — the parent first in odd
 # pairs, this tree first in even ones — and prints per seed `compare` and,
 # per workload, how many pairs this tree won on `iter_ms_p50` (pair i is
-# the i-th record of the workload in each file). All six workloads unless
-# some are named: `just bench-ab ../parent sobel dot`. Records go to
-# target/bench-ab/{a,b}-<seed>.jsonl (a = the other checkout).
+# the i-th record of the workload in each file). A `worse` row does not
+# stop the run: both seeds always run, the recipe ends with each seed's
+# count of `worse` rows and exits non-zero if any seed had one. All six
+# workloads unless some are named: `just bench-ab ../parent sobel dot`.
+# Records go to target/bench-ab/{a,b}-<seed>.jsonl (a = the other
+# checkout), each seed's `compare` table to target/bench-ab/compare-<seed>.txt.
 bench-ab parent *workloads:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -117,6 +120,7 @@ bench-ab parent *workloads:
     rm -rf "$out" && mkdir -p "$out"
     cp "{{parent}}/bench/e2e/target/release/skelcl-e2e" "$out/a"
     cp bench/e2e/target/release/skelcl-e2e "$out/b"
+    status=0; summary=""
     for seed in 20130901 777; do
       for workload in $workloads; do
         for pair in $(seq "$pairs"); do
@@ -127,7 +131,9 @@ bench-ab parent *workloads:
           done
         done
       done
-      "$out/b" compare "$out/a-$seed.jsonl" "$out/b-$seed.jsonl"
+      "$out/b" compare "$out/a-$seed.jsonl" "$out/b-$seed.jsonl" > "$out/compare-$seed.txt" || status=1
+      cat "$out/compare-$seed.txt"
+      summary="$summary seed $seed: $(tail -n 1 "$out/compare-$seed.txt");"
       awk -v seed="$seed" '
         match($0, /"workload":"[^"]*"/) { w = substr($0, RSTART + 12, RLENGTH - 13) }
         match($0, /"iter_ms_p50":[{]"value":[^,}]*/) { v = substr($0, RSTART + 23, RLENGTH - 23) + 0 }
@@ -141,6 +147,8 @@ bench-ab parent *workloads:
           }
         }' "$out/a-$seed.jsonl" "$out/b-$seed.jsonl"
     done
+    echo "worse rows per seed:$summary"
+    exit "$status"
 
 # Quickstart with profiling: prints the metrics summary and writes
 # trace.json for chrome://tracing.
