@@ -315,8 +315,8 @@ fn main() {
     // The same 1M-element vector through map → stencil(d=1) → reduce on 4
     // GPUs, lowered fully staged (the plan oracle: one kernel and one
     // intermediate buffer per stage) and rewritten (all rules: the map
-    // is recomputed inside the stencil's halo loads and the stencil output
-    // is welded into the reduction's first pass). Launches and intermediate
+    // is recomputed inside the stencil's halo loads, the fused stencil
+    // runs, and the reduction reads its output). Launches and intermediate
     // bytes come from the profiler's kernel histogram and the
     // `plan.intermediate_bytes` counter on a fresh context per run.
     println!("\n== Plan rewrite rules (map \u{2218} stencil \u{2218} reduce), 4 GPUs ==\n");

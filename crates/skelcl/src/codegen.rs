@@ -13,6 +13,8 @@ use skelcl_kernel::types::{ScalarType, Type};
 use skelcl_kernel::value::Value;
 
 use crate::error::{Error, Result};
+use crate::exec::WG;
+use crate::plan::{FusedPlan, StencilSpec};
 
 /// A parsed and validated customizing function.
 #[derive(Debug, Clone)]
@@ -38,6 +40,19 @@ impl UserFunction {
     /// arguments, which must be scalars).
     pub fn extra_params(&self, fixed: usize) -> &[Type] {
         &self.params[fixed.min(self.params.len())..]
+    }
+
+    /// The eager elementwise kernel over `inputs`: [`weld_elementwise`]
+    /// around this function applied to `skelcl_inN[skelcl_i]` for each
+    /// input, then to the extra parameters `skelcl_xN`.
+    pub fn weld_elementwise(&self, kernel: &str, inputs: &[ScalarType], out: ScalarType) -> String {
+        let extras = self.extra_params(inputs.len());
+        let args: Vec<String> = (0..inputs.len())
+            .map(|i| format!("skelcl_in{i}[skelcl_i]"))
+            .collect();
+        let uses = extra_param_uses(extras, "skelcl_x");
+        let call = format!("{}({}{uses})", self.name, args.join(", "));
+        weld_elementwise(kernel, &self.source(), inputs, out, &call, extras)
     }
 }
 
@@ -483,46 +498,124 @@ pub(crate) fn stencil_stage(f: &UserFunction) -> (String, String) {
     (pretty::print_unit(&unit), name)
 }
 
-/// Welds the uniform n-ary elementwise kernel around a customizing
-/// function — the single generator behind `Map` (arity 1), `Zip`
-/// (arity 2) and any future elementwise pattern:
+/// Welds the uniform n-ary elementwise kernel around a per-element
+/// expression — the single generator behind `Map` (arity 1), `Zip`
+/// (arity 2) and every fused plan region (`skelcl_fused`, whose `expr` is
+/// the region's nested stage calls):
 ///
 /// ```text
-/// <user translation unit>
+/// <unit>
 /// __kernel void <kernel>(__global const I0* skelcl_in0, …,
 ///                        __global O* skelcl_out, int skelcl_n, <extras>) {
 ///     int skelcl_i = (int)get_global_id(0);
-///     if (skelcl_i < skelcl_n)
-///         skelcl_out[skelcl_i] = f(skelcl_in0[skelcl_i], …, <extras>);
+///     if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = <expr>;
 /// }
 /// ```
 pub(crate) fn weld_elementwise(
     kernel: &str,
-    user: &UserFunction,
+    unit: &str,
     inputs: &[ScalarType],
     out: ScalarType,
+    expr: &str,
+    extras: &[Type],
 ) -> String {
-    let extras = user.extra_params(inputs.len());
-    let params: String = inputs
-        .iter()
-        .enumerate()
-        .map(|(i, t)| format!("__global const {t}* skelcl_in{i}, "))
-        .collect();
-    let args = (0..inputs.len())
-        .map(|i| format!("skelcl_in{i}[skelcl_i]"))
-        .collect::<Vec<_>>()
-        .join(", ");
     format!(
         "{unit}\n\
          __kernel void {kernel}({params}__global {out}* skelcl_out, int skelcl_n{decls}) {{\n\
          \x20   int skelcl_i = (int)get_global_id(0);\n\
-         \x20   if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = {f}({args}{uses});\n\
+         \x20   if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = {expr};\n\
          }}\n",
-        unit = user.source(),
-        f = user.name,
+        params = input_params(inputs),
         decls = extra_param_decls(extras, "skelcl_x"),
-        uses = extra_param_uses(extras, "skelcl_x"),
     )
+}
+
+/// The `__global const T* skelcl_inN, ` parameter list prefix of a kernel
+/// reading `inputs`.
+pub(crate) fn input_params(inputs: &[ScalarType]) -> String {
+    inputs
+        .iter()
+        .enumerate()
+        .map(|(i, t)| format!("__global const {t}* skelcl_in{i}, "))
+        .collect()
+}
+
+impl StencilSpec {
+    /// Welds the 1-D stencil kernel around `func`, defined in `head` — the
+    /// single generator behind the eager `MapOverlapVec`
+    /// (`skelcl_mapoverlap_vec`, which the staged stencil reuses) and the
+    /// plan's `stencil` rule (`skelcl_mapoverlap_fused`). Without a
+    /// `region` the kernel reads `skelcl_in[i]` and takes `extras` as
+    /// parameters; over a fused region it reads `skelcl_fused_load(ins…, i)`
+    /// and passes the spec's extras as literals. Each work-group stages its
+    /// `WG + 2d` footprint in local memory through the boundary-handling
+    /// load, behind one barrier, then applies `func` at its centre.
+    pub(crate) fn weld(
+        &self,
+        head: &str,
+        func: &str,
+        region: Option<&FusedPlan>,
+        extras: &[Type],
+    ) -> String {
+        let (i, d) = (self.in_scalar, self.d);
+        let (kernel, in_params, in_args) = match region {
+            Some(p) => (
+                "skelcl_mapoverlap_fused",
+                input_params(&p.input_types),
+                p.input_args(),
+            ),
+            None => (
+                "skelcl_mapoverlap_vec",
+                format!("__global const {i}* skelcl_in, "),
+                "skelcl_in".to_string(),
+            ),
+        };
+        let load = |at: &str| match region {
+            Some(_) => format!("skelcl_fused_load({in_args}, {at})"),
+            None => format!("skelcl_in[{at}]"),
+        };
+        let body = match self.neutral {
+            Some(v) => format!(
+                "return (i < 0 || i >= n) ? {} : {};",
+                c_literal(v),
+                load("i")
+            ),
+            None => format!("return {};", load("clamp(i, 0, n - 1)")),
+        };
+        let baked: String = self
+            .extras
+            .iter()
+            .map(|v| format!(", {}", c_literal(*v)))
+            .collect();
+        format!(
+            "{head}\n\
+             {i} __skelcl_get1(const {i}* skelcl_c, int di) {{\n\
+                 return (di >= -{d} && di <= {d}) ? skelcl_c[di] : ({i})__skelcl_trap_int(100);\n\
+             }}\n\
+             {i} __skelcl_load1({in_params}int i, int n) {{\n\
+                 {body}\n\
+             }}\n\
+             __kernel void {kernel}({in_params}__global {o}* skelcl_out,\n\
+                     int skelcl_in_n, int skelcl_out_n, int skelcl_off{decls}) {{\n\
+                 __local {i} skelcl_tile[{tlen}];\n\
+                 int lid = (int)get_local_id(0);\n\
+                 int gid = (int)get_global_id(0);\n\
+                 int lsz = (int)get_local_size(0);\n\
+                 int base = (int)get_group_id(0) * lsz + skelcl_off - {d};\n\
+                 for (int t = lid; t < {tlen}; t += lsz) {{\n\
+                     int skelcl_i = base + t;\n\
+                     skelcl_tile[t] = __skelcl_load1({in_args}, skelcl_i, skelcl_in_n);\n\
+                 }}\n\
+                 barrier(CLK_LOCAL_MEM_FENCE);\n\
+                 if (gid < skelcl_out_n)\n\
+                     skelcl_out[gid] = {func}(&skelcl_tile[lid + {d}]{uses}{baked});\n\
+             }}\n",
+            o = self.out_scalar,
+            tlen = WG + 2 * d,
+            decls = extra_param_decls(extras, "skelcl_x"),
+            uses = extra_param_uses(extras, "skelcl_x"),
+        )
+    }
 }
 
 /// Compiles generated kernel source, classifying failures as SkelCL bugs
@@ -799,9 +892,8 @@ mod tests {
             "float madd(float a, float b, float s){ return a*b+s; }",
         )
         .unwrap();
-        let src = weld_elementwise(
+        let src = f.weld_elementwise(
             "skelcl_zip",
-            &f,
             &[ScalarType::Float, ScalarType::Float],
             ScalarType::Float,
         );

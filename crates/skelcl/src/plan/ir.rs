@@ -43,6 +43,9 @@ pub(crate) enum PlanNode {
         ctx: Context,
         /// Everything needed to emit the stencil fused or standalone.
         spec: StencilSpec,
+        /// The skeleton's own program (`skelcl_mapoverlap_vec`), which the
+        /// staged path launches so PLAN=0 matches the eager call exactly.
+        standalone: Program,
         /// Producer subtree.
         arg: Arc<PlanNode>,
     },
@@ -116,7 +119,4 @@ pub(crate) struct StencilSpec {
     pub(crate) out_scalar: ScalarType,
     /// Extra scalar arguments for this invocation.
     pub(crate) extras: Vec<Value>,
-    /// Pre-built standalone program (`skelcl_mapoverlap_vec`), used by the
-    /// staged path so PLAN=0 matches the eager skeleton byte-for-byte.
-    pub(crate) standalone: Program,
 }

@@ -2,10 +2,11 @@
 //!
 //! [`Lowering`] walks a [`PlanNode`] tree bottom-up, applying the rewrite
 //! rules unless the [`PlanConfig`] asks for the staged oracle. Elementwise
-//! regions that stay fused compile to one `skelcl_fused` kernel; everything
-//! else is *staged* — materialised into a fresh intermediate vector and
-//! re-entered as a `Source` leaf, which is exactly what `SKELCL_PLAN=0`
-//! does for every stage.
+//! regions that stay fused compile to one `skelcl_fused` kernel and fused
+//! stencils to one `skelcl_mapoverlap_fused`, from the same generators as
+//! the eager `Map`/`Zip` and `MapOverlapVec`; everything else is *staged* —
+//! materialised into a fresh intermediate vector and re-entered as a
+//! `Source` leaf, which is exactly what `SKELCL_PLAN=0` does for every stage.
 
 use std::sync::Arc;
 
@@ -13,19 +14,18 @@ use skelcl_kernel::types::ScalarType;
 use skelcl_kernel::value::Value;
 use vgpu::Event;
 
-use crate::codegen::{c_literal, compile_cached};
+use crate::codegen::{c_literal, compile_cached, input_params, weld_elementwise};
 use crate::container::data::DistributedData;
 use crate::container::Vector;
 use crate::context::Context;
 use crate::error::{Error, Result};
 use crate::exec::{
     elementwise_args, input_id, run_map_region, skeleton_span, stencil_args, ElementwiseInput,
-    MapRegion, WG,
+    MapRegion,
 };
 use crate::skeleton::EventLog;
 use crate::types::KernelScalar;
 
-use super::cost::should_fuse_stencil;
 use super::ir::{PlanNode, StencilSpec};
 use super::PlanConfig;
 
@@ -153,7 +153,7 @@ impl<'a> FusedPlan<'a> {
                         call_args.extend(extras.iter().map(|v| c_literal(*v)));
                         format!("{}({})", stage.name, call_args.join(", "))
                     }
-                    PlanNode::Stencil { ctx, spec, arg } => {
+                    PlanNode::Stencil { ctx, spec, arg, .. } => {
                         self.check_ctx(ctx);
                         self.stages += 1;
                         self.stage_bytes_per_elem += spec.out_scalar.size_bytes() as u64;
@@ -213,23 +213,28 @@ impl<'a> FusedPlan<'a> {
         })
     }
 
-    /// The `__global const T* skelcl_inN, ` parameter list prefix shared
-    /// by the fused kernels.
-    pub fn input_params(&self) -> String {
-        self.input_types
-            .iter()
-            .enumerate()
-            .map(|(i, t)| format!("__global const {t}* skelcl_in{i}, "))
-            .collect()
-    }
-
     /// The `skelcl_in0, skelcl_in1, …` forwarding list for calls to a
     /// generated device helper taking the input pointers.
     pub fn input_args(&self) -> String {
-        let args: Vec<String> = (0..self.input_types.len())
+        let args: Vec<_> = (0..self.sources.len())
             .map(|i| format!("skelcl_in{i}"))
             .collect();
         args.join(", ")
+    }
+
+    /// The translation unit every kernel that loads through this region
+    /// starts with: the stage units, the consumer's own `unit`, and the
+    /// region as the `skelcl_fused_load` device function returning `t`.
+    pub fn prologue(&self, unit: &str, t: ScalarType) -> String {
+        format!(
+            "{units}\n{unit}\n\
+             {t} skelcl_fused_load({params}int skelcl_i) {{\n\
+             \x20   return {expr};\n\
+             }}\n",
+            units = self.units,
+            params = input_params(&self.input_types),
+            expr = self.load_expr,
+        )
     }
 }
 
@@ -298,7 +303,12 @@ impl Lowering {
                     args: new_args,
                 }))
             }
-            PlanNode::Stencil { ctx, spec, arg } => self.eval_stencil(ctx, spec, arg),
+            PlanNode::Stencil {
+                ctx,
+                spec,
+                standalone,
+                arg,
+            } => self.eval_stencil(ctx, spec, standalone, arg),
         }
     }
 
@@ -344,16 +354,13 @@ impl Lowering {
         } else {
             stage_span(&p.ctx)
         };
-        let source = format!(
-            "{units}\n\
-             __kernel void skelcl_fused({params}__global {out}* skelcl_out, int skelcl_n) {{\n\
-             \x20   int skelcl_i = (int)get_global_id(0);\n\
-             \x20   if (skelcl_i < skelcl_n) skelcl_out[skelcl_i] = {expr};\n\
-             }}\n",
-            units = p.units,
-            params = p.input_params(),
-            out = O::SCALAR,
-            expr = p.load_expr,
+        let source = weld_elementwise(
+            "skelcl_fused",
+            &p.units,
+            &p.input_types,
+            O::SCALAR,
+            &p.load_expr,
+            &[],
         );
         let program = compile_cached(&p.ctx, "skelcl_fused.cl", &source)?;
         run_map_region(
@@ -371,17 +378,20 @@ impl Lowering {
         &mut self,
         ctx: &Context,
         spec: &StencilSpec,
+        standalone: &skelcl_kernel::Program,
         arg: &Arc<PlanNode>,
     ) -> Result<Arc<PlanNode>> {
         let a = self.collapse_arg(arg)?;
-        let mut fuse = !self.cfg.staged && matches!(a.as_ref(), PlanNode::Apply { .. });
-        if fuse {
-            let p = FusedPlan::build(&a)?;
-            fuse = should_fuse_stencil(ctx, p.stages, spec.d, p.len);
-        }
-        if fuse {
+        let p = match a.as_ref() {
+            PlanNode::Apply { .. } if !self.cfg.staged => Some(FusedPlan::build(&a)?),
+            _ => None,
+        };
+        // Fusing trades `2 * len` elements of intermediate traffic for
+        // `stages * 2d` recomputed halo elements on each device — a count
+        // over the plan's shape, the same on every `eval`.
+        if let Some(p) = p.filter(|p| p.stages * 2 * spec.d * ctx.device_count() < 2 * p.len) {
             self.fire("stencil");
-            dispatch_scalar!(spec.out_scalar, self.stencil_fused(ctx, spec, &a))
+            dispatch_scalar!(spec.out_scalar, self.stencil_fused(ctx, spec, &p))
         } else {
             let a = match a.as_ref() {
                 PlanNode::Source { .. } => a,
@@ -399,7 +409,7 @@ impl Lowering {
                     ctx,
                     spec.d,
                     &[input.as_ref()],
-                    &spec.standalone,
+                    standalone,
                     "skelcl_mapoverlap_vec",
                     &spec.extras
                 )
@@ -436,63 +446,15 @@ impl Lowering {
         &mut self,
         ctx: &Context,
         spec: &StencilSpec,
-        producer: &Arc<PlanNode>,
+        p: &FusedPlan,
     ) -> Result<Arc<PlanNode>> {
         let _span = stage_span(ctx);
-        let p = FusedPlan::build(producer)?;
         self.nodes_fused += p.stages as u64 + 1;
-        let in_params = p.input_params();
-        let in_args = p.input_args();
-        let i = spec.in_scalar;
-        let d = spec.d;
-        let tlen = WG + 2 * d;
-        let load = match spec.neutral {
-            Some(v) => format!(
-                "return (i < 0 || i >= n) ? {} : skelcl_fused_load({in_args}, i);",
-                c_literal(v)
-            ),
-            None => format!("return skelcl_fused_load({in_args}, clamp(i, 0, n - 1));"),
-        };
-        let extras: String = spec
-            .extras
-            .iter()
-            .map(|v| format!(", {}", c_literal(*v)))
-            .collect();
-        let source = format!(
-            "{units}\n\
-             {unit}\n\
-             {i} skelcl_fused_load({in_params}int skelcl_i) {{\n\
-             \x20   return {expr};\n\
-             }}\n\
-             {i} __skelcl_get1(const {i}* skelcl_c, int di) {{\n\
-             \x20   return (di >= -{d} && di <= {d}) ? skelcl_c[di] : ({i})__skelcl_trap_int(100);\n\
-             }}\n\
-             {i} __skelcl_load1({in_params}int i, int n) {{\n\
-             \x20   {load}\n\
-             }}\n\
-             __kernel void skelcl_mapoverlap_fused({in_params}__global {o}* skelcl_out,\n\
-             \x20       int skelcl_in_n, int skelcl_out_n, int skelcl_off) {{\n\
-             \x20   __local {i} skelcl_tile[{tlen}];\n\
-             \x20   int lid = (int)get_local_id(0);\n\
-             \x20   int gid = (int)get_global_id(0);\n\
-             \x20   int lsz = (int)get_local_size(0);\n\
-             \x20   int base = (int)get_group_id(0) * lsz + skelcl_off - {d};\n\
-             \x20   for (int t = lid; t < {tlen}; t += lsz) {{\n\
-             \x20       int skelcl_i = base + t;\n\
-             \x20       skelcl_tile[t] = __skelcl_load1({in_args}, skelcl_i, skelcl_in_n);\n\
-             \x20   }}\n\
-             \x20   barrier(CLK_LOCAL_MEM_FENCE);\n\
-             \x20   if (gid < skelcl_out_n)\n\
-             \x20       skelcl_out[gid] = {f}(&skelcl_tile[lid + {d}]{extras});\n\
-             }}\n",
-            units = p.units,
-            unit = spec.unit,
-            o = O::SCALAR,
-            f = spec.func,
-            expr = p.load_expr,
-        );
+        let head = p.prologue(&spec.unit, spec.in_scalar);
+        let source = spec.weld(&head, &spec.func, Some(p), &[]);
         let program = compile_cached(ctx, "skelcl_mapoverlap_fused.cl", &source)?;
-        self.run_stencil::<O>(ctx, d, &p.sources, &program, "skelcl_mapoverlap_fused", &[])
+        let kernel = "skelcl_mapoverlap_fused";
+        self.run_stencil::<O>(ctx, spec.d, &p.sources, &program, kernel, &[])
     }
 
     /// Publishes the pass's telemetry: `plan.rules_fired`,

@@ -16,20 +16,18 @@
 //! Every rule preserves the exact per-element operation order, so fused and
 //! staged executions are **bit-identical**; the plan proptests and the
 //! `results.plan` bench section enforce this. The stencil rule trades halo
-//! recomputation against intermediate-buffer traffic, so it is additionally
-//! arbitrated by a cost model fed from the EWMA scheduler's throughput
-//! observations.
+//! recomputation against intermediate-buffer traffic, so it fires only when
+//! the plan's shape says so: `stages · 2d · devices < 2 · len`.
 //!
 //! The whole layer has one switch, `SKELCL_PLAN`:
 //!
-//! * unset / `1` / `on` — all rules plus the cost model (the default);
+//! * unset / `1` / `on` — all rules (the default);
 //! * `0` / `off` — fully staged oracle: one kernel per stage, standalone
 //!   stencil passes, plain (unwelded) reductions.
 //!
 //! Anything else is reported and keeps the default. The variable is read
 //! once per session, into [`Config::plan`](crate::Config::plan).
 
-pub(crate) mod cost;
 pub(crate) mod ir;
 pub(crate) mod lower;
 
@@ -50,7 +48,7 @@ impl Default for PlanConfig {
 }
 
 impl PlanConfig {
-    /// All rules on, cost model on — the default.
+    /// All rules on — the default.
     pub fn all() -> Self {
         PlanConfig { staged: false }
     }

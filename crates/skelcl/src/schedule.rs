@@ -184,21 +184,6 @@ impl Scheduler {
         Some(w.into_iter().map(|v| v / sum).collect())
     }
 
-    /// The measured EWMA throughput of `device` in units per busy
-    /// nanosecond, or `None` while the device's model is cold (no valid
-    /// sample yet). Unlike [`Scheduler::weights`] this ignores the policy:
-    /// the plan cost model consumes raw observations even when chunk
-    /// planning stays on the even split.
-    pub fn throughput(&self, device: usize) -> Option<f64> {
-        let models = self.state.models.lock();
-        let m = models.get(device)?;
-        if m.samples == 0 || !m.units_per_ns.is_finite() || m.units_per_ns <= 0.0 {
-            None
-        } else {
-            Some(m.units_per_ns)
-        }
-    }
-
     /// Plans `n` units across `devices` under `dist`: the weighted
     /// partition when the policy is adaptive and the model is warm, the
     /// paper's even partition otherwise. `Single` and `Copy` are
@@ -315,15 +300,6 @@ mod tests {
         // Only the in-frame observations survive.
         let w = s.weights(2).unwrap();
         assert!((w[0] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_ignores_policy_but_respects_cold_models() {
-        let s = Scheduler::new(SchedulePolicy::Even, 0.5);
-        assert_eq!(s.throughput(0), None);
-        s.observe(0, 100, 50);
-        assert_eq!(s.throughput(0), Some(2.0), "even policy still reports");
-        assert_eq!(s.throughput(1), None, "unmeasured device stays cold");
     }
 
     #[test]

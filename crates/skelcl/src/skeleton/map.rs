@@ -8,7 +8,7 @@ use vgpu::{KernelArg, NdRange};
 
 use crate::codegen::{
     compile_cached, expect_return, expect_scalar_extras, expect_scalar_param, extra_param_decls,
-    extra_param_uses, parse_user_function, stage_spec, weld_elementwise, StageSpec,
+    extra_param_uses, parse_user_function, stage_spec, StageSpec,
 };
 use crate::container::data::DistributedData;
 use crate::container::{Matrix, Vector};
@@ -86,7 +86,7 @@ impl<I: KernelScalar, O: KernelScalar> Map<I, O> {
         };
         let kernel_source = format!(
             "{main}{index_kernel}",
-            main = weld_elementwise("skelcl_map", &f, &[I::SCALAR], O::SCALAR),
+            main = f.weld_elementwise("skelcl_map", &[I::SCALAR], O::SCALAR),
         );
         let program = compile_cached(ctx, "skelcl_map.cl", &kernel_source)?;
         Ok(Map {

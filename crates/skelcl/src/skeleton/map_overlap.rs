@@ -18,11 +18,12 @@ use vgpu::NdRange;
 use crate::codegen::{
     c_literal, compile_cached, expect_pointer_param, expect_return, expect_scalar_extras,
     extra_param_decls, extra_param_uses, parse_user_function, rewrite_get_calls, stencil_stage,
+    UserFunction,
 };
 use crate::container::{Matrix, Vector};
 use crate::context::Context;
 use crate::error::{Error, Result};
-use crate::exec::{extra_args, impl_skeleton, stencil_args, MapRegion, SkeletonCore, WG};
+use crate::exec::{extra_args, impl_skeleton, stencil_args, MapRegion, SkeletonCore};
 use crate::expr::Expr;
 use crate::plan::{PlanNode, StencilSpec};
 use crate::types::KernelScalar;
@@ -40,25 +41,26 @@ pub enum BoundaryHandling<T> {
     Nearest,
 }
 
-fn load_body<I: KernelScalar>(boundary: &BoundaryHandling<I>, matrix: bool) -> String {
-    match (boundary, matrix) {
-        // Single-return bodies so the compiler's inliner can eliminate the
-        // per-access call (vendor OpenCL compilers inline everything).
-        (BoundaryHandling::Neutral(v), true) => format!(
-            "return (r < 0 || r >= rows || c < 0 || c >= cols) ? {} : skelcl_in[r * cols + c];",
-            c_literal(v.to_value())
-        ),
-        (BoundaryHandling::Nearest, true) => {
-            "int rr = clamp(r, 0, rows - 1);\n    int cc = clamp(c, 0, cols - 1);\n    \
-             return skelcl_in[rr * cols + cc];"
-                .to_string()
-        }
-        (BoundaryHandling::Neutral(v), false) => format!(
-            "return (i < 0 || i >= n) ? {} : skelcl_in[i];",
-            c_literal(v.to_value())
-        ),
-        (BoundaryHandling::Nearest, false) => "return skelcl_in[clamp(i, 0, n - 1)];".to_string(),
+/// Parses and checks a stencil customizing function `O f(const I* p, …)`
+/// with overlap range `d`, and rewrites its `get()` accesses (`matrix`:
+/// the 2-D accessor).
+fn parse_stencil<I: KernelScalar, O: KernelScalar>(
+    source: &str,
+    d: usize,
+    matrix: bool,
+) -> Result<UserFunction> {
+    if d == 0 {
+        return Err(Error::InvalidCustomizingFunction {
+            skeleton: "MapOverlap",
+            reason: "overlap range d must be at least 1".into(),
+        });
     }
+    let mut f = parse_user_function("MapOverlap", source)?;
+    expect_pointer_param("MapOverlap", &f, 0, I::SCALAR)?;
+    expect_return("MapOverlap", &f, O::SCALAR)?;
+    expect_scalar_extras("MapOverlap", &f, 1)?;
+    rewrite_get_calls(&mut f, matrix)?;
+    Ok(f)
 }
 
 /// MapOverlap on matrices (the paper's Sobel use case, Listing 1.5).
@@ -115,17 +117,7 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlap<I, O> {
         d: usize,
         boundary: BoundaryHandling<I>,
     ) -> Result<Self> {
-        if d == 0 {
-            return Err(Error::InvalidCustomizingFunction {
-                skeleton: "MapOverlap",
-                reason: "overlap range d must be at least 1".into(),
-            });
-        }
-        let mut f = parse_user_function("MapOverlap", source)?;
-        expect_pointer_param("MapOverlap", &f, 0, I::SCALAR)?;
-        expect_return("MapOverlap", &f, O::SCALAR)?;
-        expect_scalar_extras("MapOverlap", &f, 1)?;
-        rewrite_get_calls(&mut f, true)?;
+        let f = parse_stencil::<I, O>(source, d, true)?;
         // After rewriting, parameter 1 is the injected tile width.
         let extras = f.extra_params(2).to_vec();
 
@@ -140,6 +132,17 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlap<I, O> {
             });
         }
 
+        // Single-return bodies so the compiler's inliner can eliminate the
+        // per-access call (vendor OpenCL compilers inline everything).
+        let load = match &boundary {
+            BoundaryHandling::Neutral(v) => format!(
+                "return (r < 0 || r >= rows || c < 0 || c >= cols) ? {} : skelcl_in[r * cols + c];",
+                c_literal(v.to_value())
+            ),
+            BoundaryHandling::Nearest => "int rr = clamp(r, 0, rows - 1);\n    \
+                 int cc = clamp(c, 0, cols - 1);\n    return skelcl_in[rr * cols + cc];"
+                .to_string(),
+        };
         let kernel_source = format!(
             "{user}\n\
              {i} __skelcl_get2(const {i}* skelcl_c, int skelcl_tw, int dx, int dy) {{\n\
@@ -179,7 +182,6 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlap<I, O> {
             d = d,
             tw = tw,
             th = tw,
-            load = load_body(&boundary, true),
             decls = extra_param_decls(&extras, "skelcl_x"),
             uses = extra_param_uses(&extras, "skelcl_x"),
         );
@@ -269,7 +271,6 @@ impl_skeleton!(MapOverlap<I, O>);
 #[derive(Debug)]
 pub struct MapOverlapVec<I: KernelScalar, O: KernelScalar> {
     core: SkeletonCore,
-    d: usize,
     spec: StencilSpec,
     _types: PhantomData<fn(I) -> O>,
 }
@@ -286,54 +287,9 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
         d: usize,
         boundary: BoundaryHandling<I>,
     ) -> Result<Self> {
-        if d == 0 {
-            return Err(Error::InvalidCustomizingFunction {
-                skeleton: "MapOverlap",
-                reason: "overlap range d must be at least 1".into(),
-            });
-        }
-        let mut f = parse_user_function("MapOverlap", source)?;
-        expect_pointer_param("MapOverlap", &f, 0, I::SCALAR)?;
-        expect_return("MapOverlap", &f, O::SCALAR)?;
-        expect_scalar_extras("MapOverlap", &f, 1)?;
-        rewrite_get_calls(&mut f, false)?;
+        let f = parse_stencil::<I, O>(source, d, false)?;
         let extras = f.extra_params(1).to_vec();
 
-        let tlen = WG + 2 * d;
-        let kernel_source = format!(
-            "{user}\n\
-             {i} __skelcl_get1(const {i}* skelcl_c, int di) {{\n\
-                 return (di >= -{d} && di <= {d}) ? skelcl_c[di] : ({i})__skelcl_trap_int(100);\n\
-             }}\n\
-             {i} __skelcl_load1(__global const {i}* skelcl_in, int i, int n) {{\n\
-                 {load}\n\
-             }}\n\
-             __kernel void skelcl_mapoverlap_vec(__global const {i}* skelcl_in, __global {o}* skelcl_out,\n\
-                     int skelcl_in_n, int skelcl_out_n, int skelcl_off{decls}) {{\n\
-                 __local {i} skelcl_tile[{tlen}];\n\
-                 int lid = (int)get_local_id(0);\n\
-                 int gid = (int)get_global_id(0);\n\
-                 int lsz = (int)get_local_size(0);\n\
-                 int base = (int)get_group_id(0) * lsz + skelcl_off - {d};\n\
-                 for (int t = lid; t < {tlen}; t += lsz) {{\n\
-                     int skelcl_i = base + t;\n\
-                     skelcl_tile[t] = __skelcl_load1(skelcl_in, skelcl_i, skelcl_in_n);\n\
-                 }}\n\
-                 barrier(CLK_LOCAL_MEM_FENCE);\n\
-                 if (gid < skelcl_out_n)\n\
-                     skelcl_out[gid] = {f}(&skelcl_tile[lid + {d}]{uses});\n\
-             }}\n",
-            user = f.source(),
-            i = I::SCALAR,
-            o = O::SCALAR,
-            f = f.name,
-            d = d,
-            tlen = tlen,
-            load = load_body(&boundary, false),
-            decls = extra_param_decls(&extras, "skelcl_x"),
-            uses = extra_param_uses(&extras, "skelcl_x"),
-        );
-        let program = compile_cached(ctx, "skelcl_mapoverlap_vec.cl", &kernel_source)?;
         let (unit, func) = stencil_stage(&f);
         let spec = StencilSpec {
             unit,
@@ -346,11 +302,11 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
             in_scalar: I::SCALAR,
             out_scalar: O::SCALAR,
             extras: Vec::new(),
-            standalone: program.clone(),
         };
+        let kernel_source = spec.weld(&f.source(), &f.name, None, &extras);
+        let program = compile_cached(ctx, "skelcl_mapoverlap_vec.cl", &kernel_source)?;
         Ok(MapOverlapVec {
             core: SkeletonCore::new(ctx, "MapOverlapVec", program, extras),
-            d,
             spec,
             _types: PhantomData,
         })
@@ -377,7 +333,7 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
             &MapRegion::stencil(
                 &self.core.ctx,
                 &[&*input.data],
-                self.d,
+                self.spec.d,
                 &self.core.program,
                 "skelcl_mapoverlap_vec",
             ),
@@ -412,13 +368,14 @@ impl<I: KernelScalar, O: KernelScalar> MapOverlapVec<I, O> {
         Ok(Expr::from_node(Arc::new(PlanNode::Stencil {
             ctx: self.core.ctx.clone(),
             spec,
+            standalone: self.core.program.clone(),
             arg: input.node().clone(),
         })))
     }
 
     /// The overlap range `d`.
     pub fn overlap(&self) -> usize {
-        self.d
+        self.spec.d
     }
 }
 

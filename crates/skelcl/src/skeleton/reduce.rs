@@ -13,8 +13,10 @@
 //! `skelcl_fused_load` device function), so e.g. the paper's dot product
 //! runs as a single zip-mul+tree-reduce pass with no intermediate buffer.
 //!
-//! All entry points share one reducer, which streams a region that exceeds
-//! the device budget in distribution units (elements, or matrix rows).
+//! All entry points share one reducer. It decides before it compiles
+//! anything: a region that exceeds the device budget streams in
+//! distribution units (elements, or matrix rows); a resident first pass
+//! welds only when the lowered region still has a stage.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -23,7 +25,9 @@ use skelcl_kernel::value::Value;
 use skelcl_kernel::Program;
 use vgpu::{DeviceBuffer, Event, KernelArg, NdRange};
 
-use crate::codegen::{compile_cached, expect_return, expect_scalar_param, parse_user_function};
+use crate::codegen::{
+    compile_cached, expect_return, expect_scalar_param, input_params, parse_user_function,
+};
 use crate::container::{Matrix, Scalar, Vector};
 use crate::context::Context;
 use crate::distribution::Distribution;
@@ -229,10 +233,12 @@ impl<T: KernelScalar> Reduce<T> {
     /// The one reducer behind every entry point. It validates `node`
     /// before anything launches, lowers it when `lower` (the DAG of
     /// `call_fused`: stencils execute, elementwise stages weld or stage
-    /// per [`Config::plan`](crate::Config::plan)), then reduces what is
-    /// left either streamed or resident. The resident first pass loads
-    /// through the region's `skelcl_fused_load` prologue when the plan
-    /// rules weld it; otherwise the chain runs straight over each chunk.
+    /// per [`Config::plan`](crate::Config::plan)), and then decides, before
+    /// it compiles anything, whether to stream and whether to weld. What is
+    /// left streams when it exceeds the device budget; otherwise the
+    /// resident first pass loads through the region's `skelcl_fused_load`
+    /// prologue when a stage is left to weld, and runs the plain chain
+    /// straight over each chunk when the region is a bare source.
     fn reduce(&self, node: &Arc<PlanNode>, lower: bool) -> Result<Scalar<T>> {
         let raw = FusedPlan::build(node)?;
         self.core.check_ctx(&raw.ctx)?;
@@ -249,9 +255,6 @@ impl<T: KernelScalar> Reduce<T> {
         } else {
             raw
         };
-        let welded = (lower && !self.core.ctx.config().plan.staged)
-            .then(|| self.welded_program(&p))
-            .transpose()?;
 
         let elem = std::mem::size_of::<T>();
         let unit_elems = p.sources[0].input_unit_elems();
@@ -260,33 +263,28 @@ impl<T: KernelScalar> Reduce<T> {
         let dist = reduction_distribution(p.sources[0].input_distribution(Distribution::Block));
         let bytes_per_unit =
             unit_elems * p.input_types.iter().map(|t| t.size_bytes()).sum::<usize>();
-        // The staged oracle runs plain (unwelded) reductions only, and the
-        // streamed reducer loads through a welded prologue, so a staged
-        // `call_fused` reduces its materialised input resident.
-        let shares = if lower && welded.is_none() {
-            None
-        } else {
-            plan_stream(
-                &self.core.ctx,
-                p.sources[0].input_units(),
-                unit_elems,
-                dist,
-                bytes_per_unit,
-                &|units: usize| {
-                    // Resident outside the staging ring: the grid-sized
-                    // lane accumulator, the per-group partials buffer, and
-                    // the partial chain's intermediates (bounded by another
-                    // `groups` elements — pass outputs shrink
-                    // geometrically).
-                    let groups = (units * unit_elems).div_ceil(WG).min(MAX_GROUPS);
-                    (groups * WG + 2 * groups) * elem
-                },
-                0,
-            )
-        };
+        let shares = plan_stream(
+            &self.core.ctx,
+            p.sources[0].input_units(),
+            unit_elems,
+            dist,
+            bytes_per_unit,
+            &|units: usize| {
+                // Resident outside the staging ring: the grid-sized lane
+                // accumulator, the per-group partials buffer, and the
+                // partial chain's intermediates (bounded by another
+                // `groups` elements — pass outputs shrink geometrically).
+                let groups = (units * unit_elems).div_ceil(WG).min(MAX_GROUPS);
+                (groups * WG + 2 * groups) * elem
+            },
+            0,
+        );
         let value = if let Some(shares) = shares {
             self.reduce_streamed(&p, &shares, &mut events)?
         } else {
+            let welded = (p.stages > 0)
+                .then(|| self.welded_program(&p))
+                .transpose()?;
             // One plan in which every device reduces its chunk to a single
             // value on its own queue; the partials are combined after.
             let chunk_sets = materialize(&p.sources, dist)?;
@@ -335,35 +333,18 @@ impl<T: KernelScalar> Reduce<T> {
         reads.iter().map(|b| T::from_le_bytes(b)).collect()
     }
 
-    /// The translation unit every welded reduction starts with: stage
-    /// units, the reduce operator and the region as a `skelcl_fused_load`
-    /// device function.
-    fn fused_prologue(&self, p: &FusedPlan) -> String {
-        format!(
-            "{units}\n{user}\n\
-             {t} skelcl_fused_load({in_params}int skelcl_i) {{\n\
-             \x20   return {load};\n\
-             }}\n",
-            units = p.units,
-            user = self.user_source,
-            t = T::SCALAR,
-            in_params = p.input_params(),
-            load = p.load_expr,
-        )
-    }
-
     /// The welded first pass: a tree reduction that loads through the
     /// region's prologue.
     fn welded_program(&self, p: &FusedPlan) -> Result<Program> {
         let in_args = p.input_args();
         let source = format!(
             "{prologue}{kernel}",
-            prologue = self.fused_prologue(p),
+            prologue = p.prologue(&self.user_source, T::SCALAR),
             kernel = tree_reduce_kernel(
                 T::SCALAR,
                 &self.user_name,
                 "skelcl_reduce_fused",
-                &p.input_params(),
+                &input_params(&p.input_types),
                 &grid_stride_seed(
                     T::SCALAR,
                     &self.user_name,
@@ -399,7 +380,7 @@ impl<T: KernelScalar> Reduce<T> {
     ) -> Result<T> {
         let ctx = &self.core.ctx;
         let mut stream = StreamedRegion::new(ctx, &p.sources, 0);
-        let in_params = p.input_params();
+        let in_params = input_params(&p.input_types);
         let in_args = p.input_args();
         let t = T::SCALAR;
         let f = &self.user_name;
@@ -420,7 +401,7 @@ impl<T: KernelScalar> Reduce<T> {
              \x20   skelcl_acc[lane] = acc;\n\
              }}\n\
              {finish}",
-            prologue = self.fused_prologue(p),
+            prologue = p.prologue(&self.user_source, T::SCALAR),
             finish = tree_reduce_kernel(
                 t,
                 f,

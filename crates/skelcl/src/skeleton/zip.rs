@@ -7,7 +7,7 @@ use skelcl_kernel::value::Value;
 
 use crate::codegen::{
     compile_cached, expect_return, expect_scalar_extras, expect_scalar_param, parse_user_function,
-    stage_spec, weld_elementwise, StageSpec,
+    stage_spec, StageSpec,
 };
 use crate::container::{Matrix, Vector};
 use crate::context::Context;
@@ -59,7 +59,7 @@ impl<L: KernelScalar, R: KernelScalar, O: KernelScalar> Zip<L, R, O> {
         expect_scalar_extras("Zip", &f, 2)?;
         let extras = f.extra_params(2).to_vec();
 
-        let kernel_source = weld_elementwise("skelcl_zip", &f, &[L::SCALAR, R::SCALAR], O::SCALAR);
+        let kernel_source = f.weld_elementwise("skelcl_zip", &[L::SCALAR, R::SCALAR], O::SCALAR);
         let program = compile_cached(ctx, "skelcl_zip.cl", &kernel_source)?;
         Ok(Zip {
             stage: stage_spec(&f, O::SCALAR),

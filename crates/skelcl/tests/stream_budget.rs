@@ -9,7 +9,7 @@
 use skelcl::profile::metrics;
 use skelcl::{
     BoundaryHandling, Config, Context, DeviceSelection, Map, MapOverlap, MapOverlapVec, Matrix,
-    Reduce, StreamConfig, Vector, Zip,
+    PlanConfig, Reduce, StreamConfig, Vector, Zip,
 };
 use vgpu::{DeviceSpec, Platform};
 
@@ -197,5 +197,82 @@ fn eager_calls_stream_within_budget_and_match_unbudgeted() {
                 "{shape}: device {d} peak resident bytes {peak} exceed the budget {budget}"
             );
         }
+    }
+}
+
+/// A one-T10 context with a 96 KiB budget under `plan`, profiled.
+fn small_budget_ctx(plan: PlanConfig) -> Context {
+    Context::init_with_config(
+        Platform::new(1, DeviceSpec::tesla_t10()),
+        DeviceSelection::All,
+        Config {
+            plan,
+            device_budget: Some(96 * 1024),
+            profile: true,
+            ..Config::default()
+        },
+    )
+}
+
+/// The dot product of two 2^16-element vectors, lazily zipped, reduced by
+/// `call_fused` on `ctx`.
+fn fused_dot(ctx: &Context) -> u32 {
+    let a = Vector::from_fn(ctx, 1 << 16, |i| ((i * 37) % 1999) as f32 * 0.5);
+    let b = Vector::from_fn(ctx, 1 << 16, |i| ((i * 11) % 257) as f32 - 100.0);
+    let mult: Zip<f32, f32, f32> =
+        Zip::new(ctx, "float mult(float x, float y){ return x * y; }").unwrap();
+    let sum: Reduce<f32> =
+        Reduce::new(ctx, "float sum(float x, float y){ return x + y; }").unwrap();
+    let product = mult.lazy(&a.expr(), &b.expr()).unwrap();
+    sum.call_fused(&product).unwrap().value().to_bits()
+}
+
+/// Under the staged oracle, `call_fused` materialises its zip and then
+/// reduces it as `Reduce::call` reduces the same container: both regions
+/// stream, every device stays within the budget, and the bits match the
+/// welded reduction's.
+#[test]
+fn staged_call_fused_streams_its_reduction_within_budget() {
+    let ctx = small_budget_ctx(PlanConfig::oracle());
+    let staged = fused_dot(&ctx);
+    assert!(
+        ctx.profiler().counter(metrics::STREAM_REGIONS) >= 2,
+        "the staged zip and the reduction must both stream"
+    );
+    let peak = ctx.platform().device(0).peak_allocated_bytes();
+    assert!(
+        peak <= 96 * 1024,
+        "peak resident bytes {peak} exceed the budget"
+    );
+    assert_eq!(staged, fused_dot(&small_budget_ctx(PlanConfig::all())));
+}
+
+/// A welded `call_fused` compiles only the program it launches: the
+/// streamed one its stream kernels, the resident one its welded first
+/// pass, so each new expression misses the compile cache once.
+#[test]
+fn welded_call_fused_compiles_only_what_it_launches() {
+    for budget in [Some(96 * 1024), None] {
+        let ctx = Context::init_with_config(
+            Platform::new(1, DeviceSpec::tesla_t10()),
+            DeviceSelection::All,
+            Config {
+                device_budget: budget,
+                profile: true,
+                ..Config::default()
+            },
+        );
+        let a = Vector::from_fn(&ctx, 1 << 16, |i| (i % 7) as f32);
+        let mult: Zip<f32, f32, f32> =
+            Zip::new(&ctx, "float mult(float x, float y){ return x * y; }").unwrap();
+        let sum: Reduce<f32> =
+            Reduce::new(&ctx, "float sum(float x, float y){ return x + y; }").unwrap();
+        let misses = || ctx.profiler().counter(metrics::COMPILE_CACHE_MISS);
+        let before = misses();
+        sum.call_fused(&mult.lazy(&a.expr(), &a.expr()).unwrap())
+            .unwrap();
+        let streamed = ctx.profiler().counter(metrics::STREAM_REGIONS) > 0;
+        assert_eq!(streamed, budget.is_some());
+        assert_eq!(misses() - before, 1, "budget {budget:?}");
     }
 }

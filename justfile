@@ -41,6 +41,16 @@ loc:
     @for d in crates/* tests src examples; do printf '%8d  %s\n' "$(find "$d" -name '*.rs' -print0 | xargs -0 cat | wc -l)" "$d"; done
     @printf '%8d  total\n' "$(find crates tests src examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 
+# Regenerate every golden file from the current code (the three `--ignored`
+# regenerators: the kernel compiler's emit corpus, the container coherence
+# corpus and the reduce/weld launch goldens), then list the goldens that
+# moved, so a change shows exactly which pinned outputs it altered.
+goldens:
+    cargo test -q -p skelcl-kernel --test emit_golden -- --ignored
+    cargo test -q -p skelcl --test coherence_golden -- --ignored
+    cargo test -q -p skelcl --test fusion -- --ignored
+    git status --short -- '*.golden'
+
 # Per-layer ledger of the kernel compiler over
 # crates/skelcl-kernel/tests/corpus (the seven welded skeleton kernels and
 # the six raw benchmark kernels): median µs per set for every compile stage
