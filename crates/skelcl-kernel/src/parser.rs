@@ -15,12 +15,7 @@ use crate::types::{AddressSpace, ScalarType, Type};
 /// partially broken unit.
 pub fn parse(file: &SourceFile, diags: &mut Diagnostics) -> TranslationUnit {
     let tokens = lex(file, diags);
-    let mut p = Parser {
-        file,
-        tokens,
-        pos: 0,
-        diags,
-    };
+    let mut p = Parser::new(file, tokens, diags);
     p.translation_unit()
 }
 
@@ -28,12 +23,7 @@ pub fn parse(file: &SourceFile, diags: &mut Diagnostics) -> TranslationUnit {
 /// validation). Returns `None` if the input is not a complete expression.
 pub fn parse_expr(file: &SourceFile, diags: &mut Diagnostics) -> Option<Expr> {
     let tokens = lex(file, diags);
-    let mut p = Parser {
-        file,
-        tokens,
-        pos: 0,
-        diags,
-    };
+    let mut p = Parser::new(file, tokens, diags);
     let e = p.expr().ok()?;
     if p.peek().kind != TokenKind::Eof {
         p.error_here("expected end of expression");
@@ -48,14 +38,85 @@ pub fn parse_expr(file: &SourceFile, diags: &mut Diagnostics) -> Option<Expr> {
 
 type PResult<T> = Result<T, ()>;
 
+/// How deeply statements and expressions may nest: the parser's own
+/// recursion and every later walk over the tree (sema, inlining, HIR → MIR
+/// lowering, `pretty`, constant folding) recurse once per level, so a
+/// budget here is the one guard they all need. One level is a statement, a
+/// unary, cast or parenthesised operand, an assignment's or a
+/// conditional's right-hand side, or one more operator or postfix
+/// operation on a left-associative chain; an accepted tree is at most this
+/// deep, and its deepest walk fits a 2 MiB stack in a debug build.
+pub const MAX_NESTING: usize = 128;
+
 struct Parser<'a> {
     file: &'a SourceFile,
     tokens: Vec<Token>,
     pos: usize,
     diags: &'a mut Diagnostics,
+    /// Nesting levels entered in the current function (see
+    /// [`MAX_NESTING`]).
+    depth: usize,
+    /// `{` open in the current function.
+    braces: usize,
+    /// The current function nested too deeply: it is reported and skipped.
+    too_deep: bool,
 }
 
 impl<'a> Parser<'a> {
+    fn new(file: &'a SourceFile, tokens: Vec<Token>, diags: &'a mut Diagnostics) -> Self {
+        Parser {
+            file,
+            tokens,
+            pos: 0,
+            diags,
+            depth: 0,
+            braces: 0,
+            too_deep: false,
+        }
+    }
+
+    // ----- nesting budget ----------------------------------------------------
+
+    /// Runs `f` one nesting level deeper, or — past [`MAX_NESTING`] —
+    /// reports it and fails.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.deeper()?;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Enters one more level (the caller leaves it; a failed parse may
+    /// not, and the statement recovery resets the counts). Past the
+    /// budget: one error at the current token, then everything up to the
+    /// end of the function — or of the input — is skipped by a flat scan,
+    /// and every enclosing parse fails without recovering.
+    fn deeper(&mut self) -> PResult<()> {
+        if self.depth < MAX_NESTING {
+            self.depth += 1;
+            return Ok(());
+        }
+        self.error_here(format!(
+            "statements and expressions nest more than {MAX_NESTING} levels deep"
+        ));
+        self.too_deep = true;
+        let mut open = self.braces;
+        loop {
+            match self.peek_kind() {
+                TokenKind::Eof => break,
+                TokenKind::LBrace => open += 1,
+                TokenKind::RBrace if open <= 1 => {
+                    self.bump();
+                    break;
+                }
+                TokenKind::RBrace => open -= 1,
+                _ => {}
+            }
+            self.bump();
+        }
+        Err(())
+    }
+
     // ----- token plumbing ----------------------------------------------------
 
     fn peek(&self) -> Token {
@@ -156,6 +217,7 @@ impl<'a> Parser<'a> {
     }
 
     fn function(&mut self) -> PResult<Function> {
+        (self.depth, self.braces, self.too_deep) = (0, 0, false);
         let start = self.peek().span;
         let is_kernel = self.eat(TokenKind::KwKernel).is_some();
         let return_type = self.type_spec(true)?;
@@ -353,6 +415,7 @@ impl<'a> Parser<'a> {
 
     fn block(&mut self) -> PResult<Block> {
         let open = self.expect(TokenKind::LBrace)?;
+        self.braces += 1;
         let mut stmts = Vec::new();
         loop {
             match self.peek_kind() {
@@ -361,13 +424,22 @@ impl<'a> Parser<'a> {
                     self.error_here("expected `}` before end of input");
                     return Err(());
                 }
-                _ => match self.stmt() {
-                    Ok(s) => stmts.push(s),
-                    Err(()) => self.recover_in_block(),
-                },
+                _ => {
+                    // A failed parse leaves the levels and braces it entered.
+                    let (depth, braces) = (self.depth, self.braces);
+                    match self.stmt() {
+                        Ok(s) => stmts.push(s),
+                        Err(()) if self.too_deep => return Err(()),
+                        Err(()) => {
+                            (self.depth, self.braces) = (depth, braces);
+                            self.recover_in_block();
+                        }
+                    }
+                }
             }
         }
         let close = self.expect(TokenKind::RBrace)?;
+        self.braces -= 1;
         Ok(Block {
             stmts,
             span: open.span.to(close.span),
@@ -402,6 +474,10 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::stmt_at)
+    }
+
+    fn stmt_at(&mut self) -> PResult<Stmt> {
         match self.peek_kind() {
             TokenKind::LBrace => Ok(Stmt::Block(self.block()?)),
             TokenKind::Semi => {
@@ -609,7 +685,7 @@ impl<'a> Parser<'a> {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.assignment_expr()?;
+        let rhs = self.nested(Self::assignment_expr)?;
         let span = lhs.span().to(rhs.span());
         Ok(Expr::Assign {
             op,
@@ -624,9 +700,9 @@ impl<'a> Parser<'a> {
         if self.eat(TokenKind::Question).is_none() {
             return Ok(cond);
         }
-        let then_expr = self.expr()?;
+        let then_expr = self.nested(Self::expr)?;
         self.expect(TokenKind::Colon)?;
-        let else_expr = self.assignment_expr()?;
+        let else_expr = self.nested(Self::assignment_expr)?;
         let span = cond.span().to(else_expr.span());
         Ok(Expr::Ternary {
             cond: Box::new(cond),
@@ -636,17 +712,18 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// Precedence-climbing binary expression parser.
+    /// Precedence-climbing binary expression parser. Each operator of a
+    /// chain nests the tree one level deeper, from before its right
+    /// operand on.
     fn binary_expr(&mut self, min_prec: u8) -> PResult<Expr> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let Some((op, prec)) = binary_op_of(self.peek_kind()) else {
-                return Ok(lhs);
-            };
+        let (mut lhs, mut levels) = (self.unary_expr()?, 0);
+        while let Some((op, prec)) = binary_op_of(self.peek_kind()) {
             if prec < min_prec {
-                return Ok(lhs);
+                break;
             }
             self.bump();
+            self.deeper()?;
+            levels += 1;
             let rhs = self.binary_expr(prec + 1)?;
             let span = lhs.span().to(rhs.span());
             lhs = Expr::Binary {
@@ -656,9 +733,15 @@ impl<'a> Parser<'a> {
                 span,
             };
         }
+        self.depth -= levels;
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
+        self.nested(Self::unary_at)
+    }
+
+    fn unary_at(&mut self) -> PResult<Expr> {
         let t = self.peek();
         let op = match t.kind {
             TokenKind::Minus => Some(UnaryOp::Neg),
@@ -697,9 +780,21 @@ impl<'a> Parser<'a> {
         self.postfix_expr()
     }
 
+    /// A primary expression and its postfix operations, each of which
+    /// nests the tree one level deeper.
     fn postfix_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.primary_expr()?;
+        let (mut e, mut levels) = (self.primary_expr()?, 0);
         loop {
+            if matches!(
+                self.peek_kind(),
+                TokenKind::LBracket
+                    | TokenKind::LParen
+                    | TokenKind::PlusPlus
+                    | TokenKind::MinusMinus
+            ) {
+                self.deeper()?;
+                levels += 1;
+            }
             match self.peek_kind() {
                 TokenKind::LBracket => {
                     self.bump();
@@ -760,9 +855,11 @@ impl<'a> Parser<'a> {
                         span,
                     };
                 }
-                _ => return Ok(e),
+                _ => break,
             }
         }
+        self.depth -= levels;
+        Ok(e)
     }
 
     fn primary_expr(&mut self) -> PResult<Expr> {

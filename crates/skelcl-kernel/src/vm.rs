@@ -18,6 +18,7 @@
 //! Global memory is abstracted behind [`GlobalMemory`] so that the platform
 //! simulator can share buffers between concurrently executing work-groups.
 
+use std::cell::Cell;
 use std::fmt;
 
 use crate::builtins::{self, Builtin};
@@ -551,7 +552,13 @@ impl GroupStats {
 /// Within a strip every instruction is fetched, charged and matched
 /// (operation, operand kinds, destination) **once**, and the loop over the
 /// *active* lanes sits inside that match; locals and operand stack are
-/// column-major lane arrays (`Level`). Lanes carry their own `pc`: a
+/// column-major lane arrays (`Level`). Arithmetic heads (`Bin`, `Cmp`,
+/// chains, `Cvt`, `Mov`) also resolve their value type once, by the first
+/// active lane: `float`/`int` work runs as monomorphic loops on the bare
+/// machine type — a chain one loop per link over an accumulator column —
+/// and a head whose lanes turn out not all to hold that type, or whose
+/// operation can fault (integer `/`, `%`), runs lane by lane through
+/// [`value::binary`]. Lanes carry their own `pc`: a
 /// divergent branch splits the active set and the scheduler runs the lanes
 /// in the deepest call frame at the lowest `pc` next, so lanes that took
 /// the short side of a branch wait at the join until the others arrive
@@ -688,8 +695,10 @@ struct Strip {
     limit: usize,
     fault: Option<RuntimeError>,
     flags: Vec<bool>,
-    /// A chain's link operands, resolved.
+    /// A chain's operands, resolved (see [`Strip::chain`]).
     srcs: Vec<Src>,
+    /// The typed accumulator columns of a chain (see [`Typed`]).
+    acc: AccCols,
     /// Runnable lanes outside the active set, in no particular order.
     waiters: Vec<u32>,
 
@@ -922,132 +931,245 @@ impl Strip {
         }
     }
 
-    /// `dst = src` over the active lanes.
-    fn mov(&mut self, src: Src, dst: usize) {
-        let regs = &mut self.levels[self.d].regs;
-        self.act.each_ok(|l| regs[dst + l] = src.get(regs, l));
+    /// The first active lane, if any.
+    fn first_active(&self) -> Option<usize> {
+        self.act.idx[..self.act.m].first().map(|&l| l as usize)
     }
 
-    /// `dst = l op r` over the active lanes. The operation and — by the
-    /// first lane's operand — the type are matched here, once: the lane loop
-    /// keeps the tag check, and a lane of another type goes the general way.
+    /// The typed view of the active set's registers (see [`Typed`]), and
+    /// the chain operands in `srcs`.
+    fn typed<T: Fast>(&mut self) -> (Typed<'_, T>, &[Src]) {
+        let acc = T::acc(&mut self.acc);
+        if acc.len() < 2 * STRIP {
+            acc.resize(2 * STRIP, T::default());
+        }
+        let typed = Typed {
+            n: self.n,
+            lanes: Lanes::of(&self.act, self.n),
+            regs: Cell::from_mut(&mut self.levels[self.d].regs[..]).as_slice_of_cells(),
+            acc: Cell::from_mut(&mut acc[..]).as_slice_of_cells(),
+            flags: Cell::from_mut(&mut self.flags[..]).as_slice_of_cells(),
+            ok: Cell::new(true),
+        };
+        (typed, &self.srcs)
+    }
+
+    /// `dst = src` over the active lanes, one loop per operand kind.
+    fn mov(&mut self, src: Src, dst: usize) {
+        let (n, regs) = (self.n, &mut self.levels[self.d].regs);
+        let lanes = Lanes::of(&self.act, n);
+        match src {
+            Src::Col(c) => lanes.each(n, |l| regs[dst + l] = regs[c + l]),
+            Src::Const(v) => lanes.each(n, |l| regs[dst + l] = v),
+        }
+    }
+
+    /// `dst = l op r` over the active lanes: one typed loop when the
+    /// operation is native to the first active lane's type (see
+    /// [`Strip::bin_typed`]), and [`value::binary`] lane by lane for every
+    /// lane that loop did not do.
     fn bin(&mut self, l: Src, r: Src, dst: usize, op: BinOp) {
-        let regs = &mut self.levels[self.d].regs;
-        let Some(&first) = self.act.idx[..self.act.m].first() else {
+        let Some(first) = self.first_active() else {
             return;
         };
-        macro_rules! lanes {
-            ($t:ty, $op:expr) => {
-                self.act.each(|i| {
-                    let (a, b) = (l.get(regs, i), r.get(regs, i));
-                    let fast = match (<$t>::of(a), <$t>::of(b)) {
-                        (Some(x), Some(y)) => <$t>::bin($op, x, y),
-                        _ => None,
-                    };
-                    match fast {
-                        Some(z) => {
-                            regs[dst + i] = z.value();
-                            Ok(())
-                        }
-                        None => bin_into(&mut regs[dst + i], op, a, b),
+        // Which lanes the typed loop did, by the operands it left.
+        let done: fn(Value, Value) -> bool = match l.get(&self.levels[self.d].regs, first) {
+            Value::F32(_) => match self.bin_typed::<f32>(l, r, dst, op) {
+                Some(true) => return,
+                Some(false) => both::<f32>,
+                None => |_, _| false,
+            },
+            Value::I32(_) => match self.bin_typed::<i32>(l, r, dst, op) {
+                Some(true) => return,
+                Some(false) => both::<i32>,
+                None => |_, _| false,
+            },
+            _ => |_, _| false,
+        };
+        let regs = &mut self.levels[self.d].regs;
+        let result = self.act.each(|i| {
+            let (a, b) = (l.get(regs, i), r.get(regs, i));
+            if !done(a, b) {
+                regs[dst + i] = bin1(op, a, b)?;
+            }
+            Ok(())
+        });
+        self.check(result);
+    }
+
+    /// [`Strip::bin`]'s typed loop: `None` (nothing done) unless `op` is
+    /// native to `T` and an immediate operand is a `T`, else whether every
+    /// lane was done. It writes only the lanes whose operands both held a
+    /// `T`, so the operands a lane leaves behind — the result, if it wrote
+    /// over one — both hold a `T` ([`both`]) iff it was done.
+    fn bin_typed<T: Fast>(&mut self, l: Src, r: Src, dst: usize, op: BinOp) -> Option<bool> {
+        if !T::native(op) {
+            return None;
+        }
+        let (t, _) = self.typed::<T>();
+        let (a, b) = (t.arg(l), t.arg(r));
+        if !t.ok.get() {
+            return None;
+        }
+        t.bin(op, a, b, Out::Col(dst));
+        Some(t.ok.get())
+    }
+
+    /// `flags[lane] = l op r` over the active lanes: one typed loop, or —
+    /// when a lane or an operand was not of the first lane's type — every
+    /// flag again through [`value::compare`], lane by lane.
+    fn cmp(&mut self, l: Src, r: Src, op: CmpOp) {
+        let Some(first) = self.first_active() else {
+            return;
+        };
+        let done = match l.get(&self.levels[self.d].regs, first) {
+            Value::F32(_) => self.cmp_typed::<f32>(l, r, op),
+            Value::I32(_) => self.cmp_typed::<i32>(l, r, op),
+            _ => false,
+        };
+        if !done {
+            let (regs, flags) = (&self.levels[self.d].regs, &mut self.flags);
+            let result = self.act.each(|i| {
+                flags[i] = cmp1(op, l.get(regs, i), r.get(regs, i))?;
+                Ok(())
+            });
+            self.check(result);
+        }
+    }
+
+    fn cmp_typed<T: Fast>(&mut self, l: Src, r: Src, op: CmpOp) -> bool {
+        let (t, _) = self.typed::<T>();
+        t.cmp(op, t.arg(l), t.arg(r));
+        t.ok.get()
+    }
+
+    /// A fused arithmetic chain. Its operands resolve once, in the unfused
+    /// pop order, into `srcs`: `l`, `r`, the tree's `l2`, `r2`, the links'
+    /// and the tail comparison's. When every operation is native to the
+    /// first active lane's type, the chain runs link by link over an
+    /// accumulator column — first operation, tree, each link, tail — one
+    /// typed loop each; if an operand then turned out not to hold that
+    /// type on some lane, or an operation can fault, it runs lane by lane
+    /// through [`value::binary`], each lane from its first operation to its
+    /// tail, so the first lane to fault is the one reported.
+    fn chain(&mut self, c: &Chain) {
+        let (r, l) = (self.src(&c.r), self.src(&c.l));
+        self.srcs.clear();
+        self.srcs.extend([l, r]);
+        if let Some((l2, r2, ..)) = &c.tree {
+            let r2 = self.src(r2);
+            let l2 = self.src(l2);
+            self.srcs.extend([l2, r2]);
+        }
+        for (_, o) in &c.links {
+            let s = self.src(o);
+            self.srcs.push(s);
+        }
+        let (cmp, dst) = match &c.tail {
+            ChainTail::Push => (None, self.push()),
+            ChainTail::Store(s) => (None, *s as usize * self.n),
+            ChainTail::Cmp { op, r, .. } => {
+                let r = self.src(r);
+                self.srcs.push(r);
+                (Some(*op), 0)
+            }
+        };
+        let first = self
+            .first_active()
+            .map(|i| l.get(&self.levels[self.d].regs, i));
+        let done = match first {
+            None => true,
+            Some(Value::F32(_)) => self.chain_typed::<f32>(c, cmp, dst),
+            Some(Value::I32(_)) => self.chain_typed::<i32>(c, cmp, dst),
+            Some(_) => false,
+        };
+        if !done {
+            let (regs, flags, srcs) = (&mut self.levels[self.d].regs, &mut self.flags, &self.srcs);
+            let result = self.act.each(|i| {
+                let get = |k: usize| srcs[k].get(regs, i);
+                let mut acc = bin1(c.op, get(0), get(1))?;
+                let mut k = 2;
+                if let Some((_, _, op2, comb)) = c.tree {
+                    acc = bin1(comb, acc, bin1(op2, get(2), get(3))?)?;
+                    k = 4;
+                }
+                for (op, _) in &c.links {
+                    acc = bin1(*op, acc, get(k))?;
+                    k += 1;
+                }
+                match cmp {
+                    Some(op) => flags[i] = cmp1(op, acc, get(k))?,
+                    None => regs[dst + i] = acc,
+                }
+                Ok(())
+            });
+            self.check(result);
+        }
+        if let ChainTail::Cmp { along, .. } = c.tail {
+            self.cmp_use(along);
+        }
+    }
+
+    /// [`Strip::chain`]'s typed loops: `false` when a lane or an operand
+    /// was not a `T` (only the accumulator columns and the flags, which the
+    /// per-lane run rewrites, were written then).
+    fn chain_typed<T: Fast>(&mut self, c: &Chain, cmp: Option<CmpOp>, dst: usize) -> bool {
+        let tree = c.tree.iter().flat_map(|&(_, _, op2, comb)| [op2, comb]);
+        let mut ops = std::iter::once(c.op).chain(tree);
+        if !ops.all(T::native) || !c.links.iter().all(|&(op, _)| T::native(op)) {
+            return false;
+        }
+        let (t, srcs) = self.typed::<T>();
+        let (acc, arg) = (Arg::Acc(0), |k: usize| t.arg(srcs[k]));
+        t.bin(c.op, arg(0), arg(1), Out::Acc(0));
+        let mut k = 2;
+        if let Some((_, _, op2, comb)) = c.tree {
+            t.bin(op2, arg(2), arg(3), Out::Acc(STRIP));
+            t.bin(comb, acc, Arg::Acc(STRIP), Out::Acc(0));
+            k = 4;
+        }
+        for (op, _) in &c.links {
+            t.bin(*op, acc, arg(k), Out::Acc(0));
+            k += 1;
+        }
+        match cmp {
+            Some(op) => t.cmp(op, acc, arg(k)),
+            None if t.ok.get() => t.spill(0, dst),
+            None => {}
+        }
+        t.ok.get()
+    }
+
+    /// `dst = (to)src` over the active lanes. The conversion is picked
+    /// once, by the first active lane's type, and runs as one loop; a lane
+    /// of another type takes [`value::convert`], which every pair here
+    /// agrees with (a float saturates, an integer truncates).
+    fn cvt(&mut self, src: Src, dst: usize, to: ScalarType) {
+        let Some(first) = self.first_active() else {
+            return;
+        };
+        let (n, regs) = (self.n, &mut self.levels[self.d].regs);
+        let lanes = Lanes::of(&self.act, n);
+        macro_rules! pair {
+            ($from:ident, $x:ident => $to:expr) => {
+                cvt_lanes((lanes, n), regs, (src, dst, to), |v, out| match v {
+                    Value::$from($x) => {
+                        *out = $to;
+                        true
                     }
+                    _ => false,
                 })
             };
         }
-        use BinOp::{Add, BitAnd, BitOr, BitXor, Div, Mul, Sub};
-        let result = match (l.get(regs, first as usize), op) {
-            (Value::F32(_), Add) => lanes!(f32, Add),
-            (Value::F32(_), Sub) => lanes!(f32, Sub),
-            (Value::F32(_), Mul) => lanes!(f32, Mul),
-            (Value::F32(_), Div) => lanes!(f32, Div),
-            (Value::I32(_), Add) => lanes!(i32, Add),
-            (Value::I32(_), Sub) => lanes!(i32, Sub),
-            (Value::I32(_), Mul) => lanes!(i32, Mul),
-            (Value::I32(_), BitAnd) => lanes!(i32, BitAnd),
-            (Value::I32(_), BitOr) => lanes!(i32, BitOr),
-            (Value::I32(_), BitXor) => lanes!(i32, BitXor),
-            _ => self.act.each(|i| {
-                let (a, b) = (l.get(regs, i), r.get(regs, i));
-                bin_into(&mut regs[dst + i], op, a, b)
-            }),
-        };
-        self.check(result);
-    }
-
-    /// `flags[lane] = l op r` over the active lanes.
-    fn cmp(&mut self, l: Src, r: Src, op: CmpOp) {
-        let (regs, flags) = (&self.levels[self.d].regs, &mut self.flags);
-        let result = self.act.each(|i| {
-            flags[i] = cmp1(op, l.get(regs, i), r.get(regs, i))?;
-            Ok(())
-        });
-        self.check(result);
-    }
-
-    /// A fused arithmetic chain in one pass over the active lanes: the
-    /// operands resolve once, in the unfused pop order, and each lane keeps
-    /// its accumulator in a register from the first operation to the tail.
-    fn chain(&mut self, c: &Chain) {
-        let (r, l) = (self.src(&c.r), self.src(&c.l));
-        let tree = c.tree.as_ref().map(|(l2, r2, op2, comb)| {
-            let r2 = self.src(r2);
-            (self.src(l2), r2, *op2, *comb)
-        });
-        self.srcs.clear();
-        for (_, r) in &c.links {
-            let r = self.src(r);
-            self.srcs.push(r);
-        }
-        let (cmp_r, dst) = match &c.tail {
-            ChainTail::Push => (Src::Const(ZERO), self.push()),
-            ChainTail::Store(s) => (Src::Const(ZERO), *s as usize * self.n),
-            ChainTail::Cmp { r, .. } => (self.src(r), 0),
-        };
-        let (regs, flags, links) = (&mut self.levels[self.d].regs, &mut self.flags, &self.srcs);
-        let cmp = match c.tail {
-            ChainTail::Cmp { op, .. } => Some(op),
-            _ => None,
-        };
-        let result = self.act.each(|i| {
-            let ops = (l, r, tree, &links[..], cmp_r, cmp);
-            macro_rules! typed {
-                ($t:ty) => {
-                    if let Some((acc, flag)) = chain_lane::<$t>(c, ops, regs, i) {
-                        match cmp {
-                            Some(_) => flags[i] = flag,
-                            None => regs[dst + i] = acc.value(),
-                        }
-                        return Ok(());
-                    }
-                };
-            }
-            match l.get(regs, i) {
-                Value::F32(_) => typed!(f32),
-                Value::I32(_) => typed!(i32),
-                _ => {}
-            }
-            // Some other type, or an operation that can fault.
-            let mut acc = ZERO;
-            bin_into(&mut acc, c.op, l.get(regs, i), r.get(regs, i))?;
-            if let Some((l2, r2, op2, comb)) = tree {
-                let mut acc2 = ZERO;
-                bin_into(&mut acc2, op2, l2.get(regs, i), r2.get(regs, i))?;
-                let left = acc;
-                bin_into(&mut acc, comb, left, acc2)?;
-            }
-            for ((op, _), r) in c.links.iter().zip(links) {
-                let left = acc;
-                bin_into(&mut acc, *op, left, r.get(regs, i))?;
-            }
-            match cmp {
-                Some(op) => flags[i] = cmp1(op, acc, cmp_r.get(regs, i))?,
-                None => regs[dst + i] = acc,
-            }
-            Ok(())
-        });
-        self.check(result);
-        if let ChainTail::Cmp { along, .. } = c.tail {
-            self.cmp_use(along);
+        use ScalarType::{Float, Int, Long, UChar};
+        match (src.get(regs, first), to) {
+            (Value::I32(_), Float) => pair!(I32, x => Value::F32(x as f32)),
+            (Value::F32(_), Int) => pair!(F32, x => Value::I32(x as i32)),
+            (Value::U8(_), Int) => pair!(U8, x => Value::I32(x as i32)),
+            (Value::I32(_), UChar) => pair!(I32, x => Value::U8(x as u8)),
+            (Value::I32(_), Long) => pair!(I32, x => Value::I64(x as i64)),
+            (Value::U64(_), Int) => pair!(U64, x => Value::I32(x as i32)),
+            _ => cvt_lanes((lanes, n), regs, (src, dst, to), |_, _| false),
         }
     }
 
@@ -1071,7 +1193,7 @@ impl Strip {
     /// active, the others wait at theirs.
     fn branch(&mut self, if_true: u32, if_false: u32) {
         let mut taken = 0;
-        self.act.each_ok(|l| taken += self.flags[l] as usize);
+        Lanes::of(&self.act, self.n).each(self.n, |l| taken += self.flags[l] as usize);
         if taken == self.act.m || if_true == if_false {
             self.pc = if_true;
         } else if taken == 0 {
@@ -1372,10 +1494,7 @@ impl Strip {
                         Decoded::Cvt { src, to, dst, .. } => {
                             let src = self.src(src);
                             let dst = self.dst(dst);
-                            self.map(src, dst, |v, out| {
-                                cvt_into(out, v, *to);
-                                Ok(())
-                            });
+                            self.cvt(src, dst, *to);
                         }
                         Decoded::Plain(op) => match op {
                             Op::Const(v) => {
@@ -1412,10 +1531,7 @@ impl Strip {
                             }
                             Op::Convert(to) => {
                                 let c = self.peek();
-                                self.map(Src::Col(c), c, |v, out| {
-                                    cvt_into(out, v, *to);
-                                    Ok(())
-                                });
+                                self.cvt(Src::Col(c), c, *to);
                             }
                             Op::ToBool => {
                                 let c = self.peek();
@@ -2071,14 +2187,251 @@ fn pop(frame: &mut Frame) -> Result<Value, RuntimeError> {
     frame.stack.pop().ok_or_else(stack_underflow)
 }
 
-/// The scalar types whose arithmetic the lane loops do on the bare machine
+/// The lanes a head's loops cover, resolved once per head: all of the
+/// strip's when every one is active (iterated as `0..n`), else the active
+/// ones by index.
+#[derive(Clone, Copy)]
+enum Lanes<'a> {
+    All,
+    Some(&'a [u32]),
+}
+
+impl<'a> Lanes<'a> {
+    /// `act`'s lanes in a strip of `n`: all of them iff `m == n`, since the
+    /// active indices are distinct lanes below `n`.
+    fn of(act: &'a Active, n: usize) -> Self {
+        match act.m == n {
+            true => Lanes::All,
+            false => Lanes::Some(&act.idx[..act.m]),
+        }
+    }
+
+    /// Runs `f` for every lane of a strip of `n`, ascending, folding what
+    /// it says with `&` — no early exit, so the flag stays in a register.
+    /// Plain `for` loops, `f` inlined into both: through an iterator
+    /// adaptor the loop is outlined and reloads `f`'s captures on every
+    /// lane. A full strip's loop is bounded by `n` itself, so columns
+    /// sliced to `n` are indexed unchecked.
+    #[inline(always)]
+    fn all(self, n: usize, mut f: impl FnMut(usize) -> bool) -> bool {
+        let mut ok = true;
+        match self {
+            Lanes::All => {
+                for l in 0..n {
+                    ok &= f(l);
+                }
+            }
+            Lanes::Some(idx) => {
+                for &l in idx {
+                    ok &= f(l as usize);
+                }
+            }
+        }
+        ok
+    }
+
+    /// [`Lanes::all`] for loops with nothing to say.
+    #[inline(always)]
+    fn each(self, n: usize, mut f: impl FnMut(usize)) {
+        self.all(n, |l| {
+            f(l);
+            true
+        });
+    }
+}
+
+/// A typed loop's operand, resolved once per head: a register column (by
+/// its lane-0 index), an immediate, or an accumulator column (by offset).
+#[derive(Clone, Copy)]
+enum Arg<T> {
+    Col(usize),
+    Imm(T),
+    Acc(usize),
+}
+
+/// Where a typed loop writes: a register column or an accumulator column.
+#[derive(Clone, Copy)]
+enum Out {
+    Col(usize),
+    Acc(usize),
+}
+
+/// A strip's typed accumulator columns: `2 * STRIP` slots per type, the
+/// chain's accumulator at offset 0 and its tree's at `STRIP`.
+#[derive(Debug, Default)]
+struct AccCols {
+    f32: Vec<f32>,
+    i32: Vec<i32>,
+}
+
+/// One head's typed view of the active set: the level's registers, the `T`
+/// accumulator columns and the flags, as cells so that one loop may read
+/// the column it writes (`x = x op y`). Every loop folds, branch-free,
+/// whether each operand it read held a `T` into `ok`.
+struct Typed<'a, T> {
+    /// The strip's width: a register column's length.
+    n: usize,
+    lanes: Lanes<'a>,
+    regs: &'a [Cell<Value>],
+    acc: &'a [Cell<T>],
+    flags: &'a [Cell<bool>],
+    ok: Cell<bool>,
+}
+
+/// Binds `$get` to a per-lane reader of the typed operand `$arg` of the
+/// [`Typed`] view `$t` — `(value, whether the lane held a T)` — and
+/// expands `$body` once per operand kind, so that every loop in it reads
+/// its operands without a per-lane match.
+macro_rules! reader {
+    ($t:expr, $arg:expr, $get:ident => $body:expr) => {
+        match $arg {
+            Arg::Col(c) => {
+                let col = &$t.regs[c..c + $t.n];
+                let $get = move |i: usize| T::read(col[i].get());
+                $body
+            }
+            Arg::Imm(x) => {
+                let $get = move |_: usize| (x, true);
+                $body
+            }
+            Arg::Acc(a) => {
+                let col = &$t.acc[a..a + $t.n];
+                let $get = move |i: usize| (col[i].get(), true);
+                $body
+            }
+        }
+    };
+}
+
+impl<T: Fast> Typed<'_, T> {
+    /// `src` as a typed operand. An immediate of another type clears `ok`;
+    /// a column's lanes are checked by the loops that read them.
+    fn arg(&self, src: Src) -> Arg<T> {
+        match src {
+            Src::Col(c) => Arg::Col(c),
+            Src::Const(v) => {
+                let (x, held) = T::read(v);
+                self.held(held);
+                Arg::Imm(x)
+            }
+        }
+    }
+
+    fn held(&self, ok: bool) {
+        self.ok.set(self.ok.get() & ok);
+    }
+
+    /// `out = l op r` over the lanes, `op` native to `T`.
+    fn bin(&self, op: BinOp, l: Arg<T>, r: Arg<T>, out: Out) {
+        T::visit(op, BinLoop { t: self, l, r, out });
+    }
+
+    /// `flags = l op r` over the lanes; on floats IEEE's, as
+    /// [`value::compare`]: ordered comparisons with NaN are false, `!=` is
+    /// true.
+    fn cmp(&self, op: CmpOp, l: Arg<T>, r: Arg<T>) {
+        match op {
+            CmpOp::Lt => self.flag(l, r, |a, b| a < b),
+            CmpOp::Le => self.flag(l, r, |a, b| a <= b),
+            CmpOp::Gt => self.flag(l, r, |a, b| a > b),
+            CmpOp::Ge => self.flag(l, r, |a, b| a >= b),
+            CmpOp::Eq => self.flag(l, r, |a, b| a == b),
+            CmpOp::Ne => self.flag(l, r, |a, b| a != b),
+        }
+    }
+
+    #[inline(always)]
+    fn flag(&self, l: Arg<T>, r: Arg<T>, f: impl Fn(T, T) -> bool) {
+        let flags = &self.flags[..self.n];
+        let ok = reader!(self, l, a => reader!(self, r, b => self.lanes.all(self.n, |i| {
+            let ((x, p), (y, q)) = (a(i), b(i));
+            flags[i].set(f(x, y));
+            p & q
+        })));
+        self.held(ok);
+    }
+
+    /// Register column `dst` = accumulator column `a`.
+    fn spill(&self, a: usize, dst: usize) {
+        let (acc, out) = (&self.acc[a..a + self.n], &self.regs[dst..dst + self.n]);
+        self.lanes
+            .each(self.n, |i| out[i].set(acc[i].get().value()));
+    }
+}
+
+/// Code run with a binary operation as a closure (see [`Fast::visit`]).
+trait Visit<T> {
+    fn go(self, f: impl Fn(T, T) -> T + Copy);
+}
+
+/// Visits nothing: [`Fast::native`]'s probe.
+struct Probe;
+
+impl<T> Visit<T> for Probe {
+    fn go(self, _: impl Fn(T, T) -> T + Copy) {}
+}
+
+/// [`Typed::bin`]'s loop.
+struct BinLoop<'t, 'a, T> {
+    t: &'t Typed<'a, T>,
+    l: Arg<T>,
+    r: Arg<T>,
+    out: Out,
+}
+
+impl<T: Fast> Visit<T> for BinLoop<'_, '_, T> {
+    #[inline(always)]
+    fn go(self, f: impl Fn(T, T) -> T + Copy) {
+        let (t, out) = (self.t, self.out);
+        let ok = reader!(t, self.l, a => reader!(t, self.r, b => match out {
+            Out::Col(c) => {
+                let col = &t.regs[c..c + t.n];
+                t.lanes.all(t.n, |i| {
+                    let ((x, p), (y, q)) = (a(i), b(i));
+                    if p & q {
+                        col[i].set(f(x, y).value());
+                    }
+                    p & q
+                })
+            }
+            Out::Acc(o) => {
+                let col = &t.acc[o..o + t.n];
+                t.lanes.all(t.n, |i| {
+                    let ((x, p), (y, q)) = (a(i), b(i));
+                    col[i].set(f(x, y));
+                    p & q
+                })
+            }
+        }));
+        t.held(ok);
+    }
+}
+
+/// The scalar types whose arithmetic the typed loops do on the bare machine
 /// type: `float` and `int`, with the operations that cannot fault. The
 /// expressions are [`value::binary`]'s own, so results are bit-identical.
-trait Fast: Copy + PartialOrd {
+trait Fast: Copy + PartialOrd + Default {
     fn of(v: Value) -> Option<Self>;
     fn value(self) -> Value;
-    /// `None` for the operations left to [`value::binary`].
-    fn bin(op: BinOp, a: Self, b: Self) -> Option<Self>;
+    /// Runs `k` with `op` as a closure: `false`, and nothing run, for the
+    /// operations left to [`value::binary`].
+    fn visit(op: BinOp, k: impl Visit<Self>) -> bool;
+    fn acc(cols: &mut AccCols) -> &mut Vec<Self>;
+
+    /// A lane's value and whether it held a `Self` (if not, the value is
+    /// a stand-in that the head's per-lane re-run never lets out).
+    #[inline(always)]
+    fn read(v: Value) -> (Self, bool) {
+        match Self::of(v) {
+            Some(x) => (x, true),
+            None => (Self::default(), false),
+        }
+    }
+
+    /// Whether [`Fast::visit`] runs `op`.
+    fn native(op: BinOp) -> bool {
+        Self::visit(op, Probe)
+    }
 }
 
 impl Fast for f32 {
@@ -2096,14 +2449,20 @@ impl Fast for f32 {
     }
 
     #[inline(always)]
-    fn bin(op: BinOp, a: f32, b: f32) -> Option<f32> {
-        Some(match op {
-            BinOp::Add => a + b,
-            BinOp::Sub => a - b,
-            BinOp::Mul => a * b,
-            BinOp::Div => a / b,
-            _ => return None,
-        })
+    fn visit(op: BinOp, k: impl Visit<f32>) -> bool {
+        match op {
+            BinOp::Add => k.go(|a, b| a + b),
+            BinOp::Sub => k.go(|a, b| a - b),
+            BinOp::Mul => k.go(|a, b| a * b),
+            BinOp::Div => k.go(|a, b| a / b),
+            BinOp::Rem => k.go(|a, b| a % b),
+            _ => return false,
+        }
+        true
+    }
+
+    fn acc(cols: &mut AccCols) -> &mut Vec<f32> {
+        &mut cols.f32
     }
 }
 
@@ -2122,121 +2481,65 @@ impl Fast for i32 {
     }
 
     #[inline(always)]
-    fn bin(op: BinOp, a: i32, b: i32) -> Option<i32> {
-        Some(match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::BitAnd => a & b,
-            BinOp::BitOr => a | b,
-            BinOp::BitXor => a ^ b,
-            _ => return None,
-        })
-    }
-}
-
-/// A native comparison. On floats this is [`value::compare`]'s IEEE
-/// semantics: ordered comparisons with NaN are false, `!=` is true.
-#[inline(always)]
-fn native_cmp<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
-    match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-    }
-}
-
-/// `*out = a op b` for one lane: [`Fast`] where it applies — the scalar
-/// stays in a machine register and the result is built in place, which is
-/// what makes it fast (see [`load_into`]) — and [`value::binary`] for every
-/// other type and for the fallible operations.
-#[inline(always)]
-fn bin_into(out: &mut Value, op: BinOp, a: Value, b: Value) -> Result<(), RuntimeError> {
-    match (a, b) {
-        (Value::F32(x), Value::F32(y)) => {
-            if let Some(z) = f32::bin(op, x, y) {
-                *out = Value::F32(z);
-                return Ok(());
-            }
+    fn visit(op: BinOp, k: impl Visit<i32>) -> bool {
+        match op {
+            BinOp::Add => k.go(|a, b| a.wrapping_add(b)),
+            BinOp::Sub => k.go(|a, b| a.wrapping_sub(b)),
+            BinOp::Mul => k.go(|a, b| a.wrapping_mul(b)),
+            BinOp::BitAnd => k.go(|a, b| a & b),
+            BinOp::BitOr => k.go(|a, b| a | b),
+            BinOp::BitXor => k.go(|a, b| a ^ b),
+            BinOp::Shl => k.go(|a, b| a.wrapping_shl(b as u32 & 31)),
+            BinOp::Shr => k.go(|a, b| a.wrapping_shr(b as u32 & 31)),
+            _ => return false,
         }
-        (Value::I32(x), Value::I32(y)) => {
-            if let Some(z) = i32::bin(op, x, y) {
-                *out = Value::I32(z);
-                return Ok(());
-            }
-        }
-        _ => {}
+        true
     }
-    *out = value::binary(op, a, b).map_err(eval_err)?;
-    Ok(())
+
+    fn acc(cols: &mut AccCols) -> &mut Vec<i32> {
+        &mut cols.i32
+    }
 }
 
-/// One lane's comparison, natively on `float` and `int`.
-#[inline(always)]
+/// Whether `a` and `b` both hold a `T`.
+fn both<T: Fast>(a: Value, b: Value) -> bool {
+    T::of(a).is_some() && T::of(b).is_some()
+}
+
+/// One lane's `a op b`: what a head whose lanes are not all of one native
+/// type, or whose operation can fault, runs per lane.
+fn bin1(op: BinOp, a: Value, b: Value) -> Result<Value, RuntimeError> {
+    value::binary(op, a, b).map_err(eval_err)
+}
+
+/// One lane's comparison (see [`bin1`]).
 fn cmp1(op: CmpOp, a: Value, b: Value) -> Result<bool, RuntimeError> {
-    match (a, b) {
-        (Value::F32(x), Value::F32(y)) => Ok(native_cmp(op, x, y)),
-        (Value::I32(x), Value::I32(y)) => Ok(native_cmp(op, x, y)),
-        _ => value::compare(op, a, b).map_err(eval_err),
-    }
+    value::compare(op, a, b).map_err(eval_err)
 }
 
-/// `*out = (to)v` for one lane: the casts between `int`, `float` and
-/// `uchar` that image and index arithmetic is made of (and work-item ids
-/// to `int`), as
-/// [`value::convert`] computes them (a float saturates, an integer
-/// truncates), and [`value::convert`] itself for every other pair.
+/// [`Strip::cvt`]'s loop: `f` where it applies, [`value::convert`]
+/// otherwise; an immediate converts once. `f` builds its result in place
+/// (see [`load_into`]).
 #[inline(always)]
-fn cvt_into(out: &mut Value, v: Value, to: ScalarType) {
-    match (v, to) {
-        (Value::I32(x), ScalarType::Float) => *out = Value::F32(x as f32),
-        (Value::F32(x), ScalarType::Int) => *out = Value::I32(x as i32),
-        (Value::U8(x), ScalarType::Int) => *out = Value::I32(x as i32),
-        (Value::I32(x), ScalarType::UChar) => *out = Value::U8(x as u8),
-        (Value::I32(x), ScalarType::Long) => *out = Value::I64(x as i64),
-        (Value::U64(x), ScalarType::Int) => *out = Value::I32(x as i32),
-        _ => *out = value::convert(v, to),
-    }
-}
-
-/// A chain's resolved operands: first producer, second producer, links,
-/// the tail comparison's rhs and operation.
-type ChainSrcs<'a> = (
-    Src,
-    Src,
-    Option<(Src, Src, BinOp, BinOp)>,
-    &'a [Src],
-    Src,
-    Option<CmpOp>,
-);
-
-/// One lane of a chain whose operands all are `T`s, the accumulator in a
-/// machine register from the first operation to the tail: the accumulator
-/// and the tail comparison's flag. `None` — and nothing done — when an
-/// operand is something else or an operation is not one of [`Fast::bin`]'s.
-#[inline(always)]
-fn chain_lane<T: Fast>(
-    c: &Chain,
-    (l, r, tree, links, cmp_r, cmp): ChainSrcs,
-    regs: &[Value],
-    i: usize,
-) -> Option<(T, bool)> {
-    let get = |s: Src| T::of(s.get(regs, i));
-    let mut acc = T::bin(c.op, get(l)?, get(r)?)?;
-    if let Some((l2, r2, op2, comb)) = tree {
-        acc = T::bin(comb, acc, T::bin(op2, get(l2)?, get(r2)?)?)?;
-    }
-    for ((op, _), r) in c.links.iter().zip(links) {
-        acc = T::bin(*op, acc, get(*r)?)?;
-    }
-    let flag = match cmp {
-        Some(op) => native_cmp(op, acc, get(cmp_r)?),
-        None => false,
+fn cvt_lanes(
+    (lanes, n): (Lanes, usize),
+    regs: &mut [Value],
+    (src, dst, to): (Src, usize, ScalarType),
+    f: impl Fn(Value, &mut Value) -> bool,
+) {
+    let one = |v, out: &mut Value| {
+        if !f(v, out) {
+            *out = value::convert(v, to);
+        }
     };
-    Some((acc, flag))
+    match src {
+        Src::Col(c) => lanes.each(n, |i| one(regs[c + i], &mut regs[dst + i])),
+        Src::Const(v) => {
+            let mut z = ZERO;
+            one(v, &mut z);
+            lanes.each(n, |i| regs[dst + i] = z);
+        }
+    }
 }
 
 fn pop_ptr(frame: &mut Frame) -> Result<Ptr, RuntimeError> {

@@ -625,3 +625,184 @@ fn racy_kernel_is_deterministic() {
     .unwrap();
     assert_eq!(first.counters, item_major.counters, "counters never race");
 }
+
+/// Every scalar type of the kernel language: `(name, is_float)`.
+const SCALARS: [(&str, bool); 10] = [
+    ("char", false),
+    ("uchar", false),
+    ("short", false),
+    ("ushort", false),
+    ("int", false),
+    ("uint", false),
+    ("long", false),
+    ("ulong", false),
+    ("float", true),
+    ("double", true),
+];
+
+/// `v` as a little-endian element of the scalar type `ty`.
+fn scalar_bytes(ty: &str, v: i64) -> Vec<u8> {
+    match ty {
+        "char" | "uchar" => vec![v as u8],
+        "short" | "ushort" => (v as i16).to_le_bytes().to_vec(),
+        "int" | "uint" => (v as i32).to_le_bytes().to_vec(),
+        "long" | "ulong" => v.to_le_bytes().to_vec(),
+        "float" => (v as f32 / 4.0).to_le_bytes().to_vec(),
+        "double" => (v as f64 / 4.0).to_le_bytes().to_vec(),
+        other => panic!("not a scalar type: {other}"),
+    }
+}
+
+/// The head table's kernel for one scalar type `t`: every binary and
+/// comparison operator of `t`, as a plain `Bin` (operands from locals, an
+/// immediate either side, and two stack results), as the producer of a
+/// chain's tree and as a chain's middle link, and every comparison as a
+/// `Cmp` feeding a branch (locals, an immediate) and as a chain's compare
+/// tail. `y` is never zero, so no division faults. `mode` 1 sends every
+/// third lane home first, so the heads run on a partial active set.
+fn head_table_kernel(t: &str, float: bool) -> (String, usize, usize) {
+    let bins: &[&str] = match float {
+        true => &["+", "-", "*", "/"],
+        false => &["+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"],
+    };
+    let cmps = ["<", "<=", ">", ">=", "==", "!="];
+    let mut body = String::new();
+    let mut k = 0;
+    for op in bins {
+        for e in [
+            format!("a {op} b"),
+            format!("a {op} ({t})3"),
+            format!("({t})5 {op} b"),
+            format!("(a + c) {op} (b * d)"),
+            format!("a * c + b {op} d"),
+            format!("(a + c) {op} b - d"),
+        ] {
+            body += &format!("    o[ob + {k}] = {e};\n");
+            k += 1;
+        }
+    }
+    let mut j = 0;
+    for op in cmps {
+        for e in [
+            format!("a {op} b"),
+            format!("a {op} ({t})2"),
+            format!("a * b + c {op} d"),
+            format!("a * c - b * d {op} a"),
+        ] {
+            body += &format!("    if ({e}) f[fb + {j}] = 1; else f[fb + {j}] = 2;\n");
+            j += 1;
+        }
+    }
+    let src = format!(
+        "__kernel void heads(__global const {t}* x, __global const {t}* y, __global {t}* o,
+                             __global int* f, int mode) {{
+    int i = (int)get_global_id(0);
+    if (mode == 1 && i % 3 == 1) return;
+    {t} a = x[i]; {t} b = y[i]; {t} c = x[i + 1]; {t} d = y[i + 1];
+    int ob = i * {k}; int fb = i * {j};
+{body}}}"
+    );
+    (src, k, j)
+}
+
+/// One table for the group executor's arithmetic heads: every scalar type ×
+/// every `BinOp`/`CmpOp`, operands from locals, immediates and the stack,
+/// plain `Bin`, `Cmp` + branch, and chains with a tree, links and a compare
+/// tail — each on a full strip of 64 lanes, on a partial active set after a
+/// lane-dependent branch, and on a single lane. Buffers and counters must be
+/// bit-identical to the reference launcher's.
+#[test]
+fn head_table_matches_reference() {
+    for (t, float) in SCALARS {
+        let (src, outs, flags) = head_table_kernel(t, float);
+        let program = compile("heads.cl", &src).unwrap_or_else(|e| panic!("{t}:\n{e}"));
+        let size = scalar_bytes(t, 0).len();
+        for (items, mode) in [(64, 0), (64, 1), (1, 0)] {
+            // Signed values of both signs; divisors 1..=7 of either sign
+            // (`uchar`/`ushort`/... read them as large positives).
+            let x: Vec<u8> = (0..=items as i64)
+                .flat_map(|i| scalar_bytes(t, (i * 37 + 11) % 101 - 50))
+                .collect();
+            let y: Vec<u8> = (0..=items as i64)
+                .flat_map(|i| scalar_bytes(t, (i % 7 + 1) * if i % 2 == 0 { 1 } else { -1 }))
+                .collect();
+            let args = [
+                Arg::Buffer(x),
+                Arg::Buffer(y),
+                Arg::Buffer(vec![0u8; items * outs * size]),
+                Arg::Buffer(vec![0u8; items * flags * 4]),
+                Arg::Scalar(Value::I32(mode)),
+            ];
+            let range = NdRange::linear(items, items);
+            let counters = assert_matches_reference(&program, "heads", &args, range, 1);
+            assert!(counters.ops > 0, "{t}: the table ran");
+        }
+    }
+}
+
+/// Integer `/` and `%` by zero at lane 5 of 64 — in a chain's first
+/// operation (`a / b * c - c`), in its tree (`a * c + c / b`) and in a
+/// middle link (`(a + c) / b * c`) — stop the launch at item 5 with the
+/// reference's error: a chain that can fault runs lane by lane.
+#[test]
+fn division_by_zero_in_a_chain_faults_at_the_lane_the_reference_does() {
+    let program = compile(
+        "div0.cl",
+        "__kernel void first(__global const int* x, __global const int* y, __global int* o) {
+             int i = (int)get_global_id(0);
+             int a = x[i]; int b = y[i]; int c = x[i + 1];
+             o[i] = a / b * c - c;
+         }
+         __kernel void first_rem(__global const int* x, __global const int* y, __global int* o) {
+             int i = (int)get_global_id(0);
+             int a = x[i]; int b = y[i]; int c = x[i + 1];
+             o[i] = a % b * c - c;
+         }
+         __kernel void tree(__global const int* x, __global const int* y, __global int* o) {
+             int i = (int)get_global_id(0);
+             int a = x[i]; int b = y[i]; int c = x[i + 1];
+             o[i] = a * c + c / b;
+         }
+         __kernel void tree_rem(__global const int* x, __global const int* y, __global int* o) {
+             int i = (int)get_global_id(0);
+             int a = x[i]; int b = y[i]; int c = x[i + 1];
+             o[i] = a * c - c % b;
+         }
+         __kernel void link(__global const int* x, __global const int* y, __global int* o) {
+             int i = (int)get_global_id(0);
+             int a = x[i]; int b = y[i]; int c = x[i + 1];
+             o[i] = (a + c) / b * c;
+         }
+         __kernel void link_rem(__global const int* x, __global const int* y, __global int* o) {
+             int i = (int)get_global_id(0);
+             int a = x[i]; int b = y[i]; int c = x[i + 1];
+             o[i] = (a + c) % b * c;
+         }",
+    )
+    .unwrap();
+    let x: Vec<i32> = (0..65).map(|i| i * 7 - 100).collect();
+    let y: Vec<i32> = (0..65)
+        .map(|i| if i == 5 { 0 } else { i % 4 + 1 })
+        .collect();
+    let args = [
+        Arg::Buffer(i32s(&x)),
+        Arg::Buffer(i32s(&y)),
+        Arg::Buffer(vec![0u8; 64 * 4]),
+    ];
+    let range = NdRange::linear(64, 64);
+    let config = LaunchConfig::default();
+    let budget = config.ops_budget_per_item;
+    for kernel in ["first", "first_rem", "tree", "tree_rem", "link", "link_rem"] {
+        let reference = support::launch(&program, kernel, &args, &range, budget);
+        assert_eq!(
+            reference,
+            Err(Fault::Item {
+                global_id: [5, 0, 0],
+                error: RuntimeError::DivisionByZero,
+            }),
+            "{kernel}: the reference faults at item 5"
+        );
+        let engine = run_engine(&program, kernel, &args, range, (1, 0), &config);
+        assert_eq!(as_reference(engine), reference, "{kernel}");
+    }
+}

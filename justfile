@@ -58,6 +58,13 @@ goldens:
 compile-prof reps="300":
     cargo run --release -p skelcl-kernel --example compile_prof -- {{reps}}
 
+# Per-lane ledger of the group executor over the raw Mandelbrot, Sobel,
+# zip-multiply and tree-reduce corpus kernels (one WorkGroup over
+# HostMemory): lane-ops, group steps and lane utilisation per launch, and
+# the median host ns per lane-op over `reps` launches.
+lane-prof reps="20":
+    cargo run --release -p skelcl-kernel --example lane_prof -- {{reps}}
+
 # Regenerate the paper's figures and their BENCH_*.json reports.
 figures:
     cargo run --release -p skelcl-bench --bin fig4_mandelbrot
@@ -112,8 +119,10 @@ bench-e2e-quick:
 # parent commit cloned into a scratch directory): builds bench/e2e in both,
 # runs `pairs` 15 s pairs per workload and seed — the parent first in odd
 # pairs, this tree first in even ones — and prints per seed `compare` and,
-# per workload, how many pairs this tree won on `iter_ms_p50` (pair i is
-# the i-th record of the workload in each file). A `worse` row does not
+# per workload, the claim rule for a lower `iter_ms_p50`: pairs this tree
+# won (pair i is the i-th record of the workload in each file), both
+# medians, the parent's interquartile range, and `holds: yes` iff it won
+# at least 9 pairs in 10 and its median is lower by more than that range. A `worse` row does not
 # stop the run: both seeds always run, the recipe ends with each seed's
 # count of `worse` rows and exits non-zero if any seed had one. All six
 # workloads unless some are named: `just bench-ab ../parent sobel dot`.
@@ -149,11 +158,22 @@ bench-ab parent *workloads:
         match($0, /"iter_ms_p50":[{]"value":[^,}]*/) { v = substr($0, RSTART + 23, RLENGTH - 23) + 0 }
         FILENAME == ARGV[1] { a[w, na[w]++] = v; next }
         { b[w, nb[w]++] = v }
+        # Quantile q of the n values in s[1..n], sorted in place (linear
+        # interpolation between closest ranks).
+        function quantile(s, n, q,    i, j, t, h) {
+          for (i = 2; i <= n; i++)
+            for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+          h = (n - 1) * q + 1; i = int(h)
+          return i >= n ? s[n] : s[i] + (h - i) * (s[i + 1] - s[i])
+        }
         END {
           for (w in na) {
             n = na[w] < nb[w] ? na[w] : nb[w]; won = 0
-            for (i = 0; i < n; i++) won += b[w, i] < a[w, i]
-            printf "seed %s %-16s this tree won %d/%d pairs on iter_ms_p50\n", seed, w, won, n
+            for (i = 0; i < n; i++) { won += b[w, i] < a[w, i]; sa[i + 1] = a[w, i]; sb[i + 1] = b[w, i] }
+            ma = quantile(sa, n, 0.5); mb = quantile(sb, n, 0.5)
+            iqr = quantile(sa, n, 0.75) - quantile(sa, n, 0.25)
+            holds = (won * 10 >= 9 * n && ma - mb > iqr) ? "yes" : "no"
+            printf "seed %s %-16s iter_ms_p50: this tree won %d/%d pairs; median %.3f -> %.3f ms; parent IQR %.3f ms; holds: %s\n", seed, w, won, n, ma, mb, iqr, holds
           }
         }' "$out/a-$seed.jsonl" "$out/b-$seed.jsonl"
     done
