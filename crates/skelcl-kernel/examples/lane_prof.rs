@@ -1,7 +1,9 @@
-//! Per-lane ledger of the group executor over the raw benchmark kernels of
-//! the corpus (`tests/corpus/raw_*.cl`): Mandelbrot, Sobel, zip-multiply and
-//! tree-reduce, each launched over [`HostMemory`] by one [`WorkGroup`] on
-//! one thread, group after group.
+//! Per-lane ledger of the group executor over corpus kernels
+//! (`tests/corpus/*.cl`): the raw Mandelbrot, Sobel, zip-multiply and
+//! tree-reduce benchmark kernels, and the welded `skelcl_map` Mandelbrot
+//! kernel on the 256-lane 1-D groups a `Map` launches. Each is launched
+//! over [`HostMemory`] by one [`WorkGroup`] on one thread, group after
+//! group.
 //!
 //! Prints, per kernel, the lane-ops of one launch (one decoded head
 //! executed for one lane: `GroupStats::lane_steps`), its group steps (one
@@ -78,6 +80,25 @@ fn cases() -> Vec<Case> {
             ],
             global: [mw as u64, mh as u64],
             local: [16, 16],
+        },
+        // The `Map` skeleton's kernel over the same frame, as `bench/e2e`'s
+        // `mandelbrot` workload launches it: one item per pixel index,
+        // 256-lane 1-D groups.
+        Case {
+            file: "skelcl_map.cl",
+            kernel: "skelcl_map",
+            args: vec![
+                Arg::Buffer((0..(mw * mh) as i32).flat_map(i32::to_le_bytes).collect()),
+                Arg::Buffer(vec![0; mw * mh]),
+                int(mw * mh),
+                int(mw),
+                int(mh),
+                int(200),
+                Arg::Scalar(Value::F32(0.0)),
+                Arg::Scalar(Value::F32(0.0)),
+            ],
+            global: [(mw * mh) as u64, 1],
+            local: [256, 1],
         },
         Case {
             file: "raw_sobel.cl",

@@ -1,4 +1,4 @@
-//! Superinstruction pre-decode for the optimised dispatch loop.
+//! Superinstruction pre-decode for the group executor.
 //!
 //! The interpreter's hot cost is not the arithmetic, it is the traffic
 //! around it: `LoadLocal x; LoadLocal y; Bin Mul; StoreLocal z` costs four
@@ -7,6 +7,21 @@
 //! into a parallel stream of [`Decoded`] instructions in which such
 //! sequences run as a single dispatch reading operands straight from the
 //! locals (or constants) and writing the result straight back.
+//!
+//! **The height rule.** The bytecode is a stack machine's, but the executor
+//! keeps no operand stack. A function is decoded only if its operand-stack
+//! height before every op is static. [`heights`] checks this with one
+//! forward pass from `pc` 0. A `Call` pops its arguments and pushes a value
+//! unless the callee's `FuncCode::returns_void` is set. The rule is broken
+//! by an op that is never reached, by one that pops more than the stack
+//! holds, and by one reached at two heights. Stack position `h` is then the
+//! fixed register slot `local_init.len() + h`. Every operand a head reads is
+//! a slot or an immediate, and every result it writes goes to a slot. A
+//! frame has `local_init.len()` plus the largest height slots and is sized
+//! once, when it is entered. A function that breaks the rule decodes to
+//! [`Decoded::Fault`] heads: running it raises `RuntimeError::Internal` at
+//! its first op instead of panicking. Debug builds assert that the lowering
+//! never emits such a function.
 //!
 //! Fusion must not change what the reference interpreter observes:
 //!
@@ -26,37 +41,27 @@
 //!
 //! [`Program`]: crate::program::Program
 
+use crate::builtins::Builtin;
 use crate::hir::{BinOp, CmpOp};
-use crate::ir::Op;
+use crate::ir::{FuncCode, Op};
 use crate::types::ScalarType;
 use crate::value::Value;
 
-/// Where a fused binary/compare reads an operand from.
+/// Where an instruction reads an operand from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Operand {
-    /// Pop from the operand stack (the unfused position).
-    Stack,
-    /// Read a local slot (a fused `LoadLocal`).
-    Local(u16),
+    /// A register slot: a local, or a fixed operand-stack position.
+    Slot(u16),
     /// An immediate (a fused `Const`).
     Const(Value),
 }
 
-/// Where a fused instruction writes its result.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Dst {
-    /// Push onto the operand stack (the unfused position).
-    Stack,
-    /// Write a local slot (a fused trailing `StoreLocal`).
-    Local(u16),
-}
-
-/// What a fused compare does with its boolean (a fused trailing
-/// conditional jump).
+/// What a compare does with its boolean (a fused trailing conditional
+/// jump, or none).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum CmpUse {
-    /// Push the boolean.
-    Push,
+    /// Store the boolean in this slot, where the unfused compare pushes it.
+    Push(u16),
     /// `JumpIfFalse(target)`.
     BranchIfFalse(u32),
     /// `JumpIfTrue(target)`.
@@ -78,13 +83,13 @@ pub(crate) enum CmpUse {
 /// `acc = acc op_i r_i`, then the tail consumes `acc`. Covers expression
 /// trees the compiler emits left-to-right, e.g.
 /// `y = 2.0f * x * y + y0` (eight source ops, one dispatch). Link operands
-/// are always fused loads (local/const), never stack pops, so the only
-/// stack traffic left is what the unfused prefix produced.
+/// are always fused loads (local/const), so the intermediate results never
+/// occupy a slot.
 #[derive(Debug, Clone)]
 pub(crate) struct Chain {
-    /// First left operand (popped second when unfused).
+    /// First left operand.
     pub l: Operand,
-    /// First right operand (popped first when unfused).
+    /// First right operand.
     pub r: Operand,
     /// First operation.
     pub op: BinOp,
@@ -98,16 +103,13 @@ pub(crate) struct Chain {
     pub links: Vec<(BinOp, Operand)>,
     /// What consumes the accumulator.
     pub tail: ChainTail,
-    /// Source ops covered.
-    pub k: u8,
 }
 
 /// How a [`Chain`] disposes of its accumulator.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ChainTail {
-    /// Push it (no trailing op fused).
-    Push,
-    /// Fused trailing `StoreLocal`.
+    /// Store it in this slot: a fused trailing `StoreLocal`'s, or the stack
+    /// slot the unfused chain pushes it to.
     Store(u16),
     /// Fused `[load] Cmp [JumpIf*]`: compare the accumulator (lhs) with
     /// `r`, then use the boolean.
@@ -121,26 +123,27 @@ pub(crate) enum ChainTail {
     },
 }
 
-/// One pre-decoded instruction: either a single source op, or a fused
-/// sequence of `k` source ops.
+/// One pre-decoded instruction: a single source op, or a fused sequence of
+/// `k` source ops.
 #[derive(Debug, Clone)]
 pub(crate) enum Decoded {
-    /// An unfused source op, executed exactly as the reference does.
-    Plain(Op),
-    /// `[lhs load] [rhs load] Bin [StoreLocal]` fused arithmetic.
+    /// A source op with no register head (control flow, calls, builtins,
+    /// loads, unary operations), and its `top`: the slot just above the
+    /// operand stack as the op begins. Its stack operands are the slots
+    /// just below `top`.
+    Plain(Op, u16),
+    /// `[lhs load] [rhs load] Bin [StoreLocal]` arithmetic.
     Bin {
-        /// Left operand (popped second when unfused).
+        /// Left operand.
         l: Operand,
-        /// Right operand (popped first when unfused).
+        /// Right operand.
         r: Operand,
         /// The operation.
         op: BinOp,
-        /// Result destination.
-        dst: Dst,
-        /// Source ops covered.
-        k: u8,
+        /// Result slot.
+        dst: u16,
     },
-    /// `[lhs load] [rhs load] Cmp [JumpIf*]` fused comparison.
+    /// `[lhs load] [rhs load] Cmp [JumpIf*]` comparison.
     Cmp {
         /// Left operand.
         l: Operand,
@@ -150,63 +153,60 @@ pub(crate) enum Decoded {
         op: CmpOp,
         /// What to do with the boolean.
         along: CmpUse,
-        /// Source ops covered.
-        k: u8,
     },
     /// A multi-operation arithmetic chain (boxed to keep the common
     /// variants small).
     Chain(Box<Chain>),
-    /// `[value load] LoadLocal ptr; StoreMem ty` — store a value through a
-    /// pointer held in a local.
+    /// `[value load] [LoadLocal ptr] StoreMem ty` — store a value through a
+    /// pointer held in a slot.
     StMem {
         /// The value to store.
         v: Operand,
-        /// Local slot holding the destination pointer.
+        /// Slot holding the destination pointer.
         ptr: u16,
         /// Element type written.
         ty: ScalarType,
-        /// Source ops covered.
-        k: u8,
     },
-    /// `LoadLocal src; StoreLocal dst` (k = 2).
-    Mov(u16, u16),
-    /// `Const v; StoreLocal dst` (k = 2).
-    MovC(Value, u16),
+    /// `[load] StoreLocal dst`, or a `Const` or `LoadLocal` alone: slot
+    /// `dst` = `src`.
+    Mov {
+        /// The value moved.
+        src: Operand,
+        /// Result slot.
+        dst: u16,
+    },
     /// `LoadLocal ptr; LoadLocal idx; [Convert long;] PtrOffset size` — the
-    /// array-indexing idiom: push (or store) `locals[ptr] + idx*size`. The
-    /// index is widened inline (`conv` true) unless the lowering hoisted
-    /// the widening into the index slot, leaving a bare `PtrOffset`
-    /// (`conv` false).
+    /// array-indexing idiom: `slots[ptr] + idx*size`. The index is widened
+    /// inline (`conv` true) unless the lowering hoisted the widening into
+    /// the index slot, leaving a bare `PtrOffset` (`conv` false). A bare
+    /// `PtrOffset` (k = 1) is the same head over the two top stack slots.
     PtrIdx {
-        /// Local slot holding the base pointer.
+        /// Slot holding the base pointer.
         ptr: u16,
-        /// Local slot holding the element index.
+        /// Slot holding the element index.
         idx: u16,
         /// Element byte size.
         size: u32,
         /// Whether a fused `Convert long` widens the index first.
         conv: bool,
-        /// When `Some(ty)`, a fused trailing `LoadMem ty`: push the loaded
-        /// element instead of the pointer.
+        /// When `Some(ty)`, a fused trailing `LoadMem ty`: the result is
+        /// the loaded element instead of the pointer.
         load: Option<ScalarType>,
-        /// Result destination.
-        dst: Dst,
-        /// Source ops covered.
-        k: u8,
+        /// Result slot.
+        dst: u16,
     },
     /// `[v load] LoadLocal ptr; LoadLocal idx; [Convert long;]
     /// PtrOffset size; StoreMem ty` — store a value at an array index
     /// computed inline. The register lowering keeps the address on the
     /// operand stack instead of spilling it to a slot, which puts it out
     /// of reach of the plain [`Decoded::StMem`] fusion; this covers the
-    /// whole indexed store in one dispatch with the pointer never touching
-    /// the stack.
+    /// whole indexed store in one dispatch.
     StIdx {
         /// The value to store.
         v: Operand,
-        /// Local slot holding the base pointer.
+        /// Slot holding the base pointer.
         ptr: u16,
-        /// Local slot holding the element index.
+        /// Slot holding the element index.
         idx: u16,
         /// Element byte size.
         size: u32,
@@ -214,128 +214,119 @@ pub(crate) enum Decoded {
         conv: bool,
         /// Element type written.
         ty: ScalarType,
-        /// Source ops covered.
-        k: u8,
     },
     /// `[load] Convert ty [StoreLocal]` — convert a local, constant or
-    /// stack value and push or store the result. The register lowering
-    /// rematerialises conversion sources and spills results to slots, so
-    /// this shape is common in its output.
+    /// stack value into a slot. The register lowering rematerialises
+    /// conversion sources and spills results to slots, so this shape is
+    /// common in its output.
     Cvt {
         /// The value to convert.
         src: Operand,
         /// Target scalar type.
         to: ScalarType,
-        /// Result destination.
-        dst: Dst,
-        /// Source ops covered.
-        k: u8,
+        /// Result slot.
+        dst: u16,
     },
+    /// Every op of a function that breaks the height rule (see the module
+    /// docs): raises `RuntimeError::Internal` with the reason.
+    Fault(String),
 }
 
-impl Decoded {
-    /// Number of source ops this instruction covers (what it charges to
-    /// `CostCounters::ops` and adds to `pc`).
-    pub(crate) fn cost(&self) -> u64 {
-        match self {
-            Decoded::Plain(_) => 1,
-            Decoded::Mov(..) | Decoded::MovC(..) => 2,
-            Decoded::Chain(c) => c.k as u64,
-            Decoded::Bin { k, .. }
-            | Decoded::Cmp { k, .. }
-            | Decoded::PtrIdx { k, .. }
-            | Decoded::StIdx { k, .. }
-            | Decoded::Cvt { k, .. }
-            | Decoded::StMem { k, .. } => *k as u64,
-        }
-    }
+/// One function's decoded stream.
+#[derive(Debug)]
+pub(crate) struct DecodedFn {
+    /// One `(head, k)` per source op (see the module docs): `k` is how many
+    /// source ops the head covers, what it charges to `CostCounters::ops`
+    /// and adds to `pc`.
+    pub code: Vec<(Decoded, u8)>,
+    /// Register slots a frame needs: the locals plus the largest
+    /// operand-stack height.
+    pub slots: usize,
 }
 
-/// Resolves what a fused comparison does with its boolean: a direct
-/// conditional jump, the short-circuit idiom (`Jump` to a conditional
-/// jump), or a plain push. Advances `t` past the consumed ops and returns
-/// the extra charge for a remotely-executed conditional (see
-/// [`CmpUse::BranchBoth`]).
-fn cmp_along(code: &[Op], t: &mut usize, free: &impl Fn(usize) -> bool) -> (CmpUse, u8) {
-    if free(*t) {
-        match &code[*t] {
-            Op::JumpIfFalse(target) => {
-                *t += 1;
-                return (CmpUse::BranchIfFalse(*target), 0);
+/// `(pops, pushes)` of `op` on the operand stack, or why it has none.
+/// `functions` is the program's function table.
+fn effect(op: &Op, functions: &[FuncCode]) -> Result<(u16, u16), String> {
+    Ok(match op {
+        Op::Const(_) | Op::LoadLocal(_) | Op::WorkItem(Builtin::GetWorkDim) => (0, 1),
+        Op::Jump(_) | Op::Barrier { .. } | Op::ReturnVoid | Op::MissingReturn => (0, 0),
+        Op::StoreLocal(_) | Op::Pop | Op::JumpIfFalse(_) | Op::JumpIfTrue(_) => (1, 0),
+        Op::Trap | Op::Return => (1, 0),
+        Op::Un(_) | Op::Convert(_) | Op::ToBool | Op::LoadMem(_) | Op::WorkItem(_) => (1, 1),
+        Op::Bin(_) | Op::Cmp(_) | Op::PtrOffset(_) | Op::PtrDiff(_) => (2, 1),
+        Op::StoreMem(_) => (2, 0),
+        Op::CallPure(_, argc @ 0..=3) => (*argc as u16, 1),
+        Op::CallPure(..) => return Err("a builtin call with more than three arguments".into()),
+        Op::Call { func, argc } => match functions.get(*func as usize) {
+            Some(f) if *argc as usize <= f.local_init.len() => {
+                (*argc as u16, !f.returns_void as u16)
             }
-            Op::JumpIfTrue(target) => {
-                *t += 1;
-                return (CmpUse::BranchIfTrue(*target), 0);
+            _ => return Err(format!("a call of f{func} with {argc} arguments")),
+        },
+    })
+}
+
+/// The operand-stack height before every op of `f`, by one forward pass
+/// from `pc` 0 (see the module docs); `Err` says where `f` breaks the
+/// height rule. `functions` is the program's function table.
+pub(crate) fn heights(f: &FuncCode, functions: &[FuncCode]) -> Result<Vec<u16>, String> {
+    let at = |pc: usize, what: &str| format!("`{}` pc {pc}: {what}", f.name);
+    let mut height: Vec<Option<u16>> = vec![None; f.code.len()];
+    let mut work = vec![(0usize, 0u16)];
+    while let Some((pc, h)) = work.pop() {
+        let Some(op) = f.code.get(pc) else {
+            return Err(at(pc, "control runs past the last op"));
+        };
+        match height[pc] {
+            Some(seen) if seen == h => continue,
+            Some(seen) => return Err(at(pc, &format!("reached at stack heights {seen} and {h}"))),
+            None => height[pc] = Some(h),
+        }
+        let (pops, pushes) = effect(op, functions).map_err(|e| at(pc, &e))?;
+        let Some(rest) = h.checked_sub(pops) else {
+            return Err(at(pc, "operand stack underflow"));
+        };
+        let next = rest + pushes;
+        match op {
+            Op::Jump(t) => work.push((*t as usize, next)),
+            Op::JumpIfFalse(t) | Op::JumpIfTrue(t) => {
+                work.extend([(*t as usize, next), (pc + 1, next)]);
             }
-            Op::Jump(jt) => match code.get(*jt as usize) {
-                Some(Op::JumpIfFalse(u)) => {
-                    *t += 1;
-                    return (
-                        CmpUse::BranchBoth {
-                            if_true: *jt + 1,
-                            if_false: *u,
-                        },
-                        1,
-                    );
-                }
-                Some(Op::JumpIfTrue(u)) => {
-                    *t += 1;
-                    return (
-                        CmpUse::BranchBoth {
-                            if_true: *u,
-                            if_false: *jt + 1,
-                        },
-                        1,
-                    );
-                }
-                _ => {}
-            },
-            _ => {}
+            Op::Return if f.returns_void => return Err(at(pc, "a value returned from void")),
+            Op::ReturnVoid if !f.returns_void => return Err(at(pc, "no value returned")),
+            Op::Return | Op::ReturnVoid | Op::MissingReturn | Op::Trap => {}
+            _ => work.push((pc + 1, next)),
         }
     }
-    (CmpUse::Push, 0)
-}
-
-/// Parses what may follow a chain's last `Bin`: a trailing `StoreLocal`,
-/// or a `[load] Cmp [JumpIf*]` comparison consuming the accumulator as its
-/// lhs, or nothing. Advances `t` past the consumed ops and returns any
-/// extra remote-conditional charge.
-fn chain_tail(code: &[Op], t: &mut usize, free: &impl Fn(usize) -> bool) -> (ChainTail, u8) {
-    if free(*t) {
-        if let Op::StoreLocal(s) = &code[*t] {
-            *t += 1;
-            return (ChainTail::Store(*s), 0);
-        }
-        if free(*t + 1) {
-            if let (Some(o), Op::Cmp(op)) = (operand(&code[*t]), &code[*t + 1]) {
-                *t += 2;
-                let (along, extra) = cmp_along(code, t, free);
-                return (
-                    ChainTail::Cmp {
-                        op: *op,
-                        r: o,
-                        along,
-                    },
-                    extra,
-                );
-            }
-        }
-    }
-    (ChainTail::Push, 0)
-}
-
-/// A fusable operand-producing op.
-fn operand(op: &Op) -> Option<Operand> {
-    match op {
-        Op::LoadLocal(s) => Some(Operand::Local(*s)),
-        Op::Const(c) => Some(Operand::Const(*c)),
-        _ => None,
+    match height.iter().position(Option::is_none) {
+        Some(pc) => Err(at(pc, "unreachable")),
+        None => Ok(height.into_iter().flatten().collect()),
     }
 }
 
-/// Pre-decodes one function's bytecode (see the module docs for the
-/// invariants).
-pub(crate) fn decode(code: &[Op]) -> Vec<Decoded> {
+/// Pre-decodes function `f` of `functions` (see the module docs).
+pub(crate) fn decode(f: &FuncCode, functions: &[FuncCode]) -> DecodedFn {
+    let locals = f.local_init.len();
+    let tops = heights(f, functions).and_then(|heights| {
+        let tops = heights.iter().map(|&h| u16::try_from(locals + h as usize));
+        tops.collect::<Result<Vec<u16>, _>>()
+            .map_err(|_| format!("`{}`: more than {} register slots", f.name, u16::MAX))
+    });
+    match tops {
+        Ok(tops) => DecodedFn {
+            code: decode_ops(&f.code, &tops),
+            slots: tops.iter().map(|&t| t as usize).max().unwrap_or(locals),
+        },
+        Err(reason) => DecodedFn {
+            code: vec![(Decoded::Fault(reason), 1); f.code.len().max(1)],
+            slots: locals,
+        },
+    }
+}
+
+/// Decodes `code`, whose op `i` begins with `tops[i]` as the slot above
+/// its operand stack.
+fn decode_ops(code: &[Op], tops: &[u16]) -> Vec<(Decoded, u8)> {
     // Any op some jump lands on must stay addressable; fused blocks may
     // not span such an op (except as their first).
     let mut is_target = vec![false; code.len() + 1];
@@ -347,269 +338,336 @@ pub(crate) fn decode(code: &[Op]) -> Vec<Decoded> {
         }
     }
     (0..code.len())
-        .map(|i| decode_at(code, i, &is_target))
+        .map(|i| decode_at(code, i, &is_target, tops[i]))
         .collect()
 }
 
-fn decode_at(code: &[Op], i: usize, is_target: &[bool]) -> Decoded {
-    // `j` walks the candidate block; every op after the first must not be
-    // a jump target.
+/// Resolves what a fused comparison does with its boolean: a direct
+/// conditional jump, the short-circuit idiom (`Jump` to a conditional
+/// jump), or a store to `push`, the stack slot it is pushed to. Advances
+/// `t` past the consumed ops and returns the extra charge for a
+/// remotely-executed conditional (see [`CmpUse::BranchBoth`]).
+fn cmp_along(code: &[Op], t: &mut usize, free: &impl Fn(usize) -> bool, push: u16) -> (CmpUse, u8) {
+    let (along, extra) = match code.get(*t).filter(|_| free(*t)) {
+        Some(Op::JumpIfFalse(target)) => (CmpUse::BranchIfFalse(*target), 0),
+        Some(Op::JumpIfTrue(target)) => (CmpUse::BranchIfTrue(*target), 0),
+        Some(Op::Jump(jt)) => {
+            let (if_true, if_false) = match code.get(*jt as usize) {
+                Some(Op::JumpIfFalse(u)) => (*jt + 1, *u),
+                Some(Op::JumpIfTrue(u)) => (*u, *jt + 1),
+                _ => return (CmpUse::Push(push), 0),
+            };
+            (CmpUse::BranchBoth { if_true, if_false }, 1)
+        }
+        _ => return (CmpUse::Push(push), 0),
+    };
+    *t += 1;
+    (along, extra)
+}
+
+/// Parses what may follow a chain's last `Bin`: a trailing `StoreLocal`,
+/// or a `[load] Cmp [JumpIf*]` comparison consuming the accumulator as its
+/// lhs, or nothing (the accumulator goes to `out`, the stack slot the
+/// unfused ops push it to). Advances `t` past the consumed ops and returns
+/// any extra remote-conditional charge.
+fn chain_tail(
+    code: &[Op],
+    t: &mut usize,
+    free: &impl Fn(usize) -> bool,
+    out: u16,
+) -> (ChainTail, u8) {
+    if free(*t) {
+        if let Op::StoreLocal(s) = &code[*t] {
+            *t += 1;
+            return (ChainTail::Store(*s), 0);
+        }
+        if free(*t + 1) {
+            if let (Some(r), Op::Cmp(op)) = (operand(&code[*t]), &code[*t + 1]) {
+                *t += 2;
+                let (along, extra) = cmp_along(code, t, free, out);
+                return (ChainTail::Cmp { op: *op, r, along }, extra);
+            }
+        }
+    }
+    (ChainTail::Store(out), 0)
+}
+
+/// A fusable operand-producing op.
+fn operand(op: &Op) -> Option<Operand> {
+    match op {
+        Op::LoadLocal(s) => Some(Operand::Slot(*s)),
+        Op::Const(c) => Some(Operand::Const(*c)),
+        _ => None,
+    }
+}
+
+/// The head at `i` and the source ops it covers, for an op that begins
+/// with `top` as the slot above its operand stack. The height rule
+/// guarantees that every stack slot a head reads (`top - 1`, `top - 2`, …)
+/// lies above the locals.
+fn decode_at(code: &[Op], i: usize, is_target: &[bool], top: u16) -> (Decoded, u8) {
+    // A block starting at `i` may take the op at `j > i` only if no jump
+    // lands on it: `take(j)` is that op, if so.
     let free = |j: usize| j < code.len() && !is_target[j];
+    let take = |j: usize| {
+        if j == i {
+            code.get(i)
+        } else {
+            free(j).then(|| &code[j])
+        }
+    };
+    let k = |end: usize| (end - i) as u8;
 
     // Leading operand loads (0, 1 or 2 of them) feeding a Bin/Cmp.
     let mut j = i;
     let mut loads: [Option<Operand>; 2] = [None, None];
     for slot in &mut loads {
-        if (j == i || free(j)) && j < code.len() {
-            if let Some(o) = operand(&code[j]) {
-                *slot = Some(o);
-                j += 1;
-                continue;
-            }
-        }
-        break;
+        let Some(o) = take(j).and_then(operand) else {
+            break;
+        };
+        *slot = Some(o);
+        j += 1;
     }
-    let n_loads = loads.iter().flatten().count();
-    // (l, r): the operand pushed last is the rhs.
-    let (l, r) = match (loads[0], loads[1]) {
+    // A Bin/Cmp after the loads: its (l, r) — the operand pushed last is
+    // the rhs, one not loaded in the block is a stack slot — and `out`,
+    // the stack slot its result is pushed to.
+    let operands = || match (loads[0], loads[1]) {
         (Some(a), Some(b)) => (a, b),
-        (Some(a), None) => (Operand::Stack, a),
-        _ => (Operand::Stack, Operand::Stack),
+        (Some(a), None) => (Operand::Slot(top - 1), a),
+        _ => (Operand::Slot(top - 2), Operand::Slot(top - 1)),
     };
+    let out = || top + loads.iter().flatten().count() as u16 - 2;
 
-    if (j == i || free(j)) && j < code.len() {
-        match &code[j] {
-            Op::Bin(op) => {
-                let mut t = j + 1;
-                // A second load-fed producer followed by a combining op is
-                // a two-branch expression tree (`x*x + y*y`): fold it into
-                // the accumulator without touching the stack.
-                let mut tree = None;
-                if free(t) && free(t + 1) && free(t + 2) && free(t + 3) {
-                    if let (Some(l2), Some(r2), Op::Bin(op2), Op::Bin(comb)) = (
-                        operand(&code[t]),
-                        operand(&code[t + 1]),
-                        &code[t + 2],
-                        &code[t + 3],
-                    ) {
-                        tree = Some((l2, r2, *op2, *comb));
-                        t += 4;
-                    }
-                }
-                // Follow the expression tail: every `[load] Bin` pair
-                // extends the accumulator chain (a bare mid-chain `Bin`
-                // would make the accumulator the *rhs*, so it ends the
-                // chain instead).
-                let mut links = Vec::new();
-                while free(t) && free(t + 1) {
-                    if let (Some(o), Op::Bin(op2)) = (operand(&code[t]), &code[t + 1]) {
-                        links.push((*op2, o));
-                        t += 2;
-                    } else {
-                        break;
-                    }
-                }
-                let (tail, extra) = chain_tail(code, &mut t, &free);
-                if tree.is_some() || !links.is_empty() || matches!(tail, ChainTail::Cmp { .. }) {
-                    return Decoded::Chain(Box::new(Chain {
-                        l,
-                        r,
-                        op: *op,
-                        tree,
-                        links,
-                        tail,
-                        k: (t - i) as u8 + extra,
-                    }));
-                }
-                let mut k = (n_loads + 1) as u8;
-                let mut dst = Dst::Stack;
-                if let ChainTail::Store(s) = tail {
-                    dst = Dst::Local(s);
-                    k += 1;
-                }
-                // A bare stack-stack Bin pushing its result is what the
-                // plain path already does in one dispatch.
-                if k > 1 {
-                    return Decoded::Bin {
-                        l,
-                        r,
-                        op: *op,
-                        dst,
-                        k,
-                    };
+    match take(j) {
+        Some(Op::Bin(op)) => {
+            let (l, r) = operands();
+            let mut t = j + 1;
+            // A second load-fed producer followed by a combining op is a
+            // two-branch expression tree (`x*x + y*y`): fold it into the
+            // accumulator without touching the stack.
+            let mut tree = None;
+            if free(t) && free(t + 1) && free(t + 2) && free(t + 3) {
+                if let (Some(l2), Some(r2), Op::Bin(op2), Op::Bin(comb)) = (
+                    operand(&code[t]),
+                    operand(&code[t + 1]),
+                    &code[t + 2],
+                    &code[t + 3],
+                ) {
+                    tree = Some((l2, r2, *op2, *comb));
+                    t += 4;
                 }
             }
-            Op::Cmp(op) => {
-                let mut t = j + 1;
-                let (along, extra) = cmp_along(code, &mut t, &free);
-                let k = (t - i) as u8 + extra;
-                if k > 1 {
-                    return Decoded::Cmp {
-                        l,
-                        r,
-                        op: *op,
-                        along,
-                        k,
-                    };
-                }
+            // Follow the expression tail: every `[load] Bin` pair extends
+            // the accumulator chain (a bare mid-chain `Bin` would make the
+            // accumulator the *rhs*, so it ends the chain instead).
+            let mut links = Vec::new();
+            while free(t) && free(t + 1) {
+                let (Some(o), Op::Bin(op2)) = (operand(&code[t]), &code[t + 1]) else {
+                    break;
+                };
+                links.push((*op2, o));
+                t += 2;
             }
-            _ => {}
+            let (tail, extra) = chain_tail(code, &mut t, &free, out());
+            let op = *op;
+            let head = match tail {
+                ChainTail::Store(dst) if tree.is_none() && links.is_empty() => {
+                    Decoded::Bin { l, r, op, dst }
+                }
+                tail => Decoded::Chain(Box::new(Chain {
+                    l,
+                    r,
+                    op,
+                    tree,
+                    links,
+                    tail,
+                })),
+            };
+            return (head, k(t) + extra);
         }
+        Some(Op::Cmp(op)) => {
+            let (l, r) = operands();
+            let mut t = j + 1;
+            let (along, extra) = cmp_along(code, &mut t, &free, out());
+            return (
+                Decoded::Cmp {
+                    l,
+                    r,
+                    op: *op,
+                    along,
+                },
+                k(t) + extra,
+            );
+        }
+        _ => {}
     }
 
-    // Indexed stores: `[v load] LoadLocal p; LoadLocal i; [Convert long;]
-    // PtrOffset; StoreMem`. Checked before the plain indexing idiom below
-    // so the trailing `StoreMem` joins the fusion.
-    // Try the fused-value form first (`[v load] LoadLocal p; ...`), then
-    // the stack-value form (the head op itself is `LoadLocal p`).
-    for (v, base) in [(operand(&code[i]), i + 1), (Some(Operand::Stack), i)] {
-        let Some(v) = v else { continue };
-        if base > i && !free(base) {
-            continue;
-        }
-        let (Some(Op::LoadLocal(p)), Some(Op::LoadLocal(idx))) =
-            (code.get(base), code.get(base + 1))
-        else {
+    // The next shapes take a value `v` that is either fused — a load at
+    // `i`, the rest of the shape from `base = i + 1` — or already on the
+    // stack, the shape starting at `base = i`. `at` is the slot `v`
+    // occupies on the stack.
+    let stacked = top.checked_sub(1);
+    let sources = [
+        (operand(&code[i]), i + 1, top),
+        (stacked.map(Operand::Slot), i, stacked.unwrap_or(0)),
+    ];
+    for (v, base, at) in sources {
+        let (Some(v), Some(first)) = (v, take(base)) else {
             continue;
         };
-        if !free(base + 1) {
-            continue;
-        }
-        let parsed = match &code[base + 2..] {
-            [Op::Convert(ScalarType::Long), Op::PtrOffset(size), Op::StoreMem(ty), ..]
-                if free(base + 2) && free(base + 3) && free(base + 4) =>
-            {
-                Some((*size, true, *ty, base + 5))
+        match (first, take(base + 1)) {
+            // A store through the pointer in `p`: `LoadLocal p; StoreMem`.
+            (Op::LoadLocal(p), Some(Op::StoreMem(ty))) => {
+                let (ptr, ty) = (*p, *ty);
+                return (Decoded::StMem { v, ptr, ty }, k(base + 2));
             }
-            [Op::PtrOffset(size), Op::StoreMem(ty), ..] if free(base + 2) && free(base + 3) => {
-                Some((*size, false, *ty, base + 4))
+            // A store at an index computed inline: `LoadLocal p; LoadLocal
+            // i; [Convert long;] PtrOffset; StoreMem`. Checked before the
+            // indexing idiom below so the trailing `StoreMem` joins it.
+            (Op::LoadLocal(ptr), Some(Op::LoadLocal(idx))) => {
+                let parsed = match &code[base + 2..] {
+                    [Op::Convert(ScalarType::Long), Op::PtrOffset(size), Op::StoreMem(ty), ..]
+                        if free(base + 2) && free(base + 3) && free(base + 4) =>
+                    {
+                        Some((*size, true, *ty, base + 5))
+                    }
+                    [Op::PtrOffset(size), Op::StoreMem(ty), ..]
+                        if free(base + 2) && free(base + 3) =>
+                    {
+                        Some((*size, false, *ty, base + 4))
+                    }
+                    _ => None,
+                };
+                if let Some((size, conv, ty, end)) = parsed {
+                    let (ptr, idx) = (*ptr, *idx);
+                    return (
+                        Decoded::StIdx {
+                            v,
+                            ptr,
+                            idx,
+                            size,
+                            conv,
+                            ty,
+                        },
+                        k(end),
+                    );
+                }
             }
-            _ => None,
-        };
-        if let Some((size, conv, ty, end)) = parsed {
-            return Decoded::StIdx {
-                v,
-                ptr: *p,
-                idx: *idx,
-                size,
-                conv,
-                ty,
-                k: (end - i) as u8,
-            };
+            // A conversion, into the next `StoreLocal`'s slot or in place.
+            (Op::Convert(to), Some(Op::StoreLocal(s))) => {
+                return (
+                    Decoded::Cvt {
+                        src: v,
+                        to: *to,
+                        dst: *s,
+                    },
+                    k(base + 2),
+                );
+            }
+            (Op::Convert(to), _) => {
+                return (
+                    Decoded::Cvt {
+                        src: v,
+                        to: *to,
+                        dst: at,
+                    },
+                    k(base + 1),
+                );
+            }
+            // A move: `[load] StoreLocal s`.
+            (Op::StoreLocal(s), _) => return (Decoded::Mov { src: v, dst: *s }, k(base + 1)),
+            _ => {}
         }
     }
 
     // The array-indexing idiom, with an optional fused load. The index
     // widening is either inline or already hoisted into the slot — both
     // forms fuse.
-    if free(i + 1) {
-        if let (Op::LoadLocal(p), Op::LoadLocal(idx)) = (&code[i], &code[i + 1]) {
-            let parsed = match (&code[i + 1..], free(i + 2), free(i + 3)) {
-                ([_, Op::Convert(ScalarType::Long), Op::PtrOffset(size), ..], true, true) => {
-                    Some((*size, true, 4u8))
-                }
-                ([_, Op::PtrOffset(size), ..], true, _) => Some((*size, false, 3u8)),
-                _ => None,
-            };
-            if let Some((size, conv, mut k)) = parsed {
-                let mut load = None;
-                let mut dst = Dst::Stack;
-                if free(i + k as usize) {
-                    if let Op::LoadMem(ty) = &code[i + k as usize] {
-                        load = Some(*ty);
-                        k += 1;
-                    }
-                }
-                if free(i + k as usize) {
-                    if let Op::StoreLocal(s) = &code[i + k as usize] {
-                        dst = Dst::Local(*s);
-                        k += 1;
-                    }
-                }
-                return Decoded::PtrIdx {
-                    ptr: *p,
-                    idx: *idx,
+    if let (Op::LoadLocal(ptr), Some(Op::LoadLocal(idx))) = (&code[i], take(i + 1)) {
+        let parsed = match (take(i + 2), take(i + 3)) {
+            (Some(Op::Convert(ScalarType::Long)), Some(Op::PtrOffset(size))) => {
+                Some((*size, true, i + 4))
+            }
+            (Some(Op::PtrOffset(size)), _) => Some((*size, false, i + 3)),
+            _ => None,
+        };
+        if let Some((size, conv, mut end)) = parsed {
+            let mut load = None;
+            if let Some(Op::LoadMem(ty)) = take(end) {
+                load = Some(*ty);
+                end += 1;
+            }
+            let mut dst = top;
+            if let Some(Op::StoreLocal(s)) = take(end) {
+                dst = *s;
+                end += 1;
+            }
+            let (ptr, idx) = (*ptr, *idx);
+            return (
+                Decoded::PtrIdx {
+                    ptr,
+                    idx,
                     size,
                     conv,
                     load,
                     dst,
-                    k,
-                };
-            }
+                },
+                k(end),
+            );
         }
     }
 
-    // Conversions, with the source and destination fused where possible.
-    if free(i + 1) {
-        if let Some(src) = operand(&code[i]) {
-            if let Op::Convert(to) = &code[i + 1] {
-                let mut k = 2u8;
-                let mut dst = Dst::Stack;
-                if free(i + 2) {
-                    if let Op::StoreLocal(s) = &code[i + 2] {
-                        dst = Dst::Local(*s);
-                        k = 3;
-                    }
-                }
-                return Decoded::Cvt {
-                    src,
-                    to: *to,
-                    dst,
-                    k,
-                };
-            }
-        }
-        if let (Op::Convert(to), Op::StoreLocal(s)) = (&code[i], &code[i + 1]) {
-            return Decoded::Cvt {
-                src: Operand::Stack,
-                to: *to,
-                dst: Dst::Local(*s),
-                k: 2,
-            };
-        }
-    }
-
-    // Stores through a pointer held in a local, with the value either
-    // fused ([load v; LoadLocal p; StoreMem]) or left on the stack
-    // ([LoadLocal p; StoreMem]).
-    if free(i + 1) && free(i + 2) {
-        if let (Some(v), Op::LoadLocal(p), Op::StoreMem(ty)) =
-            (operand(&code[i]), &code[i + 1], &code[i + 2])
-        {
-            return Decoded::StMem {
-                v,
-                ptr: *p,
-                ty: *ty,
-                k: 3,
-            };
-        }
-    }
-    if free(i + 1) {
-        if let (Op::LoadLocal(p), Op::StoreMem(ty)) = (&code[i], &code[i + 1]) {
-            return Decoded::StMem {
-                v: Operand::Stack,
-                ptr: *p,
-                ty: *ty,
-                k: 2,
-            };
-        }
-    }
-
-    // Local-to-local and constant-to-local moves.
-    if free(i + 1) {
-        match (&code[i], &code[i + 1]) {
-            (Op::LoadLocal(a), Op::StoreLocal(s)) => return Decoded::Mov(*a, *s),
-            (Op::Const(c), Op::StoreLocal(s)) => return Decoded::MovC(*c, *s),
-            _ => {}
-        }
-    }
-
-    Decoded::Plain(code[i].clone())
+    // The single ops that have a register head of their own.
+    let head = match (&code[i], operand(&code[i])) {
+        (_, Some(src)) => Decoded::Mov { src, dst: top },
+        (Op::StoreMem(ty), _) => Decoded::StMem {
+            v: Operand::Slot(top - 2),
+            ptr: top - 1,
+            ty: *ty,
+        },
+        (Op::PtrOffset(size), _) => Decoded::PtrIdx {
+            ptr: top - 2,
+            idx: top - 1,
+            size: *size,
+            conv: false,
+            load: None,
+            dst: top - 2,
+        },
+        (op, _) => Decoded::Plain(op.clone(), top),
+    };
+    (head, 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes a code fragment as if it began with four values on the
+    /// stack above 16 locals (`top` 20 at `pc` 0), each op's `top` taken
+    /// from straight-line execution (jumps not followed).
+    fn dec(code: &[Op]) -> Vec<(Decoded, u8)> {
+        let mut top = 20u16;
+        let tops: Vec<u16> = code
+            .iter()
+            .map(|op| {
+                let (pops, pushes) = effect(op, &[]).expect("no calls in fragments");
+                let at = top;
+                top = top - pops + pushes;
+                at
+            })
+            .collect();
+        decode_ops(code, &tops)
+    }
+
+    fn func(name: &str, locals: usize, code: Vec<Op>, returns_void: bool) -> FuncCode {
+        FuncCode {
+            name: name.into(),
+            param_count: 0,
+            local_init: vec![Value::I32(0); locals],
+            code,
+            returns_void,
+        }
+    }
 
     #[test]
     fn fuses_load_load_bin_store() {
@@ -619,39 +677,57 @@ mod tests {
             Op::Bin(BinOp::Mul),
             Op::StoreLocal(2),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert_eq!(dec.len(), 4);
         assert!(matches!(
             dec[0],
-            Decoded::Bin {
-                l: Operand::Local(0),
-                r: Operand::Local(1),
-                op: BinOp::Mul,
-                dst: Dst::Local(2),
-                k: 4,
-            }
+            (
+                Decoded::Bin {
+                    l: Operand::Slot(0),
+                    r: Operand::Slot(1),
+                    op: BinOp::Mul,
+                    dst: 2,
+                },
+                4
+            )
         ));
-        assert_eq!(dec[0].cost(), 4);
-        // Interior slots keep their own decoding for jump entry.
+        assert_eq!(dec[0].1, 4);
+        // Interior slots keep their own decoding for jump entry, reading
+        // what the ops before them pushed from fixed stack slots.
         assert!(matches!(
             dec[1],
-            Decoded::Bin {
-                l: Operand::Stack,
-                r: Operand::Local(1),
-                k: 3,
-                ..
-            }
+            (
+                Decoded::Bin {
+                    l: Operand::Slot(20),
+                    r: Operand::Slot(1),
+                    dst: 2,
+                    ..
+                },
+                3
+            )
         ));
         assert!(matches!(
             dec[2],
-            Decoded::Bin {
-                l: Operand::Stack,
-                r: Operand::Stack,
-                k: 2,
-                ..
-            }
+            (
+                Decoded::Bin {
+                    l: Operand::Slot(20),
+                    r: Operand::Slot(21),
+                    dst: 2,
+                    ..
+                },
+                2
+            )
         ));
-        assert!(matches!(dec[3], Decoded::Plain(Op::StoreLocal(2))));
+        assert!(matches!(
+            dec[3],
+            (
+                Decoded::Mov {
+                    src: Operand::Slot(20),
+                    dst: 2,
+                },
+                1
+            )
+        ));
     }
 
     #[test]
@@ -664,17 +740,28 @@ mod tests {
             Op::LoadLocal(1),
             Op::Bin(BinOp::Add),
         ];
-        let dec = decode(&code);
-        assert!(matches!(dec[1], Decoded::Plain(Op::LoadLocal(0))));
+        let dec = dec(&code);
+        assert!(matches!(
+            dec[1],
+            (
+                Decoded::Mov {
+                    src: Operand::Slot(0),
+                    dst: 20,
+                },
+                1
+            )
+        ));
         assert!(matches!(
             dec[2],
-            Decoded::Bin {
-                l: Operand::Stack,
-                r: Operand::Local(1),
-                op: BinOp::Add,
-                k: 2,
-                ..
-            }
+            (
+                Decoded::Bin {
+                    l: Operand::Slot(20),
+                    r: Operand::Slot(1),
+                    op: BinOp::Add,
+                    dst: 20,
+                },
+                2
+            )
         ));
     }
 
@@ -686,24 +773,115 @@ mod tests {
             Op::Cmp(CmpOp::Lt),
             Op::JumpIfFalse(9),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::Cmp {
-                l: Operand::Local(3),
-                r: Operand::Const(Value::F32(_)),
-                op: CmpOp::Lt,
-                along: CmpUse::BranchIfFalse(9),
-                k: 4,
-            }
+            (
+                Decoded::Cmp {
+                    l: Operand::Slot(3),
+                    r: Operand::Const(Value::F32(_)),
+                    op: CmpOp::Lt,
+                    along: CmpUse::BranchIfFalse(9),
+                },
+                4
+            )
         ));
     }
 
     #[test]
-    fn bare_stack_bin_stays_plain() {
-        let code = [Op::Bin(BinOp::Add), Op::ReturnVoid];
-        let dec = decode(&code);
-        assert!(matches!(dec[0], Decoded::Plain(Op::Bin(BinOp::Add))));
+    fn single_ops_read_and_write_the_top_stack_slots() {
+        let one = |op: Op| dec(&[op]).remove(0);
+        assert!(matches!(
+            one(Op::Const(Value::I32(1))),
+            (
+                Decoded::Mov {
+                    src: Operand::Const(Value::I32(1)),
+                    dst: 20,
+                },
+                1
+            )
+        ));
+        assert!(matches!(
+            one(Op::LoadLocal(3)),
+            (
+                Decoded::Mov {
+                    src: Operand::Slot(3),
+                    dst: 20,
+                },
+                1
+            )
+        ));
+        assert!(matches!(
+            one(Op::StoreLocal(4)),
+            (
+                Decoded::Mov {
+                    src: Operand::Slot(19),
+                    dst: 4,
+                },
+                1
+            )
+        ));
+        assert!(matches!(
+            one(Op::Bin(BinOp::Add)),
+            (
+                Decoded::Bin {
+                    l: Operand::Slot(18),
+                    r: Operand::Slot(19),
+                    dst: 18,
+                    ..
+                },
+                1
+            )
+        ));
+        assert!(matches!(
+            one(Op::Cmp(CmpOp::Lt)),
+            (
+                Decoded::Cmp {
+                    l: Operand::Slot(18),
+                    r: Operand::Slot(19),
+                    along: CmpUse::Push(18),
+                    ..
+                },
+                1
+            )
+        ));
+        assert!(matches!(
+            one(Op::Convert(ScalarType::Float)),
+            (
+                Decoded::Cvt {
+                    src: Operand::Slot(19),
+                    dst: 19,
+                    ..
+                },
+                1
+            )
+        ));
+        assert!(matches!(
+            one(Op::StoreMem(ScalarType::Int)),
+            (
+                Decoded::StMem {
+                    v: Operand::Slot(18),
+                    ptr: 19,
+                    ..
+                },
+                1
+            )
+        ));
+        assert!(matches!(
+            one(Op::PtrOffset(4)),
+            (
+                Decoded::PtrIdx {
+                    ptr: 18,
+                    idx: 19,
+                    conv: false,
+                    load: None,
+                    dst: 18,
+                    ..
+                },
+                1
+            )
+        ));
+        assert!(matches!(one(Op::Pop), (Decoded::Plain(Op::Pop, 20), 1)));
     }
 
     #[test]
@@ -715,18 +893,20 @@ mod tests {
             Op::PtrOffset(4),
             Op::LoadMem(ScalarType::Float),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::PtrIdx {
-                ptr: 0,
-                idx: 5,
-                size: 4,
-                conv: true,
-                load: Some(ScalarType::Float),
-                dst: Dst::Stack,
-                k: 5,
-            }
+            (
+                Decoded::PtrIdx {
+                    ptr: 0,
+                    idx: 5,
+                    size: 4,
+                    conv: true,
+                    load: Some(ScalarType::Float),
+                    dst: 20,
+                },
+                5
+            )
         ));
     }
 
@@ -742,20 +922,22 @@ mod tests {
             Op::LoadMem(ScalarType::Float),
             Op::StoreLocal(15),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::PtrIdx {
-                ptr: 0,
-                idx: 13,
-                size: 4,
-                conv: false,
-                load: Some(ScalarType::Float),
-                dst: Dst::Local(15),
-                k: 5,
-            }
+            (
+                Decoded::PtrIdx {
+                    ptr: 0,
+                    idx: 13,
+                    size: 4,
+                    conv: false,
+                    load: Some(ScalarType::Float),
+                    dst: 15,
+                },
+                5
+            )
         ));
-        assert_eq!(dec[0].cost(), 5);
+        assert_eq!(dec[0].1, 5);
     }
 
     #[test]
@@ -769,33 +951,39 @@ mod tests {
             Op::Const(Value::I32(3)),
             Op::Convert(ScalarType::Float),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::Cvt {
-                src: Operand::Local(6),
-                to: ScalarType::Long,
-                dst: Dst::Local(10),
-                k: 3,
-            }
+            (
+                Decoded::Cvt {
+                    src: Operand::Slot(6),
+                    to: ScalarType::Long,
+                    dst: 10,
+                },
+                3
+            )
         ));
         assert!(matches!(
             dec[3],
-            Decoded::Cvt {
-                src: Operand::Stack,
-                to: ScalarType::Int,
-                dst: Dst::Local(7),
-                k: 2,
-            }
+            (
+                Decoded::Cvt {
+                    src: Operand::Slot(19),
+                    to: ScalarType::Int,
+                    dst: 7,
+                },
+                2
+            )
         ));
         assert!(matches!(
             dec[5],
-            Decoded::Cvt {
-                src: Operand::Const(Value::I32(3)),
-                to: ScalarType::Float,
-                dst: Dst::Stack,
-                k: 2,
-            }
+            (
+                Decoded::Cvt {
+                    src: Operand::Const(Value::I32(3)),
+                    to: ScalarType::Float,
+                    dst: 19,
+                },
+                2
+            )
         ));
     }
 
@@ -808,15 +996,17 @@ mod tests {
             Op::PtrOffset(4),
             Op::StoreLocal(12),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::PtrIdx {
-                load: None,
-                dst: Dst::Local(12),
-                k: 5,
-                ..
-            }
+            (
+                Decoded::PtrIdx {
+                    load: None,
+                    dst: 12,
+                    ..
+                },
+                5
+            )
         ));
     }
 
@@ -828,16 +1018,35 @@ mod tests {
             Op::Const(Value::I32(0)),
             Op::StoreLocal(9),
         ];
-        let dec = decode(&code);
-        assert!(matches!(dec[0], Decoded::Mov(11, 8)));
-        assert!(matches!(dec[2], Decoded::MovC(Value::I32(0), 9)));
+        let dec = dec(&code);
+        assert!(matches!(
+            dec[0],
+            (
+                Decoded::Mov {
+                    src: Operand::Slot(11),
+                    dst: 8,
+                },
+                2
+            )
+        ));
+        assert!(matches!(
+            dec[2],
+            (
+                Decoded::Mov {
+                    src: Operand::Const(Value::I32(0)),
+                    dst: 9,
+                },
+                2
+            )
+        ));
     }
 
     #[test]
     fn unfusable_ops_stay_plain() {
         let code = [Op::Pop, Op::Trap, Op::ReturnVoid];
-        let dec = decode(&code);
-        assert!(dec.iter().all(|d| matches!(d, Decoded::Plain(_))));
+        let dec = dec(&code);
+        assert!(matches!(dec[1], (Decoded::Plain(Op::Trap, 19), 1)));
+        assert!(dec.iter().all(|d| matches!(d, (Decoded::Plain(..), 1))));
     }
 
     #[test]
@@ -855,13 +1064,13 @@ mod tests {
             Op::Cmp(CmpOp::Le),
             Op::JumpIfFalse(20),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         match &dec[0] {
-            Decoded::Chain(c) => {
-                assert!(matches!(c.l, Operand::Local(8)));
+            (Decoded::Chain(c), k) => {
+                assert!(matches!(c.l, Operand::Slot(8)));
                 assert!(matches!(
                     c.tree,
-                    Some((Operand::Local(9), Operand::Local(9), BinOp::Mul, BinOp::Add))
+                    Some((Operand::Slot(9), Operand::Slot(9), BinOp::Mul, BinOp::Add))
                 ));
                 assert!(matches!(
                     c.tail,
@@ -871,7 +1080,7 @@ mod tests {
                         ..
                     }
                 ));
-                assert_eq!(c.k, 10);
+                assert_eq!(*k, 10);
             }
             other => panic!("expected chain, got {other:?}"),
         }
@@ -890,12 +1099,12 @@ mod tests {
             Op::Bin(BinOp::Add),
             Op::StoreLocal(9),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         match &dec[0] {
-            Decoded::Chain(c) => {
+            (Decoded::Chain(c), k) => {
                 assert_eq!(c.links.len(), 2);
                 assert!(matches!(c.tail, ChainTail::Store(9)));
-                assert_eq!(c.k, 8);
+                assert_eq!(*k, 8);
             }
             other => panic!("expected chain, got {other:?}"),
         }
@@ -913,20 +1122,22 @@ mod tests {
             Op::Const(Value::Bool(false)),
             Op::JumpIfFalse(9),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::Cmp {
-                along: CmpUse::BranchBoth {
-                    if_true: 6,
-                    if_false: 9,
+            (
+                Decoded::Cmp {
+                    along: CmpUse::BranchBoth {
+                        if_true: 6,
+                        if_false: 9,
+                    },
+                    ..
                 },
-                k: 5,
-                ..
-            }
+                5
+            )
         ));
         // The remote conditional keeps its own slot (it is a jump target).
-        assert!(matches!(dec[5], Decoded::Plain(Op::JumpIfFalse(9))));
+        assert!(matches!(dec[5], (Decoded::Plain(Op::JumpIfFalse(9), _), 1)));
     }
 
     #[test]
@@ -941,30 +1152,34 @@ mod tests {
             Op::PtrOffset(4),
             Op::StoreMem(ScalarType::Float),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::StIdx {
-                v: Operand::Local(6),
-                ptr: 1,
-                idx: 5,
-                size: 4,
-                conv: true,
-                ty: ScalarType::Float,
-                k: 6,
-            }
+            (
+                Decoded::StIdx {
+                    v: Operand::Slot(6),
+                    ptr: 1,
+                    idx: 5,
+                    size: 4,
+                    conv: true,
+                    ty: ScalarType::Float,
+                },
+                6
+            )
         ));
         // Entered one op in (value already on the stack), the rest still
         // fuses.
         assert!(matches!(
             dec[1],
-            Decoded::StIdx {
-                v: Operand::Stack,
-                ptr: 1,
-                idx: 5,
-                k: 5,
-                ..
-            }
+            (
+                Decoded::StIdx {
+                    v: Operand::Slot(20),
+                    ptr: 1,
+                    idx: 5,
+                    ..
+                },
+                5
+            )
         ));
     }
 
@@ -977,18 +1192,20 @@ mod tests {
             Op::PtrOffset(8),
             Op::StoreMem(ScalarType::Double),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::StIdx {
-                v: Operand::Const(Value::I32(7)),
-                ptr: 2,
-                idx: 9,
-                size: 8,
-                conv: false,
-                ty: ScalarType::Double,
-                k: 5,
-            }
+            (
+                Decoded::StIdx {
+                    v: Operand::Const(Value::I32(7)),
+                    ptr: 2,
+                    idx: 9,
+                    size: 8,
+                    conv: false,
+                    ty: ScalarType::Double,
+                },
+                5
+            )
         ));
     }
 
@@ -1002,8 +1219,8 @@ mod tests {
             Op::PtrOffset(4),
             Op::StoreMem(ScalarType::Float),
         ];
-        let dec = decode(&code);
-        assert!(!matches!(dec[1], Decoded::StIdx { .. }));
+        let dec = dec(&code);
+        assert!(!matches!(dec[1], (Decoded::StIdx { .. }, _)));
     }
 
     #[test]
@@ -1013,24 +1230,147 @@ mod tests {
             Op::LoadLocal(12),
             Op::StoreMem(ScalarType::Int),
         ];
-        let dec = decode(&code);
+        let dec = dec(&code);
         assert!(matches!(
             dec[0],
-            Decoded::StMem {
-                v: Operand::Local(10),
-                ptr: 12,
-                ty: ScalarType::Int,
-                k: 3,
-            }
+            (
+                Decoded::StMem {
+                    v: Operand::Slot(10),
+                    ptr: 12,
+                    ty: ScalarType::Int,
+                },
+                3
+            )
         ));
         assert!(matches!(
             dec[1],
-            Decoded::StMem {
-                v: Operand::Stack,
-                ptr: 12,
-                k: 2,
-                ..
-            }
+            (
+                Decoded::StMem {
+                    v: Operand::Slot(20),
+                    ptr: 12,
+                    ..
+                },
+                2
+            )
         ));
+    }
+
+    #[test]
+    fn a_call_below_live_entries_gets_fixed_argument_slots() {
+        // `x + g(x, y)`: `x` stays on the stack below the call's arguments.
+        let g = func(
+            "g",
+            2,
+            vec![
+                Op::LoadLocal(0),
+                Op::LoadLocal(1),
+                Op::Bin(BinOp::Add),
+                Op::Return,
+            ],
+            false,
+        );
+        let f = func(
+            "f",
+            2,
+            vec![
+                Op::LoadLocal(0),
+                Op::LoadLocal(0),
+                Op::LoadLocal(1),
+                Op::Call { func: 0, argc: 2 },
+                Op::Bin(BinOp::Add),
+                Op::Return,
+            ],
+            false,
+        );
+        let functions = [g, f];
+        assert_eq!(
+            heights(&functions[1], &functions),
+            Ok(vec![0, 1, 2, 3, 2, 1])
+        );
+        let f = decode(&functions[1], &functions);
+        assert_eq!(f.slots, 2 + 3);
+        // The arguments sit in slots 3 and 4, the result lands in 3.
+        assert!(matches!(
+            f.code[3],
+            (Decoded::Plain(Op::Call { func: 0, argc: 2 }, 5), 1)
+        ));
+        assert!(matches!(
+            f.code[4],
+            (
+                Decoded::Bin {
+                    l: Operand::Slot(2),
+                    r: Operand::Slot(3),
+                    dst: 2,
+                    ..
+                },
+                1
+            )
+        ));
+    }
+
+    #[test]
+    fn the_welded_map_calls_with_live_entries_below_its_arguments() {
+        let source = include_str!("../tests/corpus/skelcl_map.cl");
+        let program = crate::compile("skelcl_map.cl", source).unwrap();
+        let kernel = program.kernel("skelcl_map").unwrap().func as usize;
+        let locals = program.functions()[kernel].local_init.len() as u16;
+        let live = |d: &(Decoded, u8)| match d {
+            (Decoded::Plain(Op::Call { argc, .. }, top), _) => *top - *argc as u16 > locals,
+            _ => false,
+        };
+        assert!(program.decoded_fn(kernel).code.iter().any(live));
+    }
+
+    #[test]
+    fn functions_without_static_heights_decode_to_faults() {
+        let callee = func("callee", 2, vec![Op::ReturnVoid], true);
+        let defects = [
+            // Underflow at pc 0.
+            (
+                vec![Op::Bin(BinOp::Add), Op::ReturnVoid],
+                "pc 0: operand stack underflow",
+            ),
+            // Two paths into pc 3, at heights 1 and 0.
+            (
+                vec![
+                    Op::LoadLocal(0),
+                    Op::JumpIfFalse(3),
+                    Op::Const(Value::I32(1)),
+                    Op::ReturnVoid,
+                ],
+                "pc 3: reached at stack heights",
+            ),
+            // Two arguments, one value on the stack.
+            (
+                vec![
+                    Op::Const(Value::I32(1)),
+                    Op::Call { func: 0, argc: 2 },
+                    Op::ReturnVoid,
+                ],
+                "pc 1: operand stack underflow",
+            ),
+            (vec![Op::Const(Value::I32(1))], "pc 1: control runs past"),
+            (vec![Op::ReturnVoid, Op::Pop], "pc 1: unreachable"),
+            (vec![Op::Jump(7)], "pc 7: control runs past"),
+            (
+                vec![Op::Call { func: 9, argc: 0 }, Op::ReturnVoid],
+                "pc 0: a call of f9",
+            ),
+            (
+                vec![Op::Const(Value::I32(1)), Op::Return],
+                "pc 1: a value returned from void",
+            ),
+        ];
+        for (code, reason) in defects {
+            let functions = [callee.clone(), func("f", 1, code, true)];
+            let error = heights(&functions[1], &functions).unwrap_err();
+            assert!(error.contains(reason), "{error:?} should say {reason:?}");
+            let f = decode(&functions[1], &functions);
+            assert!(f
+                .code
+                .iter()
+                .all(|d| matches!(d, (Decoded::Fault(e), 1) if *e == error)));
+            assert_eq!(f.slots, 1);
+        }
     }
 }

@@ -54,6 +54,18 @@ pub fn emit_unit(mir: &MirUnit, hir_unit: &hir::Unit, source_name: &str) -> Prog
             kernels.push(kernel_info(hf, idx as u16, mir.barrier_count));
         }
     }
+    // The executor gives every operand-stack position a fixed register
+    // slot, which needs the height before every op to be static.
+    if cfg!(debug_assertions) {
+        for f in &functions {
+            if let Err(defect) = crate::decode::heights(f, &functions) {
+                panic!(
+                    "lowering broke the height rule: {defect}\n{}",
+                    f.disassemble()
+                );
+            }
+        }
+    }
     Program::from_parts(functions, kernels, source_name)
 }
 

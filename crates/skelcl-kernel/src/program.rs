@@ -158,9 +158,9 @@ pub struct Program {
 #[derive(Debug)]
 struct ProgramInner {
     functions: Vec<FuncCode>,
-    /// Superinstruction stream per function, parallel to `functions` (see
-    /// [`crate::decode`]); consumed by the optimised dispatch loop.
-    decoded: Vec<Vec<crate::decode::Decoded>>,
+    /// Superinstruction stream and frame size per function, parallel to
+    /// `functions` (see [`crate::decode`]); what the group executor runs.
+    decoded: Vec<crate::decode::DecodedFn>,
     kernels: Vec<KernelInfo>,
     kernel_index: HashMap<String, usize>,
     source_name: String,
@@ -182,7 +182,7 @@ impl Program {
             .collect();
         let decoded = functions
             .iter()
-            .map(|f| crate::decode::decode(&f.code))
+            .map(|f| crate::decode::decode(f, &functions))
             .collect();
         Program {
             inner: Arc::new(ProgramInner {
@@ -212,8 +212,9 @@ impl Program {
     }
 
     /// The pre-decoded superinstruction stream of function `func` (same
-    /// `pc` indexing as its `code`; see [`crate::decode`]).
-    pub(crate) fn decoded_fn(&self, func: usize) -> &[crate::decode::Decoded] {
+    /// `pc` indexing as its `code`) and its frame size; see
+    /// [`crate::decode`].
+    pub(crate) fn decoded_fn(&self, func: usize) -> &crate::decode::DecodedFn {
         &self.inner.decoded[func]
     }
 
@@ -230,13 +231,13 @@ impl Program {
     /// the interpreter's hot loop. Benchmarks use this to compare compile
     /// pipelines without running the kernel.
     pub fn decode_stats(&self, func: usize) -> (usize, usize) {
-        let dec = &self.inner.decoded[func];
+        let dec = &self.inner.decoded[func].code;
         let (mut pc, mut dispatches) = (0usize, 0usize);
         while pc < dec.len() {
             dispatches += 1;
-            pc += dec[pc].cost() as usize;
+            pc += dec[pc].1 as usize;
         }
-        (dec.len(), dispatches)
+        (self.inner.functions[func].code.len(), dispatches)
     }
 
     /// Whether two handles refer to the same compiled program (pointer

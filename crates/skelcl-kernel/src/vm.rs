@@ -22,7 +22,7 @@ use std::cell::Cell;
 use std::fmt;
 
 use crate::builtins::{self, Builtin};
-use crate::decode::{Chain, ChainTail, CmpUse, Decoded, Dst, Operand};
+use crate::decode::{Chain, ChainTail, CmpUse, Decoded, Operand};
 use crate::hir::{BinOp, CmpOp};
 use crate::ir::Op;
 use crate::program::{KernelInfo, Program};
@@ -426,20 +426,20 @@ enum Lane {
 
 /// One call depth of a group. Registers are column-major — slot `s` of lane
 /// `l` is `regs[s * lanes + l]` — with the function's locals in the first
-/// slots and its operand stack in the slots above them, so a stack operand
-/// and a local are the same kind of thing: a column. `func`, `pc` and `sp`
-/// are per lane and only current for lanes that are *not* executing (the
-/// active set keeps its own in scalars until it is rescheduled).
+/// slots and its operand stack's fixed positions in the slots above them
+/// (see `crate::decode`), so a stack operand and a local are the same kind
+/// of thing: a column. `func` and `pc` are per lane and only current for
+/// lanes that are *not* executing (the active set keeps its own in scalars
+/// until it is rescheduled).
 #[derive(Debug, Default)]
 struct Level {
     func: Vec<u16>,
     pc: Vec<u32>,
-    sp: Vec<u32>,
     regs: Vec<Value>,
 }
 
 impl Level {
-    /// Makes room for a function with `slots` locals on `n` lanes.
+    /// Makes room for a frame of `slots` registers on `n` lanes.
     fn fit(&mut self, slots: usize, n: usize) {
         if self.regs.len() < slots * n {
             self.regs.resize(slots * n, ZERO);
@@ -551,8 +551,8 @@ impl GroupStats {
 ///
 /// Within a strip every instruction is fetched, charged and matched
 /// (operation, operand kinds, destination) **once**, and the loop over the
-/// *active* lanes sits inside that match; locals and operand stack are
-/// column-major lane arrays (`Level`). Arithmetic heads (`Bin`, `Cmp`,
+/// *active* lanes sits inside that match; locals and the operand stack's
+/// fixed slots are column-major lane arrays (`Level`). Arithmetic heads (`Bin`, `Cmp`,
 /// chains, `Cvt`, `Mov`) also resolve their value type once, by the first
 /// active lane: `float`/`int` work runs as monomorphic loops on the bare
 /// machine type — a chain one loop per link over an accumulator column —
@@ -640,13 +640,17 @@ impl WorkGroup {
             self.started = true;
             let size = self.geometry.local_size;
             let lanes = (size[0] * size[1] * size[2]) as usize;
+            let func = (
+                entry.func,
+                entry.program.decoded_fn(entry.func as usize).slots,
+            );
             for first in (0..lanes).step_by(STRIP) {
                 if self.live == self.strips.len() {
                     self.strips.push(Strip::default());
                 }
                 let strip = &mut self.strips[self.live];
                 let n = STRIP.min(lanes - first);
-                strip.arm(entry.func, &entry.locals, self.geometry, n, self.budget);
+                strip.arm(func, &entry.locals, self.geometry, n, self.budget);
                 strip.first = first;
                 for (lane, ids) in strip.ids.iter_mut().enumerate() {
                     *ids = item_ids(&self.geometry, first + lane);
@@ -701,15 +705,14 @@ struct Strip {
     acc: AccCols,
     /// Runnable lanes outside the active set, in no particular order.
     waiters: Vec<u32>,
+    /// The scheduling key of each of `waiters` (see [`Strip::schedule`]).
+    keys: Vec<u64>,
 
     act: Active,
     // The active set's frame, in scalars.
     d: usize,
     func: u16,
     pc: u32,
-    sp: u32,
-    /// Slot of the operand stack's bottom: `func`'s local count.
-    base: usize,
     delta: u64,
     /// Ops the active lane with the most charged can still afford.
     headroom: u64,
@@ -727,11 +730,11 @@ struct Strip {
 const TURN: u32 = 1 << 14;
 
 impl Strip {
-    /// Arms `n` lanes at the start of `func` with `locals`, all with
-    /// `geometry`'s own item ids.
+    /// Arms `n` lanes at the start of `func`, whose frame has `slots`
+    /// registers, with `locals`, all with `geometry`'s own item ids.
     fn arm(
         &mut self,
-        func: u16,
+        (func, slots): (u16, usize),
         locals: &[Value],
         geometry: ItemGeometry,
         n: usize,
@@ -759,54 +762,22 @@ impl Strip {
         let level = &mut self.levels[0];
         refill(&mut level.func, n, func);
         refill(&mut level.pc, n, 0);
-        refill(&mut level.sp, n, 0);
-        level.fit(locals.len(), n);
+        level.fit(slots, n);
         for (column, v) in level.regs.chunks_exact_mut(n.max(1)).zip(locals) {
             column.fill(*v);
         }
     }
 
-    /// Pops the active set's operand stack: the popped column.
-    fn pop(&mut self) -> usize {
-        match self.sp.checked_sub(1) {
-            Some(sp) => self.sp = sp,
-            None => self.fault_at(0, stack_underflow()),
-        }
-        (self.base + self.sp as usize) * self.n
+    /// The column of register slot `slot`, by its lane 0.
+    fn col(&self, slot: u16) -> usize {
+        slot as usize * self.n
     }
 
-    /// Pushes onto the active set's operand stack: the column to fill.
-    fn push(&mut self) -> usize {
-        let column = (self.base + self.sp as usize) * self.n;
-        let regs = &mut self.levels[self.d].regs;
-        if regs.len() < column + self.n {
-            regs.resize(column + self.n, ZERO);
-        }
-        self.sp += 1;
-        column
-    }
-
-    /// The column on top of the active set's operand stack.
-    fn peek(&mut self) -> usize {
-        let column = self.pop();
-        self.sp += 1;
-        column
-    }
-
-    /// Resolves a fused operand (callers resolve the rhs before the lhs so
-    /// stack pops happen in the unfused order).
-    fn src(&mut self, operand: &Operand) -> Src {
+    /// Resolves an operand for the active set.
+    fn src(&self, operand: &Operand) -> Src {
         match operand {
-            Operand::Stack => Src::Col(self.pop()),
-            Operand::Local(s) => Src::Col(*s as usize * self.n),
+            Operand::Slot(s) => Src::Col(self.col(*s)),
             Operand::Const(c) => Src::Const(*c),
-        }
-    }
-
-    fn dst(&mut self, dst: &Dst) -> usize {
-        match dst {
-            Dst::Stack => self.push(),
-            Dst::Local(s) => *s as usize * self.n,
         }
     }
 
@@ -834,10 +805,9 @@ impl Strip {
     /// Writes the active set's scalars back to its lanes.
     fn flush(&mut self) {
         let level = &mut self.levels[self.d];
-        let (pc, sp, delta, ops) = (self.pc, self.sp, self.delta, &mut self.ops);
+        let (pc, delta, ops) = (self.pc, self.delta, &mut self.ops);
         self.act.each_ok(|l| {
             level.pc[l] = pc;
-            level.sp[l] = sp;
             ops[l] += delta;
         });
         self.delta = 0;
@@ -858,50 +828,57 @@ impl Strip {
     }
 
     /// Yields the active set and picks the next one: of the runnable lanes,
-    /// those in the deepest frame at the lowest `pc` (and of one stack
-    /// height). `false` when no lane can run — the round is over.
-    fn schedule(&mut self, functions: &[crate::ir::FuncCode]) -> bool {
+    /// those in the deepest frame at the lowest `pc`. `false` when no lane
+    /// can run — the round is over.
+    ///
+    /// A lane's key `(depth, func, pc)` is packed into one `u64` that
+    /// orders as the scheduler prefers (deeper first, then `func`, then
+    /// `pc`) and is computed once per waiting lane.
+    fn schedule(&mut self) -> bool {
         self.flush();
-        let (act, waiters) = (&mut self.act, &mut self.waiters);
+        let (act, waiters, keys) = (&mut self.act, &mut self.waiters, &mut self.keys);
         waiters.extend_from_slice(&act.idx[..act.m]);
         act.idx.clear();
         act.m = 0;
-        let key = |l: u32| {
+        keys.clear();
+        keys.extend(waiters.iter().map(|&l| {
             let d = self.depth[l as usize];
             let level = &self.levels[d as usize];
             let l = l as usize;
-            (
-                std::cmp::Reverse(d),
-                level.func[l],
-                level.pc[l],
-                level.sp[l],
-            )
-        };
+            let deeper = (MAX_CALL_DEPTH - d as usize) as u64;
+            deeper << 48 | (level.func[l] as u64) << 32 | level.pc[l] as u64
+        }));
         let fair = std::mem::replace(&mut self.turn, TURN) == 0;
         let best = match fair {
-            true => waiters.iter().min().map(|&l| key(l)),
-            false => waiters.iter().map(|&l| key(l)).min(),
+            true => (0..waiters.len())
+                .min_by_key(|&p| waiters[p])
+                .map(|p| keys[p]),
+            false => keys.iter().copied().min(),
         };
         let Some(best) = best else {
             return false;
         };
         self.wait_pc = u32::MAX;
         let mut most_ops = 0;
-        waiters.retain(|&l| {
-            let k = key(l);
-            if k == best {
+        let mut kept = 0;
+        for p in 0..waiters.len() {
+            let (l, key) = (waiters[p], keys[p]);
+            if key == best {
                 act.idx.push(l);
                 most_ops = most_ops.max(self.ops[l as usize]);
-            } else if (k.0, k.1) == (best.0, best.1) {
-                self.wait_pc = self.wait_pc.min(k.2);
+                continue;
             }
-            k != best
-        });
+            if key >> 32 == best >> 32 {
+                self.wait_pc = self.wait_pc.min(key as u32);
+            }
+            waiters[kept] = l;
+            kept += 1;
+        }
+        waiters.truncate(kept);
         act.idx.sort_unstable();
         act.m = act.idx.len();
-        let (std::cmp::Reverse(d), func, pc, sp) = best;
-        (self.d, self.func, self.pc, self.sp) = (d as usize, func, pc, sp);
-        self.base = functions[func as usize].local_init.len();
+        self.d = MAX_CALL_DEPTH - (best >> 48) as usize;
+        (self.func, self.pc) = ((best >> 32) as u16, best as u32);
         self.headroom = self.budget.saturating_sub(most_ops);
         true
     }
@@ -1043,31 +1020,29 @@ impl Strip {
         t.ok.get()
     }
 
-    /// A fused arithmetic chain. Its operands resolve once, in the unfused
-    /// pop order, into `srcs`: `l`, `r`, the tree's `l2`, `r2`, the links'
-    /// and the tail comparison's. When every operation is native to the
-    /// first active lane's type, the chain runs link by link over an
-    /// accumulator column — first operation, tree, each link, tail — one
-    /// typed loop each; if an operand then turned out not to hold that
-    /// type on some lane, or an operation can fault, it runs lane by lane
-    /// through [`value::binary`], each lane from its first operation to its
-    /// tail, so the first lane to fault is the one reported.
+    /// A fused arithmetic chain. Its operands resolve once into `srcs`: `l`,
+    /// `r`, the tree's `l2`, `r2`, the links' and the tail comparison's.
+    /// When every operation is native to the first active lane's type, the
+    /// chain runs link by link over an accumulator column — first
+    /// operation, tree, each link, tail — one typed loop each; if an operand
+    /// then turned out not to hold that type on some lane, or an operation
+    /// can fault, it runs lane by lane through [`value::binary`], each lane
+    /// from its first operation to its tail, so the first lane to fault is
+    /// the one reported.
     fn chain(&mut self, c: &Chain) {
-        let (r, l) = (self.src(&c.r), self.src(&c.l));
+        let (l, r) = (self.src(&c.l), self.src(&c.r));
         self.srcs.clear();
         self.srcs.extend([l, r]);
         if let Some((l2, r2, ..)) = &c.tree {
-            let r2 = self.src(r2);
-            let l2 = self.src(l2);
-            self.srcs.extend([l2, r2]);
+            let tree = [self.src(l2), self.src(r2)];
+            self.srcs.extend(tree);
         }
         for (_, o) in &c.links {
             let s = self.src(o);
             self.srcs.push(s);
         }
         let (cmp, dst) = match &c.tail {
-            ChainTail::Push => (None, self.push()),
-            ChainTail::Store(s) => (None, *s as usize * self.n),
+            ChainTail::Store(s) => (None, self.col(*s)),
             ChainTail::Cmp { op, r, .. } => {
                 let r = self.src(r);
                 self.srcs.push(r);
@@ -1173,12 +1148,12 @@ impl Strip {
         }
     }
 
-    /// Routes a comparison's `flags` (see [`CmpUse`]): pushed, or a branch.
+    /// Routes a comparison's `flags` (see [`CmpUse`]): stored, or a branch.
     /// `pc` is already past the fused block.
     fn cmp_use(&mut self, along: CmpUse) {
         match along {
-            CmpUse::Push => {
-                let dst = self.push();
+            CmpUse::Push(slot) => {
+                let dst = self.col(slot);
                 let (regs, flags) = (&mut self.levels[self.d].regs, &self.flags);
                 self.act.each_ok(|l| regs[dst + l] = Value::Bool(flags[l]));
             }
@@ -1208,7 +1183,7 @@ impl Strip {
                     act.idx[kept] = l as u32;
                     kept += 1;
                 } else {
-                    (level.pc[l], level.sp[l]) = (wait, self.sp);
+                    level.pc[l] = wait;
                     self.ops[l] += self.delta;
                     self.waiters.push(l as u32);
                 }
@@ -1219,9 +1194,8 @@ impl Strip {
         }
     }
 
-    /// Branches on the truthiness of the popped column.
-    fn branch_on_top(&mut self, if_true: u32, if_false: u32) {
-        let c = self.pop();
+    /// Branches on the truthiness of column `c`.
+    fn branch_on(&mut self, c: usize, if_true: u32, if_false: u32) {
         let (regs, flags) = (&self.levels[self.d].regs, &mut self.flags);
         self.act.each_ok(|l| flags[l] = regs[c + l].is_truthy());
         self.branch(if_true, if_false);
@@ -1283,12 +1257,12 @@ impl Strip {
         self.check(result);
     }
 
-    /// A work-item query over the active lanes, in place on the popped
-    /// dimension column. OpenCL: out-of-range dims yield 0 (sizes yield 1).
-    fn work_item_query(&mut self, b: Builtin) {
+    /// A work-item query over the active lanes: into column `top`, or in
+    /// place on the dimension column below it. OpenCL: out-of-range dims
+    /// yield 0 (sizes yield 1).
+    fn work_item_query(&mut self, b: Builtin, top: usize) {
         if b == Builtin::GetWorkDim {
-            let dst = self.push();
-            return self.mov(Src::Const(Value::U32(self.geometry.work_dim)), dst);
+            return self.mov(Src::Const(Value::U32(self.geometry.work_dim)), top);
         }
         let g = &self.geometry;
         let (per_lane, shared, default) = match b {
@@ -1303,8 +1277,7 @@ impl Strip {
                 return self.fault_at(0, error);
             }
         };
-        let c = self.pop();
-        self.sp += 1;
+        let c = top - self.n;
         let (regs, ids) = (&mut self.levels[self.d].regs, &self.ids);
         self.act.each_ok(|l| {
             let dim = regs[c + l].as_i64();
@@ -1318,29 +1291,21 @@ impl Strip {
         });
     }
 
-    /// Enters `callee` with the top `argc` stack slots as its arguments.
-    fn call(&mut self, functions: &[crate::ir::FuncCode], callee: u16, argc: usize) {
+    /// Enters `callee` with the `argc` columns from `args` up as its
+    /// arguments; its frame is sized here, once.
+    fn call(&mut self, program: &Program, callee: u16, (args, argc): (usize, usize)) {
         if self.d + 1 >= MAX_CALL_DEPTH {
             return self.fault_at(0, RuntimeError::StackOverflow);
         }
-        match self.sp.checked_sub(argc as u32) {
-            Some(sp) => self.sp = sp,
-            None => return self.fault_at(0, stack_underflow()),
-        }
-        // The return value lands where the first argument was.
-        let args = self.push();
-        self.sp -= 1;
         let n = self.n;
         if self.levels.len() == self.d + 1 {
             self.levels.push(Level::default());
         }
         let (callers, callees) = self.levels.split_at_mut(self.d + 1);
         let (caller, level) = (&mut callers[self.d], &mut callees[0]);
-        let init = &functions[callee as usize].local_init;
-        level.fit(init.len(), n);
-        for lanes in [&mut level.pc, &mut level.sp] {
-            lanes.resize(n, 0);
-        }
+        let init = &program.functions()[callee as usize].local_init;
+        level.fit(program.decoded_fn(callee as usize).slots, n);
+        level.pc.resize(n, 0);
         level.func.resize(n, 0);
         for (s, v) in init.iter().enumerate() {
             let (column, arg) = (s * n, args + s * n);
@@ -1348,26 +1313,24 @@ impl Strip {
                 level.regs[column + l] = if s < argc { caller.regs[arg + l] } else { *v };
             });
         }
-        let (pc, sp, depth) = (self.pc, self.sp, &mut self.depth);
+        let (pc, depth) = (self.pc, &mut self.depth);
         self.act.each_ok(|l| {
             level.func[l] = callee;
             depth[l] += 1;
             caller.pc[l] = pc;
-            caller.sp[l] = sp;
         });
         self.d += 1;
-        (self.func, self.pc, self.sp) = (callee, 0, 0);
-        self.base = init.len();
+        (self.func, self.pc) = (callee, 0);
         // Nothing waits in a frame that was only just entered.
         self.wait_pc = u32::MAX;
     }
 
-    /// Leaves the active set's frame, pushing the column `value` (if any)
-    /// onto each lane's caller; lanes in the kernel's own frame are done.
-    /// Callers may differ between lanes (a callee with a barrier can be
-    /// entered from two call sites), so each lane is returned on its own
-    /// and the group reschedules.
-    fn ret(&mut self, functions: &[crate::ir::FuncCode], value: Option<usize>) {
+    /// Leaves the active set's frame, copying the column `value` (if any)
+    /// into each lane's caller, at the slot of the call's first argument;
+    /// lanes in the kernel's own frame are done. Callers may differ between
+    /// lanes (a callee with a barrier can be entered from two call sites),
+    /// so each lane is returned on its own and the group reschedules.
+    fn ret(&mut self, program: &Program, value: Option<usize>) {
         self.flush();
         let n = self.n;
         if self.d == 0 {
@@ -1378,9 +1341,8 @@ impl Strip {
             self.act.each_ok(|l| {
                 depth[l] -= 1;
                 if let Some(value) = value {
-                    let base = functions[caller.func[l] as usize].local_init.len();
-                    caller.regs[(base + caller.sp[l] as usize) * n + l] = level.regs[value + l];
-                    caller.sp[l] += 1;
+                    let at = result_slot(program, caller.func[l], caller.pc[l]);
+                    caller.regs[at * n + l] = level.regs[value + l];
                 }
             });
             self.waiters.extend_from_slice(&self.act.idx[..self.act.m]);
@@ -1407,17 +1369,17 @@ impl Strip {
             }
         }
         'schedule: loop {
-            if !self.schedule(functions) {
+            if !self.schedule() {
                 return self.end_round(site);
             }
             'frame: loop {
-                let dec = program.decoded_fn(self.func as usize);
+                let dec = &program.decoded_fn(self.func as usize).code;
                 loop {
-                    let d = &dec[self.pc as usize];
                     // A fused head covers `k` source ops: every active lane
                     // is charged all of them, and one runs out of budget
                     // iff the reference would have inside the block.
-                    let k = d.cost();
+                    let (d, k) = &dec[self.pc as usize];
+                    let k = *k as u64;
                     stats.steps += 1;
                     stats.lane_slots += self.n as u64;
                     if self.delta + (k - 1) >= self.headroom {
@@ -1435,22 +1397,18 @@ impl Strip {
                     let n = self.n;
                     match d {
                         Decoded::Bin { l, r, op, dst, .. } => {
-                            // The rhs is popped first when unfused.
-                            let (r, l) = (self.src(r), self.src(l));
-                            let dst = self.dst(dst);
-                            self.bin(l, r, dst, *op);
+                            self.bin(self.src(l), self.src(r), self.col(*dst), *op);
                         }
                         Decoded::Cmp {
                             l, r, op, along, ..
                         } => {
-                            let (r, l) = (self.src(r), self.src(l));
-                            self.cmp(l, r, *op);
+                            self.cmp(self.src(l), self.src(r), *op);
                             self.cmp_use(*along);
                         }
                         Decoded::Chain(c) => self.chain(c),
                         Decoded::StMem { v, ptr, ty, .. } => {
-                            let v = self.src(v);
-                            self.store(v, *ptr as usize * n, *ty, (counters, global, local_mem));
+                            let (v, ptr) = (self.src(v), self.col(*ptr));
+                            self.store(v, ptr, *ty, (counters, global, local_mem));
                         }
                         Decoded::StIdx {
                             v,
@@ -1462,13 +1420,12 @@ impl Strip {
                             ..
                         } => {
                             let v = self.src(v);
-                            let at = (*ptr as usize * n, *idx as usize * n, *size, *conv);
+                            let at = (self.col(*ptr), self.col(*idx), *size, *conv);
                             self.indexed(at, |regs, l, p| {
                                 mem_store(counters, global, local_mem, p, *ty, v.get(regs, l))
                             });
                         }
-                        Decoded::Mov(a, s) => self.mov(Src::Col(*a as usize * n), *s as usize * n),
-                        Decoded::MovC(c, s) => self.mov(Src::Const(*c), *s as usize * n),
+                        Decoded::Mov { src, dst, .. } => self.mov(self.src(src), self.col(*dst)),
                         Decoded::PtrIdx {
                             ptr,
                             idx,
@@ -1478,8 +1435,8 @@ impl Strip {
                             dst,
                             ..
                         } => {
-                            let dst = self.dst(dst);
-                            let at = (*ptr as usize * n, *idx as usize * n, *size, *conv);
+                            let dst = self.col(*dst);
+                            let at = (self.col(*ptr), self.col(*idx), *size, *conv);
                             self.indexed(at, |regs, l, p| {
                                 match load {
                                     Some(ty) => {
@@ -1492,147 +1449,113 @@ impl Strip {
                             });
                         }
                         Decoded::Cvt { src, to, dst, .. } => {
-                            let src = self.src(src);
-                            let dst = self.dst(dst);
-                            self.cvt(src, dst, *to);
+                            self.cvt(self.src(src), self.col(*dst), *to);
                         }
-                        Decoded::Plain(op) => match op {
-                            Op::Const(v) => {
-                                let dst = self.push();
-                                self.mov(Src::Const(*v), dst);
-                            }
-                            Op::LoadLocal(s) => {
-                                let dst = self.push();
-                                self.mov(Src::Col(*s as usize * n), dst);
-                            }
-                            Op::StoreLocal(s) => {
-                                let src = self.pop();
-                                self.mov(Src::Col(src), *s as usize * n);
-                            }
-                            Op::Pop => {
-                                self.pop();
-                            }
-                            Op::Un(un) => {
-                                let c = self.peek();
-                                self.map(Src::Col(c), c, |v, out| {
-                                    *out = value::unary(*un, v).map_err(eval_err)?;
-                                    Ok(())
-                                });
-                            }
-                            Op::Bin(bin) => {
-                                let (r, l) = (self.pop(), self.pop());
-                                self.sp += 1;
-                                self.bin(Src::Col(l), Src::Col(r), l, *bin);
-                            }
-                            Op::Cmp(cmp) => {
-                                let (r, l) = (self.pop(), self.pop());
-                                self.cmp(Src::Col(l), Src::Col(r), *cmp);
-                                self.cmp_use(CmpUse::Push);
-                            }
-                            Op::Convert(to) => {
-                                let c = self.peek();
-                                self.cvt(Src::Col(c), c, *to);
-                            }
-                            Op::ToBool => {
-                                let c = self.peek();
-                                self.map(Src::Col(c), c, |v, out| {
-                                    *out = Value::Bool(v.is_truthy());
-                                    Ok(())
-                                });
-                            }
-                            Op::Jump(t) => self.pc = *t,
-                            Op::JumpIfFalse(t) => self.branch_on_top(self.pc, *t),
-                            Op::JumpIfTrue(t) => self.branch_on_top(*t, self.pc),
-                            Op::Call { func, argc } => {
-                                self.call(functions, *func, *argc as usize);
-                                if self.act.m == 0 {
+                        Decoded::Fault(reason) => {
+                            self.fault_at(0, RuntimeError::Internal(reason.clone()));
+                        }
+                        Decoded::Plain(op, top) => {
+                            // The op's stack operands are the columns just
+                            // below `top`'s.
+                            let top = self.col(*top);
+                            match op {
+                                Op::Pop => {}
+                                Op::Un(un) => {
+                                    let c = top - n;
+                                    self.map(Src::Col(c), c, |v, out| {
+                                        *out = value::unary(*un, v).map_err(eval_err)?;
+                                        Ok(())
+                                    });
+                                }
+                                Op::ToBool => {
+                                    let c = top - n;
+                                    self.map(Src::Col(c), c, |v, out| {
+                                        *out = Value::Bool(v.is_truthy());
+                                        Ok(())
+                                    });
+                                }
+                                Op::Jump(t) => self.pc = *t,
+                                Op::JumpIfFalse(t) => self.branch_on(top - n, self.pc, *t),
+                                Op::JumpIfTrue(t) => self.branch_on(top - n, *t, self.pc),
+                                Op::Call { func, argc } => {
+                                    let argc = *argc as usize;
+                                    self.call(program, *func, (top - argc * n, argc));
+                                    if self.act.m == 0 {
+                                        continue 'schedule;
+                                    }
+                                    continue 'frame;
+                                }
+                                Op::CallPure(b, argc) => {
+                                    let argc = *argc as usize;
+                                    let c = top - argc * n;
+                                    let regs = &mut self.levels[self.d].regs;
+                                    self.act.each_ok(|l| {
+                                        let mut args = [ZERO; 3];
+                                        for (a, arg) in args[..argc].iter_mut().enumerate() {
+                                            *arg = regs[c + a * n + l];
+                                        }
+                                        regs[c + l] = builtins::eval_pure(*b, &args[..argc]);
+                                    });
+                                }
+                                Op::WorkItem(b) => self.work_item_query(*b, top),
+                                Op::Barrier { id } => {
+                                    counters.barriers += m;
+                                    self.flush();
+                                    self.act.each_ok(|l| self.state[l] = Lane::Parked(*id));
+                                    self.act.m = 0;
                                     continue 'schedule;
                                 }
-                                continue 'frame;
-                            }
-                            Op::CallPure(b, argc) => {
-                                let argc = *argc as usize;
-                                if argc > 3 || argc > self.sp as usize {
-                                    let error = "builtin call without its arguments".into();
-                                    self.fault_at(0, RuntimeError::Internal(error));
+                                Op::Trap => {
+                                    let first = self.act.idx[0] as usize;
+                                    let code = self.levels[self.d].regs[top - n + first].as_i64();
+                                    self.fault_at(0, RuntimeError::Trap { code: code as i32 });
+                                }
+                                Op::LoadMem(ty) => {
+                                    let c = top - n;
+                                    let regs = &mut self.levels[self.d].regs;
+                                    let result = self.act.each(|l| {
+                                        let p = expect_ptr(regs[c + l])?;
+                                        load_into(
+                                            &mut regs[c + l],
+                                            counters,
+                                            global,
+                                            local_mem,
+                                            p,
+                                            *ty,
+                                        )
+                                    });
+                                    self.check(result);
+                                }
+                                Op::PtrDiff(size) => {
+                                    let (l, r) = (top - 2 * n, top - n);
+                                    let regs = &mut self.levels[self.d].regs;
+                                    let result = self.act.each(|i| {
+                                        let (a, b) =
+                                            (expect_ptr(regs[l + i])?, expect_ptr(regs[r + i])?);
+                                        if a.space != b.space || a.buffer != b.buffer {
+                                            return Err(RuntimeError::IncompatiblePointers);
+                                        }
+                                        let bytes = a.byte_offset - b.byte_offset;
+                                        regs[l + i] = Value::I64(bytes / *size as i64);
+                                        Ok(())
+                                    });
+                                    self.check(result);
+                                }
+                                Op::Return => {
+                                    self.ret(program, Some(top - n));
                                     continue 'schedule;
                                 }
-                                self.sp -= argc as u32;
-                                let c = self.push();
-                                let regs = &mut self.levels[self.d].regs;
-                                self.act.each_ok(|l| {
-                                    let mut args = [ZERO; 3];
-                                    for (a, arg) in args[..argc].iter_mut().enumerate() {
-                                        *arg = regs[c + a * n + l];
-                                    }
-                                    regs[c + l] = builtins::eval_pure(*b, &args[..argc]);
-                                });
+                                Op::ReturnVoid => {
+                                    self.ret(program, None);
+                                    continue 'schedule;
+                                }
+                                Op::MissingReturn => {
+                                    let function = functions[self.func as usize].name.clone();
+                                    self.fault_at(0, RuntimeError::MissingReturn { function });
+                                }
+                                op => unreachable!("`{op}` decodes to a register head"),
                             }
-                            Op::WorkItem(b) => self.work_item_query(*b),
-                            Op::Barrier { id } => {
-                                counters.barriers += m;
-                                self.flush();
-                                self.act.each_ok(|l| self.state[l] = Lane::Parked(*id));
-                                self.act.m = 0;
-                                continue 'schedule;
-                            }
-                            Op::Trap => {
-                                let c = self.pop();
-                                let first = self.act.idx[0] as usize;
-                                let code = self.levels[self.d].regs[c + first].as_i64() as i32;
-                                self.fault_at(0, RuntimeError::Trap { code });
-                            }
-                            Op::LoadMem(ty) => {
-                                let c = self.peek();
-                                let regs = &mut self.levels[self.d].regs;
-                                let result = self.act.each(|l| {
-                                    let p = expect_ptr(regs[c + l])?;
-                                    load_into(&mut regs[c + l], counters, global, local_mem, p, *ty)
-                                });
-                                self.check(result);
-                            }
-                            Op::StoreMem(ty) => {
-                                let (ptr, v) = (self.pop(), self.pop());
-                                self.store(Src::Col(v), ptr, *ty, (counters, global, local_mem));
-                            }
-                            Op::PtrOffset(size) => {
-                                let (count, ptr) = (self.pop(), self.pop());
-                                self.sp += 1;
-                                self.indexed((ptr, count, *size, false), |regs, l, p| {
-                                    regs[ptr + l] = Value::Ptr(p);
-                                    Ok(())
-                                });
-                            }
-                            Op::PtrDiff(size) => {
-                                let (r, l) = (self.pop(), self.pop());
-                                self.sp += 1;
-                                let regs = &mut self.levels[self.d].regs;
-                                let result = self.act.each(|i| {
-                                    let (a, b) =
-                                        (expect_ptr(regs[l + i])?, expect_ptr(regs[r + i])?);
-                                    if a.space != b.space || a.buffer != b.buffer {
-                                        return Err(RuntimeError::IncompatiblePointers);
-                                    }
-                                    let bytes = a.byte_offset - b.byte_offset;
-                                    regs[l + i] = Value::I64(bytes / *size as i64);
-                                    Ok(())
-                                });
-                                self.check(result);
-                            }
-                            Op::Return => {
-                                let value = self.pop();
-                                self.ret(functions, Some(value));
-                                continue 'schedule;
-                            }
-                            Op::ReturnVoid => {
-                                self.ret(functions, None);
-                                continue 'schedule;
-                            }
-                            Op::MissingReturn => {
-                                let function = functions[self.func as usize].name.clone();
-                                self.fault_at(0, RuntimeError::MissingReturn { function });
-                            }
-                        },
+                        }
                     }
                     self.turn = self.turn.saturating_sub(1);
                     if self.pc >= self.wait_pc || (self.turn == 0 && !self.waiters.is_empty()) {
@@ -1845,8 +1768,12 @@ impl WorkItem {
         assert!(!self.finished, "work-item already finished");
         if !self.lane_armed {
             let entry = &self.frames[0];
+            let func = (
+                entry.func,
+                self.program.decoded_fn(entry.func as usize).slots,
+            );
             self.lane
-                .arm(entry.func, &entry.locals, self.geometry, 1, self.ops_budget);
+                .arm(func, &entry.locals, self.geometry, 1, self.ops_budget);
             self.lane_armed = true;
         }
         self.lane.budget = self.ops_budget;
@@ -2180,6 +2107,15 @@ fn mem_store(
             Ok(())
         }
         AddressSpace::Private => Err(RuntimeError::UninitializedPointer),
+    }
+}
+
+/// The slot in which the call head just before `pc` in `func` receives its
+/// callee's result: that of its first argument.
+fn result_slot(program: &Program, func: u16, pc: u32) -> usize {
+    match &program.decoded_fn(func as usize).code[pc as usize - 1] {
+        (Decoded::Plain(Op::Call { argc, .. }, top), _) => (*top - *argc as u16) as usize,
+        other => unreachable!("a caller waits after `{other:?}`, not after a call"),
     }
 }
 

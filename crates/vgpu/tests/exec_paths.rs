@@ -16,9 +16,14 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use skelcl_kernel::compile;
-use skelcl_kernel::program::Program;
+use skelcl_kernel::hir::BinOp;
+use skelcl_kernel::ir::{FuncCode, Op};
+use skelcl_kernel::program::{KernelInfo, Program};
 use skelcl_kernel::value::Value;
-use skelcl_kernel::vm::{CostCounters, RuntimeError};
+use skelcl_kernel::vm::{
+    CostCounters, EntryFrame, GroupFault, HostMemory, ItemGeometry, RuntimeError, WorkGroup,
+    WorkItem,
+};
 use support::{Arg, Fault, Outcome};
 use vgpu::{DeviceSpec, Error, KernelArg, LaunchConfig, NdRange, Platform};
 
@@ -804,5 +809,166 @@ fn division_by_zero_in_a_chain_faults_at_the_lane_the_reference_does() {
         );
         let engine = run_engine(&program, kernel, &args, range, (1, 0), &config);
         assert_eq!(as_reference(engine), reference, "{kernel}");
+    }
+}
+
+/// Kernels whose calls run with values of the caller still on its operand
+/// stack, which the executor keeps in fixed register slots.
+const CALL_KERNELS: &str = "
+    // A barrier inside a callee, reached with the caller's `x * 5 + lid`
+    // live below the arguments.
+    int stage(__local int* tile, int lid, int v) {
+        tile[lid] = v ^ lid;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        return tile[(int)get_local_size(0) - 1 - lid] + v;
+    }
+    __kernel void live_barrier(__global const int* in, __global int* out) {
+        __local int tile[256];
+        int lid = (int)get_local_id(0);
+        int x = in[get_global_id(0)];
+        out[get_global_id(0)] = (x * 5 + lid) - stage(tile, lid, x);
+    }
+    int leaf(int x) { return x * x - 3; }
+    int mid(int x) {
+        if (x & 4) return leaf(x) - leaf(x + 1);
+        return x - 1;
+    }
+    // Lanes at call depths 0, 1 and 2 at once, parting and meeting in a
+    // loop whose trip count is their own.
+    __kernel void depths(__global const int* in, __global int* out) {
+        int gid = (int)get_global_id(0);
+        int x = in[gid];
+        int r = 0;
+        if (x & 1) r = mid(x);
+        else if (x & 2) r = leaf(x);
+        for (int i = 0; i < (x & 3); ++i) r += mid(r + i);
+        out[gid] = r + x;
+    }";
+
+/// The welded `Map` kernel (`skelcl_map` of the kernel compiler's corpus)
+/// calls the customizing function with the output address live on the
+/// stack below the six arguments; its result must land above that address.
+#[test]
+fn call_below_live_stack_entries_matches_reference() {
+    let source = include_str!("../../skelcl-kernel/tests/corpus/skelcl_map.cl");
+    let program = compile("skelcl_map.cl", source).unwrap();
+    let (w, h) = (32usize, 24usize);
+    let n = w * h;
+    let indices: Vec<i32> = (0..n as i32).collect();
+    let args = [
+        Arg::Buffer(i32s(&indices)),
+        Arg::Buffer(vec![0u8; n]),
+        Arg::Scalar(Value::I32(n as i32)),
+        Arg::Scalar(Value::I32(w as i32)),
+        Arg::Scalar(Value::I32(h as i32)),
+        Arg::Scalar(Value::I32(64)),
+        Arg::Scalar(Value::F32(0.0)),
+        Arg::Scalar(Value::F32(0.0)),
+    ];
+    for devices in 1..=2 {
+        assert_matches_reference(
+            &program,
+            "skelcl_map",
+            &args,
+            NdRange::linear(n, 256),
+            devices,
+        );
+    }
+}
+
+/// A barrier inside a callee parks lanes with live caller entries, and
+/// lanes spread over three call depths rejoin: both as the reference.
+#[test]
+fn calls_across_depths_and_barriers_match_reference() {
+    let program = compile("calls.cl", CALL_KERNELS).unwrap();
+    let n = 512;
+    let values: Vec<i32> = (0..n as i32).map(|i| i.wrapping_mul(40_503) >> 3).collect();
+    let args = [Arg::Buffer(i32s(&values)), Arg::Buffer(vec![0u8; n * 4])];
+    for kernel in ["live_barrier", "depths"] {
+        let counters =
+            assert_matches_reference(&program, kernel, &args, NdRange::linear(n, 256), 1);
+        assert!(counters.ops > n as u64, "{kernel} executed work");
+    }
+}
+
+/// A one-function program whose kernel `k` runs `code` over `locals` slots,
+/// beside a void `callee` with two parameters.
+fn hand_assembled(code: Vec<Op>, locals: usize) -> Program {
+    let func = |name: &str, param_count, locals, code| FuncCode {
+        name: name.into(),
+        param_count,
+        local_init: vec![Value::I32(0); locals],
+        code,
+        returns_void: true,
+    };
+    Program::from_parts(
+        vec![
+            func("k", 0, locals, code),
+            func("callee", 2, 2, vec![Op::ReturnVoid]),
+        ],
+        vec![KernelInfo {
+            name: "k".into(),
+            func: 0,
+            params: vec![],
+            local_arrays: vec![],
+            static_local_bytes: 0,
+            barrier_count: 0,
+        }],
+        "defects.cl",
+    )
+}
+
+/// Bytecode whose operand-stack heights are not static cannot be given
+/// fixed slots: a group and a single item running it return a typed error
+/// at the kernel's first op instead of panicking.
+#[test]
+fn bytecode_without_static_heights_faults_with_a_typed_error() {
+    let defects = [
+        (
+            "underflow at pc 0",
+            vec![Op::Bin(BinOp::Add), Op::ReturnVoid],
+        ),
+        (
+            "paths joining at heights 1 and 0",
+            vec![
+                Op::Const(Value::Bool(true)),
+                Op::JumpIfFalse(3),
+                Op::Const(Value::I32(1)),
+                Op::ReturnVoid,
+            ],
+        ),
+        (
+            "a call with two arguments and one stack entry",
+            vec![
+                Op::Const(Value::I32(1)),
+                Op::Call { func: 1, argc: 2 },
+                Op::ReturnVoid,
+            ],
+        ),
+    ];
+    let lanes = 4;
+    let geometry = ItemGeometry {
+        local_size: [lanes, 1, 1],
+        global_size: [lanes, 1, 1],
+        ..ItemGeometry::single()
+    };
+    for (what, code) in defects {
+        let program = hand_assembled(code, 1);
+        let memory = HostMemory::new();
+        let entry = EntryFrame::new(&program, program.kernel("k").unwrap(), &[]);
+        let mut group = WorkGroup::default();
+        group.arm(geometry, 1_000);
+        match group.run(&entry, &memory, &mut []) {
+            Err(GroupFault::Lane {
+                lane: 0,
+                error: RuntimeError::Internal(_),
+            }) => {}
+            other => panic!("{what}: the group returned {other:?}"),
+        }
+        let mut item = WorkItem::new(&program, 0, &[], ItemGeometry::single());
+        match item.run(&memory, &mut []) {
+            Err(RuntimeError::Internal(_)) => {}
+            other => panic!("{what}: the item returned {other:?}"),
+        }
     }
 }

@@ -59,7 +59,8 @@ compile-prof reps="300":
     cargo run --release -p skelcl-kernel --example compile_prof -- {{reps}}
 
 # Per-lane ledger of the group executor over the raw Mandelbrot, Sobel,
-# zip-multiply and tree-reduce corpus kernels (one WorkGroup over
+# zip-multiply and tree-reduce corpus kernels and the welded `skelcl_map`
+# Mandelbrot kernel on 256-lane 1-D groups (one WorkGroup over
 # HostMemory): lane-ops, group steps and lane utilisation per launch, and
 # the median host ns per lane-op over `reps` launches.
 lane-prof reps="20":
