@@ -30,6 +30,7 @@
 use std::collections::HashMap;
 
 use crate::cfg;
+use crate::decode::Decoded;
 use crate::hir;
 use crate::ir::{FuncCode, Op};
 use crate::mir::{BlockId, Inst, MirFunction, MirUnit, Terminator, VReg};
@@ -54,19 +55,21 @@ pub fn emit_unit(mir: &MirUnit, hir_unit: &hir::Unit, source_name: &str) -> Prog
             kernels.push(kernel_info(hf, idx as u16, mir.barrier_count));
         }
     }
+    let program = Program::from_parts(functions, kernels, source_name);
     // The executor gives every operand-stack position a fixed register
-    // slot, which needs the height before every op to be static.
+    // slot and every arithmetic head a loop for its operands' type, which
+    // needs a static height and static types before every op.
     if cfg!(debug_assertions) {
-        for f in &functions {
-            if let Err(defect) = crate::decode::heights(f, &functions) {
+        for (i, f) in program.functions().iter().enumerate() {
+            if let (Decoded::Fault(defect), _) = &program.decoded_fn(i).code[0] {
                 panic!(
-                    "lowering broke the height rule: {defect}\n{}",
+                    "lowering broke the type rule: {defect}\n{}",
                     f.disassemble()
                 );
             }
         }
     }
-    Program::from_parts(functions, kernels, source_name)
+    program
 }
 
 /// Builds the launch metadata of one `__kernel` function (parameter

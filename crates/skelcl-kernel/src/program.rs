@@ -180,10 +180,7 @@ impl Program {
             .enumerate()
             .map(|(i, k)| (k.name.clone(), i))
             .collect();
-        let decoded = functions
-            .iter()
-            .map(|f| crate::decode::decode(f, &functions))
-            .collect();
+        let decoded = crate::decode::decode(&functions);
         Program {
             inner: Arc::new(ProgramInner {
                 functions,

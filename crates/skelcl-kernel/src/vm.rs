@@ -22,9 +22,9 @@ use std::cell::Cell;
 use std::fmt;
 
 use crate::builtins::{self, Builtin};
-use crate::decode::{Chain, ChainTail, CmpUse, Decoded, Operand};
+use crate::decode::{Chain, ChainTail, CmpUse, Decoded, Loop, Operand, Ty};
 use crate::hir::{BinOp, CmpOp};
-use crate::ir::Op;
+use crate::ir::{FuncCode, Op};
 use crate::program::{KernelInfo, Program};
 use crate::types::{AddressSpace, ScalarType};
 use crate::value::{self, Ptr, Value, UNINIT_BUFFER};
@@ -75,13 +75,13 @@ impl ItemGeometry {
 /// Execution cost counters of one work-item (or aggregated over many).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostCounters {
-    /// Executed instructions (decoded superinstructions, not source ops).
-    ///
-    /// The op budget ([`WorkItem::set_ops_budget`]) is charged against this
-    /// counter, i.e. against what actually executes. Two compiles of the
-    /// same source under different `SKELCL_KERNEL_OPT` settings therefore
-    /// report different `ops` for identical buffer results; the gap is
-    /// what [`CostCounters::ops_saved`] records.
+    /// Executed source bytecode ops: a decoded head covering `k` of them
+    /// charges `k`, so the group executor and [`WorkItem::run_reference`]
+    /// agree ([`WorkItem::dispatches`] counts heads). The op budget
+    /// ([`WorkItem::set_ops_budget`]) is charged against it. Two compiles
+    /// of one source under different `SKELCL_KERNEL_OPT` settings report
+    /// different `ops` for identical buffer results; the gap is what
+    /// [`CostCounters::ops_saved`] records.
     pub ops: u64,
     /// Loads from global memory.
     pub global_loads: u64,
@@ -347,7 +347,7 @@ struct Frame {
 
 /// A kernel's entry frame, prepared **once per launch**: the entry
 /// function's initial locals with the launch arguments copied over the
-/// parameter slots and every static `__local` array slot bound to its
+/// parameter slots (a scalar of another type converted to the parameter's) and every static `__local` array slot bound to its
 /// pointer into the work-group arena. [`WorkGroup::arm`] broadcasts it over
 /// a group's lanes (and [`WorkItem::arm`] copies it into an item), so nothing
 /// about the arguments is re-derived per work-item.
@@ -368,14 +368,8 @@ impl EntryFrame {
     /// match its parameter count.
     pub fn new(program: &Program, kernel: &KernelInfo, args: &[Value]) -> Self {
         let code = &program.functions()[kernel.func as usize];
-        assert_eq!(
-            args.len(),
-            code.param_count as usize,
-            "kernel `{}` argument count mismatch",
-            code.name
-        );
         let mut locals = code.local_init.clone();
-        locals[..args.len()].copy_from_slice(args);
+        bind_args(code, &mut locals, args);
         for b in &kernel.local_arrays {
             locals[b.slot as usize] = Value::Ptr(Ptr {
                 space: AddressSpace::Local,
@@ -552,14 +546,13 @@ impl GroupStats {
 /// Within a strip every instruction is fetched, charged and matched
 /// (operation, operand kinds, destination) **once**, and the loop over the
 /// *active* lanes sits inside that match; locals and the operand stack's
-/// fixed slots are column-major lane arrays (`Level`). Arithmetic heads (`Bin`, `Cmp`,
-/// chains, `Cvt`, `Mov`) also resolve their value type once, by the first
-/// active lane: `float`/`int` work runs as monomorphic loops on the bare
-/// machine type — a chain one loop per link over an accumulator column —
-/// and a head whose lanes turn out not all to hold that type, or whose
-/// operation can fault (integer `/`, `%`), runs lane by lane through
-/// [`value::binary`]. Lanes carry their own `pc`: a
-/// divergent branch splits the active set and the scheduler runs the lanes
+/// fixed slots are column-major lane arrays (`Level`). Each arithmetic head
+/// (`Bin`, `Cmp`, chains, `Cvt`) runs the loop decode picked from its
+/// operands' static types (`crate::decode`): `float`/`int` work as
+/// monomorphic loops on the bare machine type — a chain one loop per link
+/// over an accumulator column — and operations that can fault (integer `/`,
+/// `%`) or have no typed loop lane by lane through [`value::binary`]. Lanes
+/// carry their own `pc`: a divergent branch splits the active set and the scheduler runs the lanes
 /// in the deepest call frame at the lowest `pc` next, so lanes that took
 /// the short side of a branch wait at the join until the others arrive
 /// (whatever the block layout — a set that cannot be rejoined simply runs
@@ -908,25 +901,17 @@ impl Strip {
         }
     }
 
-    /// The first active lane, if any.
-    fn first_active(&self) -> Option<usize> {
-        self.act.idx[..self.act.m].first().map(|&l| l as usize)
-    }
-
     /// The typed view of the active set's registers (see [`Typed`]), and
     /// the chain operands in `srcs`.
     fn typed<T: Fast>(&mut self) -> (Typed<'_, T>, &[Src]) {
         let acc = T::acc(&mut self.acc);
-        if acc.len() < 2 * STRIP {
-            acc.resize(2 * STRIP, T::default());
-        }
+        acc.resize(acc.len().max(2 * STRIP), T::default());
         let typed = Typed {
             n: self.n,
             lanes: Lanes::of(&self.act, self.n),
             regs: Cell::from_mut(&mut self.levels[self.d].regs[..]).as_slice_of_cells(),
             acc: Cell::from_mut(&mut acc[..]).as_slice_of_cells(),
             flags: Cell::from_mut(&mut self.flags[..]).as_slice_of_cells(),
-            ok: Cell::new(true),
         };
         (typed, &self.srcs)
     }
@@ -941,94 +926,50 @@ impl Strip {
         }
     }
 
-    /// `dst = l op r` over the active lanes: one typed loop when the
-    /// operation is native to the first active lane's type (see
-    /// [`Strip::bin_typed`]), and [`value::binary`] lane by lane for every
-    /// lane that loop did not do.
-    fn bin(&mut self, l: Src, r: Src, dst: usize, op: BinOp) {
-        let Some(first) = self.first_active() else {
-            return;
-        };
-        // Which lanes the typed loop did, by the operands it left.
-        let done: fn(Value, Value) -> bool = match l.get(&self.levels[self.d].regs, first) {
-            Value::F32(_) => match self.bin_typed::<f32>(l, r, dst, op) {
-                Some(true) => return,
-                Some(false) => both::<f32>,
-                None => |_, _| false,
-            },
-            Value::I32(_) => match self.bin_typed::<i32>(l, r, dst, op) {
-                Some(true) => return,
-                Some(false) => both::<i32>,
-                None => |_, _| false,
-            },
-            _ => |_, _| false,
-        };
-        let regs = &mut self.levels[self.d].regs;
-        let result = self.act.each(|i| {
-            let (a, b) = (l.get(regs, i), r.get(regs, i));
-            if !done(a, b) {
-                regs[dst + i] = bin1(op, a, b)?;
+    /// `dst = l op r` over the active lanes, in the loop decode picked from
+    /// the operands' type: typed, or [`value::binary`] lane by lane.
+    fn bin(&mut self, l: Src, r: Src, dst: usize, op: BinOp, lp: Loop) {
+        match lp {
+            Loop::F32 => self
+                .typed::<f32>()
+                .0
+                .bin(op, l.into(), r.into(), Out::Col(dst)),
+            Loop::I32 => self
+                .typed::<i32>()
+                .0
+                .bin(op, l.into(), r.into(), Out::Col(dst)),
+            Loop::Value => {
+                let regs = &mut self.levels[self.d].regs;
+                let result = self.act.each(|i| {
+                    regs[dst + i] = bin1(op, l.get(regs, i), r.get(regs, i))?;
+                    Ok(())
+                });
+                self.check(result);
             }
-            Ok(())
-        });
-        self.check(result);
-    }
-
-    /// [`Strip::bin`]'s typed loop: `None` (nothing done) unless `op` is
-    /// native to `T` and an immediate operand is a `T`, else whether every
-    /// lane was done. It writes only the lanes whose operands both held a
-    /// `T`, so the operands a lane leaves behind — the result, if it wrote
-    /// over one — both hold a `T` ([`both`]) iff it was done.
-    fn bin_typed<T: Fast>(&mut self, l: Src, r: Src, dst: usize, op: BinOp) -> Option<bool> {
-        if !T::native(op) {
-            return None;
-        }
-        let (t, _) = self.typed::<T>();
-        let (a, b) = (t.arg(l), t.arg(r));
-        if !t.ok.get() {
-            return None;
-        }
-        t.bin(op, a, b, Out::Col(dst));
-        Some(t.ok.get())
-    }
-
-    /// `flags[lane] = l op r` over the active lanes: one typed loop, or —
-    /// when a lane or an operand was not of the first lane's type — every
-    /// flag again through [`value::compare`], lane by lane.
-    fn cmp(&mut self, l: Src, r: Src, op: CmpOp) {
-        let Some(first) = self.first_active() else {
-            return;
-        };
-        let done = match l.get(&self.levels[self.d].regs, first) {
-            Value::F32(_) => self.cmp_typed::<f32>(l, r, op),
-            Value::I32(_) => self.cmp_typed::<i32>(l, r, op),
-            _ => false,
-        };
-        if !done {
-            let (regs, flags) = (&self.levels[self.d].regs, &mut self.flags);
-            let result = self.act.each(|i| {
-                flags[i] = cmp1(op, l.get(regs, i), r.get(regs, i))?;
-                Ok(())
-            });
-            self.check(result);
         }
     }
 
-    fn cmp_typed<T: Fast>(&mut self, l: Src, r: Src, op: CmpOp) -> bool {
-        let (t, _) = self.typed::<T>();
-        t.cmp(op, t.arg(l), t.arg(r));
-        t.ok.get()
+    /// `flags[lane] = l op r` over the active lanes, as [`Strip::bin`].
+    fn cmp(&mut self, l: Src, r: Src, op: CmpOp, lp: Loop) {
+        match lp {
+            Loop::F32 => self.typed::<f32>().0.cmp(op, l.into(), r.into()),
+            Loop::I32 => self.typed::<i32>().0.cmp(op, l.into(), r.into()),
+            Loop::Value => {
+                let (regs, flags) = (&self.levels[self.d].regs, &mut self.flags);
+                let result = self.act.each(|i| {
+                    flags[i] = cmp1(op, l.get(regs, i), r.get(regs, i))?;
+                    Ok(())
+                });
+                self.check(result);
+            }
+        }
     }
 
     /// A fused arithmetic chain. Its operands resolve once into `srcs`: `l`,
-    /// `r`, the tree's `l2`, `r2`, the links' and the tail comparison's.
-    /// When every operation is native to the first active lane's type, the
-    /// chain runs link by link over an accumulator column — first
-    /// operation, tree, each link, tail — one typed loop each; if an operand
-    /// then turned out not to hold that type on some lane, or an operation
-    /// can fault, it runs lane by lane through [`value::binary`], each lane
-    /// from its first operation to its tail, so the first lane to fault is
-    /// the one reported.
+    /// `r`, the tree's `l2`, `r2`, the links' and the tail comparison's. A
+    /// typed chain runs link by link ([`Typed::chain`]); any other lane by
+    /// lane through [`value::binary`], each lane from its first operation to
+    /// its tail, so the first lane to fault is the one reported.
     fn chain(&mut self, c: &Chain) {
         let (l, r) = (self.src(&c.l), self.src(&c.r));
         self.srcs.clear();
@@ -1049,102 +990,70 @@ impl Strip {
                 (Some(*op), 0)
             }
         };
-        let first = self
-            .first_active()
-            .map(|i| l.get(&self.levels[self.d].regs, i));
-        let done = match first {
-            None => true,
-            Some(Value::F32(_)) => self.chain_typed::<f32>(c, cmp, dst),
-            Some(Value::I32(_)) => self.chain_typed::<i32>(c, cmp, dst),
-            Some(_) => false,
-        };
-        if !done {
-            let (regs, flags, srcs) = (&mut self.levels[self.d].regs, &mut self.flags, &self.srcs);
-            let result = self.act.each(|i| {
-                let get = |k: usize| srcs[k].get(regs, i);
-                let mut acc = bin1(c.op, get(0), get(1))?;
-                let mut k = 2;
-                if let Some((_, _, op2, comb)) = c.tree {
-                    acc = bin1(comb, acc, bin1(op2, get(2), get(3))?)?;
-                    k = 4;
-                }
-                for (op, _) in &c.links {
-                    acc = bin1(*op, acc, get(k))?;
-                    k += 1;
-                }
-                match cmp {
-                    Some(op) => flags[i] = cmp1(op, acc, get(k))?,
-                    None => regs[dst + i] = acc,
-                }
-                Ok(())
-            });
-            self.check(result);
+        match c.lp {
+            Loop::F32 => {
+                let (t, srcs) = self.typed::<f32>();
+                t.chain(c, srcs, cmp, dst);
+            }
+            Loop::I32 => {
+                let (t, srcs) = self.typed::<i32>();
+                t.chain(c, srcs, cmp, dst);
+            }
+            Loop::Value => {
+                let (regs, flags, srcs) =
+                    (&mut self.levels[self.d].regs, &mut self.flags, &self.srcs);
+                let result = self.act.each(|i| {
+                    let get = |k: usize| srcs[k].get(regs, i);
+                    let mut acc = bin1(c.op, get(0), get(1))?;
+                    let mut k = 2;
+                    if let Some((_, _, op2, comb)) = c.tree {
+                        acc = bin1(comb, acc, bin1(op2, get(2), get(3))?)?;
+                        k = 4;
+                    }
+                    for (op, _) in &c.links {
+                        acc = bin1(*op, acc, get(k))?;
+                        k += 1;
+                    }
+                    match cmp {
+                        Some(op) => flags[i] = cmp1(op, acc, get(k))?,
+                        None => regs[dst + i] = acc,
+                    }
+                    Ok(())
+                });
+                self.check(result);
+            }
         }
         if let ChainTail::Cmp { along, .. } = c.tail {
             self.cmp_use(along);
         }
     }
 
-    /// [`Strip::chain`]'s typed loops: `false` when a lane or an operand
-    /// was not a `T` (only the accumulator columns and the flags, which the
-    /// per-lane run rewrites, were written then).
-    fn chain_typed<T: Fast>(&mut self, c: &Chain, cmp: Option<CmpOp>, dst: usize) -> bool {
-        let tree = c.tree.iter().flat_map(|&(_, _, op2, comb)| [op2, comb]);
-        let mut ops = std::iter::once(c.op).chain(tree);
-        if !ops.all(T::native) || !c.links.iter().all(|&(op, _)| T::native(op)) {
-            return false;
-        }
-        let (t, srcs) = self.typed::<T>();
-        let (acc, arg) = (Arg::Acc(0), |k: usize| t.arg(srcs[k]));
-        t.bin(c.op, arg(0), arg(1), Out::Acc(0));
-        let mut k = 2;
-        if let Some((_, _, op2, comb)) = c.tree {
-            t.bin(op2, arg(2), arg(3), Out::Acc(STRIP));
-            t.bin(comb, acc, Arg::Acc(STRIP), Out::Acc(0));
-            k = 4;
-        }
-        for (op, _) in &c.links {
-            t.bin(*op, acc, arg(k), Out::Acc(0));
-            k += 1;
-        }
-        match cmp {
-            Some(op) => t.cmp(op, acc, arg(k)),
-            None if t.ok.get() => t.spill(0, dst),
-            None => {}
-        }
-        t.ok.get()
-    }
-
-    /// `dst = (to)src` over the active lanes. The conversion is picked
-    /// once, by the first active lane's type, and runs as one loop; a lane
-    /// of another type takes [`value::convert`], which every pair here
-    /// agrees with (a float saturates, an integer truncates).
-    fn cvt(&mut self, src: Src, dst: usize, to: ScalarType) {
-        let Some(first) = self.first_active() else {
-            return;
-        };
+    /// `dst = (to)src` over the active lanes, one loop picked by the source
+    /// type `from`: the common pairs build their result in place (see
+    /// [`load_into`]) as [`value::convert`] does it, the rest call it.
+    fn cvt(&mut self, src: Src, dst: usize, (from, to): (Ty, ScalarType)) {
         let (n, regs) = (self.n, &mut self.levels[self.d].regs);
         let lanes = Lanes::of(&self.act, n);
         macro_rules! pair {
             ($from:ident, $x:ident => $to:expr) => {
-                cvt_lanes((lanes, n), regs, (src, dst, to), |v, out| match v {
-                    Value::$from($x) => {
+                cvt_lanes((lanes, n), regs, (src, dst), |v, out| {
+                    if let Value::$from($x) = v {
                         *out = $to;
-                        true
                     }
-                    _ => false,
                 })
             };
         }
-        use ScalarType::{Float, Int, Long, UChar};
-        match (src.get(regs, first), to) {
-            (Value::I32(_), Float) => pair!(I32, x => Value::F32(x as f32)),
-            (Value::F32(_), Int) => pair!(F32, x => Value::I32(x as i32)),
-            (Value::U8(_), Int) => pair!(U8, x => Value::I32(x as i32)),
-            (Value::I32(_), UChar) => pair!(I32, x => Value::U8(x as u8)),
-            (Value::I32(_), Long) => pair!(I32, x => Value::I64(x as i64)),
-            (Value::U64(_), Int) => pair!(U64, x => Value::I32(x as i32)),
-            _ => cvt_lanes((lanes, n), regs, (src, dst, to), |_, _| false),
+        use ScalarType::{Float, Int, Long, UChar, ULong};
+        match (from, to) {
+            (Some(Int), Float) => pair!(I32, x => Value::F32(x as f32)),
+            (Some(Float), Int) => pair!(F32, x => Value::I32(x as i32)),
+            (Some(UChar), Int) => pair!(U8, x => Value::I32(x as i32)),
+            (Some(Int), UChar) => pair!(I32, x => Value::U8(x as u8)),
+            (Some(Int), Long) => pair!(I32, x => Value::I64(x as i64)),
+            (Some(ULong), Int) => pair!(U64, x => Value::I32(x as i32)),
+            _ => cvt_lanes((lanes, n), regs, (src, dst), |v, out| {
+                *out = value::convert(v, to);
+            }),
         }
     }
 
@@ -1201,32 +1110,16 @@ impl Strip {
         self.branch(if_true, if_false);
     }
 
-    /// `f(src, &mut dst)` over the active lanes.
-    fn map(
-        &mut self,
-        src: Src,
-        dst: usize,
-        f: impl Fn(Value, &mut Value) -> Result<(), RuntimeError>,
-    ) {
-        let regs = &mut self.levels[self.d].regs;
-        let result = self.act.each(|l| f(src.get(regs, l), &mut regs[dst + l]));
-        self.check(result);
-    }
-
     /// The array-indexing idiom over the active lanes: `f(lane, p)` with
-    /// `p = regs[ptr] + regs[idx] * size`. The index is converted before
-    /// the pointer is checked, as the unfused sequence does.
+    /// `p = regs[ptr] + regs[idx] * size`, the index read as a `long`.
     fn indexed(
         &mut self,
-        (ptr, idx, size, conv): (usize, usize, u32, bool),
+        (ptr, idx, size): (usize, usize, u32),
         mut f: impl FnMut(&mut [Value], usize, Ptr) -> Result<(), RuntimeError>,
     ) {
         let regs = &mut self.levels[self.d].regs;
         let result = self.act.each(|l| {
-            let count = match regs[idx + l] {
-                v if conv => value::convert(v, ScalarType::Long).as_i64(),
-                v => v.as_i64(),
-            };
+            let count = regs[idx + l].as_i64();
             let base = expect_ptr(regs[ptr + l])?;
             let byte_offset = base
                 .byte_offset
@@ -1258,37 +1151,18 @@ impl Strip {
     }
 
     /// A work-item query over the active lanes: into column `top`, or in
-    /// place on the dimension column below it. OpenCL: out-of-range dims
-    /// yield 0 (sizes yield 1).
+    /// place on the dimension column below it.
     fn work_item_query(&mut self, b: Builtin, top: usize) {
         if b == Builtin::GetWorkDim {
             return self.mov(Src::Const(Value::U32(self.geometry.work_dim)), top);
         }
-        let g = &self.geometry;
-        let (per_lane, shared, default) = match b {
-            Builtin::GetGlobalId => (Some(0), [0; 3], 0),
-            Builtin::GetLocalId => (Some(1), [0; 3], 0),
-            Builtin::GetGroupId => (None, g.group_id, 0),
-            Builtin::GetGlobalSize => (None, g.global_size, 1),
-            Builtin::GetLocalSize => (None, g.local_size, 1),
-            Builtin::GetNumGroups => (None, g.num_groups, 1),
-            other => {
-                let error = RuntimeError::Internal(format!("not a work-item query: {other:?}"));
-                return self.fault_at(0, error);
-            }
+        let of = match query(&self.geometry, b) {
+            Ok(of) => of,
+            Err(error) => return self.fault_at(0, error),
         };
-        let c = top - self.n;
-        let (regs, ids) = (&mut self.levels[self.d].regs, &self.ids);
-        self.act.each_ok(|l| {
-            let dim = regs[c + l].as_i64();
-            let of = per_lane.map_or(&shared, |which| &ids[l][which]);
-            let v = if (0..3).contains(&dim) {
-                of[dim as usize]
-            } else {
-                default
-            };
-            regs[c + l] = Value::U64(v);
-        });
+        let (c, regs, ids) = (top - self.n, &mut self.levels[self.d].regs, &self.ids);
+        self.act
+            .each_ok(|l| regs[c + l] = Value::U64(of(&ids[l], regs[c + l].as_i64())));
     }
 
     /// Enters `callee` with the `argc` columns from `args` up as its
@@ -1396,13 +1270,17 @@ impl Strip {
                     self.pc += k as u32;
                     let n = self.n;
                     match d {
-                        Decoded::Bin { l, r, op, dst, .. } => {
-                            self.bin(self.src(l), self.src(r), self.col(*dst), *op);
+                        Decoded::Bin { l, r, op, dst, lp } => {
+                            self.bin(self.src(l), self.src(r), self.col(*dst), *op, *lp);
                         }
                         Decoded::Cmp {
-                            l, r, op, along, ..
+                            l,
+                            r,
+                            op,
+                            along,
+                            lp,
                         } => {
-                            self.cmp(self.src(l), self.src(r), *op);
+                            self.cmp(self.src(l), self.src(r), *op, *lp);
                             self.cmp_use(*along);
                         }
                         Decoded::Chain(c) => self.chain(c),
@@ -1415,12 +1293,10 @@ impl Strip {
                             ptr,
                             idx,
                             size,
-                            conv,
                             ty,
-                            ..
                         } => {
                             let v = self.src(v);
-                            let at = (self.col(*ptr), self.col(*idx), *size, *conv);
+                            let at = (self.col(*ptr), self.col(*idx), *size);
                             self.indexed(at, |regs, l, p| {
                                 mem_store(counters, global, local_mem, p, *ty, v.get(regs, l))
                             });
@@ -1430,13 +1306,11 @@ impl Strip {
                             ptr,
                             idx,
                             size,
-                            conv,
                             load,
                             dst,
-                            ..
                         } => {
                             let dst = self.col(*dst);
-                            let at = (self.col(*ptr), self.col(*idx), *size, *conv);
+                            let at = (self.col(*ptr), self.col(*idx), *size);
                             self.indexed(at, |regs, l, p| {
                                 match load {
                                     Some(ty) => {
@@ -1448,8 +1322,8 @@ impl Strip {
                                 Ok(())
                             });
                         }
-                        Decoded::Cvt { src, to, dst, .. } => {
-                            self.cvt(self.src(src), self.col(*dst), *to);
+                        Decoded::Cvt { src, from, to, dst } => {
+                            self.cvt(self.src(src), self.col(*dst), (*from, *to));
                         }
                         Decoded::Fault(reason) => {
                             self.fault_at(0, RuntimeError::Internal(reason.clone()));
@@ -1460,19 +1334,17 @@ impl Strip {
                             let top = self.col(*top);
                             match op {
                                 Op::Pop => {}
-                                Op::Un(un) => {
-                                    let c = top - n;
-                                    self.map(Src::Col(c), c, |v, out| {
-                                        *out = value::unary(*un, v).map_err(eval_err)?;
+                                Op::Un(_) | Op::ToBool => {
+                                    let (c, regs) = (top - n, &mut self.levels[self.d].regs);
+                                    let result = self.act.each(|l| {
+                                        let v = regs[c + l];
+                                        regs[c + l] = match op {
+                                            Op::Un(un) => value::unary(*un, v).map_err(eval_err)?,
+                                            _ => Value::Bool(v.is_truthy()),
+                                        };
                                         Ok(())
                                     });
-                                }
-                                Op::ToBool => {
-                                    let c = top - n;
-                                    self.map(Src::Col(c), c, |v, out| {
-                                        *out = Value::Bool(v.is_truthy());
-                                        Ok(())
-                                    });
+                                    self.check(result);
                                 }
                                 Op::Jump(t) => self.pc = *t,
                                 Op::JumpIfFalse(t) => self.branch_on(top - n, self.pc, *t),
@@ -1515,14 +1387,8 @@ impl Strip {
                                     let regs = &mut self.levels[self.d].regs;
                                     let result = self.act.each(|l| {
                                         let p = expect_ptr(regs[c + l])?;
-                                        load_into(
-                                            &mut regs[c + l],
-                                            counters,
-                                            global,
-                                            local_mem,
-                                            p,
-                                            *ty,
-                                        )
+                                        let out = &mut regs[c + l];
+                                        load_into(out, counters, global, local_mem, p, *ty)
                                     });
                                     self.check(result);
                                 }
@@ -1594,14 +1460,12 @@ pub struct WorkItem {
     stats: GroupStats,
     /// Cost counters accumulated so far.
     pub counters: CostCounters,
-    /// Dispatch-loop iterations so far. Unlike [`CostCounters::ops`] (which
-    /// counts *source* ops — a fused superinstruction covering `k` ops
-    /// charges `k`, so both interpreters agree), this counts one per decoded
-    /// head in [`WorkItem::run`] and one per op in
-    /// [`WorkItem::run_reference`]: it measures interpreter-loop overhead,
-    /// the quantity fusion and register lowering exist to shrink. It is
-    /// deliberately *not* part of `CostCounters` so the engines' counter
-    /// cross-checks stay exact.
+    /// Dispatch-loop iterations so far: one per decoded head in
+    /// [`WorkItem::run`], one per op in [`WorkItem::run_reference`], where
+    /// [`CostCounters::ops`] counts source ops in both. It measures
+    /// interpreter-loop overhead, what fusion and register lowering exist
+    /// to shrink, and is not part of `CostCounters` so that the engines'
+    /// counter cross-checks stay exact.
     pub dispatches: u64,
     /// Remaining instruction budget.
     ops_budget: u64,
@@ -1611,7 +1475,8 @@ pub struct WorkItem {
 impl WorkItem {
     /// Creates a work-item poised at the start of kernel function `func`
     /// with the given argument values (buffers as [`Value::Ptr`], scalars as
-    /// plain values, in parameter order).
+    /// plain values — converted to the parameter's type if need be — in
+    /// parameter order).
     ///
     /// # Panics
     ///
@@ -1652,14 +1517,8 @@ impl WorkItem {
     /// As for [`WorkItem::new`].
     pub fn reset(&mut self, program: &Program, func: u16, args: &[Value], geometry: ItemGeometry) {
         let code = &program.functions()[func as usize];
-        assert_eq!(
-            args.len(),
-            code.param_count as usize,
-            "kernel `{}` argument count mismatch",
-            code.name
-        );
         self.rearm(program, func, &code.local_init, geometry, u64::MAX);
-        self.frames[0].locals[..args.len()].copy_from_slice(args);
+        bind_args(code, &mut self.frames[0].locals, args);
     }
 
     /// Rearms this item from a launch's prepared [`EntryFrame`] — what
@@ -1910,8 +1769,14 @@ impl WorkItem {
                     frame.stack.push(result);
                 }
                 Op::WorkItem(b) => {
-                    let frame = self.frames.last_mut().expect("frame");
-                    let v = work_item_query(&self.geometry, frame, b)?;
+                    let (g, frame) = (&self.geometry, self.frames.last_mut().expect("frame"));
+                    let v = match b {
+                        Builtin::GetWorkDim => Value::U32(g.work_dim),
+                        _ => {
+                            let dim = pop(frame)?.as_i64();
+                            Value::U64(query(g, b)?(&[g.global_id, g.local_id], dim))
+                        }
+                    };
                     frame.stack.push(v);
                 }
                 Op::Barrier { id } => {
@@ -1986,38 +1851,47 @@ impl WorkItem {
     }
 }
 
-/// Evaluates a work-item query builtin against `geometry`, popping the
-/// dimension argument (if any) off `frame`'s operand stack. Free function so
-/// both dispatch loops can call it while holding a frame borrow.
-fn work_item_query(
-    geometry: &ItemGeometry,
-    frame: &mut Frame,
+/// Work-item query `b` of a launch with geometry `g`, other than
+/// `get_work_dim`, as a function of an item's `[global_id, local_id]` and
+/// the dimension asked for. OpenCL: out-of-range dims yield 0 (sizes 1).
+fn query(
+    g: &ItemGeometry,
     b: Builtin,
-) -> Result<Value, RuntimeError> {
-    if b == Builtin::GetWorkDim {
-        return Ok(Value::U32(geometry.work_dim));
+) -> Result<impl Fn(&[[u64; 3]; 2], i64) -> u64, RuntimeError> {
+    let not_a_query = || RuntimeError::Internal(format!("not a work-item query: {b:?}"));
+    let (per_item, launch, default) = match b {
+        Builtin::GetGlobalId => (Some(0), [0; 3], 0),
+        Builtin::GetLocalId => (Some(1), [0; 3], 0),
+        Builtin::GetGroupId => (None, g.group_id, 0),
+        Builtin::GetGlobalSize => (None, g.global_size, 1),
+        Builtin::GetLocalSize => (None, g.local_size, 1),
+        Builtin::GetNumGroups => (None, g.num_groups, 1),
+        _ => return Err(not_a_query()),
+    };
+    Ok(move |ids: &[[u64; 3]; 2], dim: i64| {
+        let of = per_item.map_or(&launch, |which| &ids[which]);
+        let at = usize::try_from(dim).ok().and_then(|d| of.get(d));
+        at.copied().unwrap_or(default)
+    })
+}
+
+/// Copies `args` over the parameter slots of `locals`, `code`'s initial
+/// locals. A scalar of another type is converted to the parameter's, as C
+/// converts call arguments, so that the slot holds the type the type rule
+/// (`crate::decode`) gives it.
+///
+/// # Panics
+///
+/// Panics if `args` doesn't match `code`'s parameter count.
+fn bind_args(code: &FuncCode, locals: &mut [Value], args: &[Value]) {
+    let (n, name) = (code.param_count as usize, &code.name);
+    assert_eq!(args.len(), n, "kernel `{name}` argument count mismatch");
+    for (local, &arg) in locals.iter_mut().zip(args) {
+        *local = match (arg.scalar_type(), local.scalar_type()) {
+            (Some(from), Some(to)) if from != to => value::convert(arg, to),
+            _ => arg,
+        };
     }
-    let dim = pop(frame)?.as_i64();
-    // OpenCL: out-of-range dims yield 0 (sizes yield 1).
-    let (arr, default): (&[u64; 3], u64) = match b {
-        Builtin::GetGlobalId => (&geometry.global_id, 0),
-        Builtin::GetLocalId => (&geometry.local_id, 0),
-        Builtin::GetGroupId => (&geometry.group_id, 0),
-        Builtin::GetGlobalSize => (&geometry.global_size, 1),
-        Builtin::GetLocalSize => (&geometry.local_size, 1),
-        Builtin::GetNumGroups => (&geometry.num_groups, 1),
-        other => {
-            return Err(RuntimeError::Internal(format!(
-                "not a work-item query: {other:?}"
-            )))
-        }
-    };
-    let v = if (0..3).contains(&dim) {
-        arr[dim as usize]
-    } else {
-        default
-    };
-    Ok(Value::U64(v))
 }
 
 /// Typed load through `p`, charging `counters`. Free function so the
@@ -2142,37 +2016,24 @@ impl<'a> Lanes<'a> {
         }
     }
 
-    /// Runs `f` for every lane of a strip of `n`, ascending, folding what
-    /// it says with `&` — no early exit, so the flag stays in a register.
-    /// Plain `for` loops, `f` inlined into both: through an iterator
-    /// adaptor the loop is outlined and reloads `f`'s captures on every
-    /// lane. A full strip's loop is bounded by `n` itself, so columns
-    /// sliced to `n` are indexed unchecked.
+    /// Runs `f` for every lane of a strip of `n`, ascending, in plain `for`
+    /// loops (an iterator adaptor outlines the loop, which then reloads
+    /// `f`'s captures per lane). A full strip's loop is bounded by `n`
+    /// itself, so columns sliced to `n` are indexed unchecked.
     #[inline(always)]
-    fn all(self, n: usize, mut f: impl FnMut(usize) -> bool) -> bool {
-        let mut ok = true;
+    fn each(self, n: usize, mut f: impl FnMut(usize)) {
         match self {
             Lanes::All => {
                 for l in 0..n {
-                    ok &= f(l);
+                    f(l);
                 }
             }
             Lanes::Some(idx) => {
                 for &l in idx {
-                    ok &= f(l as usize);
+                    f(l as usize);
                 }
             }
         }
-        ok
-    }
-
-    /// [`Lanes::all`] for loops with nothing to say.
-    #[inline(always)]
-    fn each(self, n: usize, mut f: impl FnMut(usize)) {
-        self.all(n, |l| {
-            f(l);
-            true
-        });
     }
 }
 
@@ -2202,8 +2063,7 @@ struct AccCols {
 
 /// One head's typed view of the active set: the level's registers, the `T`
 /// accumulator columns and the flags, as cells so that one loop may read
-/// the column it writes (`x = x op y`). Every loop folds, branch-free,
-/// whether each operand it read held a `T` into `ok`.
+/// the column it writes (`x = x op y`).
 struct Typed<'a, T> {
     /// The strip's width: a register column's length.
     n: usize,
@@ -2211,13 +2071,11 @@ struct Typed<'a, T> {
     regs: &'a [Cell<Value>],
     acc: &'a [Cell<T>],
     flags: &'a [Cell<bool>],
-    ok: Cell<bool>,
 }
 
 /// Binds `$get` to a per-lane reader of the typed operand `$arg` of the
-/// [`Typed`] view `$t` — `(value, whether the lane held a T)` — and
-/// expands `$body` once per operand kind, so that every loop in it reads
-/// its operands without a per-lane match.
+/// [`Typed`] view `$t` and expands `$body` once per operand kind, so that
+/// every loop in it reads its operands without a per-lane match.
 macro_rules! reader {
     ($t:expr, $arg:expr, $get:ident => $body:expr) => {
         match $arg {
@@ -2227,37 +2085,29 @@ macro_rules! reader {
                 $body
             }
             Arg::Imm(x) => {
-                let $get = move |_: usize| (x, true);
+                let $get = move |_: usize| x;
                 $body
             }
             Arg::Acc(a) => {
                 let col = &$t.acc[a..a + $t.n];
-                let $get = move |i: usize| (col[i].get(), true);
+                let $get = move |i: usize| col[i].get();
                 $body
             }
         }
     };
 }
 
-impl<T: Fast> Typed<'_, T> {
-    /// `src` as a typed operand. An immediate of another type clears `ok`;
-    /// a column's lanes are checked by the loops that read them.
-    fn arg(&self, src: Src) -> Arg<T> {
+impl<T: Fast> From<Src> for Arg<T> {
+    fn from(src: Src) -> Self {
         match src {
             Src::Col(c) => Arg::Col(c),
-            Src::Const(v) => {
-                let (x, held) = T::read(v);
-                self.held(held);
-                Arg::Imm(x)
-            }
+            Src::Const(v) => Arg::Imm(T::read(v)),
         }
     }
+}
 
-    fn held(&self, ok: bool) {
-        self.ok.set(self.ok.get() & ok);
-    }
-
-    /// `out = l op r` over the lanes, `op` native to `T`.
+impl<T: Fast> Typed<'_, T> {
+    /// `out = l op r` over the lanes.
     fn bin(&self, op: BinOp, l: Arg<T>, r: Arg<T>, out: Out) {
         T::visit(op, BinLoop { t: self, l, r, out });
     }
@@ -2279,12 +2129,9 @@ impl<T: Fast> Typed<'_, T> {
     #[inline(always)]
     fn flag(&self, l: Arg<T>, r: Arg<T>, f: impl Fn(T, T) -> bool) {
         let flags = &self.flags[..self.n];
-        let ok = reader!(self, l, a => reader!(self, r, b => self.lanes.all(self.n, |i| {
-            let ((x, p), (y, q)) = (a(i), b(i));
-            flags[i].set(f(x, y));
-            p & q
+        reader!(self, l, a => reader!(self, r, b => self.lanes.each(self.n, |i| {
+            flags[i].set(f(a(i), b(i)));
         })));
-        self.held(ok);
     }
 
     /// Register column `dst` = accumulator column `a`.
@@ -2293,21 +2140,32 @@ impl<T: Fast> Typed<'_, T> {
         self.lanes
             .each(self.n, |i| out[i].set(acc[i].get().value()));
     }
+
+    /// [`Strip::chain`]'s typed loops over `srcs`: first operation, tree,
+    /// each link into the accumulator at offset 0 (the tree's at `STRIP`),
+    /// then the tail compares it into the flags or spills it to `dst`.
+    fn chain(&self, c: &Chain, srcs: &[Src], cmp: Option<CmpOp>, dst: usize) {
+        let (acc, arg) = (Arg::Acc(0), |k: usize| Arg::from(srcs[k]));
+        self.bin(c.op, arg(0), arg(1), Out::Acc(0));
+        let mut k = 2;
+        if let Some((_, _, op2, comb)) = c.tree {
+            self.bin(op2, arg(2), arg(3), Out::Acc(STRIP));
+            self.bin(comb, acc, Arg::Acc(STRIP), Out::Acc(0));
+            k = 4;
+        }
+        for (op, _) in &c.links {
+            self.bin(*op, acc, arg(k), Out::Acc(0));
+            k += 1;
+        }
+        match cmp {
+            Some(op) => self.cmp(op, acc, arg(k)),
+            None => self.spill(0, dst),
+        }
+    }
 }
 
-/// Code run with a binary operation as a closure (see [`Fast::visit`]).
-trait Visit<T> {
-    fn go(self, f: impl Fn(T, T) -> T + Copy);
-}
-
-/// Visits nothing: [`Fast::native`]'s probe.
-struct Probe;
-
-impl<T> Visit<T> for Probe {
-    fn go(self, _: impl Fn(T, T) -> T + Copy) {}
-}
-
-/// [`Typed::bin`]'s loop.
+/// [`Typed::bin`]'s loop, run with the operation as a closure by
+/// [`Fast::visit`].
 struct BinLoop<'t, 'a, T> {
     t: &'t Typed<'a, T>,
     l: Arg<T>,
@@ -2315,135 +2173,92 @@ struct BinLoop<'t, 'a, T> {
     out: Out,
 }
 
-impl<T: Fast> Visit<T> for BinLoop<'_, '_, T> {
+impl<T: Fast> BinLoop<'_, '_, T> {
     #[inline(always)]
     fn go(self, f: impl Fn(T, T) -> T + Copy) {
         let (t, out) = (self.t, self.out);
-        let ok = reader!(t, self.l, a => reader!(t, self.r, b => match out {
+        reader!(t, self.l, a => reader!(t, self.r, b => match out {
             Out::Col(c) => {
                 let col = &t.regs[c..c + t.n];
-                t.lanes.all(t.n, |i| {
-                    let ((x, p), (y, q)) = (a(i), b(i));
-                    if p & q {
-                        col[i].set(f(x, y).value());
-                    }
-                    p & q
-                })
+                t.lanes.each(t.n, |i| col[i].set(f(a(i), b(i)).value()));
             }
             Out::Acc(o) => {
                 let col = &t.acc[o..o + t.n];
-                t.lanes.all(t.n, |i| {
-                    let ((x, p), (y, q)) = (a(i), b(i));
-                    col[i].set(f(x, y));
-                    p & q
-                })
+                t.lanes.each(t.n, |i| col[i].set(f(a(i), b(i))));
             }
         }));
-        t.held(ok);
     }
 }
 
 /// The scalar types whose arithmetic the typed loops do on the bare machine
-/// type: `float` and `int`, with the operations that cannot fault. The
-/// expressions are [`value::binary`]'s own, so results are bit-identical.
+/// type: `float`, and `int` with the operations that cannot fault — what
+/// `decode::Loop` picks these loops for. The expressions are
+/// [`value::binary`]'s own, so results are bit-identical.
 trait Fast: Copy + PartialOrd + Default {
-    fn of(v: Value) -> Option<Self>;
+    /// A lane's value, which the type rule (`crate::decode`) proves holds
+    /// a `Self`.
+    fn read(v: Value) -> Self;
     fn value(self) -> Value;
-    /// Runs `k` with `op` as a closure: `false`, and nothing run, for the
-    /// operations left to [`value::binary`].
-    fn visit(op: BinOp, k: impl Visit<Self>) -> bool;
+    /// Runs `k` with `op` as a closure.
+    fn visit(op: BinOp, k: BinLoop<'_, '_, Self>);
     fn acc(cols: &mut AccCols) -> &mut Vec<Self>;
-
-    /// A lane's value and whether it held a `Self` (if not, the value is
-    /// a stand-in that the head's per-lane re-run never lets out).
-    #[inline(always)]
-    fn read(v: Value) -> (Self, bool) {
-        match Self::of(v) {
-            Some(x) => (x, true),
-            None => (Self::default(), false),
-        }
-    }
-
-    /// Whether [`Fast::visit`] runs `op`.
-    fn native(op: BinOp) -> bool {
-        Self::visit(op, Probe)
-    }
 }
 
-impl Fast for f32 {
-    #[inline(always)]
-    fn of(v: Value) -> Option<f32> {
-        match v {
-            Value::F32(x) => Some(x),
-            _ => None,
+/// Implements [`Fast`] for `$t`, the payload of `Value::$tag`, with
+/// `$visit` as [`Fast::visit`]'s body.
+macro_rules! fast {
+    ($t:ident, $tag:ident, |$op:ident, $k:ident| $visit:expr) => {
+        impl Fast for $t {
+            #[inline(always)]
+            fn read(v: Value) -> $t {
+                match v {
+                    Value::$tag(x) => x,
+                    _ => <$t>::default(),
+                }
+            }
+
+            #[inline(always)]
+            fn value(self) -> Value {
+                Value::$tag(self)
+            }
+
+            #[inline(always)]
+            fn visit($op: BinOp, $k: BinLoop<'_, '_, $t>) {
+                $visit
+            }
+
+            fn acc(cols: &mut AccCols) -> &mut Vec<$t> {
+                &mut cols.$t
+            }
         }
-    }
-
-    #[inline(always)]
-    fn value(self) -> Value {
-        Value::F32(self)
-    }
-
-    #[inline(always)]
-    fn visit(op: BinOp, k: impl Visit<f32>) -> bool {
-        match op {
-            BinOp::Add => k.go(|a, b| a + b),
-            BinOp::Sub => k.go(|a, b| a - b),
-            BinOp::Mul => k.go(|a, b| a * b),
-            BinOp::Div => k.go(|a, b| a / b),
-            BinOp::Rem => k.go(|a, b| a % b),
-            _ => return false,
-        }
-        true
-    }
-
-    fn acc(cols: &mut AccCols) -> &mut Vec<f32> {
-        &mut cols.f32
-    }
+    };
 }
 
-impl Fast for i32 {
-    #[inline(always)]
-    fn of(v: Value) -> Option<i32> {
-        match v {
-            Value::I32(x) => Some(x),
-            _ => None,
-        }
-    }
+fast!(f32, F32, |op, k| match op {
+    BinOp::Add => k.go(|a, b| a + b),
+    BinOp::Sub => k.go(|a, b| a - b),
+    BinOp::Mul => k.go(|a, b| a * b),
+    BinOp::Div => k.go(|a, b| a / b),
+    BinOp::Rem => k.go(|a, b| a % b),
+    // The type rule admits no bit operation on floats.
+    _ => {}
+});
 
-    #[inline(always)]
-    fn value(self) -> Value {
-        Value::I32(self)
-    }
+fast!(i32, I32, |op, k| match op {
+    BinOp::Add => k.go(|a, b| a.wrapping_add(b)),
+    BinOp::Sub => k.go(|a, b| a.wrapping_sub(b)),
+    BinOp::Mul => k.go(|a, b| a.wrapping_mul(b)),
+    BinOp::BitAnd => k.go(|a, b| a & b),
+    BinOp::BitOr => k.go(|a, b| a | b),
+    BinOp::BitXor => k.go(|a, b| a ^ b),
+    BinOp::Shl => k.go(|a, b| a.wrapping_shl(b as u32 & 31)),
+    BinOp::Shr => k.go(|a, b| a.wrapping_shr(b as u32 & 31)),
+    // `/` and `%` can fault: decode runs them lane by lane.
+    _ => {}
+});
 
-    #[inline(always)]
-    fn visit(op: BinOp, k: impl Visit<i32>) -> bool {
-        match op {
-            BinOp::Add => k.go(|a, b| a.wrapping_add(b)),
-            BinOp::Sub => k.go(|a, b| a.wrapping_sub(b)),
-            BinOp::Mul => k.go(|a, b| a.wrapping_mul(b)),
-            BinOp::BitAnd => k.go(|a, b| a & b),
-            BinOp::BitOr => k.go(|a, b| a | b),
-            BinOp::BitXor => k.go(|a, b| a ^ b),
-            BinOp::Shl => k.go(|a, b| a.wrapping_shl(b as u32 & 31)),
-            BinOp::Shr => k.go(|a, b| a.wrapping_shr(b as u32 & 31)),
-            _ => return false,
-        }
-        true
-    }
-
-    fn acc(cols: &mut AccCols) -> &mut Vec<i32> {
-        &mut cols.i32
-    }
-}
-
-/// Whether `a` and `b` both hold a `T`.
-fn both<T: Fast>(a: Value, b: Value) -> bool {
-    T::of(a).is_some() && T::of(b).is_some()
-}
-
-/// One lane's `a op b`: what a head whose lanes are not all of one native
-/// type, or whose operation can fault, runs per lane.
+/// One lane's `a op b`: what a head runs per lane when its operation can
+/// fault or its type has no typed loop.
 fn bin1(op: BinOp, a: Value, b: Value) -> Result<Value, RuntimeError> {
     value::binary(op, a, b).map_err(eval_err)
 }
@@ -2453,26 +2268,19 @@ fn cmp1(op: CmpOp, a: Value, b: Value) -> Result<bool, RuntimeError> {
     value::compare(op, a, b).map_err(eval_err)
 }
 
-/// [`Strip::cvt`]'s loop: `f` where it applies, [`value::convert`]
-/// otherwise; an immediate converts once. `f` builds its result in place
-/// (see [`load_into`]).
+/// [`Strip::cvt`]'s loop: `f` per lane; an immediate converts once.
 #[inline(always)]
 fn cvt_lanes(
     (lanes, n): (Lanes, usize),
     regs: &mut [Value],
-    (src, dst, to): (Src, usize, ScalarType),
-    f: impl Fn(Value, &mut Value) -> bool,
+    (src, dst): (Src, usize),
+    f: impl Fn(Value, &mut Value),
 ) {
-    let one = |v, out: &mut Value| {
-        if !f(v, out) {
-            *out = value::convert(v, to);
-        }
-    };
     match src {
-        Src::Col(c) => lanes.each(n, |i| one(regs[c + i], &mut regs[dst + i])),
+        Src::Col(c) => lanes.each(n, |i| f(regs[c + i], &mut regs[dst + i])),
         Src::Const(v) => {
             let mut z = ZERO;
-            one(v, &mut z);
+            f(v, &mut z);
             lanes.each(n, |i| regs[dst + i] = z);
         }
     }

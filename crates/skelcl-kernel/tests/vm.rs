@@ -7,8 +7,8 @@ use skelcl_kernel::program::Program;
 use skelcl_kernel::types::{AddressSpace, ScalarType};
 use skelcl_kernel::value::{Ptr, Value};
 use skelcl_kernel::vm::{
-    CostCounters, EntryFrame, Exit, GlobalMemory, HostMemory, ItemGeometry, MemAccessError,
-    RuntimeError, WorkGroup, WorkItem,
+    CostCounters, EntryFrame, Exit, GlobalMemory, GroupFault, HostMemory, ItemGeometry,
+    MemAccessError, RuntimeError, WorkGroup, WorkItem,
 };
 
 fn program(src: &str) -> Program {
@@ -721,29 +721,34 @@ fn run_simple_counts_total_ops() {
     let _ = run_simple(&p, "nop", &[gptr(out)], 0);
 }
 
-/// Lanes whose operands differ in type within one head — something only
-/// hand-written bytecode can produce: a local that holds a `float` on even
-/// lanes and an `int` on odd ones. Every arithmetic head over it (a fused
-/// `Bin` into another local, a plain `Bin` in place on the operand stack,
-/// chains with a link, one of them writing over its own operand, a
-/// compare-and-branch) runs its typed loop for the
-/// first lane's type and the per-lane path for the rest; a group of 10
-/// lanes must store what ten reference items store, with equal counters.
+/// Bytecode that breaks the type rule — something only hand-written
+/// bytecode can do: a local that holds an `int` on odd lanes and a `float`
+/// on even ones where the two paths join and it is read (`y = x + x`), and
+/// a call that passes a `float` to an `int` parameter. No head may pick a
+/// loop for such operands: a group and a single item running either return
+/// a typed error at the kernel's first op, never a panic.
 #[test]
-fn lanes_of_mixed_types_take_the_per_lane_path() {
+fn lanes_of_mixed_types_fault_with_a_typed_error() {
     use skelcl_kernel::builtins::Builtin;
-    use skelcl_kernel::hir::{BinOp, CmpOp, UnOp};
+    use skelcl_kernel::hir::BinOp;
     use skelcl_kernel::ir::{FuncCode, Op};
-    use skelcl_kernel::program::{KernelInfo, KernelParam, KernelParamKind};
+    use skelcl_kernel::program::KernelInfo;
 
-    // Locals: 0 out, 1 x, 2 y, 3 z, 4 gid, 5 w, 6 f, 7 row, 8 index.
-    let mut code = vec![
+    let func = |name: &str, params: usize, code| FuncCode {
+        name: name.into(),
+        param_count: params as u16,
+        local_init: vec![Value::I32(0); 3],
+        code,
+        returns_void: true,
+    };
+    // Locals: 0 gid, 1 x, 2 y.
+    let mixed = vec![
         Op::Const(Value::I32(0)),
         Op::WorkItem(Builtin::GetGlobalId),
         Op::Convert(ScalarType::Int),
-        Op::StoreLocal(4),
+        Op::StoreLocal(0),
         // x = gid % 2 ? 3 : 1.5f
-        Op::LoadLocal(4),
+        Op::LoadLocal(0),
         Op::Const(Value::I32(2)),
         Op::Bin(BinOp::Rem),
         Op::JumpIfFalse(11),
@@ -752,129 +757,54 @@ fn lanes_of_mixed_types_take_the_per_lane_path() {
         Op::Jump(13),
         Op::Const(Value::F32(1.5)),
         Op::StoreLocal(1),
-        // y = x + x (a fused `Bin` into a local)
+        // y = x + x
         Op::LoadLocal(1),
         Op::LoadLocal(1),
         Op::Bin(BinOp::Add),
         Op::StoreLocal(2),
-        // z = -(x * (x + x)) (the `Mul` is a plain `Bin`, in place on
-        // the operand stack)
-        Op::LoadLocal(1),
-        Op::LoadLocal(1),
-        Op::LoadLocal(1),
-        Op::Bin(BinOp::Add),
-        Op::Bin(BinOp::Mul),
-        Op::Un(UnOp::Neg),
-        Op::StoreLocal(3),
-        // w = x * x - y, then w = w * x - y (chains with one link, the
-        // second writing over its own operand)
-        Op::LoadLocal(1),
-        Op::LoadLocal(1),
-        Op::Bin(BinOp::Mul),
-        Op::LoadLocal(2),
-        Op::Bin(BinOp::Sub),
-        Op::StoreLocal(5),
-        Op::LoadLocal(5),
-        Op::LoadLocal(1),
-        Op::Bin(BinOp::Mul),
-        Op::LoadLocal(2),
-        Op::Bin(BinOp::Sub),
-        Op::StoreLocal(5),
-        // f = y < z ? y : w (a fused compare-and-branch)
-        Op::LoadLocal(2),
-        Op::StoreLocal(6),
-        Op::LoadLocal(2),
-        Op::LoadLocal(3),
-        Op::Cmp(CmpOp::Lt),
-        Op::JumpIfTrue(44),
-        Op::LoadLocal(5),
-        Op::StoreLocal(6),
-        // row = gid * 5
-        Op::LoadLocal(4),
-        Op::Const(Value::I32(5)),
-        Op::Bin(BinOp::Mul),
-        Op::StoreLocal(7),
+        Op::ReturnVoid,
     ];
-    // out[row + k] = (float)local, for x, y, z, w, f.
-    for (k, slot) in [1u16, 2, 3, 5, 6].into_iter().enumerate() {
-        code.extend([
-            Op::LoadLocal(7),
-            Op::Const(Value::I32(k as i32)),
-            Op::Bin(BinOp::Add),
-            Op::StoreLocal(8),
-            Op::LoadLocal(slot),
-            Op::Convert(ScalarType::Float),
-            Op::LoadLocal(0),
-            Op::LoadLocal(8),
-            Op::Convert(ScalarType::Long),
-            Op::PtrOffset(4),
-            Op::StoreMem(ScalarType::Float),
-        ]);
-    }
-    code.push(Op::ReturnVoid);
-    let mut local_init = vec![Value::I32(0); 9];
-    local_init[0] = gptr(0);
-    let program = Program::from_parts(
-        vec![FuncCode {
-            name: "mixed".into(),
-            param_count: 1,
-            local_init,
-            code,
-            returns_void: true,
-        }],
-        vec![KernelInfo {
-            name: "mixed".into(),
-            func: 0,
-            params: vec![KernelParam {
-                name: "out".into(),
-                kind: KernelParamKind::GlobalBuffer {
-                    elem: ScalarType::Float,
-                    is_const: false,
-                },
+    let call = vec![
+        Op::Const(Value::F32(1.5)),
+        Op::Call { func: 1, argc: 1 },
+        Op::ReturnVoid,
+    ];
+    let defects = [
+        (mixed, "pc 13: local 1 read where paths left two types"),
+        (call, "pc 1: a call of f1 whose argument 0 is no int"),
+    ];
+    let geometry = ItemGeometry {
+        local_size: [10, 1, 1],
+        global_size: [10, 1, 1],
+        ..ItemGeometry::single()
+    };
+    for (code, reason) in defects {
+        let program = Program::from_parts(
+            vec![func("k", 0, code), func("callee", 1, vec![Op::ReturnVoid])],
+            vec![KernelInfo {
+                name: "k".into(),
+                func: 0,
+                params: Vec::new(),
+                local_arrays: Vec::new(),
+                static_local_bytes: 0,
+                barrier_count: 0,
             }],
-            local_arrays: Vec::new(),
-            static_local_bytes: 0,
-            barrier_count: 0,
-        }],
-        "mixed.cl",
-    );
-    let lanes = 10u64;
-    let geometry = |i: u64| ItemGeometry {
-        work_dim: 1,
-        global_id: [i, 0, 0],
-        local_id: [i, 0, 0],
-        group_id: [0; 3],
-        global_size: [lanes, 1, 1],
-        local_size: [lanes, 1, 1],
-        num_groups: [1, 1, 1],
-    };
-    let out_bytes = vec![0u8; lanes as usize * 5 * 4];
-
-    let group_mem = {
-        let mut mem = HostMemory::new();
-        mem.add_buffer(out_bytes.clone());
-        mem
-    };
-    let info = program.kernel("mixed").unwrap();
-    let entry = EntryFrame::new(&program, info, &[gptr(0)]);
-    let mut group = WorkGroup::default();
-    group.arm(geometry(0), u64::MAX);
-    assert_eq!(group.run(&entry, &group_mem, &mut []), Ok(Exit::Done));
-
-    let mut ref_mem = HostMemory::new();
-    ref_mem.add_buffer(out_bytes);
-    let mut counters = CostCounters::default();
-    for i in 0..lanes {
-        let mut item = WorkItem::new(&program, 0, &[gptr(0)], geometry(i));
-        assert_eq!(item.run_reference(&ref_mem, &mut []), Ok(Exit::Done));
-        counters.merge(&item.counters);
+            "mixed.cl",
+        );
+        let memory = HostMemory::new();
+        let typed_error = |error: RuntimeError| match error {
+            RuntimeError::Internal(e) => assert!(e.contains(reason), "{e:?} should say {reason:?}"),
+            other => panic!("{reason}: {other:?}"),
+        };
+        let entry = EntryFrame::new(&program, program.kernel("k").unwrap(), &[]);
+        let mut group = WorkGroup::default();
+        group.arm(geometry, 1_000);
+        match group.run(&entry, &memory, &mut []) {
+            Err(GroupFault::Lane { lane: 0, error }) => typed_error(error),
+            other => panic!("{reason}: the group returned {other:?}"),
+        }
+        assert_eq!(group.stats.counters.ops, 10, "one op charged per lane");
+        let mut item = WorkItem::new(&program, 0, &[], ItemGeometry::single());
+        typed_error(item.run(&memory, &mut []).unwrap_err());
     }
-    let out = read_f32s(&group_mem.bytes(0));
-    assert_eq!(out, read_f32s(&ref_mem.bytes(0)));
-    assert_eq!(group.stats.counters, counters);
-    // Even lanes computed in `float`, odd ones in `int`.
-    assert_eq!(
-        &out[..10],
-        &[1.5, 3.0, -4.5, -4.125, -4.125, 3.0, 6.0, -18.0, 3.0, 3.0]
-    );
 }
